@@ -14,9 +14,7 @@
 //!   (1), isolating the `ComparisonCache` win from the threading win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relperf_core::cluster::{
-    relative_scores, relative_scores_seeded, ClusterConfig, PairSchedule, Parallelism,
-};
+use relperf_core::cluster::{relative_scores, relative_scores_seeded, ClusterConfig, Parallelism};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_measure::{Sample, SeededThreeWayComparator, ThreeWayComparator};
 use relperf_workloads::experiment::{
@@ -45,7 +43,6 @@ fn cluster_config(repetitions: usize, parallelism: Parallelism) -> ClusterConfig
     ClusterConfig {
         repetitions,
         parallelism,
-        ..Default::default()
     }
 }
 
@@ -68,27 +65,17 @@ fn bench_relative_scores(c: &mut Criterion) {
     );
     assert_eq!(serial, parallel, "parallel clustering must be bit-identical");
 
-    // And the batched pair schedule: same table, different fan-out.
-    let batched = cluster_measurements_seeded(
-        &measured,
-        &cmp,
-        cluster_config(20, Parallelism::auto()).with_schedule(PairSchedule::Batched),
-        7,
-    );
-    assert_eq!(serial, batched, "batched schedule must be bit-identical");
-
     let mut group = c.benchmark_group("relative_scores");
-    for (label, par, schedule) in [
-        ("serial", Parallelism::serial(), PairSchedule::OnDemand),
-        ("parallel", Parallelism::auto(), PairSchedule::OnDemand),
-        ("batched-pairs", Parallelism::auto(), PairSchedule::Batched),
+    for (label, par) in [
+        ("serial", Parallelism::serial()),
+        ("parallel", Parallelism::auto()),
     ] {
         group.bench_with_input(BenchmarkId::new(label, 50), &par, |b, &par| {
             b.iter(|| {
                 cluster_measurements_seeded(
                     black_box(&measured),
                     &cmp,
-                    cluster_config(50, par).with_schedule(schedule),
+                    cluster_config(50, par),
                     7,
                 )
             })

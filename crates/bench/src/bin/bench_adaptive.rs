@@ -51,7 +51,6 @@ fn run_case(name: &str, exp: &Experiment) -> Entry {
     let config = ClusterConfig {
         repetitions: 100,
         parallelism: Parallelism::auto(),
-        ..Default::default()
     };
 
     // Baseline: measure everything N = 30 times, cluster once.

@@ -12,12 +12,12 @@
 //! ```
 
 use rand::prelude::*;
+use relperf_bench::median_secs;
 use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Parallelism};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, Scratch};
 use relperf_measure::{Sample, ScratchThreeWayComparator};
 use relperf_workloads::experiment::{cluster_measurements_seeded, measure_all_seeded, Experiment};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn noisy_sample(center: f64, n: usize, seed: u64) -> Sample {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -27,20 +27,6 @@ fn noisy_sample(center: f64, n: usize, seed: u64) -> Sample {
             .collect(),
     )
     .unwrap()
-}
-
-/// Median wall time of `runs` executions of `f`, in seconds.
-fn median_time(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
 }
 
 struct Entry {
@@ -65,13 +51,13 @@ fn main() {
             },
         );
         let streams = 64u64;
-        let before_s = median_time(9, || {
+        let before_s = median_secs(9, || {
             for s in 0..streams {
                 black_box(cmp.compare_seeded_reference(&a, &b, s));
             }
         }) / streams as f64;
         let mut scratch = Scratch::new();
-        let after_s = median_time(9, || {
+        let after_s = median_secs(9, || {
             for s in 0..streams {
                 black_box(cmp.compare_seeded_scratch(&mut scratch, &a, &b, s));
             }
@@ -98,9 +84,8 @@ fn main() {
     let config = ClusterConfig {
         repetitions: 40,
         parallelism: Parallelism::serial(),
-        ..Default::default()
     };
-    let before_s = median_time(9, || {
+    let before_s = median_secs(9, || {
         black_box(relative_scores_seeded(
             measured.len(),
             config,
@@ -110,7 +95,7 @@ fn main() {
             },
         ));
     });
-    let after_s = median_time(9, || {
+    let after_s = median_secs(9, || {
         black_box(cluster_measurements_seeded(&measured, &comparator, config, 3));
     });
     entries.push(Entry {

@@ -25,9 +25,9 @@
 //! ```
 
 use rand::prelude::*;
+use relperf_bench::median_secs;
 use relperf_measure::{QuantileSketch, Sample};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// The seed ingest path, reproduced verbatim: every push does a binary
 /// search, a `Vec::insert` memmove, and a full pass over the position
@@ -73,20 +73,6 @@ fn measurements(n: usize, seed: u64) -> Vec<f64> {
             (raw * 4096.0).round() / 4096.0
         })
         .collect()
-}
-
-/// Median wall time of `runs` executions of `f`, in seconds.
-fn median_time(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
 }
 
 const WAVE: usize = 1_000;
@@ -179,7 +165,7 @@ fn main() {
     for &(n, runs) in &[(WAVE, 9usize), (100 * WAVE, 3), (1_000 * WAVE, 3)] {
         let values = measurements(n, 17);
         let (before_s, extrapolated) = if n <= 100 * WAVE {
-            let t = median_time(runs, || {
+            let t = median_secs(runs, || {
                 black_box(ingest_baseline(black_box(&values)));
             });
             if n == 100 * WAVE {
@@ -190,7 +176,7 @@ fn main() {
             let scale = (n as f64 / (100 * WAVE) as f64).powi(2);
             (baseline_1e5 * scale, true)
         };
-        let after_s = median_time(runs.max(3), || {
+        let after_s = median_secs(runs.max(3), || {
             black_box(ingest_bulk(black_box(&values)));
         });
         let tiered = ingest_bulk(&values).ingest_stats().tiered;
@@ -209,7 +195,7 @@ fn main() {
     {
         let values = measurements(1_000 * WAVE, 17);
         let exact_s = entries.last().expect("entries").after_s;
-        let sketch_s = median_time(3, || {
+        let sketch_s = median_secs(3, || {
             let mut sk = QuantileSketch::new(256);
             for wave in values.chunks(WAVE) {
                 sk.extend(wave);

@@ -20,6 +20,7 @@
 //! ```
 
 use rand::prelude::*;
+use relperf_bench::median_pair;
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with};
 use relperf_linalg::lu::Lu;
@@ -28,29 +29,6 @@ use relperf_linalg::strassen::gemm_strassen_with_cutoff;
 use relperf_linalg::{KernelEngine, Parallelism};
 use relperf_workloads::scientific_code::{run_real_custom_with, SIZES};
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Median wall times of `runs` **interleaved** executions of `before` and
-/// `after`, in seconds. Alternating the two sides inside one loop keeps
-/// machine drift (shared-host load, frequency scaling) from landing on
-/// only one of them.
-fn median_pair(runs: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
-    before(); // warmup
-    after();
-    let mut tb = Vec::with_capacity(runs);
-    let mut ta = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t = Instant::now();
-        before();
-        tb.push(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        after();
-        ta.push(t.elapsed().as_secs_f64());
-    }
-    tb.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ta.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (tb[runs / 2], ta[runs / 2])
-}
 
 struct Entry {
     name: String,

@@ -25,6 +25,7 @@
 //! [`flops::spmv_bytes`]: relperf_linalg::flops::spmv_bytes
 
 use rand::prelude::*;
+use relperf_bench::median_secs;
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::gemm_blocked;
 use relperf_linalg::random::{random_matrix, random_vector};
@@ -32,20 +33,6 @@ use relperf_linalg::sparse::CsrMatrix;
 use relperf_linalg::{flops, fmadd, KernelEngine, Parallelism};
 use relperf_workloads::fem::FemScenario;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Median wall time of `runs` executions of `f`, in seconds.
-fn median_s(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut ts = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t = Instant::now();
-        f();
-        ts.push(t.elapsed().as_secs_f64());
-    }
-    ts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ts[runs / 2]
-}
 
 /// Dense per-row fused mat-vec — the bit-identity oracle for SpMV.
 fn dense_fmadd_gemv(a: &relperf_linalg::Matrix, x: &[f64]) -> Vec<f64> {
@@ -108,7 +95,7 @@ fn main() {
             "row-parallel spmv bit-identity"
         );
         let bytes = flops::spmv_bytes(a.rows(), a.cols(), a.nnz()) as f64;
-        let t = median_s(201, || {
+        let t = median_secs(201, || {
             black_box(black_box(&a).spmv(black_box(&x)).expect("shapes conform"));
         });
         entries.push(Entry {
@@ -125,7 +112,7 @@ fn main() {
         let n = 256usize;
         let a = random_matrix(&mut rng, n, n);
         let b = random_matrix(&mut rng, n, n);
-        let t = median_s(21, || {
+        let t = median_secs(21, || {
             black_box(gemm_blocked(black_box(&a), black_box(&b)).expect("shapes conform"));
         });
         entries.push(Entry {
@@ -155,7 +142,7 @@ fn main() {
         // And the fixed-iteration solve is deterministic run to run.
         let once = a.cg_fixed(&b, s.cg_iters).expect("runs");
         assert_eq!(a.cg_fixed(&b, s.cg_iters).expect("runs"), once);
-        let t = median_s(21, || {
+        let t = median_secs(21, || {
             black_box(
                 black_box(&a)
                     .cg_fixed(black_box(&b), s.cg_iters)
@@ -175,7 +162,7 @@ fn main() {
     {
         let (s, _, _) = fem_system(32, 1); // oracle: cross-engine identity
         let elements = (s.nx * s.ny) as f64;
-        let t = median_s(21, || {
+        let t = median_secs(21, || {
             black_box(
                 black_box(&s)
                     .assemble_with(KernelEngine::Blocked)

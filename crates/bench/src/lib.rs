@@ -14,6 +14,7 @@ use relperf_workloads::experiment::{
     cluster_measurements, cluster_measurements_seeded, measure_all, measure_all_seeded,
     Experiment, MeasuredAlgorithm,
 };
+use std::time::Instant;
 
 /// Standard seed for all experiment binaries — every number in
 /// EXPERIMENTS.md is reproducible from this.
@@ -72,11 +73,40 @@ pub fn run_pipeline_seeded(
         ClusterConfig {
             repetitions,
             parallelism,
-            ..Default::default()
         },
         seed ^ 0xC1_05_7E,
     );
     (measured, table)
+}
+
+/// Median wall time of `runs` executions of `f` after one warmup run, in
+/// seconds — the timer of the `bench_*` binaries.
+pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    median((0..runs).map(|_| time(&mut f)).collect())
+}
+
+/// Median wall times of `runs` **interleaved** executions of `before` and
+/// `after` after one warmup run each, in seconds. Alternating the two
+/// sides inside one loop keeps machine drift (shared-host load, frequency
+/// scaling) from landing on only one of them.
+pub fn median_pair(runs: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
+    before();
+    after();
+    let (tb, ta): (Vec<f64>, Vec<f64>) =
+        (0..runs).map(|_| (time(&mut before), time(&mut after))).unzip();
+    (median(tb), median(ta))
+}
+
+fn time(f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 /// Prints a section header in the shared format.

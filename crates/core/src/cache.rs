@@ -102,39 +102,6 @@ impl ComparisonCache {
         }
     }
 
-    /// The cached outcome of `(a, b)` without computing on a miss; queries
-    /// with `a > b` return the inverted cached outcome. Unlike
-    /// [`get_or_compute`](ComparisonCache::get_or_compute) this does not
-    /// touch the hit/miss tallies — it is the read path of the streaming
-    /// session engine, which answers warm pairs from last wave's cache.
-    ///
-    /// # Panics
-    /// Panics when `a == b` or either index is out of range.
-    pub fn peek(&self, a: usize, b: usize) -> Option<Outcome> {
-        assert!(a != b, "an algorithm is not compared against itself");
-        assert!(a < self.p && b < self.p, "algorithm index out of range");
-        let (lo, hi, flipped) = if a < b { (a, b, false) } else { (b, a, true) };
-        self.slots[lo * self.p + hi].map(|o| if flipped { o.invert() } else { o })
-    }
-
-    /// Stores the outcome of `(a, b)` directly (inverted when `a > b`),
-    /// overwriting any cached value — the write-back path of the batched
-    /// session schedule, which computes outcomes in one parallel fan-out
-    /// and then deposits them.
-    ///
-    /// # Panics
-    /// Panics when `a == b` or either index is out of range.
-    pub fn insert(&mut self, a: usize, b: usize, outcome: Outcome) {
-        assert!(a != b, "an algorithm is not compared against itself");
-        assert!(a < self.p && b < self.p, "algorithm index out of range");
-        let (lo, hi, outcome) = if a < b {
-            (a, b, outcome)
-        } else {
-            (b, a, outcome.invert())
-        };
-        self.slots[lo * self.p + hi] = Some(outcome);
-    }
-
     /// Forgets every cached outcome involving algorithm `alg` (any pair
     /// `(alg, _)` or `(_, alg)`), keeping the rest warm. This is the
     /// session engine's invalidation: when a measurement wave updates one
@@ -206,26 +173,21 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_insert_round_trip_with_inversion() {
-        let mut cache = ComparisonCache::new(3);
-        assert_eq!(cache.peek(0, 1), None);
-        cache.insert(1, 0, Worse); // stored canonically as (0, 1) = Better
-        assert_eq!(cache.peek(0, 1), Some(Better));
-        assert_eq!(cache.peek(1, 0), Some(Worse));
-        // peek never touches the tallies.
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-    }
-
-    #[test]
     fn invalidate_algorithm_clears_only_touching_pairs() {
+        let pairs = [(0, 1), (0, 2), (1, 2)];
         let mut cache = ComparisonCache::new(3);
-        cache.insert(0, 1, Better);
-        cache.insert(0, 2, Better);
-        cache.insert(1, 2, Equivalent);
+        for (a, b) in pairs {
+            cache.get_or_compute(a, b, &mut |_, _| Better);
+        }
         cache.invalidate_algorithm(2);
-        assert_eq!(cache.peek(0, 1), Some(Better), "untouched pair survives");
-        assert_eq!(cache.peek(0, 2), None);
-        assert_eq!(cache.peek(1, 2), None);
+        let mut recomputed = Vec::new();
+        for (a, b) in pairs {
+            cache.get_or_compute(a, b, &mut |lo, hi| {
+                recomputed.push((lo, hi));
+                Equivalent
+            });
+        }
+        assert_eq!(recomputed, [(0, 2), (1, 2)], "untouched pair survives");
     }
 
     #[test]

@@ -16,28 +16,6 @@ use relperf_measure::{stream_seed, Outcome};
 
 pub use relperf_parallel::Parallelism;
 
-/// How the pairwise comparisons of the seeded clustering are scheduled.
-///
-/// Both schedules consume the *same* stream-addressed comparisons
-/// (`stream_seed(rep_seed, lo·p + hi)`), so they produce **bit-identical**
-/// [`ScoreTable`]s — the choice only moves where the parallelism fans out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PairSchedule {
-    /// Compute each comparison lazily, the first time the bubble sort
-    /// visits the pair (memoized per repetition by
-    /// [`ComparisonCache`]); parallelism fans over *repetitions*. The
-    /// default — best when `Rep` is large relative to the thread count.
-    #[default]
-    OnDemand,
-    /// Precompute the full `p(p−1)/2` outcome matrix of every repetition
-    /// up front — one fan-out over the flattened *repetition × pair*
-    /// index space — then let the three-way bubble sorts consume the
-    /// matrices; parallelism fans over *pairs*. Best when `p` is large
-    /// or `Rep` is smaller than the thread count; does compute pairs a
-    /// given shuffled sort might never visit.
-    Batched,
-}
-
 /// Configuration of the repeated clustering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -48,10 +26,6 @@ pub struct ClusterConfig {
     /// index-addressable, so any setting yields bit-identical scores); the
     /// rng-threaded [`relative_scores`] is inherently serial.
     pub parallelism: Parallelism,
-    /// Whether comparisons are computed on demand (fan over repetitions)
-    /// or precomputed per repetition (fan over pairs). Bit-identical
-    /// either way.
-    pub schedule: PairSchedule,
 }
 
 impl Default for ClusterConfig {
@@ -59,7 +33,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             repetitions: 100,
             parallelism: Parallelism::auto(),
-            schedule: PairSchedule::OnDemand,
         }
     }
 }
@@ -71,11 +44,6 @@ impl ClusterConfig {
             repetitions,
             ..Default::default()
         }
-    }
-
-    /// The same config with the given [`PairSchedule`].
-    pub fn with_schedule(self, schedule: PairSchedule) -> Self {
-        ClusterConfig { schedule, ..self }
     }
 }
 
@@ -408,14 +376,10 @@ pub fn relative_scores_seeded(
 /// The determinism contract extends the seeded one: the *outcome* must be
 /// a pure function of `(stream, a, b)`; scratch is working memory only.
 /// Under that contract the score table is bit-identical for any
-/// [`Parallelism`] **and** any [`PairSchedule`]:
-///
-/// * [`PairSchedule::OnDemand`] fans workers over repetitions; each
-///   worker also reuses one [`ComparisonCache`] across its repetitions
-///   (reset between them) instead of allocating `p²` slots per shuffle.
-/// * [`PairSchedule::Batched`] precomputes the outcome matrices of all
-///   repetitions in one fan-out over the flattened repetition × pair
-///   index space, then runs the bubble sorts in sequence consuming them.
+/// [`Parallelism`]. Workers fan over repetitions; each worker reuses one
+/// [`ComparisonCache`] across its repetitions (reset between them)
+/// instead of allocating `p²` slots per shuffle, and computes only the
+/// pairs its sorts actually visit.
 pub fn relative_scores_seeded_with<S, I, F>(
     p: usize,
     config: ClusterConfig,
@@ -448,7 +412,7 @@ where
 /// seeded-comparator contract — a warm cache can only replay what `cmp`
 /// would return, so for any cache state that is consistent with the
 /// current samples the result is **bit-identical** to the cold batch path
-/// on those samples, for any [`Parallelism`] and either [`PairSchedule`].
+/// on those samples, for any [`Parallelism`].
 pub(crate) fn scored_wave<S, I, F>(
     p: usize,
     config: ClusterConfig,
@@ -498,8 +462,8 @@ where
         tally(&state)
     };
 
-    let per_rep: Vec<(Vec<usize>, usize)> = match (config.schedule, warm) {
-        (PairSchedule::OnDemand, None) => relperf_parallel::parallel_map_indexed_with(
+    let per_rep: Vec<(Vec<usize>, usize)> = match warm {
+        None => relperf_parallel::parallel_map_indexed_with(
             config.repetitions,
             config.parallelism,
             || (ComparisonCache::new(p), init()),
@@ -508,7 +472,7 @@ where
                 run_rep(cache, scratch, rep)
             },
         ),
-        (PairSchedule::OnDemand, Some(caches)) => {
+        Some(caches) => {
             // Warm path: each worker continues the repetition's persistent
             // cache (cloned in, written back by index afterwards — the
             // clone is p² option-bytes, negligible next to one bootstrap).
@@ -530,66 +494,6 @@ where
                 per_rep.push(t);
             }
             per_rep
-        }
-        (PairSchedule::Batched, warm) => {
-            // Unordered pairs in row-major order; `pair_index` is its
-            // closed-form inverse.
-            let pairs: Vec<(usize, usize)> = (0..p)
-                .flat_map(|lo| (lo + 1..p).map(move |hi| (lo, hi)))
-                .collect();
-            // Row `lo` starts after the Σ_{r<lo} (p−1−r) = lo(2p−lo−1)/2
-            // earlier pairs (the product is always even).
-            let pair_index = |lo: usize, hi: usize| lo * (2 * p - lo - 1) / 2 + (hi - lo - 1);
-            // Precompute every repetition's outcome matrix in ONE fan-out
-            // over the flattened (repetition × pair) index space — each
-            // outcome is a pure function of its index, so this is
-            // bit-identical to per-repetition fan-outs while spawning the
-            // worker set (and its scratch arenas) exactly once. Warm
-            // entries short-circuit to the cached outcome.
-            let np = pairs.len();
-            let warm_view: Option<&[ComparisonCache]> = warm.as_deref();
-            let all_outcomes = relperf_parallel::parallel_map_indexed_with(
-                config.repetitions * np,
-                config.parallelism,
-                init,
-                |scratch, k| {
-                    let (lo, hi) = pairs[k % np];
-                    if let Some(caches) = warm_view {
-                        if let Some(outcome) = caches[k / np].peek(lo, hi) {
-                            return outcome;
-                        }
-                    }
-                    let rep_seed = stream_seed(seed, (k / np) as u64);
-                    let stream = stream_seed(rep_seed, (lo * p + hi) as u64);
-                    cmp(scratch, stream, lo, hi)
-                },
-            );
-            if let Some(caches) = warm {
-                for (rep, cache) in caches.iter_mut().enumerate() {
-                    for (idx, &(lo, hi)) in pairs.iter().enumerate() {
-                        cache.insert(lo, hi, all_outcomes[rep * np + idx]);
-                    }
-                }
-            }
-            (0..config.repetitions)
-                .map(|rep| {
-                    let outcomes = &all_outcomes[rep * np..(rep + 1) * np];
-                    let rep_seed = stream_seed(seed, rep as u64);
-                    let mut rng = StdRng::seed_from_u64(rep_seed);
-                    let mut seq: Vec<usize> = (0..p).collect();
-                    seq.shuffle(&mut rng);
-                    let state = sort_from(SortState::from_sequence(seq), |a, b| {
-                        let (lo, hi, flipped) = if a < b { (a, b, false) } else { (b, a, true) };
-                        let outcome = outcomes[pair_index(lo, hi)];
-                        if flipped {
-                            outcome.invert()
-                        } else {
-                            outcome
-                        }
-                    });
-                    tally(&state)
-                })
-                .collect()
         }
     };
 
@@ -836,7 +740,6 @@ mod tests {
         let config = |par: Parallelism| ClusterConfig {
             repetitions: 60,
             parallelism: par,
-            ..Default::default()
         };
         let reference =
             relative_scores_seeded(6, config(Parallelism::serial()), 7, stochastic_seeded_cmp);
@@ -854,67 +757,27 @@ mod tests {
     }
 
     #[test]
-    fn batched_schedule_is_bit_identical_to_on_demand() {
-        // Same stream-addressed comparisons either way — precomputing the
-        // pair matrix must not change a single score, for any parallelism.
-        let base = ClusterConfig::with_repetitions(50);
-        let reference = relative_scores_seeded(7, base, 11, stochastic_seeded_cmp);
-        for threads in [1usize, 0, 3] {
-            let cfg = ClusterConfig {
-                parallelism: Parallelism::with_threads(threads),
-                schedule: PairSchedule::Batched,
-                ..base
-            };
-            let batched = relative_scores_seeded(7, cfg, 11, stochastic_seeded_cmp);
-            assert_eq!(batched, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batched_schedule_queries_every_pair_canonically() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen: Mutex<HashSet<(u64, usize, usize)>> = Mutex::new(HashSet::new());
-        let p = 5;
-        let reps = 4;
-        let cfg = ClusterConfig::with_repetitions(reps).with_schedule(PairSchedule::Batched);
-        let _ = relative_scores_seeded(p, cfg, 3, |stream, a, b| {
-            assert!(a < b, "batched mode must ask in canonical order");
-            assert!(
-                seen.lock().unwrap().insert((stream, a, b)),
-                "pair ({a}, {b}) recomputed on stream {stream}"
-            );
-            Equivalent
-        });
-        // Exactly p(p-1)/2 comparisons per repetition — the full matrix.
-        assert_eq!(seen.lock().unwrap().len(), reps * p * (p - 1) / 2);
-    }
-
-    #[test]
     fn scratch_arena_is_working_memory_only() {
         // relative_scores_seeded_with: a worker-local scratch must not
         // change results vs. the stateless path, whatever it accumulates.
         let base = ClusterConfig::with_repetitions(40);
         let reference = relative_scores_seeded(6, base, 5, stochastic_seeded_cmp);
-        for schedule in [PairSchedule::OnDemand, PairSchedule::Batched] {
-            for threads in [1usize, 0, 4] {
-                let cfg = ClusterConfig {
-                    parallelism: Parallelism::with_threads(threads),
-                    schedule,
-                    ..base
-                };
-                let got = relative_scores_seeded_with(
-                    6,
-                    cfg,
-                    5,
-                    || Vec::<u64>::new(),
-                    |scratch, stream, a, b| {
-                        scratch.push(stream); // scribble freely
-                        stochastic_seeded_cmp(stream, a, b)
-                    },
-                );
-                assert_eq!(got, reference, "{schedule:?} threads={threads}");
-            }
+        for threads in [1usize, 0, 4] {
+            let cfg = ClusterConfig {
+                parallelism: Parallelism::with_threads(threads),
+                ..base
+            };
+            let got = relative_scores_seeded_with(
+                6,
+                cfg,
+                5,
+                || Vec::<u64>::new(),
+                |scratch, stream, a, b| {
+                    scratch.push(stream); // scribble freely
+                    stochastic_seeded_cmp(stream, a, b)
+                },
+            );
+            assert_eq!(got, reference, "threads={threads}");
         }
     }
 

@@ -20,8 +20,7 @@
 //! production [`relative_scores_seeded`] / [`relative_scores_seeded_with`]
 //! (per-repetition seed streams, per-worker [`cache::ComparisonCache`] and
 //! scratch arenas, and work fanned out across threads via
-//! [`cluster::Parallelism`] — bit-identical for any thread count and
-//! either [`cluster::PairSchedule`]).
+//! [`cluster::Parallelism`] — bit-identical for any thread count).
 //!
 //! On top of the batch engine, [`session::ClusterSession`] streams the
 //! same computation: measurements arrive in waves, every repetition's
@@ -46,7 +45,7 @@ pub mod triplet;
 pub use cache::ComparisonCache;
 pub use cluster::{
     relative_scores, relative_scores_seeded, relative_scores_seeded_with, ClusterConfig,
-    Clustering, PairSchedule, Parallelism, ScoreTable,
+    Clustering, Parallelism, ScoreTable,
 };
 pub use session::{ClusterSession, ConvergenceCriterion, CriterionError, SessionState};
 pub use relperf_measure::Outcome;

@@ -21,8 +21,7 @@
 //! session wave is **bit-identical** to running the batch
 //! [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with)
 //! on the session's current samples — for any
-//! [`Parallelism`](crate::cluster::Parallelism), either
-//! [`PairSchedule`](crate::cluster::PairSchedule), and regardless of how
+//! [`Parallelism`](crate::cluster::Parallelism), and regardless of how
 //! the measurements were split into waves. The batch entry points are in
 //! fact thin wrappers over a one-wave session (see
 //! `relperf_workloads::experiment::cluster_measurements_seeded`).
@@ -440,8 +439,8 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     /// The returned table is **bit-identical** to
     /// [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with)
     /// over the session's current samples with the same `config` and
-    /// `seed`, for any `Parallelism` and either `PairSchedule` — no matter
-    /// how the measurements were split into waves.
+    /// `seed`, for any `Parallelism` — no matter how the measurements were
+    /// split into waves.
     ///
     /// A `score()` with **no new measurements** since the previous one is
     /// a no-op: it returns the previous table and leaves the wave count
@@ -647,10 +646,11 @@ impl<S> Drop for PoolGuard<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{relative_scores_seeded, PairSchedule, Parallelism};
+    use crate::cluster::{relative_scores_seeded, Parallelism};
     use rand::prelude::*;
     use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, MedianComparator};
     use relperf_measure::{SeededThreeWayComparator, ThreeWayComparator};
+    use std::collections::HashSet;
 
     fn noisy(center: f64, spread: f64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -669,11 +669,10 @@ mod tests {
         )
     }
 
-    fn config(threads: usize, schedule: PairSchedule) -> ClusterConfig {
+    fn config(threads: usize) -> ClusterConfig {
         ClusterConfig {
             repetitions: 30,
             parallelism: Parallelism::with_threads(threads),
-            schedule,
         }
     }
 
@@ -688,180 +687,138 @@ mod tests {
             vec![noisy(1.00, 0.1, 12, 7), noisy(1.05, 0.1, 12, 8), noisy(2.0, 0.1, 12, 9)],
         ];
         for threads in [1usize, 0, 3] {
-            for schedule in [PairSchedule::OnDemand, PairSchedule::Batched] {
-                let cmp = comparator();
-                let mut session =
-                    ClusterSession::new(3, &cmp, config(threads, schedule), 11);
-                let mut accumulated: Vec<Vec<f64>> = vec![Vec::new(); 3];
-                for wave in &waves {
-                    for (alg, values) in wave.iter().enumerate() {
-                        session.extend(alg, values).unwrap();
-                        accumulated[alg].extend_from_slice(values);
-                    }
-                    let got = session.score().clone();
-                    // Cold reference over the accumulated samples.
-                    let samples: Vec<Sample> = accumulated
-                        .iter()
-                        .map(|v| Sample::new(v.clone()).unwrap())
-                        .collect();
-                    let reference = relative_scores_seeded(
-                        3,
-                        config(threads, schedule),
-                        11,
-                        |stream, a, b| cmp.compare_seeded(&samples[a], &samples[b], stream),
-                    );
-                    assert_eq!(got, reference, "threads={threads} {schedule:?}");
+            let cmp = comparator();
+            let mut session = ClusterSession::new(3, &cmp, config(threads), 11);
+            let mut accumulated: Vec<Vec<f64>> = vec![Vec::new(); 3];
+            for wave in &waves {
+                for (alg, values) in wave.iter().enumerate() {
+                    session.extend(alg, values).unwrap();
+                    accumulated[alg].extend_from_slice(values);
                 }
+                let got = session.score().clone();
+                // Cold reference over the accumulated samples.
+                let samples: Vec<Sample> = accumulated
+                    .iter()
+                    .map(|v| Sample::new(v.clone()).unwrap())
+                    .collect();
+                let reference = relative_scores_seeded(3, config(threads), 11, |stream, a, b| {
+                    cmp.compare_seeded(&samples[a], &samples[b], stream)
+                });
+                assert_eq!(got, reference, "threads={threads}");
             }
         }
+    }
+
+    /// A deterministic comparator that logs every call as
+    /// `(stream, alg_a, alg_b)`. The cache-discipline tests feed algorithm
+    /// `k` only values in `[k, k + 1)`, so a sample's minimum names its
+    /// algorithm.
+    #[derive(Debug, Default)]
+    struct Logging(Mutex<Vec<(u64, usize, usize)>>);
+
+    impl ThreeWayComparator for Logging {
+        fn compare(&self, a: &Sample, b: &Sample) -> relperf_measure::Outcome {
+            MedianComparator::new(0.05).compare(a, b)
+        }
+    }
+    impl SeededThreeWayComparator for Logging {
+        fn compare_seeded(&self, a: &Sample, b: &Sample, stream: u64) -> relperf_measure::Outcome {
+            let call = (stream, a.min() as usize, b.min() as usize);
+            self.0.lock().unwrap().push(call);
+            self.compare(a, b)
+        }
+    }
+    impl ScratchThreeWayComparator for Logging {
+        type Scratch = ();
+        fn new_scratch(&self) {}
+        fn compare_seeded_scratch(
+            &self,
+            (): &mut (),
+            a: &Sample,
+            b: &Sample,
+            stream: u64,
+        ) -> relperf_measure::Outcome {
+            self.compare_seeded(a, b, stream)
+        }
+    }
+
+    fn logging_session(log: &Logging) -> ClusterSession<&Logging> {
+        ClusterSession::new(3, log, ClusterConfig::with_repetitions(10), 3)
+    }
+
+    /// Scores one wave after the algorithms in `dirtied` changed and
+    /// checks the warm-cache discipline: every call involves a dirtied
+    /// algorithm, and no `(stream, pair)` in `clean` — the comparisons
+    /// computed so far over still-unchanged samples — is computed again.
+    /// Returns the number of comparator calls the wave made.
+    fn score_checked(
+        session: &mut ClusterSession<&Logging>,
+        clean: &mut HashSet<(u64, usize, usize)>,
+        dirtied: &[usize],
+    ) -> usize {
+        clean.retain(|&(_, a, b)| !dirtied.contains(&a) && !dirtied.contains(&b));
+        session.score();
+        let calls = std::mem::take(&mut *session.comparator.0.lock().unwrap());
+        for &(stream, a, b) in &calls {
+            assert!(
+                dirtied.contains(&a) || dirtied.contains(&b),
+                "pair ({a}, {b}) touches no changed algorithm"
+            );
+            assert!(
+                clean.insert((stream, a, b)),
+                "pair ({a}, {b}) recomputed on stream {stream} while its samples were clean"
+            );
+        }
+        calls.len()
     }
 
     #[test]
     fn warm_caches_skip_clean_pair_recomputation() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        // A deterministic 3-level comparator that counts invocations.
-        #[derive(Debug)]
-        struct Counting<'a>(&'a AtomicUsize);
-        impl relperf_measure::ThreeWayComparator for Counting<'_> {
-            fn compare(&self, a: &Sample, b: &Sample) -> relperf_measure::Outcome {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                MedianComparator::new(0.05).compare(a, b)
-            }
-        }
-        impl relperf_measure::SeededThreeWayComparator for Counting<'_> {
-            fn compare_seeded(
-                &self,
-                a: &Sample,
-                b: &Sample,
-                _stream: u64,
-            ) -> relperf_measure::Outcome {
-                self.compare(a, b)
-            }
-        }
-        impl relperf_measure::ScratchThreeWayComparator for Counting<'_> {
-            type Scratch = ();
-            fn new_scratch(&self) {}
-            fn compare_seeded_scratch(
-                &self,
-                (): &mut (),
-                a: &Sample,
-                b: &Sample,
-                stream: u64,
-            ) -> relperf_measure::Outcome {
-                use relperf_measure::SeededThreeWayComparator as _;
-                self.compare_seeded(a, b, stream)
-            }
-        }
-
-        let reps = 10;
-        let mut session = ClusterSession::new(
-            3,
-            Counting(&calls),
-            ClusterConfig {
-                repetitions: reps,
-                parallelism: Parallelism::serial(),
-                schedule: PairSchedule::Batched,
-            },
-            3,
-        );
+        let log = Logging::default();
+        let mut session = logging_session(&log);
+        let mut clean = HashSet::new();
         for alg in 0..3 {
-            session.extend(alg, &[alg as f64 + 1.0; 4]).unwrap();
+            session.extend(alg, &[alg as f64 + 0.5; 4]).unwrap();
         }
-        session.score();
-        let after_first = calls.load(Ordering::Relaxed);
-        assert_eq!(after_first, reps * 3, "full matrix on the cold wave");
+        assert!(score_checked(&mut session, &mut clean, &[0, 1, 2]) > 0);
 
-        // Update only algorithm 2: exactly the two pairs touching it are
-        // recomputed, per repetition.
-        session.extend(2, &[3.5; 2]).unwrap();
-        session.score();
-        let after_second = calls.load(Ordering::Relaxed);
-        assert_eq!(after_second - after_first, reps * 2, "only dirty pairs");
+        // Update only algorithm 2: only pairs touching it are recomputed.
+        session.extend(2, &[2.75; 2]).unwrap();
+        assert!(score_checked(&mut session, &mut clean, &[2]) > 0);
 
         // No updates at all: a re-score computes nothing.
-        session.score();
-        assert_eq!(calls.load(Ordering::Relaxed), after_second);
+        assert_eq!(score_checked(&mut session, &mut clean, &[]), 0);
     }
 
     #[test]
     fn comparator_caches_stay_warm_across_bulk_waves() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct Counting<'a>(&'a AtomicUsize);
-        impl relperf_measure::ThreeWayComparator for Counting<'_> {
-            fn compare(&self, a: &Sample, b: &Sample) -> relperf_measure::Outcome {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                MedianComparator::new(0.05).compare(a, b)
-            }
-        }
-        impl relperf_measure::SeededThreeWayComparator for Counting<'_> {
-            fn compare_seeded(
-                &self,
-                a: &Sample,
-                b: &Sample,
-                _stream: u64,
-            ) -> relperf_measure::Outcome {
-                self.compare(a, b)
-            }
-        }
-        impl relperf_measure::ScratchThreeWayComparator for Counting<'_> {
-            type Scratch = ();
-            fn new_scratch(&self) {}
-            fn compare_seeded_scratch(
-                &self,
-                _: &mut (),
-                a: &Sample,
-                b: &Sample,
-                stream: u64,
-            ) -> relperf_measure::Outcome {
-                self.compare_seeded(a, b, stream)
-            }
-        }
-
         // Waves of 32 are far above the bulk cutoff, so every extend runs
         // the gallop-merge path; the cache discipline must be unchanged —
         // a bulk wave dirties exactly the algorithms it touched.
-        let reps = 10;
-        let mut session = ClusterSession::new(
-            3,
-            Counting(&calls),
-            ClusterConfig {
-                repetitions: reps,
-                parallelism: Parallelism::serial(),
-                schedule: PairSchedule::Batched,
-            },
-            3,
-        );
+        let log = Logging::default();
+        let mut session = logging_session(&log);
+        let mut clean = HashSet::new();
         let wave = |alg: usize, k: usize| -> Vec<f64> {
             (0..32).map(|i| alg as f64 + ((i * 7 + k) % 5) as f64 * 0.01).collect()
         };
         for alg in 0..3 {
             session.extend(alg, &wave(alg, 0)).unwrap();
         }
-        session.score();
-        let after_first = calls.load(Ordering::Relaxed);
-        assert_eq!(after_first, reps * 3, "full matrix on the cold wave");
+        assert!(score_checked(&mut session, &mut clean, &[0, 1, 2]) > 0);
 
         // A bulk wave into algorithm 1 only: the 0–2 pair stays cached.
         session.extend(1, &wave(1, 1)).unwrap();
-        session.score();
-        let after_second = calls.load(Ordering::Relaxed);
-        assert_eq!(after_second - after_first, reps * 2, "only pairs touching 1");
+        assert!(score_checked(&mut session, &mut clean, &[1]) > 0);
 
         // An all-or-nothing wave follows the same dirty discipline…
         session.try_extend_all(0, &wave(0, 2)).unwrap();
-        session.score();
-        let after_third = calls.load(Ordering::Relaxed);
-        assert_eq!(after_third - after_second, reps * 2, "only pairs touching 0");
+        assert!(score_checked(&mut session, &mut clean, &[0]) > 0);
 
         // …and a rejected one leaves every cache warm.
         let mut poisoned = wave(2, 3);
         poisoned[17] = f64::NAN;
         assert!(session.try_extend_all(2, &poisoned).is_err());
-        session.score();
-        assert_eq!(calls.load(Ordering::Relaxed), after_third, "rejection is free");
+        assert_eq!(score_checked(&mut session, &mut clean, &[]), 0, "rejection is free");
     }
 
     #[test]
@@ -1115,8 +1072,8 @@ mod tests {
             }
             session.score().clone()
         };
-        let mut uninterrupted = ClusterSession::new(3, &cmp, config(2, PairSchedule::OnDemand), 41);
-        let mut checkpointed = ClusterSession::new(3, &cmp, config(2, PairSchedule::OnDemand), 41);
+        let mut uninterrupted = ClusterSession::new(3, &cmp, config(2), 41);
+        let mut checkpointed = ClusterSession::new(3, &cmp, config(2), 41);
         for wave in 0..2 {
             assert_eq!(drive(&mut uninterrupted, wave), drive(&mut checkpointed, wave));
         }
@@ -1125,7 +1082,7 @@ mod tests {
         drop(checkpointed);
         let mut restored = ClusterSession::restore(
             &cmp,
-            config(2, PairSchedule::OnDemand),
+            config(2),
             41,
             ConvergenceCriterion::default(),
             state,
@@ -1248,7 +1205,7 @@ mod tests {
     #[test]
     fn set_sample_replaces_and_dirties() {
         let cmp = comparator();
-        let mut session = ClusterSession::new(2, &cmp, config(1, PairSchedule::OnDemand), 9);
+        let mut session = ClusterSession::new(2, &cmp, config(1), 9);
         session.set_sample(0, Sample::new(noisy(1.0, 0.05, 20, 21)).unwrap());
         session.set_sample(1, Sample::new(noisy(2.0, 0.05, 20, 22)).unwrap());
         let first = session.score().clone();

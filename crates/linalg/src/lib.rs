@@ -8,8 +8,11 @@
 //! * [`gemm`] — matrix-matrix multiplication in four flavours (naive, blocked,
 //!   packed, and thread-parallel), all bit-agreeing up to floating-point
 //!   reassociation and property-tested against the naive reference.
+//! * [`strassen`] — the fast-multiply variant, and [`KernelEngine`], which
+//!   selects the naive reference or the blocked/parallel kernels.
 //! * [`cholesky`], [`lu`], [`qr`], [`triangular`] — the factorizations needed
-//!   to solve the paper's Regularized Least Squares (RLS) task.
+//!   to solve the paper's Regularized Least Squares (RLS) task. The crate
+//!   carries only kernels that a workload or benchmark runs.
 //! * [`rls`] — the RLS solver `Z = (AᵀA + λI)⁻¹ AᵀB` (Procedure 6 of the
 //!   paper) with both a normal-equations/Cholesky path and a QR path.
 //! * [`sparse`] — the bandwidth-bound family: COO assembly, a [`CsrMatrix`]
@@ -25,8 +28,6 @@
 
 pub mod blas;
 pub mod cholesky;
-pub mod condition;
-pub mod eigen;
 pub mod engine;
 pub mod error;
 pub mod flops;
@@ -38,7 +39,6 @@ pub mod random;
 pub mod rls;
 pub mod sparse;
 pub mod strassen;
-pub mod svd;
 pub mod triangular;
 
 pub use engine::KernelEngine;

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_linalg::cholesky::Cholesky;
-use relperf_linalg::eigen::symmetric_eigen;
 use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel, syrk_ata};
 use relperf_linalg::lu::Lu;
 use relperf_linalg::qr::Qr;
@@ -244,20 +243,6 @@ proptest! {
         for (s, e) in solved_u.iter().zip(&x) {
             prop_assert!((s - e).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn eigen_preserves_trace_and_frobenius(seed in 0u64..1_000, n in 1usize..12) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_spd(&mut rng, n);
-        let e = symmetric_eigen(&a).unwrap();
-        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-        let eig_sum: f64 = e.values.iter().sum();
-        prop_assert!((trace - eig_sum).abs() < 1e-6 * trace.abs().max(1.0));
-        // ‖A‖_F² = Σ λᵢ² for symmetric A.
-        let fro2 = a.frobenius_norm().powi(2);
-        let eig2: f64 = e.values.iter().map(|l| l * l).sum();
-        prop_assert!((fro2 - eig2).abs() < 1e-5 * fro2.max(1.0));
     }
 
     #[test]

@@ -538,7 +538,9 @@ mod tests {
         }
     }
 
+    // The emptiness check is a `debug_assert`, so release builds skip it.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty")]
     fn quantile_sorted_empty_panics() {
         quantile_sorted(&[], 0.5);

@@ -63,6 +63,7 @@ use crate::service::{
     build_session, rebuild_session, run_op, session_checksum, OpOutcome, ServiceLimits,
     SessionKey, SessionService, SharedComparator,
 };
+use crate::snapshot::{fnv1a64, fnv1a64_from, FNV_OFFSET};
 use crate::stats::StatCounters;
 use relperf_core::cluster::Parallelism;
 use relperf_core::session::ClusterSession;
@@ -81,8 +82,6 @@ const ENVELOPE_OVERHEAD: usize = 4 + 2 + 4 + 8 + 8 + 4 + 8;
 /// How far ahead of the expected sequence a follower parks segments
 /// before reporting a gap (reorder tolerance).
 const REORDER_WINDOW: u64 = 64;
-/// FNV-1a 64 offset basis — the initial cumulative digest of every lane.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Why a shipped segment (or a replication-layer request) was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,17 +215,6 @@ impl fmt::Display for ReplicationError {
 
 impl std::error::Error for ReplicationError {}
 
-/// FNV-1a 64 continued from an arbitrary running hash — the cumulative
-/// stream digest is one FNV pass over every payload byte ever shipped on
-/// a lane, segment boundaries invisible.
-fn fnv1a64_chain(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // SHIP envelope codec
 // ---------------------------------------------------------------------------
@@ -257,7 +245,7 @@ pub fn encode_segment(shard: u32, seq: u64, cum_digest: u64, payload: &[u8]) -> 
     bytes.extend_from_slice(&cum_digest.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(payload);
-    let sum = fnv1a64_chain(FNV_OFFSET, &bytes);
+    let sum = fnv1a64(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
@@ -271,7 +259,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ShipSegment, ReplicationError> {
     }
     let body = &bytes[..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    let computed = fnv1a64_chain(FNV_OFFSET, body);
+    let computed = fnv1a64(body);
     if stored != computed {
         return Err(ReplicationError::ChecksumMismatch { stored, computed });
     }
@@ -471,7 +459,7 @@ impl JournalShipper {
             for payload in ready.chunks(chunk.max(1)) {
                 let seq = lane.next_seq;
                 lane.next_seq += 1;
-                lane.cum_digest = fnv1a64_chain(lane.cum_digest, payload);
+                lane.cum_digest = fnv1a64_from(lane.cum_digest, payload);
                 let envelope = encode_segment(idx as u32, seq, lane.cum_digest, payload);
                 lane.unacked.push_back((seq, envelope));
                 cut += 1;
@@ -777,7 +765,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         payload: Vec<u8>,
     ) -> Result<(), ReplicationError> {
         let seq = self.lanes[shard].expected;
-        let chained = fnv1a64_chain(self.lanes[shard].digest, &payload);
+        let chained = fnv1a64_from(self.lanes[shard].digest, &payload);
         if chained != cum {
             let e = ReplicationError::DigestMismatch {
                 shard: shard as u32,

@@ -20,7 +20,7 @@
 //! | `config.repetitions` | `u64` | |
 //! | `config.parallelism.threads` | `u64` | advisory — results never depend on it |
 //! | `config.parallelism.chunk` | `u64` | advisory |
-//! | `config.schedule` | `u8` | 0 = OnDemand, 1 = Batched |
+//! | reserved | `u8` | 0 written; 0 or 1 accepted (once a pair-schedule tag) |
 //! | `seed` | `u64` | clustering seed |
 //! | `criterion.stable_waves` | `u64` | |
 //! | `criterion.score_tol` | `f64` | |
@@ -42,7 +42,7 @@
 //! first wave after a restore recomputes exactly what the warm caches
 //! held.
 
-use relperf_core::cluster::{ClusterConfig, PairSchedule, Parallelism, ScoreTable};
+use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_core::session::{ConvergenceCriterion, SessionState};
 use relperf_measure::Sample;
 use std::fmt;
@@ -131,17 +131,26 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// FNV-1a 64 offset basis: the hash of the empty input.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 continued from a running `hash`: hashing `x` then `y` this
+/// way equals hashing `x ∥ y` in one pass, which is how replication keeps
+/// one digest over a whole stream of shipped segments.
+pub(crate) fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// FNV-1a 64-bit hash — small, allocation-free, and plenty for integrity
 /// checking of local checkpoints and wire frames (this is corruption
 /// detection, not cryptographic authentication). Shared with the wire
 /// protocol (`crate::wire`), which reuses the same framing discipline.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64_from(FNV_OFFSET, bytes)
 }
 
 /// The little-endian byte sink shared by the snapshot codec and the wire
@@ -224,6 +233,33 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Writes a [`ClusterConfig`] in the layout the snapshot and the wire
+/// `SessionSpec` share: `repetitions`, `threads` and `chunk` as `u64`,
+/// then one reserved byte. The byte once tagged a pair schedule; both
+/// schedules gave bit-identical tables, so it is written as 0 and
+/// [`dec_config`] accepts 0 or 1.
+pub(crate) fn enc_config(w: &mut Writer, c: &ClusterConfig) {
+    w.u64(c.repetitions as u64);
+    w.u64(c.parallelism.threads as u64);
+    w.u64(c.parallelism.chunk as u64);
+    w.u8(0);
+}
+
+/// Reads a [`ClusterConfig`] written by [`enc_config`] (or by an older
+/// build that could write 1 in the reserved byte).
+pub(crate) fn dec_config(r: &mut Reader) -> Result<ClusterConfig, SnapshotError> {
+    let repetitions = r.u64()? as usize;
+    let threads = r.u64()? as usize;
+    let chunk = r.u64()? as usize;
+    if r.u8()? > 1 {
+        return Err(SnapshotError::Malformed("unknown pair schedule"));
+    }
+    Ok(ClusterConfig {
+        repetitions,
+        parallelism: Parallelism { threads, chunk },
+    })
+}
+
 /// Serializes a snapshot (format version [`VERSION`]).
 pub fn encode(snapshot: &SessionSnapshot) -> Vec<u8> {
     let state = &snapshot.state;
@@ -233,13 +269,7 @@ pub fn encode(snapshot: &SessionSnapshot) -> Vec<u8> {
     w.buf.extend_from_slice(&MAGIC);
     w.u16(VERSION);
     w.u64(p as u64);
-    w.u64(snapshot.config.repetitions as u64);
-    w.u64(snapshot.config.parallelism.threads as u64);
-    w.u64(snapshot.config.parallelism.chunk as u64);
-    w.u8(match snapshot.config.schedule {
-        PairSchedule::OnDemand => 0,
-        PairSchedule::Batched => 1,
-    });
+    enc_config(&mut w, &snapshot.config);
     w.u64(snapshot.seed);
     w.u64(snapshot.criterion.stable_waves as u64);
     w.f64(snapshot.criterion.score_tol);
@@ -320,22 +350,10 @@ pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
     if p == 0 {
         return Err(SnapshotError::Malformed("zero algorithms"));
     }
-    let repetitions = r.u64()? as usize;
-    if repetitions == 0 {
+    let config = dec_config(&mut r)?;
+    if config.repetitions == 0 {
         return Err(SnapshotError::Malformed("zero repetitions"));
     }
-    let threads = r.u64()? as usize;
-    let chunk = r.u64()? as usize;
-    let schedule = match r.u8()? {
-        0 => PairSchedule::OnDemand,
-        1 => PairSchedule::Batched,
-        _ => return Err(SnapshotError::Malformed("unknown pair schedule")),
-    };
-    let config = ClusterConfig {
-        repetitions,
-        parallelism: Parallelism { threads, chunk },
-        schedule,
-    };
     let seed = r.u64()?;
     let criterion = ConvergenceCriterion {
         stable_waves: r.u64()? as usize,
@@ -445,7 +463,6 @@ mod tests {
             config: ClusterConfig {
                 repetitions: 30,
                 parallelism: Parallelism { threads: 3, chunk: 7 },
-                schedule: PairSchedule::Batched,
             },
             seed: 0xDEAD_BEEF,
             criterion: ConvergenceCriterion {
@@ -522,28 +539,57 @@ mod tests {
         assert!(decode(&bytes).is_err());
     }
 
+    /// Decodes the test snapshot with byte `at` set to `value` and the
+    /// checksum fixed up, so only that field itself is wrong.
+    fn decode_patched(at: usize, value: u8) -> Result<SessionSnapshot, SnapshotError> {
+        let mut bytes = encode(&snapshot());
+        bytes[at] = value;
+        let n = bytes.len() - 8;
+        let sum = super::fnv1a64(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        decode(&bytes)
+    }
+
     #[test]
     fn wrong_magic_and_version_rejected() {
-        let good = encode(&snapshot());
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        // Fix up the checksum so the magic check itself is exercised.
-        let n = bad_magic.len() - 8;
-        let sum = super::fnv1a64(&bad_magic[..n]);
-        bad_magic[n..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode(&bad_magic).unwrap_err(), SnapshotError::BadMagic);
-
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        let sum = super::fnv1a64(&bad_version[..n]);
-        bad_version[n..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode_patched(0, b'X').unwrap_err(), SnapshotError::BadMagic);
         assert_eq!(
-            decode(&bad_version).unwrap_err(),
+            decode_patched(4, 99).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 99,
                 supported: super::VERSION
             }
         );
+    }
+
+    /// The config's reserved byte once tagged a pair schedule: a 1 written
+    /// by an older build decodes to the same snapshot as the 0 written
+    /// now, and the restored sessions score bit-identically.
+    #[test]
+    fn reserved_config_byte_accepts_legacy_one() {
+        // magic, version, p, repetitions, threads, chunk
+        const RESERVED: usize = 4 + 2 + 4 * 8;
+        assert_eq!(encode(&snapshot())[RESERVED], 0, "encoders write 0");
+        let current = decode_patched(RESERVED, 0).unwrap();
+        let legacy = decode_patched(RESERVED, 1).unwrap();
+        assert_eq!(legacy, current);
+        assert_eq!(
+            decode_patched(RESERVED, 2).unwrap_err(),
+            SnapshotError::Malformed("unknown pair schedule")
+        );
+
+        let score = |snap: SessionSnapshot| {
+            let mut session = relperf_core::session::ClusterSession::restore(
+                relperf_measure::compare::MedianComparator::new(0.05),
+                snap.config,
+                snap.seed,
+                snap.criterion,
+                snap.state,
+            );
+            session.extend(1, &[2.0, 2.5]).unwrap();
+            session.score().clone()
+        };
+        assert_eq!(score(legacy), score(current));
     }
 
     #[test]

@@ -44,10 +44,10 @@ use crate::runtime::{RuntimeError, RuntimeHandle};
 use crate::service::{
     OpOutcome, OpResponse, SessionKey, SessionOp, SessionSpec, SessionStatus, WaveOutcome,
 };
-use crate::snapshot::{fnv1a64, Reader, SnapshotError, Writer};
+use crate::snapshot::{dec_config, enc_config, fnv1a64, Reader, SnapshotError, Writer};
 use crate::stats::{RecoveryHealth, ServiceStats};
 use std::sync::{Arc, Mutex};
-use relperf_core::cluster::{ClusterConfig, PairSchedule, Parallelism, ScoreTable};
+use relperf_core::cluster::ScoreTable;
 use relperf_core::session::{ConvergenceCriterion, CriterionError};
 use relperf_measure::sample::SampleError;
 use relperf_measure::ScratchThreeWayComparator;
@@ -418,32 +418,6 @@ pub enum Response {
 
 // --- value codecs (shared Reader/Writer; Reader errors are lifted to
 // --- WireError by the top-level decode fns) ---
-
-pub(crate) fn enc_config(w: &mut Writer, c: &ClusterConfig) {
-    w.u64(c.repetitions as u64);
-    w.u64(c.parallelism.threads as u64);
-    w.u64(c.parallelism.chunk as u64);
-    w.u8(match c.schedule {
-        PairSchedule::OnDemand => 0,
-        PairSchedule::Batched => 1,
-    });
-}
-
-pub(crate) fn dec_config(r: &mut Reader) -> Result<ClusterConfig, SnapshotError> {
-    let repetitions = r.u64()? as usize;
-    let threads = r.u64()? as usize;
-    let chunk = r.u64()? as usize;
-    let schedule = match r.u8()? {
-        0 => PairSchedule::OnDemand,
-        1 => PairSchedule::Batched,
-        _ => return Err(SnapshotError::Malformed("unknown pair schedule")),
-    };
-    Ok(ClusterConfig {
-        repetitions,
-        parallelism: Parallelism { threads, chunk },
-        schedule,
-    })
-}
 
 pub(crate) fn enc_spec(w: &mut Writer, s: &SessionSpec) {
     w.u64(s.algorithms as u64);

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use relperf_core::cluster::{ClusterConfig, PairSchedule, Parallelism, ScoreTable};
+use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_core::session::{ClusterSession, ConvergenceCriterion};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_service::prelude::*;
@@ -21,11 +21,10 @@ fn comparator() -> BootstrapComparator {
     )
 }
 
-fn config(threads: usize, schedule: PairSchedule) -> ClusterConfig {
+fn config(threads: usize) -> ClusterConfig {
     ClusterConfig {
         repetitions: 15,
         parallelism: Parallelism::with_threads(threads),
-        schedule,
     }
 }
 
@@ -171,23 +170,19 @@ fn service_tables(
 #[test]
 fn interleaved_multi_tenant_service_matches_direct_sessions() {
     let scripts = scripts(4, 3, 0xA11CE);
-    for schedule in [PairSchedule::OnDemand, PairSchedule::Batched] {
-        let cfg = config(2, schedule);
-        let reference = direct_tables(&scripts, cfg);
-        // Round-robin and blocked interleavings, several shard/thread
-        // combinations, batches cut at different points.
-        let round_robin: Vec<usize> = (0..3).flat_map(|_| 0..scripts.len()).collect();
-        let blocked: Vec<usize> = (0..scripts.len()).flat_map(|s| [s; 3]).collect();
-        for order in [round_robin, blocked] {
-            for (shards, threads, batch_every) in
-                [(1, 1, 1), (4, 3, 2), (16, 0, 5), (3, 2, 100)]
-            {
-                let got = service_tables(&scripts, cfg, shards, threads, &order, batch_every);
-                assert_eq!(
-                    got, reference,
-                    "schedule={schedule:?} shards={shards} threads={threads} batch_every={batch_every}"
-                );
-            }
+    let cfg = config(2);
+    let reference = direct_tables(&scripts, cfg);
+    // Round-robin and blocked interleavings, several shard/thread
+    // combinations, batches cut at different points.
+    let round_robin: Vec<usize> = (0..3).flat_map(|_| 0..scripts.len()).collect();
+    let blocked: Vec<usize> = (0..scripts.len()).flat_map(|s| [s; 3]).collect();
+    for order in [round_robin, blocked] {
+        for (shards, threads, batch_every) in [(1, 1, 1), (4, 3, 2), (16, 0, 5), (3, 2, 100)] {
+            let got = service_tables(&scripts, cfg, shards, threads, &order, batch_every);
+            assert_eq!(
+                got, reference,
+                "shards={shards} threads={threads} batch_every={batch_every}"
+            );
         }
     }
 }
@@ -207,7 +202,7 @@ proptest! {
         batch_every in 1usize..8,
     ) {
         let scripts = scripts(3, 2, 0xBEE);
-        let cfg = config(1, PairSchedule::OnDemand);
+        let cfg = config(1);
         let reference = direct_tables(&scripts, cfg);
         // A random interleaving: each script appears `waves` times, order
         // shuffled by the seed.
@@ -222,7 +217,7 @@ proptest! {
 #[test]
 fn shard_count_does_not_change_results() {
     let scripts = scripts(5, 2, 0xF00D);
-    let cfg = config(0, PairSchedule::Batched);
+    let cfg = config(0);
     let order: Vec<usize> = (0..2).flat_map(|_| 0..scripts.len()).collect();
     let reference = service_tables(&scripts, cfg, 1, 1, &order, 1);
     for shards in [2, 7, 64] {
@@ -236,7 +231,7 @@ fn shard_count_does_not_change_results() {
 fn batch_boundaries_do_not_change_results() {
     // All ops in one giant batch vs. one batch per op.
     let scripts = scripts(3, 3, 0xCAFE);
-    let cfg = config(2, PairSchedule::OnDemand);
+    let cfg = config(2);
     let order: Vec<usize> = (0..3).flat_map(|_| 0..scripts.len()).collect();
     let one_batch = service_tables(&scripts, cfg, 4, 2, &order, usize::MAX);
     let per_op = service_tables(&scripts, cfg, 4, 2, &order, 1);

@@ -162,7 +162,6 @@ fn pipelined_runtime_matches_direct_sessions() {
     let cfg = ClusterConfig {
         repetitions: 15,
         parallelism: Parallelism::serial(),
-        ..Default::default()
     };
     let reference = direct_tables(&scripts, cfg);
     let round_robin: Vec<usize> = (0..3).flat_map(|_| 0..scripts.len()).collect();
@@ -199,7 +198,6 @@ proptest! {
         let cfg = ClusterConfig {
             repetitions: 15,
             parallelism: Parallelism::serial(),
-            ..Default::default()
         };
         let reference = direct_tables(&scripts, cfg);
         let mut order: Vec<usize> = (0..scripts.len()).flat_map(|s| [s; 2]).collect();
@@ -245,12 +243,10 @@ fn slow_tenant_does_not_convoy_fast_tenants() {
     let heavy_cfg = ClusterConfig {
         repetitions: 40,
         parallelism: Parallelism::serial(),
-        ..Default::default()
     };
     let light_cfg = ClusterConfig {
         repetitions: 3,
         parallelism: Parallelism::serial(),
-        ..Default::default()
     };
     rt.create_session(
         1,

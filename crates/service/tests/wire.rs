@@ -44,7 +44,6 @@ fn rich_requests() -> Vec<Request> {
                 config: ClusterConfig {
                     repetitions: 15,
                     parallelism: Parallelism::with_threads(2),
-                    ..Default::default()
                 },
                 seed: 0xDEAD_BEEF,
                 criterion: ConvergenceCriterion {
@@ -369,6 +368,27 @@ fn rich_messages_round_trip() {
         } => {}
         other => panic!("lossy Records corner decoded as {other:?}"),
     }
+}
+
+/// The `ClusterConfig` codec ends in a reserved byte that once tagged a
+/// pair schedule. Encoders write 0; a 1 from an older client decodes to
+/// the same request; anything else stays a typed `Malformed`.
+#[test]
+fn reserved_config_byte_accepts_legacy_one() {
+    // tag, tenant, session, algorithms, repetitions, threads, chunk
+    const RESERVED: usize = 1 + 6 * 8;
+    let req = &rich_requests()[0];
+    assert!(matches!(req, Request::CreateSession { .. }));
+    let payload = encode_request(req);
+    assert_eq!(payload[RESERVED], 0, "encoders write 0");
+    let mut legacy = payload.clone();
+    legacy[RESERVED] = 1;
+    assert_eq!(decode_request(&legacy).expect("legacy byte accepted"), *req);
+    legacy[RESERVED] = 2;
+    assert_eq!(
+        decode_request(&legacy),
+        Err(WireError::Malformed("unknown pair schedule"))
+    );
 }
 
 /// The headline fault-injection sweep: EVERY single-bit flip anywhere in

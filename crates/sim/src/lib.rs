@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod calibrate;
 pub mod device;
 pub mod energy;
 pub mod executor;

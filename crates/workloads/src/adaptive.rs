@@ -447,7 +447,6 @@ mod tests {
             let config = ClusterConfig {
                 repetitions: 30,
                 parallelism: Parallelism::with_threads(threads),
-                ..Default::default()
             };
             measure_until_converged_seeded(&exp, &cmp, config, criterion, schedule, 5, 6)
         };

@@ -176,9 +176,7 @@ pub fn cluster_measurements<R: Rng + ?Sized>(
 /// running a **one-wave [`ClusterSession`]** — the batch entry point is a
 /// thin wrapper over the streaming engine, so the two can never drift.
 /// Every comparison is addressed by an explicit stream id, so any
-/// [`Parallelism`] (and either
-/// [`PairSchedule`](relperf_core::cluster::PairSchedule)) in `config`
-/// yields a bit-identical score table.
+/// [`Parallelism`] in `config` yields a bit-identical score table.
 ///
 /// Each worker thread gets one scratch arena from the comparator
 /// ([`ScratchThreeWayComparator::new_scratch`]) and reuses it across every
@@ -327,7 +325,6 @@ mod tests {
         let config = |par: Parallelism| ClusterConfig {
             repetitions: 40,
             parallelism: par,
-            ..Default::default()
         };
         let reference =
             cluster_measurements_seeded(&measured, &comparator, config(Parallelism::serial()), 3);
@@ -438,7 +435,6 @@ mod tests {
             ClusterConfig {
                 repetitions: 40,
                 parallelism: Parallelism::serial(),
-                ..Default::default()
             },
             29,
         );
@@ -453,7 +449,6 @@ mod tests {
                 ClusterConfig {
                     repetitions: 40,
                     parallelism: Parallelism::with_threads(threads),
-                    ..Default::default()
                 },
                 29,
             );

@@ -1,10 +1,10 @@
 //! Seeded golden tests: the allocation-free bootstrap fast path must
 //! reproduce the sort-based reference oracle **bit-identically** through
 //! the whole measure → compare → cluster pipeline, for any parallelism
-//! and either pair schedule — and the streaming session engine must
+//! — and the streaming session engine must
 //! reproduce the batch pipeline the same way at a fixed wave budget.
 
-use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, PairSchedule, Parallelism};
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Parallelism};
 use relperf_core::session::{ClusterSession, ConvergenceCriterion};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_workloads::adaptive::{measure_until_converged_seeded, WaveSchedule};
@@ -36,17 +36,14 @@ fn fast_path_score_table_equals_sort_based_reference() {
         comparator.compare_seeded_reference(&measured[a].sample, &measured[b].sample, stream)
     });
 
-    // Fast path, across parallelism levels and both schedules: one table.
+    // Fast path, across parallelism levels: one table.
     for threads in [1usize, 0, 2, 7] {
-        for schedule in [PairSchedule::OnDemand, PairSchedule::Batched] {
-            let cfg = ClusterConfig {
-                parallelism: Parallelism::with_threads(threads),
-                schedule,
-                ..config
-            };
-            let fast = cluster_measurements_seeded(&measured, &comparator, cfg, 3);
-            assert_eq!(fast, reference, "threads={threads} {schedule:?}");
-        }
+        let cfg = ClusterConfig {
+            parallelism: Parallelism::with_threads(threads),
+            ..config
+        };
+        let fast = cluster_measurements_seeded(&measured, &comparator, cfg, 3);
+        assert_eq!(fast, reference, "threads={threads}");
     }
 }
 
@@ -56,7 +53,7 @@ fn golden_session_fixed_budget_equals_batch_for_any_parallelism() {
     // measurements ingested in three uneven waves, warm caches in between
     // — must produce the *same* ScoreTable as the one-shot batch
     // clustering of the full samples, bit for bit, and must be invariant
-    // under Parallelism { threads } and either PairSchedule.
+    // under Parallelism { threads }.
     let exp = Experiment::table1(2);
     let measured = measure_all_seeded(&exp, 15, 31, Parallelism::auto());
     let comparator = comparator();
@@ -64,26 +61,19 @@ fn golden_session_fixed_budget_equals_batch_for_any_parallelism() {
     let batch = cluster_measurements_seeded(&measured, &comparator, config, 3);
 
     for threads in [1usize, 0, 2, 7] {
-        for schedule in [PairSchedule::OnDemand, PairSchedule::Batched] {
-            let cfg = ClusterConfig {
-                parallelism: Parallelism::with_threads(threads),
-                schedule,
-                ..config
-            };
-            let mut session = ClusterSession::new(measured.len(), &comparator, cfg, 3);
-            for split in [5usize, 9, 15] {
-                for (i, m) in measured.iter().enumerate() {
-                    let have = session.measurements(i);
-                    session.extend(i, &m.sample.values()[have..split]).unwrap();
-                }
-                session.score();
+        let cfg = ClusterConfig {
+            parallelism: Parallelism::with_threads(threads),
+            ..config
+        };
+        let mut session = ClusterSession::new(measured.len(), &comparator, cfg, 3);
+        for split in [5usize, 9, 15] {
+            for (i, m) in measured.iter().enumerate() {
+                let have = session.measurements(i);
+                session.extend(i, &m.sample.values()[have..split]).unwrap();
             }
-            assert_eq!(
-                session.table().unwrap(),
-                &batch,
-                "threads={threads} {schedule:?}"
-            );
+            session.score();
         }
+        assert_eq!(session.table().unwrap(), &batch, "threads={threads}");
     }
 }
 

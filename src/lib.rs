@@ -84,7 +84,7 @@ pub mod prelude {
     pub use relperf_core::cache::ComparisonCache;
     pub use relperf_core::cluster::{
         relative_scores, relative_scores_seeded, relative_scores_seeded_with, ClusterConfig,
-        Clustering, PairSchedule, ScoreTable,
+        Clustering, ScoreTable,
     };
     pub use relperf_core::session::{ClusterSession, ConvergenceCriterion};
     pub use relperf_core::decision::{

@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
-use relperf_bench::paper_comparator;
-use relperf_core::cluster::ClusterConfig;
-use relperf_workloads::experiment::{cluster_measurements, measure_all, Experiment};
+use relperf_bench::run_pipeline;
+use relperf_workloads::experiment::Experiment;
 use std::hint::black_box;
 
 fn bench_simulation(c: &mut Criterion) {
@@ -38,14 +37,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
     ] {
         group.bench_function(name, |bench| {
             bench.iter(|| {
-                let mut rng = StdRng::seed_from_u64(3);
-                let measured = measure_all(&exp, n, &mut rng);
-                let table = cluster_measurements(
-                    &measured,
-                    &paper_comparator(4),
-                    ClusterConfig::with_repetitions(20),
-                    &mut rng,
-                );
+                let (_, table) = run_pipeline(&exp, n, 20, 3);
                 black_box(table.final_assignment())
             })
         });

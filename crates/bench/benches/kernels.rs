@@ -5,10 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use relperf_linalg::cholesky::Cholesky;
-use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel};
+use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with};
 use relperf_linalg::qr::Qr;
 use relperf_linalg::random::{random_matrix, random_spd};
 use relperf_linalg::rls::{solve_rls_cholesky, solve_rls_qr};
+use relperf_linalg::Parallelism;
 use std::hint::black_box;
 
 fn bench_gemm_variants(c: &mut Criterion) {
@@ -23,11 +24,11 @@ fn bench_gemm_variants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
             bench.iter(|| gemm_blocked(black_box(&a), black_box(&b)).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("packed", n), &n, |bench, _| {
-            bench.iter(|| gemm_packed(black_box(&a), black_box(&b)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("parallel4", n), &n, |bench, _| {
-            bench.iter(|| gemm_parallel(black_box(&a), black_box(&b), 4).unwrap())
+            bench.iter(|| {
+                gemm_parallel_with(black_box(&a), black_box(&b), Parallelism::with_threads(4))
+                    .unwrap()
+            })
         });
     }
     group.finish();

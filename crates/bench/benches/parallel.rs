@@ -1,22 +1,20 @@
 //! B5 — Serial vs. parallel execution of the clustering hot path.
 //!
-//! Three comparisons, all on the Table I experiment:
+//! Two groups, both on the Table I experiment:
 //!
 //! * `relative_scores/{serial,parallel}` — Procedure 4's repetition loop
-//!   through `relative_scores_seeded`, one thread vs. all cores. The
-//!   acceptance target is ≥ 2× with ≥ 4 threads on a multi-core host
-//!   (the two configurations are bit-identical by construction, which
-//!   the assert below re-checks before timing).
-//! * `compare_batch/{serial,parallel}` — the batched bootstrap comparator
-//!   over all p(p-1)/2 sample pairs.
-//! * `procedure4/{uncached,cached}` — the legacy rng-threaded
-//!   `relative_scores` vs. the memoizing engine at equal thread count
-//!   (1), isolating the `ComparisonCache` win from the threading win.
+//!   through the one-wave session (`cluster_measurements_seeded`), one
+//!   thread vs. all cores. The acceptance target is ≥ 2× with ≥ 4
+//!   threads on a multi-core host (the two configurations are
+//!   bit-identical by construction, which the assert below re-checks
+//!   before timing).
+//! * `procedure4/cached` — the memoizing `relative_scores_seeded` engine
+//!   called directly on one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relperf_core::cluster::{relative_scores, relative_scores_seeded, ClusterConfig, Parallelism};
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Parallelism};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
-use relperf_measure::{Sample, SeededThreeWayComparator, ThreeWayComparator};
+use relperf_measure::SeededThreeWayComparator;
 use relperf_workloads::experiment::{
     cluster_measurements_seeded, measure_all_seeded, Experiment, MeasuredAlgorithm,
 };
@@ -46,7 +44,7 @@ fn cluster_config(repetitions: usize, parallelism: Parallelism) -> ClusterConfig
     }
 }
 
-fn bench_relative_scores(c: &mut Criterion) {
+fn bench_parallel_clustering(c: &mut Criterion) {
     let measured = measured();
     let cmp = comparator();
 
@@ -84,47 +82,12 @@ fn bench_relative_scores(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compare_batch(c: &mut Criterion) {
-    let measured = measured();
-    let samples: Vec<&Sample> = measured.iter().map(|m| &m.sample).collect();
-    let mut pairs: Vec<(&Sample, &Sample)> = Vec::new();
-    for i in 0..samples.len() {
-        for j in (i + 1)..samples.len() {
-            pairs.push((samples[i], samples[j]));
-        }
-    }
-
-    let mut group = c.benchmark_group("compare_batch");
-    for (label, par) in [
-        ("serial", Parallelism::serial()),
-        ("parallel", Parallelism::auto()),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, pairs.len()), &par, |b, &par| {
-            let cmp = comparator();
-            b.iter(|| cmp.compare_batch(black_box(&pairs), par))
-        });
-    }
-    group.finish();
-}
-
 fn bench_cache_effect(c: &mut Criterion) {
     let measured = measured();
     let cmp = comparator();
     let p = measured.len();
 
     let mut group = c.benchmark_group("procedure4");
-    group.bench_function(BenchmarkId::new("uncached", 20), |b| {
-        b.iter(|| {
-            use rand::prelude::*;
-            let mut rng = StdRng::seed_from_u64(7);
-            relative_scores(
-                p,
-                cluster_config(20, Parallelism::serial()),
-                &mut rng,
-                |x, y| cmp.compare(&measured[x].sample, &measured[y].sample),
-            )
-        })
-    });
     group.bench_function(BenchmarkId::new("cached", 20), |b| {
         b.iter(|| {
             relative_scores_seeded(
@@ -138,10 +101,5 @@ fn bench_cache_effect(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_relative_scores,
-    bench_compare_batch,
-    bench_cache_effect
-);
+criterion_group!(benches, bench_parallel_clustering, bench_cache_effect);
 criterion_main!(benches);

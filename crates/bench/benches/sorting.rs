@@ -5,12 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
-use relperf_core::cluster::{relative_scores, ClusterConfig};
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig};
 use relperf_core::sort::sort;
 use relperf_measure::Outcome;
 use std::hint::black_box;
 
-fn synthetic_cmp(levels: &[usize]) -> impl FnMut(usize, usize) -> Outcome + '_ {
+fn synthetic_cmp(levels: &[usize]) -> impl Fn(usize, usize) -> Outcome + Sync + '_ {
     move |a, b| match levels[a].cmp(&levels[b]) {
         std::cmp::Ordering::Less => Outcome::Better,
         std::cmp::Ordering::Greater => Outcome::Worse,
@@ -30,19 +30,19 @@ fn bench_sort(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_relative_scores(c: &mut Criterion) {
+fn bench_procedure4(c: &mut Criterion) {
     let mut group = c.benchmark_group("procedure4");
     for &p in &[8usize, 16] {
         let mut rng = StdRng::seed_from_u64(p as u64);
         let levels: Vec<usize> = (0..p).map(|_| rng.random_range(0..4)).collect();
+        let cmp = synthetic_cmp(&levels);
         group.bench_with_input(BenchmarkId::new("rep100", p), &p, |bench, _| {
             bench.iter(|| {
-                let mut rng = StdRng::seed_from_u64(9);
-                relative_scores(
+                relative_scores_seeded(
                     black_box(p),
                     ClusterConfig::with_repetitions(100),
-                    &mut rng,
-                    synthetic_cmp(&levels),
+                    9,
+                    |_, a, b| cmp(a, b),
                 )
             })
         });
@@ -50,5 +50,5 @@ fn bench_relative_scores(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sort, bench_relative_scores);
+criterion_group!(benches, bench_sort, bench_procedure4);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! A1 — Ablation study of the design choices DESIGN.md calls out:
+//! A1 — Ablation study of three design choices of the pipeline:
 //!
 //! 1. comparator family (bootstrap quantile-dominance vs Mann–Whitney vs
 //!    median vs mean-CI) on the same measured data,
@@ -8,26 +8,26 @@
 //! Reported as class counts and Rand similarity against the default
 //! pipeline, for both paper experiments.
 
-use rand::prelude::*;
 use relperf_bench::{header, SEED};
-use relperf_core::cluster::{ClusterConfig, Clustering};
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Clustering, Parallelism};
 use relperf_core::similarity::rand_index;
 use relperf_measure::compare::{
     BootstrapComparator, BootstrapConfig, MeanCiComparator, MedianComparator,
 };
 use relperf_measure::ranksum::MannWhitneyComparator;
-use relperf_measure::ThreeWayComparator;
-use relperf_workloads::experiment::{cluster_measurements, measure_all, Experiment, MeasuredAlgorithm};
+use relperf_measure::SeededThreeWayComparator;
+use relperf_workloads::experiment::{measure_all_seeded, Experiment, MeasuredAlgorithm};
 
 fn cluster(
     measured: &[MeasuredAlgorithm],
-    cmp: &dyn ThreeWayComparator,
+    cmp: &(dyn SeededThreeWayComparator + Sync),
     rep: usize,
     seed: u64,
 ) -> Clustering {
-    let mut rng = StdRng::seed_from_u64(seed);
-    cluster_measurements(measured, cmp, ClusterConfig::with_repetitions(rep), &mut rng)
-        .final_assignment()
+    relative_scores_seeded(measured.len(), ClusterConfig::with_repetitions(rep), seed, |s, a, b| {
+        cmp.compare_seeded(&measured[a].sample, &measured[b].sample, s)
+    })
+    .final_assignment()
 }
 
 fn describe(c: &Clustering, measured: &[MeasuredAlgorithm]) -> String {
@@ -50,13 +50,12 @@ fn main() {
         ("table1 (N=30)", Experiment::table1(10), 30),
     ] {
         header(&format!("Ablations on {name}"));
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let measured = measure_all(&exp, n, &mut rng);
+        let measured = measure_all_seeded(&exp, n, SEED, Parallelism::auto());
         let reference = cluster(&measured, &BootstrapComparator::new(SEED), 100, 1);
         println!("reference (bootstrap, Rep=100): {}", describe(&reference, &measured));
 
         println!("\n-- comparator family --");
-        let comparators: Vec<(&str, Box<dyn ThreeWayComparator>)> = vec![
+        let comparators: Vec<(&str, Box<dyn SeededThreeWayComparator + Sync>)> = vec![
             (
                 "mann-whitney",
                 Box::new(MannWhitneyComparator {

@@ -7,23 +7,14 @@
 //!    the device) and alg_DAA (most FLOPs offloaded), with the full
 //!    controller trace.
 
-use relperf_bench::{header, paper_comparator, SEED};
-use rand::prelude::*;
-use relperf_core::cluster::ClusterConfig;
+use relperf_bench::{header, run_pipeline, SEED};
 use relperf_core::decision::{CostSpeedModel, EnergyBudgetController, Mode};
-use relperf_workloads::experiment::{cluster_measurements, measure_all, profiles, Experiment};
+use relperf_workloads::experiment::{profiles, Experiment};
 
 fn main() {
     header("Sec. IV decision models over the Table I clusters");
     let exp = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let measured = measure_all(&exp, 30, &mut rng);
-    let table = cluster_measurements(
-        &measured,
-        &paper_comparator(SEED),
-        ClusterConfig::with_repetitions(100),
-        &mut rng,
-    );
+    let (measured, table) = run_pipeline(&exp, 30, 100, SEED);
     let clustering = table.final_assignment();
     let profs = profiles(&measured, &clustering);
 

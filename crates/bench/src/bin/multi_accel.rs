@@ -10,9 +10,8 @@
 
 use rand::prelude::*;
 use relperf_bench::{header, paper_comparator, SEED};
-use relperf_core::cluster::ClusterConfig;
-use relperf_core::relative_scores;
-use relperf_measure::Sample;
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig};
+use relperf_measure::{stream_seed, Sample, SeededThreeWayComparator};
 use relperf_sim::device::{DeviceKind, DeviceSpec};
 use relperf_sim::link::LinkSpec;
 use relperf_sim::multi::{enumerate_multi_placements, multi_label, AcceleratorSlot, MultiPlatform};
@@ -64,12 +63,13 @@ fn main() {
     let platform = platform();
     let tasks = scientific_code::tasks(10);
     let placements = enumerate_multi_placements(3, 2);
-    let mut rng = StdRng::seed_from_u64(SEED);
 
     let samples: Vec<(String, Sample)> = placements
         .iter()
-        .map(|p| {
+        .enumerate()
+        .map(|(i, p)| {
             let label = multi_label(p);
+            let mut rng = StdRng::seed_from_u64(stream_seed(SEED, i as u64));
             let sample = platform
                 .measure(&tasks, p, 30, &mut rng)
                 .expect("finite simulated times");
@@ -86,14 +86,11 @@ fn main() {
     }
 
     let comparator = paper_comparator(SEED ^ 0x51);
-    let table = relative_scores(
+    let table = relative_scores_seeded(
         samples.len(),
         ClusterConfig::with_repetitions(40),
-        &mut rng,
-        |a, b| {
-            use relperf_measure::ThreeWayComparator;
-            comparator.compare(&samples[a].1, &samples[b].1)
-        },
+        SEED,
+        |stream, a, b| comparator.compare_seeded(&samples[a].1, &samples[b].1, stream),
     );
     let clustering = table.final_assignment();
     println!("\nperformance classes ({} total):", clustering.num_classes());

@@ -7,22 +7,20 @@
 //! static (FLOPs per device, bytes, crossings — no execution needed at
 //! prediction time).
 
-use rand::prelude::*;
 use relperf_bench::{header, paper_comparator, SEED};
-use relperf_core::cluster::ClusterConfig;
+use relperf_core::cluster::{ClusterConfig, Parallelism};
 use relperf_core::predict::KnnClassModel;
 use relperf_workloads::digital_twin::{self, MultiScaleConfig};
-use relperf_workloads::experiment::{cluster_measurements, measure_all, Experiment};
+use relperf_workloads::experiment::{cluster_measurements_seeded, measure_all_seeded, Experiment};
 use relperf_workloads::features::training_set;
 
 fn evaluate(name: &str, exp: &Experiment, n: usize, k: usize) {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let measured = measure_all(exp, n, &mut rng);
-    let clustering = cluster_measurements(
+    let measured = measure_all_seeded(exp, n, SEED, Parallelism::auto());
+    let clustering = cluster_measurements_seeded(
         &measured,
         &paper_comparator(SEED),
         ClusterConfig::with_repetitions(50),
-        &mut rng,
+        SEED,
     )
     .final_assignment();
 

@@ -11,7 +11,7 @@ use crate::cache::ComparisonCache;
 use crate::sort::{sort_from, SortState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use relperf_measure::{stream_seed, Outcome};
 
 pub use relperf_parallel::Parallelism;
@@ -21,10 +21,8 @@ pub use relperf_parallel::Parallelism;
 pub struct ClusterConfig {
     /// Number of shuffled sort repetitions (`Rep` in Procedure 4).
     pub repetitions: usize,
-    /// How to spread the work across threads. Only
-    /// [`relative_scores_seeded`] honours it (the work there is
-    /// index-addressable, so any setting yields bit-identical scores); the
-    /// rng-threaded [`relative_scores`] is inherently serial.
+    /// How to spread the repetitions across threads. Every repetition is
+    /// index-addressable, so any setting yields bit-identical scores.
     pub parallelism: Parallelism,
 }
 
@@ -255,68 +253,13 @@ impl Clustering {
 }
 
 /// Procedure 4: runs `config.repetitions` shuffled sorts and tallies the
-/// relative score of every (algorithm, class) pair.
+/// relative score of every (algorithm, class) pair — the entry point of
+/// the clustering engine.
 ///
-/// `cmp(a, b)` compares algorithm `a` against `b`; it is typically
+/// `cmp(stream, a, b)` compares algorithm `a` against `b`; it is typically
 /// stochastic (a fresh bootstrap comparison per call over the same fixed
 /// measurement samples — the paper re-uses the `N` measurements and repeats
-/// only the analysis).
-///
-/// # Examples
-///
-/// ```
-/// use rand::prelude::*;
-/// use relperf_core::cluster::{relative_scores, ClusterConfig};
-/// use relperf_core::Outcome;
-///
-/// let cost = [2.0, 1.0, 2.0];
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let table = relative_scores(3, ClusterConfig::default(), &mut rng, |a, b| {
-///     match cost[a].partial_cmp(&cost[b]).unwrap() {
-///         std::cmp::Ordering::Less => Outcome::Better,
-///         std::cmp::Ordering::Greater => Outcome::Worse,
-///         std::cmp::Ordering::Equal => Outcome::Equivalent,
-///     }
-/// });
-/// assert_eq!(table.score(1, 1), 1.0);           // always the best class
-/// let clustering = table.final_assignment();
-/// assert_eq!(clustering.num_classes(), 2);
-/// ```
-pub fn relative_scores<R: Rng + ?Sized>(
-    p: usize,
-    config: ClusterConfig,
-    rng: &mut R,
-    mut cmp: impl FnMut(usize, usize) -> Outcome,
-) -> ScoreTable {
-    assert!(config.repetitions > 0, "need at least one repetition");
-    let mut counts = vec![vec![0usize; p.max(1)]; p];
-    let mut max_rank = 0usize;
-    for _ in 0..config.repetitions {
-        let mut seq: Vec<usize> = (0..p).collect();
-        seq.shuffle(rng);
-        let state = sort_from(SortState::from_sequence(seq), &mut cmp);
-        for (pos, &alg) in state.sequence.iter().enumerate() {
-            let rank = state.ranks[pos];
-            counts[alg][rank - 1] += 1;
-            max_rank = max_rank.max(rank);
-        }
-    }
-    let rep = config.repetitions as f64;
-    let scores = counts
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c as f64 / rep).collect())
-        .collect();
-    ScoreTable {
-        p,
-        scores,
-        max_rank,
-    }
-}
-
-/// Procedure 4 with explicit seeding and parallel repetitions — the
-/// production entry point of the clustering engine.
-///
-/// Differences from [`relative_scores`]:
+/// only the analysis), with the randomness drawn from `stream`.
 ///
 /// * **Addressable randomness.** Each repetition derives its shuffle RNG
 ///   from `(seed, repetition index)` and each pairwise comparison is
@@ -523,8 +466,8 @@ mod tests {
     use super::*;
     use Outcome::{Better, Equivalent, Worse};
 
-    fn level_cmp(levels: &'static [usize]) -> impl FnMut(usize, usize) -> Outcome {
-        move |a, b| match levels[a].cmp(&levels[b]) {
+    fn level_cmp(levels: &'static [usize]) -> impl Fn(u64, usize, usize) -> Outcome + Sync {
+        move |_stream, a, b| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Better,
             std::cmp::Ordering::Greater => Worse,
             std::cmp::Ordering::Equal => Equivalent,
@@ -532,72 +475,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_comparator_gives_unit_scores() {
-        static LEVELS: [usize; 4] = [1, 0, 2, 1];
-        let mut rng = StdRng::seed_from_u64(81);
-        let table = relative_scores(4, ClusterConfig::with_repetitions(50), &mut rng, level_cmp(&LEVELS));
-        assert_eq!(table.num_classes(), 3);
-        assert_eq!(table.score(1, 1), 1.0);
-        assert_eq!(table.score(0, 2), 1.0);
-        assert_eq!(table.score(3, 2), 1.0);
-        assert_eq!(table.score(2, 3), 1.0);
-        // Scores for other ranks are zero.
-        assert_eq!(table.score(1, 2), 0.0);
-        assert_eq!(table.score(2, 1), 0.0);
-    }
-
-    #[test]
-    fn rows_sum_to_one() {
-        static LEVELS: [usize; 5] = [0, 1, 1, 2, 0];
-        let mut rng = StdRng::seed_from_u64(82);
-        let table = relative_scores(5, ClusterConfig::default(), &mut rng, level_cmp(&LEVELS));
-        for alg in 0..5 {
-            let total: f64 = (1..=table.num_classes()).map(|r| table.score(alg, r)).sum();
-            assert!((total - 1.0).abs() < 1e-9, "alg {alg} sums to {total}");
-        }
-    }
-
-    #[test]
-    fn stochastic_comparator_splits_scores() {
-        // Algorithms 0 and 1: comparisons flip between equivalent and
-        // decided, so 1 should appear in both class 1 and class 2.
-        let mut flip = 0usize;
-        let cmp = move |a: usize, b: usize| -> Outcome {
-            flip += 1;
-            match (a, b) {
-                (0, 1) => {
-                    if flip % 3 == 0 {
-                        Equivalent
-                    } else {
-                        Better
-                    }
-                }
-                (1, 0) => {
-                    if flip % 3 == 0 {
-                        Equivalent
-                    } else {
-                        Worse
-                    }
-                }
-                _ => Equivalent,
-            }
-        };
-        let mut rng = StdRng::seed_from_u64(83);
-        let table = relative_scores(2, ClusterConfig::with_repetitions(300), &mut rng, cmp);
-        let s11 = table.score(1, 1);
-        let s12 = table.score(1, 2);
-        assert!(s11 > 0.05, "score(1,1) = {s11}");
-        assert!(s12 > 0.5, "score(1,2) = {s12}");
-        assert!((s11 + s12 - 1.0).abs() < 1e-9);
-        // Algorithm 0 always wins or ties — always rank 1.
-        assert_eq!(table.score(0, 1), 1.0);
-    }
-
-    #[test]
     fn cluster_view_sorted_by_score() {
         static LEVELS: [usize; 3] = [0, 0, 1];
-        let mut rng = StdRng::seed_from_u64(84);
-        let table = relative_scores(3, ClusterConfig::with_repetitions(20), &mut rng, level_cmp(&LEVELS));
+        let table =
+            relative_scores_seeded(3, ClusterConfig::with_repetitions(20), 84, level_cmp(&LEVELS));
         let c1 = table.cluster(1);
         assert_eq!(c1.len(), 2);
         assert!(c1.iter().all(|&(_, s)| s == 1.0));
@@ -688,35 +569,6 @@ mod tests {
         assert!((c.assignment(0).score - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_repetitions_panics() {
-        let mut rng = StdRng::seed_from_u64(85);
-        relative_scores(2, ClusterConfig::with_repetitions(0), &mut rng, |_, _| Equivalent);
-    }
-
-    #[test]
-    fn single_algorithm() {
-        let mut rng = StdRng::seed_from_u64(86);
-        let table = relative_scores(1, ClusterConfig::with_repetitions(5), &mut rng, |_, _| {
-            unreachable!("no comparisons for p = 1")
-        });
-        assert_eq!(table.num_classes(), 1);
-        assert_eq!(table.score(0, 1), 1.0);
-        let c = table.final_assignment();
-        assert_eq!(c.num_classes(), 1);
-    }
-
-    #[test]
-    fn scores_are_seeded() {
-        static LEVELS: [usize; 4] = [0, 1, 0, 2];
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            relative_scores(4, ClusterConfig::default(), &mut rng, level_cmp(&LEVELS))
-        };
-        assert_eq!(run(42), run(42));
-    }
-
     /// Stream-addressed stochastic comparator for the seeded tests: the
     /// outcome of a pair is a pure function of (stream, a, b), flipping
     /// between equivalent and decided — a stand-in for a borderline
@@ -793,26 +645,26 @@ mod tests {
                 assert!((total - 1.0).abs() < 1e-9);
             }
         }
+        // A borderline pair flips between equivalent and decided across
+        // repetitions, so algorithm 1 splits between classes 1 and 2.
+        let s11 = a.score(1, 1);
+        let s12 = a.score(1, 2);
+        assert!(s11 > 0.05 && s12 > 0.05, "score(1,1) = {s11}, score(1,2) = {s12}");
     }
 
     #[test]
     fn seeded_matches_deterministic_comparator_semantics() {
         static LEVELS: [usize; 4] = [1, 0, 2, 1];
-        let table = relative_scores_seeded(
-            4,
-            ClusterConfig::with_repetitions(50),
-            81,
-            |_stream, a, b| match LEVELS[a].cmp(&LEVELS[b]) {
-                std::cmp::Ordering::Less => Better,
-                std::cmp::Ordering::Greater => Worse,
-                std::cmp::Ordering::Equal => Equivalent,
-            },
-        );
+        let table =
+            relative_scores_seeded(4, ClusterConfig::with_repetitions(50), 81, level_cmp(&LEVELS));
         assert_eq!(table.num_classes(), 3);
         assert_eq!(table.score(1, 1), 1.0);
         assert_eq!(table.score(0, 2), 1.0);
         assert_eq!(table.score(3, 2), 1.0);
         assert_eq!(table.score(2, 3), 1.0);
+        // Scores for other ranks are zero.
+        assert_eq!(table.score(1, 2), 0.0);
+        assert_eq!(table.score(2, 1), 0.0);
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! 4. renders the tables and figures of the paper from those results
 //!    ([`report`]).
 //!
-//! The clustering engine has two entry points: the legacy, strictly serial
-//! [`relative_scores`] (one RNG threaded through all repetitions) and the
-//! production [`relative_scores_seeded`] / [`relative_scores_seeded_with`]
-//! (per-repetition seed streams, per-worker [`cache::ComparisonCache`] and
-//! scratch arenas, and work fanned out across threads via
-//! [`cluster::Parallelism`] — bit-identical for any thread count).
+//! The clustering engine is [`relative_scores_seeded`] /
+//! [`relative_scores_seeded_with`]: per-repetition seed streams
+//! (`relperf_measure::stream_seed`), per-worker [`cache::ComparisonCache`]
+//! and scratch arenas, and work fanned out across threads via
+//! [`cluster::Parallelism`] — bit-identical for any thread count.
 //!
 //! On top of the batch engine, [`session::ClusterSession`] streams the
 //! same computation: measurements arrive in waves, every repetition's
@@ -44,8 +43,8 @@ pub mod triplet;
 
 pub use cache::ComparisonCache;
 pub use cluster::{
-    relative_scores, relative_scores_seeded, relative_scores_seeded_with, ClusterConfig,
-    Clustering, Parallelism, ScoreTable,
+    relative_scores_seeded, relative_scores_seeded_with, ClusterConfig, Clustering, Parallelism,
+    ScoreTable,
 };
 pub use session::{ClusterSession, ConvergenceCriterion, CriterionError, SessionState};
 pub use relperf_measure::Outcome;

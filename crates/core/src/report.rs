@@ -82,8 +82,7 @@ pub fn histogram_panels(
 
 /// Renders a complete experiment report: summary statistics, the
 /// per-cluster score table, the final assignment, and the decision-model
-/// profiles — one self-contained Markdown document per experiment, the
-/// format EXPERIMENTS.md quotes.
+/// profiles — one self-contained Markdown document per experiment.
 pub fn full_report(
     title: &str,
     table: &ScoreTable,
@@ -115,20 +114,18 @@ pub fn full_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{relative_scores, ClusterConfig};
-    use rand::prelude::*;
+    use crate::cluster::{relative_scores_seeded, ClusterConfig};
     use relperf_measure::Outcome;
     use relperf_measure::Sample;
 
     fn table() -> (ScoreTable, Vec<String>) {
         static LEVELS: [usize; 3] = [1, 0, 1];
-        let cmp = |a: usize, b: usize| match LEVELS[a].cmp(&LEVELS[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match LEVELS[a].cmp(&LEVELS[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(91);
-        let t = relative_scores(3, ClusterConfig::with_repetitions(10), &mut rng, cmp);
+        let t = relative_scores_seeded(3, ClusterConfig::with_repetitions(10), 91, cmp);
         let labels = vec!["DD".to_string(), "AD".to_string(), "DA".to_string()];
         (t, labels)
     }

@@ -13,13 +13,15 @@
 //!
 //! The search never needs the full `2^n` enumeration — it touches only the
 //! candidates it measures, and every comparison goes through the same
-//! [`relperf_measure::ThreeWayComparator`] machinery as the exhaustive
-//! pipeline.
+//! seeded Procedure 4 engine ([`relative_scores_seeded`]) as the
+//! exhaustive pipeline.
 
-use crate::cluster::{relative_scores, ClusterConfig};
+use crate::cluster::{relative_scores_seeded, ClusterConfig};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
-use relperf_measure::Outcome;
+use rand::SeedableRng;
+use relperf_measure::{stream_seed, Outcome};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of the tournament search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,29 +62,37 @@ pub struct SearchResult {
 /// three-way comparisons (typically backed by lazy measurement — measure a
 /// candidate the first time it is compared).
 ///
+/// `cmp(stream, i, j)` compares candidate `i` against `j` and, like any
+/// seeded comparator, must be a pure function of its arguments. The
+/// candidate order is shuffled from `seed` and round `r` clusters its pool
+/// under `stream_seed(seed, r)`, so the result is reproducible from `seed`.
+///
 /// # Panics
 /// Panics when `round_size < 2` or there are no candidates.
-pub fn tournament_search<R: Rng + ?Sized>(
+pub fn tournament_search(
     num_candidates: usize,
     config: SearchConfig,
-    rng: &mut R,
-    mut cmp: impl FnMut(usize, usize) -> Outcome,
+    seed: u64,
+    cmp: impl Fn(u64, usize, usize) -> Outcome + Sync,
 ) -> SearchResult {
     assert!(num_candidates > 0, "need at least one candidate");
     assert!(config.round_size >= 2, "round size must be at least 2");
 
     let mut unseen: Vec<usize> = (0..num_candidates).collect();
-    unseen.shuffle(rng);
+    unseen.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut champions: Vec<usize> = Vec::new();
     let mut explored: Vec<usize> = Vec::new();
-    let mut comparisons_used = 0usize;
+    let comparisons_used = AtomicUsize::new(0);
     let mut rounds = 0usize;
 
-    // Comparisons per round: bubble sort is p(p-1)/2 per repetition.
+    // Comparisons per round: at most p(p-1)/2 per repetition (the engine
+    // memoizes each pair once per repetition).
     let p = config.round_size;
     let per_round = config.repetitions * p * (p - 1) / 2;
 
-    while !unseen.is_empty() && comparisons_used + per_round <= config.comparison_budget {
+    while !unseen.is_empty()
+        && comparisons_used.load(Ordering::Relaxed) + per_round <= config.comparison_budget
+    {
         // Pool: current champions + fresh candidates up to round_size.
         let mut pool: Vec<usize> = champions.clone();
         while pool.len() < config.round_size {
@@ -98,13 +108,13 @@ pub fn tournament_search<R: Rng + ?Sized>(
             break;
         }
 
-        let table = relative_scores(
+        let table = relative_scores_seeded(
             pool.len(),
             ClusterConfig::with_repetitions(config.repetitions),
-            rng,
-            |a, b| {
-                comparisons_used += 1;
-                cmp(pool[a], pool[b])
+            stream_seed(seed, rounds as u64),
+            |stream, a, b| {
+                comparisons_used.fetch_add(1, Ordering::Relaxed);
+                cmp(stream, pool[a], pool[b])
             },
         );
         let clustering = table.final_assignment();
@@ -123,7 +133,7 @@ pub fn tournament_search<R: Rng + ?Sized>(
     SearchResult {
         champions,
         explored,
-        comparisons_used,
+        comparisons_used: comparisons_used.into_inner(),
         rounds,
     }
 }
@@ -131,10 +141,9 @@ pub fn tournament_search<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
 
-    fn level_cmp(levels: &[usize]) -> impl FnMut(usize, usize) -> Outcome + '_ {
-        move |a, b| match levels[a].cmp(&levels[b]) {
+    fn level_cmp(levels: &[usize]) -> impl Fn(u64, usize, usize) -> Outcome + Sync + '_ {
+        move |_stream, a, b| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
@@ -151,8 +160,7 @@ mod tests {
                 *l = 2;
             }
         }
-        let mut rng = StdRng::seed_from_u64(211);
-        let result = tournament_search(64, SearchConfig::default(), &mut rng, level_cmp(&levels));
+        let result = tournament_search(64, SearchConfig::default(), 211, level_cmp(&levels));
         assert!(
             result.champions.contains(&17),
             "champion set {:?} must contain the optimum",
@@ -168,13 +176,12 @@ mod tests {
     #[test]
     fn explores_far_fewer_than_exhaustive_comparisons() {
         let levels: Vec<usize> = (0..200).map(|i| (i * 31) % 17).collect();
-        let mut rng = StdRng::seed_from_u64(212);
         let config = SearchConfig {
             round_size: 6,
             repetitions: 5,
             comparison_budget: 4_000,
         };
-        let result = tournament_search(200, config, &mut rng, level_cmp(&levels));
+        let result = tournament_search(200, config, 212, level_cmp(&levels));
         assert!(result.comparisons_used <= 4_000);
         // Exhaustive Procedure 4 at Rep=5 would cost 5·200·199/2 = 99 500.
         assert!(result.comparisons_used < 10_000);
@@ -186,21 +193,19 @@ mod tests {
     #[test]
     fn respects_budget() {
         let levels = vec![1usize; 50];
-        let mut rng = StdRng::seed_from_u64(213);
         let config = SearchConfig {
             round_size: 5,
             repetitions: 10,
             comparison_budget: 250, // only enough for ~2 rounds
         };
-        let result = tournament_search(50, config, &mut rng, level_cmp(&levels));
+        let result = tournament_search(50, config, 213, level_cmp(&levels));
         assert!(result.comparisons_used <= 250);
         assert!(result.explored.len() < 50);
     }
 
     #[test]
     fn single_candidate_trivial() {
-        let mut rng = StdRng::seed_from_u64(214);
-        let result = tournament_search(1, SearchConfig::default(), &mut rng, |_, _| {
+        let result = tournament_search(1, SearchConfig::default(), 214, |_, _, _| {
             unreachable!("no comparisons possible")
         });
         // One candidate, pool never reaches 2 — no rounds, no champions
@@ -212,13 +217,12 @@ mod tests {
     #[test]
     fn all_equivalent_candidates_all_champions_of_final_round() {
         let levels = vec![3usize; 12];
-        let mut rng = StdRng::seed_from_u64(215);
         let config = SearchConfig {
             round_size: 4,
             repetitions: 5,
             comparison_budget: 10_000,
         };
-        let result = tournament_search(12, config, &mut rng, level_cmp(&levels));
+        let result = tournament_search(12, config, 215, level_cmp(&levels));
         // Everything is equivalent: the champion set is the whole final
         // pool and the search must have explored every candidate.
         assert_eq!(result.explored.len(), 12);
@@ -228,15 +232,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "round size")]
     fn tiny_round_size_rejected() {
-        let mut rng = StdRng::seed_from_u64(216);
         tournament_search(
             10,
             SearchConfig {
                 round_size: 1,
                 ..Default::default()
             },
-            &mut rng,
-            |_, _| Outcome::Equivalent,
+            216,
+            |_, _, _| Outcome::Equivalent,
         );
     }
 }

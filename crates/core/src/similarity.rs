@@ -84,18 +84,16 @@ pub fn adjusted_rand_index(a: &Clustering, b: &Clustering) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{relative_scores, ClusterConfig};
-    use rand::prelude::*;
+    use crate::cluster::{relative_scores_seeded, ClusterConfig};
     use relperf_measure::Outcome;
 
     fn clustering_from_levels(levels: &'static [usize], seed: u64) -> Clustering {
-        let cmp = |a: usize, b: usize| match levels[a].cmp(&levels[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        relative_scores(levels.len(), ClusterConfig::with_repetitions(20), &mut rng, cmp)
+        relative_scores_seeded(levels.len(), ClusterConfig::with_repetitions(20), seed, cmp)
             .final_assignment()
     }
 

@@ -85,18 +85,17 @@ pub fn hard_triplets(clustering: &Clustering) -> Vec<Triplet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{relative_scores, ClusterConfig};
+    use crate::cluster::{relative_scores_seeded, ClusterConfig};
     use rand::prelude::*;
     use relperf_measure::Outcome;
 
     fn clustering_from_levels(levels: &'static [usize]) -> Clustering {
-        let cmp = |a: usize, b: usize| match levels[a].cmp(&levels[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(161);
-        relative_scores(levels.len(), ClusterConfig::with_repetitions(20), &mut rng, cmp)
+        relative_scores_seeded(levels.len(), ClusterConfig::with_repetitions(20), 161, cmp)
             .final_assignment()
     }
 

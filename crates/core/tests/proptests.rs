@@ -8,7 +8,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::prelude::*;
-use relperf_core::cluster::{relative_scores, ClusterConfig};
+use relperf_core::cluster::{relative_scores_seeded, ClusterConfig};
 use relperf_core::similarity::{adjusted_rand_index, rand_index};
 use relperf_core::sort::{sort, sort_from, SortState};
 use relperf_core::triplet::enumerate_triplets;
@@ -105,13 +105,12 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let p = levels.len();
-        let cmp = |a: usize, b: usize| match levels[a].cmp(&levels[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let table = relative_scores(p, ClusterConfig::with_repetitions(30), &mut rng, cmp);
+        let table = relative_scores_seeded(p, ClusterConfig::with_repetitions(30), seed, cmp);
         for alg in 0..p {
             let total: f64 = (1..=table.num_classes()).map(|r| table.score(alg, r)).sum();
             prop_assert!((total - 1.0).abs() < 1e-9, "alg {alg} scores sum to {total}");
@@ -136,14 +135,14 @@ proptest! {
         seed in 0u64..500,
     ) {
         let p = levels.len();
-        let cmp = |a: usize, b: usize| match levels[a].cmp(&levels[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let c1 = relative_scores(p, ClusterConfig::with_repetitions(10), &mut rng, cmp).final_assignment();
-        let c2 = relative_scores(p, ClusterConfig::with_repetitions(10), &mut rng, cmp).final_assignment();
+        let config = ClusterConfig::with_repetitions(10);
+        let c1 = relative_scores_seeded(p, config, seed, cmp).final_assignment();
+        let c2 = relative_scores_seeded(p, config, seed + 1, cmp).final_assignment();
         let ri = rand_index(&c1, &c2);
         prop_assert!((0.0..=1.0).contains(&ri));
         prop_assert_eq!(rand_index(&c1, &c1), 1.0);
@@ -158,13 +157,12 @@ proptest! {
         seed in 0u64..500,
     ) {
         let p = levels.len();
-        let cmp = |a: usize, b: usize| match levels[a].cmp(&levels[b]) {
+        let cmp = |_stream: u64, a: usize, b: usize| match levels[a].cmp(&levels[b]) {
             std::cmp::Ordering::Less => Outcome::Better,
             std::cmp::Ordering::Greater => Outcome::Worse,
             std::cmp::Ordering::Equal => Outcome::Equivalent,
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let clustering = relative_scores(p, ClusterConfig::with_repetitions(10), &mut rng, cmp)
+        let clustering = relative_scores_seeded(p, ClusterConfig::with_repetitions(10), seed, cmp)
             .final_assignment();
         for t in enumerate_triplets(&clustering) {
             prop_assert_ne!(t.anchor, t.positive);

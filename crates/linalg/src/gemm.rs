@@ -8,8 +8,7 @@
 //!
 //! * [`gemm_naive`] — triple loop in `ikj` order; the correctness reference.
 //! * [`gemm_blocked`] — the packed microkernel engine (serial).
-//! * [`gemm_packed`] — alias of the engine, kept for API continuity.
-//! * [`gemm_parallel`] / [`gemm_parallel_with`] — the engine parallelized
+//! * [`gemm_parallel_with`] — the engine parallelized
 //!   over row-block indices through
 //!   [`relperf_parallel::parallel_map_indexed_with`].
 //!
@@ -632,12 +631,6 @@ pub fn gemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(c)
 }
 
-/// Alias of [`gemm_blocked`], kept for API continuity: packing is no
-/// longer a separate variant but the engine itself.
-pub fn gemm_packed(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    gemm_blocked(a, b)
-}
-
 /// The blocked engine parallelized over row-block indices via
 /// [`relperf_parallel::parallel_map_indexed_with`].
 ///
@@ -702,12 +695,6 @@ pub fn gemm_parallel_with(a: &Matrix, b: &Matrix, parallelism: Parallelism) -> R
         data.extend_from_slice(&band);
     }
     Matrix::from_vec(m, n, data)
-}
-
-/// [`gemm_parallel_with`] with a bare thread count (`0` = ask the OS),
-/// kept for API continuity.
-pub fn gemm_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
-    gemm_parallel_with(a, b, Parallelism::with_threads(threads))
 }
 
 /// Computes `AᵀA` exploiting symmetry (only the upper triangle is
@@ -811,8 +798,7 @@ mod tests {
         let b = Matrix::zeros(2, 2);
         assert!(gemm_naive(&a, &b).is_err());
         assert!(gemm_blocked(&a, &b).is_err());
-        assert!(gemm_packed(&a, &b).is_err());
-        assert!(gemm_parallel(&a, &b, 2).is_err());
+        assert!(gemm_parallel_with(&a, &b, Parallelism::with_threads(2)).is_err());
     }
 
     #[test]
@@ -859,7 +845,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = random_matrix(&mut rng, 65, 64);
         let b = random_matrix(&mut rng, 64, 67);
-        assert_eq!(gemm_packed(&a, &b).unwrap(), gemm_naive(&a, &b).unwrap());
+        assert_eq!(gemm_blocked(&a, &b).unwrap(), gemm_naive(&a, &b).unwrap());
     }
 
     #[test]
@@ -883,7 +869,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let a = random_matrix(&mut rng, 3, 8);
         let b = random_matrix(&mut rng, 8, 5);
-        let par = gemm_parallel(&a, &b, 16).unwrap();
+        let par = gemm_parallel_with(&a, &b, Parallelism::with_threads(16)).unwrap();
         assert_eq!(par, gemm_naive(&a, &b).unwrap());
     }
 
@@ -892,7 +878,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let a = random_matrix(&mut rng, 20, 20);
         let b = random_matrix(&mut rng, 20, 20);
-        let par = gemm_parallel(&a, &b, 0).unwrap();
+        let par = gemm_parallel_with(&a, &b, Parallelism::auto()).unwrap();
         assert_eq!(par, gemm_naive(&a, &b).unwrap());
     }
 
@@ -902,7 +888,7 @@ mod tests {
         let b = Matrix::zeros(5, 4);
         let c = gemm_blocked(&a, &b).unwrap();
         assert_eq!(c.shape(), (0, 4));
-        let c = gemm_parallel(&a, &b, 3).unwrap();
+        let c = gemm_parallel_with(&a, &b, Parallelism::with_threads(3)).unwrap();
         assert_eq!(c.shape(), (0, 4));
         // Zero inner dimension: the product is the zero matrix.
         let a = Matrix::zeros(3, 0);
@@ -910,7 +896,7 @@ mod tests {
         assert_eq!(gemm_blocked(&a, &b).unwrap(), Matrix::zeros(3, 2));
         let a1 = Matrix::from_rows(&[&[2.0]]).unwrap();
         let b1 = Matrix::from_rows(&[&[3.0]]).unwrap();
-        assert_eq!(gemm_packed(&a1, &b1).unwrap()[(0, 0)], 6.0);
+        assert_eq!(gemm_blocked(&a1, &b1).unwrap()[(0, 0)], 6.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_linalg::cholesky::Cholesky;
-use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel, syrk_ata};
+use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with, syrk_ata};
 use relperf_linalg::lu::Lu;
 use relperf_linalg::qr::Qr;
 use relperf_linalg::random::{random_diag_dominant, random_matrix, random_spd, random_vector};
@@ -33,7 +33,6 @@ proptest! {
         let b = random_matrix(&mut rng, k, n);
         let reference = gemm_naive(&a, &b).unwrap();
         prop_assert_eq!(gemm_blocked(&a, &b).unwrap(), reference.clone());
-        prop_assert_eq!(gemm_packed(&a, &b).unwrap(), reference.clone());
         prop_assert!(close(&gemm_strassen(&a, &b).unwrap(), &reference, 1e-7));
     }
 
@@ -60,9 +59,10 @@ proptest! {
         let a = random_matrix(&mut rng, m, k);
         let b = random_matrix(&mut rng, k, n);
         let reference = gemm_naive(&a, &b).unwrap();
-        let par = relperf_linalg::gemm::gemm_parallel_with(&a, &b, Parallelism { threads, chunk }).unwrap();
+        let par = gemm_parallel_with(&a, &b, Parallelism { threads, chunk }).unwrap();
         prop_assert_eq!(par, reference.clone());
-        prop_assert_eq!(gemm_parallel(&a, &b, 3).unwrap(), reference);
+        let three = gemm_parallel_with(&a, &b, Parallelism::with_threads(3)).unwrap();
+        prop_assert_eq!(three, reference);
     }
 
     #[test]

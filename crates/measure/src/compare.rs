@@ -13,19 +13,18 @@ use crate::bootstrap::{quantile_sorted, resample_id_counts_into, QuantilePlan};
 use crate::sample::Sample;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-pub use relperf_parallel::Parallelism;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Derives the decorrelated RNG seed of stream `index` under `base_seed`
 /// (one SplitMix64 finalizer step).
 ///
-/// This is the workspace's canonical seed-derivation function: the batched
-/// comparator ([`BootstrapComparator::compare_batch`]), the parallel
-/// clustering (`relperf_core::cluster::relative_scores_seeded`), and the
-/// parallel measurement (`relperf_workloads::experiment::measure_all_seeded`)
-/// all split one master seed into per-index streams with it, which is what
-/// makes their parallel and serial paths bit-identical.
+/// This is the workspace's canonical seed-derivation function: the
+/// clustering engine (`relperf_core::cluster::relative_scores_seeded`) and
+/// the measurement driver
+/// (`relperf_workloads::experiment::measure_all_seeded`) both split one
+/// master seed into per-index streams with it, which is what makes their
+/// parallel and serial paths bit-identical.
 pub fn stream_seed(base_seed: u64, index: u64) -> u64 {
     let mut z = base_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -315,14 +314,10 @@ impl BootstrapComparator {
         &self.config
     }
 
-    fn rng_for_counter(&self, c: u64) -> StdRng {
-        // SplitMix64 step decorrelates consecutive counters.
-        StdRng::seed_from_u64(stream_seed(self.base_seed, c))
-    }
-
     fn next_rng(&self) -> StdRng {
         let c = self.counter.fetch_add(1, Ordering::Relaxed);
-        self.rng_for_counter(c)
+        // SplitMix64 step decorrelates consecutive counters.
+        StdRng::seed_from_u64(stream_seed(self.base_seed, c))
     }
 
     /// The full bootstrap comparison driven by an explicit generator —
@@ -374,54 +369,6 @@ impl BootstrapComparator {
             }
         }
         decide(wins_a, wins_b)
-    }
-
-    /// Compares many pairs as one batch, fanning the bootstrap work out
-    /// across threads while staying **bit-identical** to calling
-    /// [`compare`](ThreeWayComparator::compare) on each pair in order.
-    ///
-    /// The batch reserves a contiguous block of the comparator's internal
-    /// counter up front; pair `i` then derives its RNG from
-    /// `counter_start + i` exactly as the serial path would, so the result
-    /// vector does not depend on the [`Parallelism`] used — only the wall
-    /// time does.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use relperf_measure::compare::{BootstrapComparator, Parallelism, ThreeWayComparator};
-    /// use relperf_measure::Sample;
-    ///
-    /// let fast = Sample::new(vec![1.00, 1.02, 0.98, 1.01, 0.99]).unwrap();
-    /// let slow = Sample::new(vec![2.00, 2.02, 1.98, 2.01, 1.99]).unwrap();
-    /// let pairs = vec![(&fast, &slow), (&slow, &fast), (&fast, &fast)];
-    ///
-    /// // Two comparators with the same seed: a parallel batch reproduces
-    /// // the serial comparison sequence exactly.
-    /// let batched = BootstrapComparator::new(42)
-    ///     .compare_batch(&pairs, Parallelism::auto());
-    /// let serial = BootstrapComparator::new(42);
-    /// let reference: Vec<_> = pairs.iter().map(|(a, b)| serial.compare(a, b)).collect();
-    /// assert_eq!(batched, reference);
-    /// ```
-    pub fn compare_batch(
-        &self,
-        pairs: &[(&Sample, &Sample)],
-        parallelism: Parallelism,
-    ) -> Vec<Outcome> {
-        let start = self
-            .counter
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        relperf_parallel::parallel_map_indexed_with(
-            pairs.len(),
-            parallelism,
-            Scratch::new,
-            |scratch, i| {
-                let (a, b) = pairs[i];
-                let mut rng = self.rng_for_counter(start + i as u64);
-                self.compare_with_rng(&mut rng, a, b, scratch)
-            },
-        )
     }
 
     /// One bootstrap round, allocation-free and O(n): draw each resample
@@ -871,56 +818,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn median_comparator_rejects_negative_tolerance() {
         MedianComparator::new(-1.0);
-    }
-
-    #[test]
-    fn compare_batch_matches_serial_sequence_for_any_parallelism() {
-        let a = noisy(1.0, 0.2, 30, 21);
-        let b = noisy(1.1, 0.2, 30, 22);
-        let c = noisy(2.0, 0.1, 30, 23);
-        let pairs: Vec<(&Sample, &Sample)> = vec![
-            (&a, &b),
-            (&b, &a),
-            (&a, &c),
-            (&c, &a),
-            (&b, &c),
-            (&a, &a),
-            (&b, &b),
-        ];
-        let reference: Vec<Outcome> = {
-            let cmp = BootstrapComparator::new(91);
-            pairs.iter().map(|&(x, y)| cmp.compare(x, y)).collect()
-        };
-        for par in [
-            Parallelism::serial(),
-            Parallelism::auto(),
-            Parallelism::with_threads(3),
-            Parallelism { threads: 2, chunk: 1 },
-        ] {
-            let cmp = BootstrapComparator::new(91);
-            assert_eq!(cmp.compare_batch(&pairs, par), reference, "{par:?}");
-        }
-    }
-
-    #[test]
-    fn compare_batch_advances_the_comparator_counter() {
-        // A batch must consume exactly pairs.len() counter slots, so serial
-        // comparisons made after the batch continue the same sequence.
-        let a = noisy(1.0, 0.2, 30, 24);
-        let b = noisy(1.1, 0.2, 30, 25);
-        let pairs: Vec<(&Sample, &Sample)> = vec![(&a, &b), (&b, &a)];
-
-        let batched = BootstrapComparator::new(17);
-        let mut first = batched.compare_batch(&pairs, Parallelism::auto());
-        first.push(batched.compare(&a, &b));
-
-        let serial = BootstrapComparator::new(17);
-        let reference: Vec<Outcome> = vec![
-            serial.compare(&a, &b),
-            serial.compare(&b, &a),
-            serial.compare(&a, &b),
-        ];
-        assert_eq!(first, reference);
     }
 
     #[test]

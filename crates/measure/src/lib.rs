@@ -23,8 +23,8 @@
 //!   [`compare::SeededThreeWayComparator`] contract for order-independent
 //!   stochastic comparison, the [`compare::Scratch`] arena threaded
 //!   through the allocation-free O(n) bootstrap round
-//!   ([`compare::ScratchThreeWayComparator`]), and the batched parallel
-//!   [`compare::BootstrapComparator::compare_batch`].
+//!   ([`compare::ScratchThreeWayComparator`]), and [`compare::stream_seed`],
+//!   the workspace's per-index seed derivation.
 //! * [`ecdf`] — empirical CDFs and distribution distances (KS, overlap).
 //! * [`merge`] — the shared sorted-merge cursor the rank/ECDF/overlap
 //!   statistics walk their cached sorted views with.
@@ -48,8 +48,8 @@ pub mod timer;
 pub mod transform;
 
 pub use compare::{
-    stream_seed, BootstrapComparator, Outcome, Parallelism, Scratch,
-    ScratchThreeWayComparator, SeededThreeWayComparator, ThreeWayComparator,
+    stream_seed, BootstrapComparator, Outcome, Scratch, ScratchThreeWayComparator,
+    SeededThreeWayComparator, ThreeWayComparator,
 };
 pub use sample::{IngestStats, Sample};
 pub use sketch::{QuantileSketch, SketchComparator, SketchConfig};

@@ -4,8 +4,9 @@
 //! that the simulated workloads reproduce the qualitative structure the
 //! paper measured on its Xeon-8160 + P100 testbed (who wins, which
 //! distributions overlap, roughly what factors separate the classes).
-//! Absolute times are in the right ballpark but are not the point —
-//! DESIGN.md §6 records the mechanisms behind each preset.
+//! Absolute times are in the right ballpark but are not the point — the
+//! calibration tests in `relperf-workloads` (`tests/calibration.rs`) pin
+//! the structure each preset must reproduce.
 
 use crate::device::{DeviceKind, DeviceSpec};
 use crate::executor::Platform;

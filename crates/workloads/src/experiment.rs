@@ -1,13 +1,11 @@
 //! End-to-end pipeline: measure every placement, cluster, build profiles.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use relperf_core::cluster::{
-    relative_scores, ClusterConfig, Clustering, Parallelism, ScoreTable,
-};
+use rand::SeedableRng;
+use relperf_core::cluster::{ClusterConfig, Clustering, Parallelism, ScoreTable};
 use relperf_core::session::ClusterSession;
 use relperf_core::decision::AlgorithmProfile;
-use relperf_measure::{stream_seed, Sample, ScratchThreeWayComparator, ThreeWayComparator};
+use relperf_measure::{stream_seed, Sample, ScratchThreeWayComparator};
 use relperf_sim::{ExecutionRecord, Loc, Platform, Task};
 
 /// A fully-specified experiment: a platform, a task sequence, and the set
@@ -104,38 +102,12 @@ pub struct MeasuredAlgorithm {
 }
 
 /// Measures every placement `n` times — the paper's "the execution time of
-/// every algorithm is measured N times".
-pub fn measure_all<R: Rng + ?Sized>(
-    exp: &Experiment,
-    n: usize,
-    rng: &mut R,
-) -> Vec<MeasuredAlgorithm> {
-    exp.placements
-        .iter()
-        .map(|(label, placement)| {
-            let sample = exp
-                .platform
-                .measure(&exp.tasks, placement, n, rng)
-                .expect("n > 0 and simulated times are finite");
-            let record = exp.platform.execute_noiseless(&exp.tasks, placement);
-            MeasuredAlgorithm {
-                label: label.clone(),
-                placement: placement.clone(),
-                sample,
-                record,
-            }
-        })
-        .collect()
-}
-
-/// Like [`measure_all`], but with explicit seeding and the measurement of
-/// different placements fanned out across threads.
+/// every algorithm is measured N times" — with the placements fanned out
+/// across threads.
 ///
 /// Placement `i` draws its measurements from an RNG derived from
 /// `(seed, i)`, so the result does not depend on `parallelism` — the
 /// serial fallback build and any thread count produce identical samples.
-/// (The sequential [`measure_all`] threads one RNG through all placements
-/// and therefore produces a *different* — equally valid — stream.)
 pub fn measure_all_seeded(
     exp: &Experiment,
     n: usize,
@@ -159,22 +131,11 @@ pub fn measure_all_seeded(
     })
 }
 
-/// Procedure 4 over measured algorithms: repeated shuffled three-way bubble
-/// sorts using `comparator` on the stored samples.
-pub fn cluster_measurements<R: Rng + ?Sized>(
-    measured: &[MeasuredAlgorithm],
-    comparator: &dyn ThreeWayComparator,
-    config: ClusterConfig,
-    rng: &mut R,
-) -> ScoreTable {
-    relative_scores(measured.len(), config, rng, |a, b| {
-        comparator.compare(&measured[a].sample, &measured[b].sample)
-    })
-}
-
-/// Procedure 4 with parallel repetitions: clusters measured algorithms by
-/// running a **one-wave [`ClusterSession`]** — the batch entry point is a
-/// thin wrapper over the streaming engine, so the two can never drift.
+/// Procedure 4 over measured algorithms — repeated shuffled three-way
+/// bubble sorts using `comparator` on the stored samples — with parallel
+/// repetitions. Runs a **one-wave [`ClusterSession`]** — the batch entry
+/// point is a thin wrapper over the streaming engine, so the two can never
+/// drift.
 /// Every comparison is addressed by an explicit stream id, so any
 /// [`Parallelism`] in `config` yields a bit-identical score table.
 ///
@@ -228,7 +189,6 @@ pub fn profiles(measured: &[MeasuredAlgorithm], clustering: &Clustering) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relperf_measure::compare::MedianComparator;
 
     #[test]
     fn fig1_experiment_shape() {
@@ -249,8 +209,7 @@ mod tests {
     #[test]
     fn measure_all_returns_samples_and_records() {
         let e = Experiment::table1(2);
-        let mut rng = StdRng::seed_from_u64(121);
-        let measured = measure_all(&e, 5, &mut rng);
+        let measured = measure_all_seeded(&e, 5, 121, Parallelism::auto());
         assert_eq!(measured.len(), 8);
         for m in &measured {
             assert_eq!(m.sample.len(), 5);
@@ -264,36 +223,6 @@ mod tests {
         let aaa = measured.iter().find(|m| m.label == "AAA").unwrap();
         assert_eq!(aaa.record.device_flops, 0);
         assert!(aaa.record.operating_cost > 0.0);
-    }
-
-    #[test]
-    fn clustering_pipeline_runs_end_to_end() {
-        let e = Experiment::table1(2);
-        let mut rng = StdRng::seed_from_u64(122);
-        let measured = measure_all(&e, 10, &mut rng);
-        let cmp = MedianComparator::new(0.02);
-        let table = cluster_measurements(
-            &measured,
-            &cmp,
-            ClusterConfig::with_repetitions(20),
-            &mut rng,
-        );
-        assert_eq!(table.num_algorithms(), 8);
-        assert!(table.num_classes() >= 2);
-        let clustering = table.final_assignment();
-        let profs = profiles(&measured, &clustering);
-        assert_eq!(profs.len(), 8);
-        assert!(profs.iter().any(|p| p.rank == 1));
-    }
-
-    #[test]
-    fn measurement_is_reproducible_from_seed() {
-        let e = Experiment::fig1();
-        let a = measure_all(&e, 4, &mut StdRng::seed_from_u64(7));
-        let b = measure_all(&e, 4, &mut StdRng::seed_from_u64(7));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.sample.values(), y.sample.values());
-        }
     }
 
     #[test]
@@ -458,8 +387,8 @@ mod tests {
 
     #[test]
     fn seeded_clustering_matches_paper_structure() {
-        // The parallel path must reproduce the same qualitative Fig. 1
-        // structure as the serial pipeline: AD best, AA second, DD ~ DA.
+        // The pipeline must reproduce the qualitative Fig. 1 structure:
+        // AD best, AA second, DD ~ DA.
         use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
         let e = Experiment::fig1();
         let measured = measure_all_seeded(&e, 100, 11, Parallelism::auto());

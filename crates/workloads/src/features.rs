@@ -111,9 +111,8 @@ mod tests {
     #[test]
     fn training_set_end_to_end_prediction() {
         use crate::digital_twin::{self, MultiScaleConfig};
-        use crate::experiment::{cluster_measurements, measure_all, Experiment};
-        use rand::prelude::*;
-        use relperf_core::cluster::ClusterConfig;
+        use crate::experiment::{cluster_measurements_seeded, measure_all_seeded, Experiment};
+        use relperf_core::cluster::{ClusterConfig, Parallelism};
         use relperf_core::predict::KnnClassModel;
         use relperf_measure::compare::MedianComparator;
 
@@ -130,16 +129,15 @@ mod tests {
             tasks: digital_twin::tasks(&config),
             placements: digital_twin::placements(&config),
         };
-        let mut rng = StdRng::seed_from_u64(221);
-        let measured = measure_all(&exp, 15, &mut rng);
+        let measured = measure_all_seeded(&exp, 15, 221, Parallelism::auto());
         // A coarse comparator keeps the class count small (several members
         // per class).
         let cmp = MedianComparator::new(0.05);
-        let clustering = cluster_measurements(
+        let clustering = cluster_measurements_seeded(
             &measured,
             &cmp,
             ClusterConfig::with_repetitions(20),
-            &mut rng,
+            221,
         )
         .final_assignment();
 

@@ -32,5 +32,5 @@ pub mod two_loop;
 pub use adaptive::{
     measure_until_converged_seeded, AdaptiveExperiment, AdaptiveResult, WaveSchedule,
 };
-pub use experiment::{measure_all, profiles, Experiment, MeasuredAlgorithm};
+pub use experiment::{profiles, Experiment, MeasuredAlgorithm};
 pub use fem::{FemRun, FemScenario};

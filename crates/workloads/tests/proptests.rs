@@ -2,11 +2,11 @@
 //! pipeline.
 
 use proptest::prelude::*;
-use rand::prelude::*;
 use relperf_sim::task::parse_placement;
 use relperf_sim::{enumerate_placements, placement_label, Loc};
 use relperf_workloads::digital_twin::MultiScaleConfig;
-use relperf_workloads::experiment::{measure_all, Experiment};
+use relperf_core::cluster::Parallelism;
+use relperf_workloads::experiment::{measure_all_seeded, Experiment};
 use relperf_workloads::features::placement_features;
 use relperf_workloads::{digital_twin, mathtask, scientific_code};
 
@@ -78,8 +78,8 @@ proptest! {
     #[test]
     fn measurement_pipeline_deterministic_and_positive(seed in 0u64..200, n in 1usize..10) {
         let exp = Experiment::table1(2);
-        let a = measure_all(&exp, n, &mut StdRng::seed_from_u64(seed));
-        let b = measure_all(&exp, n, &mut StdRng::seed_from_u64(seed));
+        let a = measure_all_seeded(&exp, n, seed, Parallelism::serial());
+        let b = measure_all_seeded(&exp, n, seed, Parallelism::auto());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.sample.values(), y.sample.values());
             prop_assert!(x.sample.min() > 0.0);

@@ -10,23 +10,22 @@
 //!
 //! Run with: `cargo run --release --example algorithm_ranking`
 
-use rand::prelude::*;
 use relative_performance::prelude::*;
 use relative_performance::workloads::two_loop;
 
-fn rank_on(platform: Platform, name: &str, rng: &mut StdRng) {
+fn rank_on(platform: Platform, name: &str, seed: u64) {
     let experiment = Experiment {
         platform,
         tasks: two_loop::tasks(),
         placements: two_loop::placements(),
     };
-    let measured = measure_all(&experiment, 50, rng);
+    let measured = measure_all_seeded(&experiment, 50, seed, Parallelism::auto());
     let comparator = BootstrapComparator::new(11);
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(50),
-        rng,
+        seed,
     );
     let clustering = table.final_assignment();
 
@@ -46,14 +45,13 @@ fn rank_on(platform: Platform, name: &str, rng: &mut StdRng) {
 }
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(2468);
     println!("same code, same four algorithms, three platforms:\n");
-    rank_on(presets::fig1_platform(), "edge CPU + GPU accelerator", &mut rng);
-    rank_on(presets::raspberry_platform(), "edge CPU + Raspberry Pi", &mut rng);
+    rank_on(presets::fig1_platform(), "edge CPU + GPU accelerator", 2468);
+    rank_on(presets::raspberry_platform(), "edge CPU + Raspberry Pi", 2469);
     rank_on(
         presets::smartphone_platform(),
         "smartphone + cloudlet GPU over Wi-Fi",
-        &mut rng,
+        2470,
     );
     println!("the best split is architecture-specific — measurements cannot be reused.");
 }

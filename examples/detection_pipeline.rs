@@ -11,7 +11,6 @@
 //!
 //! Run with: `cargo run --release --example detection_pipeline`
 
-use rand::prelude::*;
 use relative_performance::prelude::*;
 use relative_performance::sim::trace::render_gantt;
 use relative_performance::workloads::object_detection::{self, DetectionConfig};
@@ -37,15 +36,15 @@ fn main() {
         tasks,
         placements: object_detection::placements(),
     };
-    let mut rng = StdRng::seed_from_u64(777);
-    let measured = measure_all(&experiment, 40, &mut rng);
+    let seed = 777;
+    let measured = measure_all_seeded(&experiment, 40, seed, Parallelism::auto());
 
     let comparator = BootstrapComparator::new(13);
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(60),
-        &mut rng,
+        seed,
     );
     let clustering = table.final_assignment();
 

@@ -13,15 +13,14 @@
 //!
 //! Run with: `cargo run --release --example edge_offload`
 
-use rand::prelude::*;
 use relative_performance::prelude::*;
 
 fn main() {
     let experiment = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(2021);
 
     println!("measuring all 8 placements of the 3-task RLS code (N = 30)…");
-    let measured = measure_all(&experiment, 30, &mut rng);
+    let seed = 2021;
+    let measured = measure_all_seeded(&experiment, 30, seed, Parallelism::auto());
     for m in &measured {
         println!(
             "  alg{}: mean {:.5} s, device {:.1} MFLOPs, cost {:.5}",
@@ -39,11 +38,11 @@ fn main() {
             ..Default::default()
         },
     );
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(100),
-        &mut rng,
+        seed,
     );
     let clustering = table.final_assignment();
     println!("\nperformance classes:");

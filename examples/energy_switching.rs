@@ -10,20 +10,19 @@
 //!
 //! Run with: `cargo run --release --example energy_switching`
 
-use rand::prelude::*;
 use relative_performance::prelude::*;
 
 fn main() {
     let experiment = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(99);
-    let measured = measure_all(&experiment, 30, &mut rng);
+    let seed = 99;
+    let measured = measure_all_seeded(&experiment, 30, seed, Parallelism::auto());
 
     let comparator = BootstrapComparator::new(5);
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(50),
-        &mut rng,
+        seed,
     );
     let profs = profiles(&measured, &table.final_assignment());
 

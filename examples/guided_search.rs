@@ -17,10 +17,11 @@
 
 use rand::prelude::*;
 use relative_performance::core::search::{tournament_search, SearchConfig};
+use relative_performance::measure::stream_seed;
 use relative_performance::prelude::*;
 use relative_performance::workloads::digital_twin::{self, MultiScaleConfig};
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 fn main() {
     let config = MultiScaleConfig {
@@ -43,25 +44,23 @@ fn main() {
     let comparator = BootstrapComparator::new(7);
 
     // Lazy measurement: a placement is simulated (N = 15) the first time
-    // the search compares it.
-    let cache: RefCell<HashMap<usize, Sample>> = RefCell::new(HashMap::new());
-    let measure_rng = RefCell::new(StdRng::seed_from_u64(99));
-    let measured_count = RefCell::new(0usize);
+    // the search compares it. Placement i draws from its own seed stream,
+    // so its sample does not depend on which thread measures it first.
+    let cache: Mutex<HashMap<usize, Sample>> = Mutex::new(HashMap::new());
     let sample_of = |i: usize| -> Sample {
         cache
-            .borrow_mut()
+            .lock()
+            .unwrap()
             .entry(i)
             .or_insert_with(|| {
-                *measured_count.borrow_mut() += 1;
-                let mut rng = measure_rng.borrow_mut();
+                let mut rng = StdRng::seed_from_u64(stream_seed(99, i as u64));
                 platform
-                    .measure(&tasks, &placements[i].1, 15, &mut *rng)
+                    .measure(&tasks, &placements[i].1, 15, &mut rng)
                     .expect("simulated times are finite")
             })
             .clone()
     };
 
-    let mut search_rng = StdRng::seed_from_u64(5);
     let result = tournament_search(
         placements.len(),
         SearchConfig {
@@ -69,15 +68,15 @@ fn main() {
             repetitions: 8,
             comparison_budget: 30_000,
         },
-        &mut search_rng,
-        |a, b| comparator.compare(&sample_of(a), &sample_of(b)),
+        5,
+        |stream, a, b| comparator.compare_seeded(&sample_of(a), &sample_of(b), stream),
     );
 
     println!(
         "\nsearch finished: {} rounds, {} comparisons, {} placements measured",
         result.rounds,
         result.comparisons_used,
-        measured_count.borrow()
+        cache.lock().unwrap().len()
     );
     println!("champions:");
     for &c in &result.champions {

@@ -1,19 +1,19 @@
-//! Quickstart: cluster four *real* (wall-clock-measured) equivalent
+//! Quickstart: cluster three *real* (wall-clock-measured) equivalent
 //! algorithms on this machine.
 //!
-//! The four algorithms are the four GEMM variants from `relperf-linalg` —
+//! The three algorithms are the three GEMM variants from `relperf-linalg` —
 //! mathematically equivalent, different performance — measured with the
 //! `relperf-measure` harness and clustered with the paper's methodology.
 //!
 //! Expected output: a per-variant `median = … s (cv …%)` line for naive /
-//! blocked / packed / parallel GEMM, then the performance classes
+//! blocked / parallel GEMM, then the performance classes
 //! `C1: … (score)` … `Ck` (class structure is machine-dependent — on a
 //! single-core container the "parallel" variant usually loses).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use rand::prelude::*;
-use relative_performance::linalg::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel};
+use relative_performance::linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with};
 use relative_performance::linalg::random::random_matrix;
 use relative_performance::measure::timer::{measure, MeasureConfig};
 use relative_performance::prelude::*;
@@ -24,13 +24,13 @@ fn main() {
     let a = random_matrix(&mut rng, n, n);
     let b = random_matrix(&mut rng, n, n);
 
-    println!("measuring 4 equivalent GEMM algorithms on {n}x{n} matrices…");
+    println!("measuring 3 equivalent GEMM algorithms on {n}x{n} matrices…");
     let cfg = MeasureConfig {
         warmup: 2,
         repetitions: 20,
     };
 
-    let labels = ["naive", "blocked", "packed", "parallel"];
+    let labels = ["naive", "blocked", "parallel"];
     let samples: Vec<Sample> = vec![
         measure(cfg, || {
             std::hint::black_box(gemm_naive(&a, &b).unwrap());
@@ -41,11 +41,7 @@ fn main() {
         })
         .unwrap(),
         measure(cfg, || {
-            std::hint::black_box(gemm_packed(&a, &b).unwrap());
-        })
-        .unwrap(),
-        measure(cfg, || {
-            std::hint::black_box(gemm_parallel(&a, &b, 0).unwrap());
+            std::hint::black_box(gemm_parallel_with(&a, &b, Parallelism::auto()).unwrap());
         })
         .unwrap(),
     ];
@@ -60,11 +56,11 @@ fn main() {
 
     // Pair-wise three-way comparison + clustering (Procedures 1–4).
     let comparator = BootstrapComparator::new(42);
-    let table = relative_scores(
+    let table = relative_scores_seeded(
         samples.len(),
         ClusterConfig::with_repetitions(50),
-        &mut rng,
-        |i, j| comparator.compare(&samples[i], &samples[j]),
+        7,
+        |stream, i, j| comparator.compare_seeded(&samples[i], &samples[j], stream),
     );
     let clustering = table.final_assignment();
 

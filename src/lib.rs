@@ -51,19 +51,17 @@
 //!
 //! ```
 //! use relative_performance::prelude::*;
-//! use rand::prelude::*;
 //!
 //! // The paper's Table I experiment, scaled down for the doctest.
 //! let experiment = Experiment::table1(2);
-//! let mut rng = StdRng::seed_from_u64(7);
-//! let measured = measure_all(&experiment, 30, &mut rng);
+//! let measured = measure_all_seeded(&experiment, 30, 7, Parallelism::auto());
 //!
 //! let comparator = BootstrapComparator::new(42);
-//! let scores = cluster_measurements(
+//! let scores = cluster_measurements_seeded(
 //!     &measured,
 //!     &comparator,
 //!     ClusterConfig::with_repetitions(20),
-//!     &mut rng,
+//!     7,
 //! );
 //! let clustering = scores.final_assignment();
 //! assert!(clustering.num_classes() >= 1);
@@ -83,8 +81,8 @@ pub use relperf_workloads as workloads;
 pub mod prelude {
     pub use relperf_core::cache::ComparisonCache;
     pub use relperf_core::cluster::{
-        relative_scores, relative_scores_seeded, relative_scores_seeded_with, ClusterConfig,
-        Clustering, ScoreTable,
+        relative_scores_seeded, relative_scores_seeded_with, ClusterConfig, Clustering,
+        ScoreTable,
     };
     pub use relperf_core::session::{ClusterSession, ConvergenceCriterion};
     pub use relperf_core::decision::{
@@ -112,8 +110,8 @@ pub mod prelude {
         measure_until_converged_seeded, AdaptiveExperiment, AdaptiveResult, WaveSchedule,
     };
     pub use relperf_workloads::experiment::{
-        cluster_measurements, cluster_measurements_seeded, measure_all, measure_all_seeded,
-        profiles, Experiment, MeasuredAlgorithm,
+        cluster_measurements_seeded, measure_all_seeded, profiles, Experiment,
+        MeasuredAlgorithm,
     };
     pub use relperf_workloads::fem::{FemRun, FemScenario};
 }

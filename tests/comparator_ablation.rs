@@ -1,36 +1,30 @@
 //! Ablation: the clustering must be robust to the comparator choice.
 //!
-//! DESIGN.md calls out the bootstrap quantile-dominance rule as *our*
+//! The bootstrap quantile-dominance rule (`BootstrapComparator`) is *our*
 //! canonical reading of ref. [15]; these tests check that swapping it for
 //! the Mann–Whitney or median comparators preserves the paper's cluster
 //! structure on well-separated data (and therefore that the headline
 //! results do not hinge on comparator minutiae).
 
-use rand::prelude::*;
 use relative_performance::core::similarity::rand_index;
 use relative_performance::measure::ranksum::MannWhitneyComparator;
 use relative_performance::prelude::*;
 
 fn clustering_with(
-    comparator: &dyn ThreeWayComparator,
+    comparator: &(dyn SeededThreeWayComparator + Sync),
     measured: &[MeasuredAlgorithm],
     seed: u64,
 ) -> Clustering {
-    let mut rng = StdRng::seed_from_u64(seed);
-    cluster_measurements(
-        measured,
-        comparator,
-        ClusterConfig::with_repetitions(40),
-        &mut rng,
-    )
+    relative_scores_seeded(measured.len(), ClusterConfig::with_repetitions(40), seed, |s, a, b| {
+        comparator.compare_seeded(&measured[a].sample, &measured[b].sample, s)
+    })
     .final_assignment()
 }
 
 #[test]
 fn comparators_agree_on_fig1_at_n500() {
     let experiment = Experiment::fig1();
-    let mut rng = StdRng::seed_from_u64(31);
-    let measured = measure_all(&experiment, 500, &mut rng);
+    let measured = measure_all_seeded(&experiment, 500, 31, Parallelism::auto());
 
     let bootstrap = clustering_with(&BootstrapComparator::new(32), &measured, 1);
     // Match the practical-equivalence margin to the bootstrap's 2% so the
@@ -59,8 +53,7 @@ fn comparators_agree_on_fig1_at_n500() {
 fn mean_ci_comparator_also_crowns_ad() {
     use relative_performance::measure::compare::MeanCiComparator;
     let experiment = Experiment::fig1();
-    let mut rng = StdRng::seed_from_u64(33);
-    let measured = measure_all(&experiment, 200, &mut rng);
+    let measured = measure_all_seeded(&experiment, 200, 33, Parallelism::auto());
     let clustering = clustering_with(&MeanCiComparator::new(34), &measured, 2);
     let idx_ad = measured.iter().position(|m| m.label == "AD").unwrap();
     assert_eq!(clustering.assignment(idx_ad).rank, 1);
@@ -72,8 +65,7 @@ fn comparator_parameters_trade_resolution_for_stability() {
     // narrow one on the same data.
     use relative_performance::measure::compare::BootstrapConfig;
     let experiment = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(35);
-    let measured = measure_all(&experiment, 30, &mut rng);
+    let measured = measure_all_seeded(&experiment, 30, 35, Parallelism::auto());
 
     let narrow = BootstrapComparator::with_config(
         36,

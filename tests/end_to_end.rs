@@ -7,16 +7,16 @@ use relative_performance::prelude::*;
 #[test]
 fn paper_pipeline_fig1() {
     let experiment = Experiment::fig1();
-    let mut rng = StdRng::seed_from_u64(1);
-    let measured = measure_all(&experiment, 100, &mut rng);
+    let seed = 1;
+    let measured = measure_all_seeded(&experiment, 100, seed, Parallelism::auto());
     assert_eq!(measured.len(), 4);
 
     let comparator = BootstrapComparator::new(2);
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(50),
-        &mut rng,
+        seed,
     );
     let clustering = table.final_assignment();
 
@@ -33,14 +33,14 @@ fn paper_pipeline_fig1() {
 #[test]
 fn paper_pipeline_table1_with_decisions() {
     let experiment = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(3);
-    let measured = measure_all(&experiment, 30, &mut rng);
+    let seed = 3;
+    let measured = measure_all_seeded(&experiment, 30, seed, Parallelism::auto());
     let comparator = BootstrapComparator::new(4);
-    let table = cluster_measurements(
+    let table = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(60),
-        &mut rng,
+        seed,
     );
     let clustering = table.final_assignment();
     let profs = profiles(&measured, &clustering);
@@ -104,13 +104,12 @@ fn clustering_survives_measurement_replacement() {
     let comparator = BootstrapComparator::new(5);
 
     let run = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let measured = measure_all(&experiment, 500, &mut rng);
-        cluster_measurements(
+        let measured = measure_all_seeded(&experiment, 500, seed, Parallelism::auto());
+        cluster_measurements_seeded(
             &measured,
             &comparator,
             ClusterConfig::with_repetitions(30),
-            &mut rng,
+            seed,
         )
         .final_assignment()
     };
@@ -124,21 +123,21 @@ fn clustering_survives_measurement_replacement() {
 fn triplets_from_paper_clusters_feed_model_training() {
     use relative_performance::core::triplet::{enumerate_triplets, sample_triplets};
     let experiment = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(6);
-    let measured = measure_all(&experiment, 30, &mut rng);
+    let seed = 6;
+    let measured = measure_all_seeded(&experiment, 30, seed, Parallelism::auto());
     let comparator = BootstrapComparator::new(7);
-    let clustering = cluster_measurements(
+    let clustering = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(50),
-        &mut rng,
+        seed,
     )
     .final_assignment();
 
     // Table I has multi-member classes, so triplets must exist.
     let all = enumerate_triplets(&clustering);
     assert!(!all.is_empty(), "expected triplets from the Table I clustering");
-    let sampled = sample_triplets(&clustering, 16, &mut rng).unwrap();
+    let sampled = sample_triplets(&clustering, 16, &mut StdRng::seed_from_u64(seed)).unwrap();
     assert_eq!(sampled.len(), 16);
     for t in sampled {
         assert!(clustering.assignment(t.negative).rank > clustering.assignment(t.anchor).rank);

@@ -3,6 +3,7 @@
 
 use rand::prelude::*;
 use relative_performance::core::search::{tournament_search, SearchConfig};
+use relative_performance::measure::stream_seed;
 use relative_performance::prelude::*;
 use relative_performance::sim::multi::{
     enumerate_multi_placements, multi_label, AcceleratorSlot, MultiPlatform,
@@ -40,23 +41,22 @@ fn multi_accelerator_clustering_puts_pi_placements_last() {
     let placements = enumerate_multi_placements(3, 2);
     assert_eq!(placements.len(), 27);
 
-    let mut rng = StdRng::seed_from_u64(41);
+    let seed = 41;
     let samples: Vec<(String, Sample)> = placements
         .iter()
-        .map(|p| {
-            (
-                multi_label(p),
-                platform.measure(&tasks, p, 20, &mut rng).unwrap(),
-            )
+        .enumerate()
+        .map(|(i, p)| {
+            let mut rng = StdRng::seed_from_u64(stream_seed(seed, i as u64));
+            (multi_label(p), platform.measure(&tasks, p, 20, &mut rng).unwrap())
         })
         .collect();
 
     let comparator = BootstrapComparator::new(42);
-    let clustering = relative_scores(
+    let clustering = relative_scores_seeded(
         samples.len(),
         ClusterConfig::with_repetitions(30),
-        &mut rng,
-        |a, b| comparator.compare(&samples[a].1, &samples[b].1),
+        seed,
+        |stream, a, b| comparator.compare_seeded(&samples[a].1, &samples[b].1, stream),
     )
     .final_assignment();
 
@@ -83,8 +83,8 @@ fn tournament_search_recovers_the_exhaustive_winner() {
     // Search the 8-placement Table I space with lazy measurement and check
     // the champion matches the exhaustive clustering's top class.
     let exp = Experiment::table1(10);
-    let mut rng = StdRng::seed_from_u64(43);
-    let measured = measure_all(&exp, 30, &mut rng);
+    let seed = 43;
+    let measured = measure_all_seeded(&exp, 30, seed, Parallelism::auto());
     let comparator = BootstrapComparator::new(44);
 
     let result = tournament_search(
@@ -94,8 +94,8 @@ fn tournament_search_recovers_the_exhaustive_winner() {
             repetitions: 10,
             comparison_budget: 2_000,
         },
-        &mut rng,
-        |a, b| comparator.compare(&measured[a].sample, &measured[b].sample),
+        seed,
+        |stream, a, b| comparator.compare_seeded(&measured[a].sample, &measured[b].sample, stream),
     );
     assert!(!result.champions.is_empty());
     let champion_labels: Vec<&str> = result
@@ -126,14 +126,14 @@ fn prediction_generalizes_to_unmeasured_placements() {
         tasks: digital_twin::tasks(&config),
         placements: digital_twin::placements(&config),
     };
-    let mut rng = StdRng::seed_from_u64(45);
-    let measured = measure_all(&exp, 15, &mut rng);
+    let seed = 45;
+    let measured = measure_all_seeded(&exp, 15, seed, Parallelism::auto());
     let comparator = MedianComparator::new(0.05);
-    let clustering = cluster_measurements(
+    let clustering = cluster_measurements_seeded(
         &measured,
         &comparator,
         ClusterConfig::with_repetitions(20),
-        &mut rng,
+        seed,
     )
     .final_assignment();
 

@@ -34,8 +34,7 @@ fn real_rls_paths_cluster_sensibly() {
 
     let samples = [s_chol, s_qr];
     let comparator = MedianComparator::new(0.05);
-    let mut rng = StdRng::seed_from_u64(22);
-    let clustering = relative_scores(2, ClusterConfig::with_repetitions(20), &mut rng, |i, j| {
+    let clustering = relative_scores_seeded(2, ClusterConfig::with_repetitions(20), 22, |_, i, j| {
         comparator.compare(&samples[i], &samples[j])
     })
     .final_assignment();
@@ -70,8 +69,7 @@ fn real_gemm_sizes_produce_ordered_classes() {
         .collect();
 
     let comparator = MedianComparator::new(0.05);
-    let mut rng = StdRng::seed_from_u64(24);
-    let clustering = relative_scores(3, ClusterConfig::with_repetitions(20), &mut rng, |i, j| {
+    let clustering = relative_scores_seeded(3, ClusterConfig::with_repetitions(20), 24, |_, i, j| {
         comparator.compare(&samples[i], &samples[j])
     })
     .final_assignment();

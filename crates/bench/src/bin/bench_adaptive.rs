@@ -10,7 +10,8 @@
 //! cargo run --release -p relperf-bench --bin bench_adaptive
 //! ```
 
-use relperf_bench::paper_comparator;
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{paper_comparator, row};
 use relperf_core::cluster::{ClusterConfig, Clustering, Parallelism};
 use relperf_core::session::ConvergenceCriterion;
 use relperf_workloads::adaptive::{measure_until_converged_seeded, WaveSchedule};
@@ -31,22 +32,11 @@ const CRITERION: ConvergenceCriterion = ConvergenceCriterion {
     score_tol: 0.2,
 };
 
-struct Entry {
-    name: String,
-    algorithms: usize,
-    fixed_total: usize,
-    adaptive_total: usize,
-    adaptive_per_algorithm: usize,
-    waves: usize,
-    converged: bool,
-    clustering_matches: bool,
-}
-
 fn ranks(c: &Clustering) -> Vec<usize> {
     c.assignments().iter().map(|a| a.rank).collect()
 }
 
-fn run_case(name: &str, exp: &Experiment) -> Entry {
+fn run_case(name: &str, exp: &Experiment) -> Row {
     let comparator = paper_comparator(99);
     let config = ClusterConfig {
         repetitions: 100,
@@ -74,16 +64,18 @@ fn run_case(name: &str, exp: &Experiment) -> Entry {
         CLUSTER_SEED,
     );
 
-    Entry {
-        name: name.to_string(),
-        algorithms: exp.placements.len(),
-        fixed_total: FIXED_N * exp.placements.len(),
-        adaptive_total: result.total_measurements,
-        adaptive_per_algorithm: result.measurements_per_algorithm,
-        waves: result.waves,
-        converged: result.converged,
-        clustering_matches: ranks(&result.clustering) == ranks(&fixed),
-    }
+    let fixed_total = FIXED_N * exp.placements.len();
+    row![
+        "name" => name,
+        "algorithms" => exp.placements.len(),
+        "fixed_measurements" => fixed_total,
+        "adaptive_measurements" => result.total_measurements,
+        "adaptive_per_algorithm" => result.measurements_per_algorithm,
+        "waves" => result.waves,
+        "converged" => result.converged,
+        "clustering_matches_fixed_n" => ranks(&result.clustering) == ranks(&fixed),
+        "savings_frac" => 1.0 - result.total_measurements as f64 / fixed_total as f64,
+    ]
 }
 
 fn main() {
@@ -91,40 +83,10 @@ fn main() {
         run_case("fig1/two_loop", &Experiment::fig1()),
         run_case("table1/scientific_code_n10", &Experiment::table1(10)),
     ];
-
-    println!(
-        "{:<28} {:>6} {:>12} {:>12} {:>7} {:>10} {:>8}",
-        "experiment", "algs", "fixed meas", "adaptive", "waves", "converged", "match"
-    );
-    let mut json = String::from(
-        "{\n  \"bench\": \"adaptive\",\n  \"units\": \"measurements\",\n  \"fixed_n_per_algorithm\": 30,\n  \"entries\": [\n",
-    );
-    for (i, e) in entries.iter().enumerate() {
-        println!(
-            "{:<28} {:>6} {:>12} {:>12} {:>7} {:>10} {:>8}",
-            e.name,
-            e.algorithms,
-            e.fixed_total,
-            format!("{} ({}/alg)", e.adaptive_total, e.adaptive_per_algorithm),
-            e.waves,
-            e.converged,
-            e.clustering_matches
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"algorithms\": {}, \"fixed_measurements\": {}, \"adaptive_measurements\": {}, \"adaptive_per_algorithm\": {}, \"waves\": {}, \"converged\": {}, \"clustering_matches_fixed_n\": {}, \"savings_frac\": {:.3}}}{}\n",
-            e.name,
-            e.algorithms,
-            e.fixed_total,
-            e.adaptive_total,
-            e.adaptive_per_algorithm,
-            e.waves,
-            e.converged,
-            e.clustering_matches,
-            1.0 - e.adaptive_total as f64 / e.fixed_total as f64,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
-    println!("\nwrote BENCH_adaptive.json");
+    Report::new(
+        "adaptive",
+        row!["units" => "measurements", "fixed_n_per_algorithm" => FIXED_N],
+    )
+    .table("entries", entries)
+    .write();
 }

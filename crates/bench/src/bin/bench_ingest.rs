@@ -25,7 +25,8 @@
 //! ```
 
 use rand::prelude::*;
-use relperf_bench::median_secs;
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{median_secs, row};
 use relperf_measure::{QuantileSketch, Sample};
 use std::hint::black_box;
 
@@ -131,16 +132,19 @@ fn assert_sketch_agreement(sample: &Sample, capacity: usize) {
     }
 }
 
-struct Entry {
-    name: String,
-    before_s: f64,
-    after_s: f64,
-    baseline_extrapolated: bool,
-    tiered: bool,
+fn entry(name: String, (before_s, after_s): (f64, f64), extrapolated: bool, tiered: bool) -> Row {
+    row![
+        "name" => name,
+        "before_median_s" => before_s,
+        "after_median_s" => after_s,
+        "speedup" => before_s / after_s,
+        "baseline_extrapolated" => extrapolated,
+        "tiered" => tiered,
+    ]
 }
 
 fn main() {
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut entries: Vec<Row> = Vec::new();
 
     // ---- correctness gates, before any clock starts --------------------
     for &n in &[WAVE, 10 * WAVE, 100 * WAVE] {
@@ -162,6 +166,7 @@ fn main() {
     // At 1e5 the baseline run is seconds; at 1e6 it would be ~100x that,
     // so it is extrapolated quadratically (total work is O(n²)).
     let mut baseline_1e5 = f64::NAN;
+    let mut million = (f64::NAN, f64::NAN);
     for &(n, runs) in &[(WAVE, 9usize), (100 * WAVE, 3), (1_000 * WAVE, 3)] {
         let values = measurements(n, 17);
         let (before_s, extrapolated) = if n <= 100 * WAVE {
@@ -180,13 +185,11 @@ fn main() {
             black_box(ingest_bulk(black_box(&values)));
         });
         let tiered = ingest_bulk(&values).ingest_stats().tiered;
-        entries.push(Entry {
-            name: format!("ingest/n{n}_wave{WAVE}"),
-            before_s,
-            after_s,
-            baseline_extrapolated: extrapolated,
-            tiered,
-        });
+        let name = format!("ingest/n{n}_wave{WAVE}");
+        entries.push(entry(name, (before_s, after_s), extrapolated, tiered));
+        if n == 1_000 * WAVE {
+            million = (before_s, after_s);
+        }
     }
 
     // ---- bounded-memory sketch ingest at 1e6 ---------------------------
@@ -194,7 +197,7 @@ fn main() {
     // memory instead of O(n). Before = exact bulk ingest at the same N.
     {
         let values = measurements(1_000 * WAVE, 17);
-        let exact_s = entries.last().expect("entries").after_s;
+        let exact_s = million.1;
         let sketch_s = median_secs(3, || {
             let mut sk = QuantileSketch::new(256);
             for wave in values.chunks(WAVE) {
@@ -202,61 +205,14 @@ fn main() {
             }
             black_box(sk.quantile(0.5));
         });
-        entries.push(Entry {
-            name: format!("sketch/n{}_wave{WAVE}_k256", 1_000 * WAVE),
-            before_s: exact_s,
-            after_s: sketch_s,
-            baseline_extrapolated: false,
-            tiered: false,
-        });
+        let name = format!("sketch/n{}_wave{WAVE}_k256", 1_000 * WAVE);
+        entries.push(entry(name, (exact_s, sketch_s), false, false));
     }
 
-    // Render: human table to stdout, machine-readable JSON to disk.
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}  {}",
-        "benchmark", "before", "after", "speedup", "notes"
-    );
-    let mut json =
-        String::from("{\n  \"bench\": \"ingest\",\n  \"units\": \"seconds\",\n  \"wave\": 1000,\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let speedup = e.before_s / e.after_s;
-        let mut notes = Vec::new();
-        if e.baseline_extrapolated {
-            notes.push("baseline extrapolated O(n²)");
-        }
-        if e.tiered {
-            notes.push("tiered");
-        }
-        println!(
-            "{:<28} {:>9.3} ms {:>9.3} ms {:>8.1}x  {}",
-            e.name,
-            e.before_s * 1e3,
-            e.after_s * 1e3,
-            speedup,
-            notes.join(", ")
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"before_median_s\": {:.3e}, \"after_median_s\": {:.3e}, \"speedup\": {:.1}, \"baseline_extrapolated\": {}, \"tiered\": {}}}{}\n",
-            e.name,
-            e.before_s,
-            e.after_s,
-            speedup,
-            e.baseline_extrapolated,
-            e.tiered,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    println!("\nwrote BENCH_ingest.json");
+    Report::new("ingest", row!["units" => "seconds", "wave" => WAVE])
+        .table("entries", entries)
+        .write();
 
-    let million = entries
-        .iter()
-        .find(|e| e.name.contains("n1000000"))
-        .expect("1e6 entry");
-    assert!(
-        million.before_s / million.after_s >= 50.0,
-        "expected ≥ 50x at 1e6, got {:.1}x",
-        million.before_s / million.after_s
-    );
+    let speedup = million.0 / million.1;
+    assert!(speedup >= 50.0, "expected ≥ 50x at 1e6, got {speedup:.1}x");
 }

@@ -7,8 +7,9 @@
 //! Sections:
 //!
 //! * `gemm/*` — square products at the sizes the experiments measure;
-//! * `factor/*` — LU and Cholesky, blocked vs unblocked reference;
-//! * `strassen/*` — the recalibrated crossover against the blocked engine;
+//! * `factor/*` — LU, Cholesky and QR, blocked vs unblocked reference;
+//! * `rls/*` — the two equivalent RLS solvers, stacked QR vs normal
+//!   equations + Cholesky, checked to agree before timing;
 //! * `table1/*` — the end-to-end *measurement phase* of the Table I
 //!   workload (Procedure 5 run for real): the dominant pipeline cost this
 //!   engine exists to cut.
@@ -20,21 +21,26 @@
 //! ```
 
 use rand::prelude::*;
-use relperf_bench::median_pair;
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{median_pair, row};
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with};
 use relperf_linalg::lu::Lu;
+use relperf_linalg::qr::Qr;
 use relperf_linalg::random::{random_matrix, random_spd};
-use relperf_linalg::strassen::gemm_strassen_with_cutoff;
+use relperf_linalg::rls::{solve_rls_cholesky, solve_rls_qr};
 use relperf_linalg::{KernelEngine, Parallelism};
 use relperf_workloads::scientific_code::{run_real_custom_with, SIZES};
 use std::hint::black_box;
 
-struct Entry {
-    name: String,
-    before_s: f64,
-    after_s: f64,
-    note: &'static str,
+fn entry(name: String, (before_s, after_s): (f64, f64), note: &str) -> Row {
+    row![
+        "name" => name,
+        "before_median_s" => before_s,
+        "after_median_s" => after_s,
+        "speedup" => before_s / after_s,
+        "note" => note,
+    ]
 }
 
 fn runs_for(n: usize) -> usize {
@@ -42,7 +48,7 @@ fn runs_for(n: usize) -> usize {
 }
 
 fn main() {
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut entries: Vec<Row> = Vec::new();
     let mut rng = StdRng::seed_from_u64(42);
 
     // — GEMM: naive vs blocked vs blocked+parallel —
@@ -77,18 +83,16 @@ fn main() {
                 );
             },
         );
-        entries.push(Entry {
-            name: format!("gemm/n{n}/blocked"),
-            before_s: naive_s,
-            after_s: blocked_s,
-            note: "naive ikj vs packed microkernel engine, bit-identical",
-        });
-        entries.push(Entry {
-            name: format!("gemm/n{n}/parallel"),
-            before_s: naive_s,
-            after_s: parallel_s,
-            note: "naive ikj vs row-block-parallel engine, bit-identical",
-        });
+        entries.push(entry(
+            format!("gemm/n{n}/blocked"),
+            (naive_s, blocked_s),
+            "naive ikj vs packed microkernel engine, bit-identical",
+        ));
+        entries.push(entry(
+            format!("gemm/n{n}/parallel"),
+            (naive_s, parallel_s),
+            "naive ikj vs row-block-parallel engine, bit-identical",
+        ));
     }
 
     // — Factorizations: blocked vs unblocked reference —
@@ -106,12 +110,11 @@ fn main() {
                 black_box(Lu::factor(black_box(&a)).unwrap());
             },
         );
-        entries.push(Entry {
-            name: format!("factor/lu_n{n}"),
-            before_s,
-            after_s,
-            note: "right-looking rank-1 vs panel-blocked, bit-identical",
-        });
+        entries.push(entry(
+            format!("factor/lu_n{n}"),
+            (before_s, after_s),
+            "right-looking rank-1 vs panel-blocked, bit-identical",
+        ));
 
         let spd = random_spd(&mut rng, n);
         assert_eq!(
@@ -127,34 +130,51 @@ fn main() {
                 black_box(Cholesky::factor(black_box(&spd)).unwrap());
             },
         );
-        entries.push(Entry {
-            name: format!("factor/cholesky_n{n}"),
-            before_s,
-            after_s,
-            note: "right-looking rank-1 vs panel-blocked, bit-identical",
-        });
+        entries.push(entry(
+            format!("factor/cholesky_n{n}"),
+            (before_s, after_s),
+            "right-looking rank-1 vs panel-blocked, bit-identical",
+        ));
     }
-
-    // — Strassen crossover against the blocked engine —
-    for (n, cutoff) in [(512usize, 64usize), (512, 256)] {
-        let a = random_matrix(&mut rng, n, n);
-        let b = random_matrix(&mut rng, n, n);
-        let runs = runs_for(n).min(7);
-        let (strassen_s, blocked_s) = median_pair(
-            runs,
+    for n in [64usize, 128] {
+        let a = random_matrix(&mut rng, n + 16, n);
+        assert_eq!(Qr::factor(&a).unwrap(), Qr::factor_reference(&a).unwrap());
+        let times = median_pair(
+            runs_for(n),
             || {
-                black_box(gemm_strassen_with_cutoff(black_box(&a), black_box(&b), cutoff).unwrap());
+                black_box(Qr::factor_reference(black_box(&a)).unwrap());
             },
             || {
-                black_box(gemm_blocked(black_box(&a), black_box(&b)).unwrap());
+                black_box(Qr::factor(black_box(&a)).unwrap());
             },
         );
-        entries.push(Entry {
-            name: format!("strassen/n{n}_cutoff{cutoff}"),
-            before_s: strassen_s,
-            after_s: blocked_s,
-            note: "strassen at this cutoff vs the blocked engine (before = strassen)",
-        });
+        entries.push(entry(
+            format!("factor/qr_{}x{n}", n + 16),
+            times,
+            "column-sweep vs row-sweep reflectors, bit-identical",
+        ));
+    }
+
+    // — RLS: the paper's two equivalent solvers for one MathTask —
+    for n in [50usize, 75] {
+        let a = random_matrix(&mut rng, n, n);
+        let b = random_matrix(&mut rng, n, n);
+        let (z_qr, z_chol) = (solve_rls_qr(&a, &b, 0.1), solve_rls_cholesky(&a, &b, 0.1));
+        assert!(z_qr.unwrap().approx_eq(&z_chol.unwrap(), 1e-8), "rls solvers disagree");
+        let times = median_pair(
+            runs_for(n),
+            || {
+                black_box(solve_rls_qr(black_box(&a), black_box(&b), 0.1).unwrap());
+            },
+            || {
+                black_box(solve_rls_cholesky(black_box(&a), black_box(&b), 0.1).unwrap());
+            },
+        );
+        entries.push(entry(
+            format!("rls/n{n}"),
+            times,
+            "stacked QR vs normal equations + Cholesky, agree to 1e-8",
+        ));
     }
 
     // — End to end: the Table I measurement phase (Procedure 5 for real) —
@@ -188,40 +208,14 @@ fn main() {
             run_real_custom_with(&mut StdRng::seed_from_u64(seed), &SIZES, iters, KernelEngine::Blocked)
                 .unwrap();
         assert_eq!(p_ref.to_bits(), p_blk.to_bits(), "engine goldens");
-        entries.push(Entry {
-            name: "table1/measurement_phase".to_string(),
-            before_s,
-            after_s,
-            note: "one Procedure-5 repetition (sizes 50/75/300), naive vs blocked kernels",
-        });
-    }
-
-    // Render: human table to stdout, machine-readable JSON to disk.
-    println!(
-        "{:<28} {:>12} {:>12} {:>8}",
-        "benchmark", "before", "after", "speedup"
-    );
-    let mut json = String::from("{\n  \"bench\": \"linalg\",\n  \"units\": \"seconds\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let speedup = e.before_s / e.after_s;
-        println!(
-            "{:<28} {:>9.2} ms {:>9.2} ms {:>7.2}x",
-            e.name,
-            e.before_s * 1e3,
-            e.after_s * 1e3,
-            speedup
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"before_median_s\": {:.3e}, \"after_median_s\": {:.3e}, \"speedup\": {:.2}, \"note\": \"{}\"}}{}\n",
-            e.name,
-            e.before_s,
-            e.after_s,
-            speedup,
-            e.note,
-            if i + 1 < entries.len() { "," } else { "" }
+        entries.push(entry(
+            "table1/measurement_phase".to_string(),
+            (before_s, after_s),
+            "one Procedure-5 repetition (sizes 50/75/300), naive vs blocked kernels",
         ));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_linalg.json", &json).expect("write BENCH_linalg.json");
-    println!("\nwrote BENCH_linalg.json");
+
+    Report::new("linalg", row!["units" => "seconds"])
+        .table("entries", entries)
+        .write();
 }

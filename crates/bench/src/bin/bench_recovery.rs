@@ -26,8 +26,10 @@
 //! cargo run --release -p relperf-bench --bin bench_recovery
 //! ```
 
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{boxed, journal_comparator, mem_stores, probe, row};
 use relperf_core::cluster::Parallelism;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
 use std::time::Instant;
@@ -35,16 +37,6 @@ use std::time::Instant;
 const APPEND_OPS: usize = 2_000;
 /// Journal lengths (in ops) swept by the recovery-time benchmark.
 const REPLAY_SIZES: [usize; 3] = [100, 1_000, 5_000];
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        42,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
 
 fn config(group_commit: usize) -> JournalConfig {
     JournalConfig {
@@ -82,35 +74,12 @@ fn drive(service: &SessionService<BootstrapComparator>, n: usize) {
     service.run_batch();
 }
 
-/// A probe the golden comparison can hash: the session's final scored
-/// wave (queues drained, so `Score` sees every prior push).
-fn probe(service: &SessionService<BootstrapComparator>) -> WaveOutcome {
-    let seqs = service.submit_all(1, 1, vec![SessionOp::Score]).expect("probe");
-    let responses = service.run_batch();
-    let r = responses.iter().find(|r| r.seq == seqs[0]).expect("scored");
-    match r.result.clone().expect("probe scores") {
-        OpOutcome::Scored(w) => w,
-        other => panic!("expected Scored, got {other:?}"),
-    }
-}
-
-fn mem_stores(n: usize) -> Vec<MemJournalStore> {
-    (0..n).map(|_| MemJournalStore::new()).collect()
-}
-
-fn boxed(stores: &[MemJournalStore]) -> Vec<Box<dyn JournalStore>> {
-    stores
-        .iter()
-        .map(|s| Box::new(s.clone()) as Box<dyn JournalStore>)
-        .collect()
-}
-
 /// Builds the length-`n` journal on fresh in-memory stores and returns
 /// the handles (flushed, service dropped).
 fn build_journal(n: usize) -> Vec<MemJournalStore> {
     let stores = mem_stores(1);
     let service = SessionService::with_journal(
-        comparator(),
+        journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
         config(64),
@@ -126,7 +95,7 @@ fn recover(
     stores: &[MemJournalStore],
 ) -> (SessionService<BootstrapComparator>, RecoveryReport) {
     SessionService::recover(
-        comparator(),
+        journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
         config(64),
@@ -135,27 +104,12 @@ fn recover(
     .expect("recovery")
 }
 
-struct AppendEntry {
-    group_commit: usize,
-    ops: usize,
-    total_s: f64,
-    ops_per_s: f64,
-    syncs: u64,
-}
-
-struct RecoveryEntry {
-    journal_ops: usize,
-    replayed: usize,
-    recover_ms: f64,
-    ops_per_s: f64,
-}
-
-fn bench_append(root: &std::path::Path, group_commit: usize) -> AppendEntry {
+fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
     let dir = root.join(format!("gc-{group_commit}"));
     let _ = std::fs::remove_dir_all(&dir);
     let store = FileJournalStore::open(&dir).expect("open store");
     let service = SessionService::with_journal(
-        comparator(),
+        journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
         config(group_commit),
@@ -172,31 +126,30 @@ fn bench_append(root: &std::path::Path, group_commit: usize) -> AppendEntry {
     let total_s = started.elapsed().as_secs_f64();
 
     service.run_batch(); // untimed: execution is not the journal's cost
-    let stats = service.stats();
-    AppendEntry {
-        group_commit,
-        ops: APPEND_OPS,
-        total_s,
-        ops_per_s: APPEND_OPS as f64 / total_s,
-        syncs: stats.journal_syncs,
-    }
+    row![
+        "group_commit" => group_commit,
+        "ops" => APPEND_OPS,
+        "total_s" => total_s,
+        "ops_per_s" => APPEND_OPS as f64 / total_s,
+        "syncs" => service.stats().journal_syncs,
+    ]
 }
 
-fn bench_recovery(n: usize) -> RecoveryEntry {
+fn bench_recovery(n: usize) -> Row {
     // Bit-identity first, on its own identical store set: the recovered
     // session's probe wave must equal a crash-free golden's.
     let (recovered, report) = recover(&build_journal(n));
     assert!(report.replayed_ops > 0, "nothing replayed at n={n}");
     let golden = SessionService::new(
-        comparator(),
+        journal_comparator(),
         1,
         Parallelism::auto(),
         ServiceLimits::default(),
     );
     drive(&golden, n);
     assert_eq!(
-        probe(&recovered),
-        probe(&golden),
+        probe(&recovered, 1),
+        probe(&golden, 1),
         "recovered session diverged from the crash-free golden at n={n}"
     );
 
@@ -205,73 +158,37 @@ fn bench_recovery(n: usize) -> RecoveryEntry {
     let started = Instant::now();
     let (_service, report) = recover(&stores);
     let recover_s = started.elapsed().as_secs_f64();
-    RecoveryEntry {
-        journal_ops: n,
-        replayed: report.replayed_ops,
-        recover_ms: recover_s * 1e3,
-        ops_per_s: report.replayed_ops as f64 / recover_s,
-    }
+    row![
+        "journal_ops" => n,
+        "replayed_ops" => report.replayed_ops,
+        "recover_ms" => recover_s * 1e3,
+        "replay_ops_per_s" => report.replayed_ops as f64 / recover_s,
+    ]
 }
 
 fn main() {
     let root = std::env::temp_dir().join("relperf-bench-recovery");
 
-    let appends: Vec<AppendEntry> = [1usize, 8, 64]
+    let appends: Vec<Row> = [1usize, 8, 64]
         .iter()
         .map(|&gc| bench_append(&root, gc))
         .collect();
     let _ = std::fs::remove_dir_all(&root);
 
-    let recoveries: Vec<RecoveryEntry> =
-        REPLAY_SIZES.iter().map(|&n| bench_recovery(n)).collect();
+    let recoveries: Vec<Row> = REPLAY_SIZES.iter().map(|&n| bench_recovery(n)).collect();
 
-    println!(
-        "{:<14} {:>8} {:>12} {:>12} {:>8}",
-        "group_commit", "ops", "total [s]", "ops/s", "syncs"
-    );
-    for e in &appends {
-        println!(
-            "{:<14} {:>8} {:>12.4} {:>12.1} {:>8}",
-            e.group_commit, e.ops, e.total_s, e.ops_per_s, e.syncs
-        );
-    }
-    println!(
-        "\n{:<14} {:>10} {:>14} {:>14}",
-        "journal_ops", "replayed", "recover [ms]", "replay ops/s"
-    );
-    for e in &recoveries {
-        println!(
-            "{:<14} {:>10} {:>14.3} {:>14.1}",
-            e.journal_ops, e.replayed, e.recover_ms, e.ops_per_s
-        );
-    }
-
-    let mut json = String::from(
-        "{\n  \"bench\": \"recovery\",\n  \"units\": {\"append_throughput\": \"admissions/s (file-backed, fdatasync every group_commit ops)\", \"recovery\": \"ms to rebuild all sessions from checkpoint + replay (in-memory stores)\"},\n  \"note\": \"single-Push admission groups; recovery bit-identity vs a crash-free golden asserted on an identical store set before timing\",\n  \"append\": [\n",
-    );
-    for (i, e) in appends.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group_commit\": {}, \"ops\": {}, \"total_s\": {:.6}, \"ops_per_s\": {:.1}, \"syncs\": {}}}{}\n",
-            e.group_commit,
-            e.ops,
-            e.total_s,
-            e.ops_per_s,
-            e.syncs,
-            if i + 1 < appends.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"recovery\": [\n");
-    for (i, e) in recoveries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"journal_ops\": {}, \"replayed_ops\": {}, \"recover_ms\": {:.4}, \"replay_ops_per_s\": {:.1}}}{}\n",
-            e.journal_ops,
-            e.replayed,
-            e.recover_ms,
-            e.ops_per_s,
-            if i + 1 < recoveries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("\nwrote BENCH_recovery.json");
+    let units = row![
+        "append_throughput" => "admissions/s (file-backed, fdatasync every group_commit ops)",
+        "recovery" => "ms to rebuild all sessions from checkpoint + replay (in-memory stores)",
+    ];
+    Report::new(
+        "recovery",
+        row![
+            "units" => units,
+            "note" => "single-Push admission groups; recovery bit-identity vs a crash-free golden asserted on an identical store set before timing",
+        ],
+    )
+    .table("append", appends)
+    .table("recovery", recoveries)
+    .write();
 }

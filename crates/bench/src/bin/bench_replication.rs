@@ -29,8 +29,10 @@
 //! cargo run --release -p relperf-bench --bin bench_replication
 //! ```
 
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{boxed, journal_comparator, mem_stores, probe, row};
 use relperf_core::cluster::Parallelism;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
 use std::sync::{Arc, Mutex};
@@ -44,16 +46,6 @@ const SHIP_OPS: usize = 5_000;
 const SEGMENT_SIZES: [usize; 3] = [1 << 12, 1 << 16, 1 << 20];
 /// Journal lengths (in ops) swept by the promotion-latency benchmark.
 const PROMOTE_SIZES: [usize; 3] = [100, 1_000, 5_000];
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        42,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
 
 fn config() -> JournalConfig {
     JournalConfig {
@@ -93,27 +85,6 @@ fn drive(service: &SessionService<BootstrapComparator>, n: usize) {
     service.run_batch();
 }
 
-fn probe(service: &SessionService<BootstrapComparator>, session: u64) -> WaveOutcome {
-    let seqs = service.submit_all(1, session, vec![SessionOp::Score]).expect("probe");
-    let responses = service.run_batch();
-    let r = responses.iter().find(|r| r.seq == seqs[0]).expect("scored");
-    match r.result.clone().expect("probe scores") {
-        OpOutcome::Scored(w) => w,
-        other => panic!("expected Scored, got {other:?}"),
-    }
-}
-
-fn mem_stores(n: usize) -> Vec<MemJournalStore> {
-    (0..n).map(|_| MemJournalStore::new()).collect()
-}
-
-fn boxed(stores: &[MemJournalStore]) -> Vec<Box<dyn JournalStore>> {
-    stores
-        .iter()
-        .map(|s| Box::new(s.clone()) as Box<dyn JournalStore>)
-        .collect()
-}
-
 /// Drives the script on a shipper-tapped leader (digests emitted when
 /// asked), leaving everything durable in the outboxes. Returns the store
 /// handles (for byte accounting) and the armed shipper.
@@ -126,7 +97,7 @@ fn shipped_journal(
     let (stores, shipper) =
         JournalShipper::wrap_stores(boxed(&handles), ShipperConfig { max_segment });
     let service = SessionService::with_journal(
-        comparator(),
+        journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
         config(),
@@ -145,7 +116,7 @@ fn shipped_journal(
 /// Replicates everything the shipper holds into a fresh follower,
 /// asserting clean convergence, and returns the follower.
 fn replicate(shipper: &mut JournalShipper) -> Follower<BootstrapComparator> {
-    let follower = Arc::new(Mutex::new(Follower::new(comparator(), SHARDS)));
+    let follower = Arc::new(Mutex::new(Follower::new(journal_comparator(), SHARDS)));
     let mut transport = InProcTransport::new(Arc::clone(&follower));
     let report = shipper.pump(&mut transport);
     assert!(report.errors.is_empty(), "clean transport errored: {report:?}");
@@ -160,27 +131,11 @@ fn replicate(shipper: &mut JournalShipper) -> Follower<BootstrapComparator> {
     follower
 }
 
-struct ShipEntry {
-    max_segment: usize,
-    journal_bytes: usize,
-    segments: usize,
-    ship_ms: f64,
-    ops_per_s: f64,
-    mib_per_s: f64,
-}
-
-struct PromoteEntry {
-    journal_ops: usize,
-    sessions: usize,
-    applied_ops: u64,
-    promote_ms: f64,
-}
-
-fn bench_ship(max_segment: usize) -> ShipEntry {
+fn bench_ship(max_segment: usize) -> Row {
     let (handles, mut shipper) = shipped_journal(SHIP_OPS, max_segment, true);
     let journal_bytes: usize = handles.iter().map(|h| h.stored().journal.len()).sum();
 
-    let follower = Arc::new(Mutex::new(Follower::new(comparator(), SHARDS)));
+    let follower = Arc::new(Mutex::new(Follower::new(journal_comparator(), SHARDS)));
     let mut transport = InProcTransport::new(Arc::clone(&follower));
     let started = Instant::now();
     let report = shipper.pump(&mut transport);
@@ -193,17 +148,17 @@ fn bench_ship(max_segment: usize) -> ShipEntry {
         "follower failed the leader's digests"
     );
 
-    ShipEntry {
-        max_segment,
-        journal_bytes,
-        segments: report.cut,
-        ship_ms: ship_s * 1e3,
-        ops_per_s: SHIP_OPS as f64 / ship_s,
-        mib_per_s: journal_bytes as f64 / (1 << 20) as f64 / ship_s,
-    }
+    row![
+        "max_segment" => max_segment,
+        "journal_bytes" => journal_bytes,
+        "segments" => report.cut,
+        "ship_ms" => ship_s * 1e3,
+        "ops_per_s" => SHIP_OPS as f64 / ship_s,
+        "mib_per_s" => journal_bytes as f64 / (1 << 20) as f64 / ship_s,
+    ]
 }
 
-fn bench_promote(n: usize) -> PromoteEntry {
+fn bench_promote(n: usize) -> Row {
     let (_handles, mut shipper) = shipped_journal(n, ShipperConfig::default().max_segment, true);
     let follower = replicate(&mut shipper);
     let started = Instant::now();
@@ -213,12 +168,12 @@ fn bench_promote(n: usize) -> PromoteEntry {
     let promote_s = started.elapsed().as_secs_f64();
     assert_eq!(report.sessions, SESSIONS as usize);
     drop(service);
-    PromoteEntry {
-        journal_ops: n,
-        sessions: report.sessions,
-        applied_ops: report.applied_ops,
-        promote_ms: promote_s * 1e3,
-    }
+    row![
+        "journal_ops" => n,
+        "sessions" => report.sessions,
+        "applied_ops" => report.applied_ops,
+        "promote_ms" => promote_s * 1e3,
+    ]
 }
 
 fn main() {
@@ -231,7 +186,7 @@ fn main() {
             .promote(Parallelism::auto(), ServiceLimits::default())
             .expect("promotes");
         let golden = SessionService::new(
-            comparator(),
+            journal_comparator(),
             SHARDS,
             Parallelism::auto(),
             ServiceLimits::default(),
@@ -246,57 +201,21 @@ fn main() {
         }
     }
 
-    let ships: Vec<ShipEntry> = SEGMENT_SIZES.iter().map(|&m| bench_ship(m)).collect();
-    let promotes: Vec<PromoteEntry> = PROMOTE_SIZES.iter().map(|&n| bench_promote(n)).collect();
+    let ships: Vec<Row> = SEGMENT_SIZES.iter().map(|&m| bench_ship(m)).collect();
+    let promotes: Vec<Row> = PROMOTE_SIZES.iter().map(|&n| bench_promote(n)).collect();
 
-    println!(
-        "{:<12} {:>14} {:>10} {:>10} {:>12} {:>10}",
-        "max_segment", "journal [B]", "segments", "ship [ms]", "ops/s", "MiB/s"
-    );
-    for e in &ships {
-        println!(
-            "{:<12} {:>14} {:>10} {:>10.3} {:>12.1} {:>10.1}",
-            e.max_segment, e.journal_bytes, e.segments, e.ship_ms, e.ops_per_s, e.mib_per_s
-        );
-    }
-    println!(
-        "\n{:<12} {:>10} {:>12} {:>14}",
-        "journal_ops", "sessions", "applied_ops", "promote [ms]"
-    );
-    for e in &promotes {
-        println!(
-            "{:<12} {:>10} {:>12} {:>14.4}",
-            e.journal_ops, e.sessions, e.applied_ops, e.promote_ms
-        );
-    }
-
-    let mut json = String::from(
-        "{\n  \"bench\": \"replication\",\n  \"units\": {\"ship\": \"ms to cut, checksum, deliver, decode, and replay the whole journal into a warm follower (in-proc transport)\", \"promotion\": \"ms to seal, resume the seq counter, and install every warm session into a serving service\"},\n  \"note\": \"deterministic 16-session script; digest-verified bit-identity and a promoted-vs-golden probe sweep asserted before timing\",\n  \"ship\": [\n",
-    );
-    for (i, e) in ships.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"max_segment\": {}, \"journal_bytes\": {}, \"segments\": {}, \"ship_ms\": {:.4}, \"ops_per_s\": {:.1}, \"mib_per_s\": {:.2}}}{}\n",
-            e.max_segment,
-            e.journal_bytes,
-            e.segments,
-            e.ship_ms,
-            e.ops_per_s,
-            e.mib_per_s,
-            if i + 1 < ships.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"promotion\": [\n");
-    for (i, e) in promotes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"journal_ops\": {}, \"sessions\": {}, \"applied_ops\": {}, \"promote_ms\": {:.4}}}{}\n",
-            e.journal_ops,
-            e.sessions,
-            e.applied_ops,
-            e.promote_ms,
-            if i + 1 < promotes.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_replication.json", &json).expect("write BENCH_replication.json");
-    println!("\nwrote BENCH_replication.json");
+    let units = row![
+        "ship" => "ms to cut, checksum, deliver, decode, and replay the whole journal into a warm follower (in-proc transport)",
+        "promotion" => "ms to seal, resume the seq counter, and install every warm session into a serving service",
+    ];
+    Report::new(
+        "replication",
+        row![
+            "units" => units,
+            "note" => "deterministic 16-session script; digest-verified bit-identity and a promoted-vs-golden probe sweep asserted before timing",
+        ],
+    )
+    .table("ship", ships)
+    .table("promotion", promotes)
+    .write();
 }

@@ -34,9 +34,10 @@
 //! the shard partitions genuinely run in parallel.
 
 use rand::prelude::*;
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{paper_comparator, row};
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_core::session::ConvergenceCriterion;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_measure::Sample;
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
@@ -49,16 +50,6 @@ const SHARDS: usize = 16;
 /// Tight registry: 16 shards × 4 slots = 64 resident sessions. The
 /// sweep's top tenant counts exceed this on purpose.
 const TIGHT_SLOTS: usize = 4;
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        42,
-        BootstrapConfig {
-            reps: 30,
-            ..Default::default()
-        },
-    )
-}
 
 fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -136,7 +127,8 @@ fn final_tables(per_tenant: &mut [Vec<ScoreTable>]) -> Vec<ScoreTable> {
 /// resident has queued ops, so there is no idle victim to spill) is
 /// handled the way a sync caller must: drain, then retry.
 fn drive_sync(tenants: u64, tight: bool) -> RunResult {
-    let service = SessionService::new(comparator(), SHARDS, Parallelism::serial(), limits(tight));
+    let service =
+        SessionService::new(paper_comparator(42), SHARDS, Parallelism::serial(), limits(tight));
     create_all(&service, tenants);
     let mut per_tenant: Vec<Vec<ScoreTable>> = (0..tenants).map(|_| Vec::new()).collect();
     let mut latencies = Vec::new();
@@ -195,7 +187,8 @@ fn drive_sync(tenants: u64, tight: bool) -> RunResult {
 /// The pipelined runtime: background scheduler threads drain shard
 /// partitions on their own cadence; the driver only submits and awaits.
 fn drive_pipelined(tenants: u64, tight: bool, threads: usize) -> RunResult {
-    let service = SessionService::new(comparator(), SHARDS, Parallelism::serial(), limits(tight));
+    let service =
+        SessionService::new(paper_comparator(42), SHARDS, Parallelism::serial(), limits(tight));
     create_all(&service, tenants);
     let rt = ServiceRuntime::start(
         service,
@@ -255,36 +248,24 @@ fn drive_pipelined(tenants: u64, tight: bool, threads: usize) -> RunResult {
     }
 }
 
-struct Entry {
-    tenants: u64,
-    mode: &'static str,
-    ops: usize,
-    total_s: f64,
-    ops_per_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    spills: u64,
-    rehydrations: u64,
-}
-
-fn entry(tenants: u64, mode: &'static str, r: &RunResult) -> Entry {
+fn entry(tenants: u64, mode: &str, r: &RunResult) -> Row {
     let latencies = Sample::new(r.latencies.clone()).expect("non-empty");
-    Entry {
-        tenants,
-        mode,
-        ops: r.ops,
-        total_s: r.total_s,
-        ops_per_s: r.ops as f64 / r.total_s,
-        p50_ms: latencies.quantile(0.5) * 1e3,
-        p99_ms: latencies.quantile(0.99) * 1e3,
-        spills: r.stats.spills,
-        rehydrations: r.stats.rehydrations,
-    }
+    row![
+        "tenants" => tenants,
+        "mode" => mode,
+        "ops" => r.ops,
+        "total_s" => r.total_s,
+        "ops_per_s" => r.ops as f64 / r.total_s,
+        "wave_p50_ms" => latencies.quantile(0.5) * 1e3,
+        "wave_p99_ms" => latencies.quantile(0.99) * 1e3,
+        "spills" => r.stats.spills,
+        "rehydrations" => r.stats.rehydrations,
+    ]
 }
 
 fn main() {
     let capacity = (SHARDS * TIGHT_SLOTS) as u64;
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut entries: Vec<Row> = Vec::new();
     for &tenants in &[1u64, 4, 16, 64, 128] {
         // Bit-identity first: roomy sync is the reference; tight sync and
         // tight pipelined must match it exactly even while the registry
@@ -313,34 +294,21 @@ fn main() {
         entries.push(entry(tenants, "pipelined", &pipelined));
     }
 
-    println!(
-        "{:<8} {:<10} {:>8} {:>12} {:>12} {:>10} {:>10} {:>8} {:>8}",
-        "tenants", "mode", "ops", "total [s]", "ops/s", "p50 [ms]", "p99 [ms]", "spills", "rehyd"
-    );
-    let mut json = String::from(
-        "{\n  \"bench\": \"service\",\n  \"units\": {\"throughput\": \"ops/s\", \"latency\": \"ms per tenant wave (submit -> responses available)\"},\n  \"registry\": {\"shards\": 16, \"sessions_per_shard\": 4, \"resident_capacity\": 64},\n  \"note\": \"6 waves x (4 Extend + 1 Score) per tenant; roomy-sync reference vs tight-sync vs tight-pipelined asserted bit-identical before timing; above 64 tenants the tight registry must spill and rehydrate\",\n  \"entries\": [\n",
-    );
-    for (i, e) in entries.iter().enumerate() {
-        println!(
-            "{:<8} {:<10} {:>8} {:>12.4} {:>12.1} {:>10.3} {:>10.3} {:>8} {:>8}",
-            e.tenants, e.mode, e.ops, e.total_s, e.ops_per_s, e.p50_ms, e.p99_ms, e.spills,
-            e.rehydrations
-        );
-        json.push_str(&format!(
-            "    {{\"tenants\": {}, \"mode\": \"{}\", \"ops\": {}, \"total_s\": {:.6}, \"ops_per_s\": {:.1}, \"wave_p50_ms\": {:.4}, \"wave_p99_ms\": {:.4}, \"spills\": {}, \"rehydrations\": {}}}{}\n",
-            e.tenants,
-            e.mode,
-            e.ops,
-            e.total_s,
-            e.ops_per_s,
-            e.p50_ms,
-            e.p99_ms,
-            e.spills,
-            e.rehydrations,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-    println!("\nwrote BENCH_service.json");
+    Report::new(
+        "service",
+        row![
+            "units" => row![
+                "throughput" => "ops/s",
+                "latency" => "ms per tenant wave (submit -> responses available)",
+            ],
+            "registry" => row![
+                "shards" => SHARDS,
+                "sessions_per_shard" => TIGHT_SLOTS,
+                "resident_capacity" => capacity,
+            ],
+            "note" => "6 waves x (4 Extend + 1 Score) per tenant; roomy-sync reference vs tight-sync vs tight-pipelined asserted bit-identical before timing; above 64 tenants the tight registry must spill and rehydrate",
+        ],
+    )
+    .table("entries", entries)
+    .write();
 }

@@ -25,7 +25,8 @@
 //! [`flops::spmv_bytes`]: relperf_linalg::flops::spmv_bytes
 
 use rand::prelude::*;
-use relperf_bench::median_secs;
+use relperf_bench::report::{Report, Row};
+use relperf_bench::{median_secs, row};
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::gemm_blocked;
 use relperf_linalg::random::{random_matrix, random_vector};
@@ -47,12 +48,14 @@ fn dense_fmadd_gemv(a: &relperf_linalg::Matrix, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-struct Entry {
-    name: String,
-    median_s: f64,
-    rate: f64,
-    rate_unit: &'static str,
-    note: &'static str,
+fn entry(name: String, median_s: f64, rate: f64, rate_unit: &str, note: &str) -> Row {
+    row![
+        "name" => name,
+        "median_s" => median_s,
+        "rate" => rate,
+        "rate_unit" => rate_unit,
+        "note" => note,
+    ]
 }
 
 /// Assembles the FEM operator for an `m`×`m` mesh, asserting cross-engine
@@ -76,7 +79,7 @@ fn fem_system(m: usize, cg_iters: usize) -> (FemScenario, CsrMatrix, Vec<f64>) {
 }
 
 fn main() {
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut entries: Vec<Row> = Vec::new();
     let mut rng = StdRng::seed_from_u64(42);
 
     // — SpMV bandwidth on FEM operators —
@@ -98,13 +101,13 @@ fn main() {
         let t = median_secs(201, || {
             black_box(black_box(&a).spmv(black_box(&x)).expect("shapes conform"));
         });
-        entries.push(Entry {
-            name: format!("spmv/mesh{m}_n{}", a.rows()),
-            median_s: t,
-            rate: bytes / t / 1e9,
-            rate_unit: "GB/s",
-            note: "CSR mat-vec, bytes-moved model; oracle = dense fused loop",
-        });
+        entries.push(entry(
+            format!("spmv/mesh{m}_n{}", a.rows()),
+            t,
+            bytes / t / 1e9,
+            "GB/s",
+            "CSR mat-vec, bytes-moved model; oracle = dense fused loop",
+        ));
     }
 
     // — Dense GEMM contrast: compute-bound GFLOP/s —
@@ -115,13 +118,13 @@ fn main() {
         let t = median_secs(21, || {
             black_box(gemm_blocked(black_box(&a), black_box(&b)).expect("shapes conform"));
         });
-        entries.push(Entry {
-            name: format!("gemm/n{n}"),
-            median_s: t,
-            rate: flops::gemm(n, n, n) as f64 / t / 1e9,
-            rate_unit: "GFLOP/s",
-            note: "blocked dense engine — the compute-bound contrast",
-        });
+        entries.push(entry(
+            format!("gemm/n{n}"),
+            t,
+            flops::gemm(n, n, n) as f64 / t / 1e9,
+            "GFLOP/s",
+            "blocked dense engine — the compute-bound contrast",
+        ));
     }
 
     // — CG solve rate on the Table-I FEM system —
@@ -149,13 +152,13 @@ fn main() {
                     .expect("runs"),
             );
         });
-        entries.push(Entry {
-            name: format!("cg/mesh32_{}iters", s.cg_iters),
-            median_s: t,
-            rate: s.cg_iters as f64 / t,
-            rate_unit: "iters/s",
-            note: "fixed-iteration CG (the Table-I FEM budget); oracle = Cholesky",
-        });
+        entries.push(entry(
+            format!("cg/mesh32_{}iters", s.cg_iters),
+            t,
+            s.cg_iters as f64 / t,
+            "iters/s",
+            "fixed-iteration CG (the Table-I FEM budget); oracle = Cholesky",
+        ));
     }
 
     // — FEM assembly throughput —
@@ -169,41 +172,16 @@ fn main() {
                     .expect("assembles"),
             );
         });
-        entries.push(Entry {
-            name: "fem/assembly_mesh32".to_string(),
-            median_s: t,
-            rate: elements / t,
-            rate_unit: "elements/s",
-            note: "Gauss-point BtB on the blocked engine + COO scatter + to_csr",
-        });
-    }
-
-    // Render: human table to stdout, machine-readable JSON to disk.
-    println!(
-        "{:<24} {:>12} {:>14}",
-        "benchmark", "median", "rate"
-    );
-    let mut json =
-        String::from("{\n  \"bench\": \"sparse\",\n  \"units\": \"seconds\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        println!(
-            "{:<24} {:>9.3} ms {:>9.2} {}",
-            e.name,
-            e.median_s * 1e3,
-            e.rate,
-            e.rate_unit
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_s\": {:.3e}, \"rate\": {:.4}, \"rate_unit\": \"{}\", \"note\": \"{}\"}}{}\n",
-            e.name,
-            e.median_s,
-            e.rate,
-            e.rate_unit,
-            e.note,
-            if i + 1 < entries.len() { "," } else { "" }
+        entries.push(entry(
+            "fem/assembly_mesh32".to_string(),
+            t,
+            elements / t,
+            "elements/s",
+            "Gauss-point BtB on the blocked engine + COO scatter + to_csr",
         ));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_sparse.json", &json).expect("write BENCH_sparse.json");
-    println!("\nwrote BENCH_sparse.json");
+
+    Report::new("sparse", row!["units" => "seconds"])
+        .table("entries", entries)
+        .write();
 }

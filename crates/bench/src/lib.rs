@@ -1,14 +1,22 @@
 //! Shared harness code for the table/figure regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one paper artifact (the
-//! top-level ARCHITECTURE.md lists which binary produces which figure or
-//! table); the helpers here keep their output formats consistent so the
-//! outputs can be quoted directly.
+//! Every binary in `src/bin/` regenerates one paper artifact or one
+//! `BENCH_*.json` (the top-level ARCHITECTURE.md lists which binary
+//! produces which); the helpers here keep their output formats consistent
+//! so the outputs can be quoted directly. The `bench_*` binaries time with
+//! [`median_secs`] / [`median_pair`] and write through [`report`].
 
 #![warn(missing_docs)]
 
+pub mod report;
+
+use rand::prelude::*;
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::Sample;
+use relperf_service::{
+    JournalStore, MemJournalStore, OpOutcome, SessionOp, SessionService, WaveOutcome,
+};
 use relperf_workloads::experiment::{
     cluster_measurements_seeded, measure_all_seeded, Experiment, MeasuredAlgorithm,
 };
@@ -73,6 +81,56 @@ pub fn median_pair(runs: usize, mut before: impl FnMut(), mut after: impl FnMut(
     let (tb, ta): (Vec<f64>, Vec<f64>) =
         (0..runs).map(|_| (time(&mut before), time(&mut after))).unzip();
     (median(tb), median(ta))
+}
+
+/// A sample of `n` values spread uniformly within ±5% of `center` — a
+/// borderline timing distribution for comparator benches.
+pub fn noisy_sample(center: f64, n: usize, seed: u64) -> Sample {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Sample::new(
+        (0..n)
+            .map(|_| center * (1.0 + 0.05 * rng.random_range(-1.0..1.0)))
+            .collect(),
+    )
+    .expect("finite values")
+}
+
+/// The comparator of the durability benches (`bench_recovery`,
+/// `bench_replication`): 10 bootstrap rounds, since they time journal and
+/// replay work, not comparisons.
+pub fn journal_comparator() -> BootstrapComparator {
+    BootstrapComparator::with_config(
+        42,
+        BootstrapConfig {
+            reps: 10,
+            ..Default::default()
+        },
+    )
+}
+
+/// `n` fresh in-memory journal stores.
+pub fn mem_stores(n: usize) -> Vec<MemJournalStore> {
+    (0..n).map(|_| MemJournalStore::new()).collect()
+}
+
+/// Boxed handles sharing `stores`' contents, as a journaled service takes them.
+pub fn boxed(stores: &[MemJournalStore]) -> Vec<Box<dyn JournalStore>> {
+    stores
+        .iter()
+        .map(|s| Box::new(s.clone()) as Box<dyn JournalStore>)
+        .collect()
+}
+
+/// Scores tenant 1's `session` after draining every queue and returns the
+/// wave — the probe bit-identity checks compare against a golden run.
+pub fn probe(service: &SessionService<BootstrapComparator>, session: u64) -> WaveOutcome {
+    let seqs = service.submit_all(1, session, vec![SessionOp::Score]).expect("probe");
+    let responses = service.run_batch();
+    let r = responses.iter().find(|r| r.seq == seqs[0]).expect("scored");
+    match r.result.clone().expect("probe scores") {
+        OpOutcome::Scored(w) => w,
+        other => panic!("expected Scored, got {other:?}"),
+    }
 }
 
 fn time(f: &mut impl FnMut()) -> f64 {

@@ -13,44 +13,9 @@
 /// exactly the same multiply-adds (that is the bit-identity contract of
 /// [`crate::gemm`]), so one count serves them all — and the simulator's
 /// flops-driven executor prices tasks with the same number the real
-/// kernels perform. Only [`strassen`] deviates, by design.
+/// kernels perform.
 pub fn gemm(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
-}
-
-/// FLOPs of a Strassen multiply of two `n x n` matrices with the given
-/// recursion cutoff (rounded up to a power of two, as the kernel does):
-/// at or below the cutoff the kernel multiplies the *unpadded* operands
-/// classically, above it the padded recursion satisfies
-/// `F(s) = 18·(s/2)² + 7·F(s/2)` — `7^d` nodes at depth `d` each pay the
-/// 18 half-size elementwise additions, bottoming out in `7^levels`
-/// base-case products of [`gemm`]`(c, c, c)`.
-///
-/// Shared by the real kernel ([`crate::strassen::strassen_flops`]
-/// delegates here) and the simulator's task models, so simulated and real
-/// Strassen tasks are priced identically.
-pub fn strassen(n: usize, cutoff: usize) -> u64 {
-    let cutoff = cutoff.max(1).next_power_of_two();
-    if n <= cutoff {
-        // The kernel early-returns the blocked classical product on the
-        // unpadded shape.
-        return gemm(n, n, n);
-    }
-    let size = n.next_power_of_two();
-    let levels = (size / cutoff).trailing_zeros();
-    let leaf = gemm(cutoff, cutoff, cutoff);
-    let mut total = leaf * 7u64.pow(levels);
-    // 18 half-size matrix additions per recursion node: 7^d nodes at
-    // depth d, each on (size/2^(d+1))-sized quadrants.
-    let mut dim = size as u64;
-    let mut nodes = 1u64;
-    for _ in 0..levels {
-        let half = dim / 2;
-        total += nodes * 18 * half * half;
-        nodes *= 7;
-        dim = half;
-    }
-    total
 }
 
 /// FLOPs of a matrix-vector product `m x n · n`: `2·m·n`.
@@ -369,23 +334,6 @@ mod tests {
         // FLOP/byte wherever the pattern is actually sparse.
         let (n, nnz) = (1000, 5000);
         assert!((spmv(nnz) as f64) < spmv_bytes(n, n, nnz) as f64);
-    }
-
-    #[test]
-    fn strassen_shared_formula() {
-        // At or below the cutoff Strassen is the classical product on the
-        // *unpadded* operands, exactly as the kernel executes it.
-        assert_eq!(strassen(64, 64), gemm(64, 64, 64));
-        assert_eq!(strassen(100, 128), gemm(100, 100, 100));
-        // One recursion level: 7 half-size products + 18 half-size adds.
-        assert_eq!(
-            strassen(256, 128),
-            7 * gemm(128, 128, 128) + 18 * 128 * 128
-        );
-        // Two levels satisfy the recursion F(s) = 18·(s/2)² + 7·F(s/2).
-        assert_eq!(strassen(512, 128), 18 * 256 * 256 + 7 * strassen(256, 128));
-        // Asymptotically below classical.
-        assert!(strassen(4096, 64) < gemm(4096, 4096, 4096));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`gemm`] — matrix-matrix multiplication in four flavours (naive, blocked,
 //!   packed, and thread-parallel), all bit-agreeing up to floating-point
 //!   reassociation and property-tested against the naive reference.
-//! * [`strassen`] — the fast-multiply variant, and [`KernelEngine`], which
-//!   selects the naive reference or the blocked/parallel kernels.
+//! * [`KernelEngine`] — selects the naive reference or the blocked/parallel kernels.
 //! * [`cholesky`], [`lu`], [`qr`], [`triangular`] — the factorizations needed
 //!   to solve the paper's Regularized Least Squares (RLS) task. The crate
 //!   carries only kernels that a workload or benchmark runs.
@@ -38,7 +37,6 @@ pub mod qr;
 pub mod random;
 pub mod rls;
 pub mod sparse;
-pub mod strassen;
 pub mod triangular;
 
 pub use engine::KernelEngine;

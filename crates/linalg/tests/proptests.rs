@@ -12,7 +12,6 @@ use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with, syrk_at
 use relperf_linalg::lu::Lu;
 use relperf_linalg::qr::Qr;
 use relperf_linalg::random::{random_diag_dominant, random_matrix, random_spd, random_vector};
-use relperf_linalg::strassen::gemm_strassen;
 use relperf_linalg::triangular::{solve_lower, solve_upper};
 use relperf_linalg::Matrix;
 
@@ -26,14 +25,12 @@ proptest! {
     #[test]
     fn gemm_engine_bit_identical_to_naive(seed in 0u64..1_000, m in 0usize..40, k in 0usize..40, n in 0usize..40) {
         // Rectangular and degenerate shapes: every engine variant must
-        // reproduce the naive reference bit for bit. Strassen is the one
-        // deliberate exception (different algorithm, different rounding).
+        // reproduce the naive reference bit for bit.
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_matrix(&mut rng, m, k);
         let b = random_matrix(&mut rng, k, n);
         let reference = gemm_naive(&a, &b).unwrap();
-        prop_assert_eq!(gemm_blocked(&a, &b).unwrap(), reference.clone());
-        prop_assert!(close(&gemm_strassen(&a, &b).unwrap(), &reference, 1e-7));
+        prop_assert_eq!(gemm_blocked(&a, &b).unwrap(), reference);
     }
 
     #[test]

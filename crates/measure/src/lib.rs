@@ -33,7 +33,6 @@
 //!   **approximate** [`sketch::SketchComparator`] mode (never a default;
 //!   the exact path is the oracle).
 //! * [`timer`] — wall-clock measurement harness with warmup control.
-//! * [`transform`] — sample cleaning (trim, winsorize, warmup removal).
 
 #![warn(missing_docs)]
 
@@ -45,7 +44,6 @@ pub mod ranksum;
 pub mod sample;
 pub mod sketch;
 pub mod timer;
-pub mod transform;
 
 pub use compare::{
     stream_seed, BootstrapComparator, Outcome, Scratch, ScratchThreeWayComparator,

@@ -151,32 +151,6 @@ impl Task {
             handoff_bytes: 8,
         }
     }
-
-    /// The Strassen variant of [`Task::gemm_loop`]: mathematically the
-    /// same product, different FLOP count
-    /// ([`relperf_linalg::flops::strassen`]) and a padded working set —
-    /// the classic "equivalent algorithms, different cost profile" pair
-    /// the paper's methodology ranks.
-    pub fn strassen_loop(name: &str, n: usize, iters: usize, cutoff: usize) -> Task {
-        let bytes = relperf_linalg::flops::matrix_bytes(n, n);
-        // Below the (power-of-two-rounded) cutoff the kernel runs the
-        // plain blocked product on the unpadded operands; only the real
-        // recursion materializes padded quadrant workspaces.
-        let padded = if n <= cutoff.max(1).next_power_of_two() {
-            n
-        } else {
-            n.next_power_of_two()
-        };
-        Task {
-            name: name.to_string(),
-            iterations: iters as u64,
-            flops_per_iter: relperf_linalg::flops::strassen(n, cutoff),
-            offload_bytes_per_iter: 2 * bytes,
-            return_bytes_per_iter: bytes,
-            working_set_bytes: 3 * relperf_linalg::flops::matrix_bytes(padded, padded),
-            handoff_bytes: 8,
-        }
-    }
 }
 
 /// Human label of a placement vector in paper notation, e.g. `"DDA"`.
@@ -242,22 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_and_strassen_loops_share_the_kernel_flop_model() {
-        let classical = Task::gemm_loop("G", 512, 3);
-        assert_eq!(classical.flops_per_iter, relperf_linalg::flops::gemm(512, 512, 512));
-        assert_eq!(classical.total_flops(), 3 * classical.flops_per_iter);
-        let strassen = Task::strassen_loop("S", 512, 3, 64);
-        assert_eq!(
-            strassen.flops_per_iter,
-            relperf_linalg::flops::strassen(512, 64)
-        );
-        // Same transfers (same mathematical task), fewer FLOPs, more memory.
-        assert_eq!(strassen.offload_bytes_per_iter, classical.offload_bytes_per_iter);
-        assert!(strassen.flops_per_iter < classical.flops_per_iter);
-        assert!(strassen.working_set_bytes >= classical.working_set_bytes);
-    }
-
-    #[test]
     fn sparse_loops_are_priced_by_traffic_not_flops() {
         use relperf_linalg::flops;
         let (n, nnz) = (2_000, 18_000);
@@ -268,6 +226,7 @@ mod tests {
         // byte, where the dense gemm loop sits far above it.
         assert!(spmv.flops_per_iter < spmv.working_set_bytes);
         let dense = Task::gemm_loop("G", 300, 4);
+        assert_eq!(dense.flops_per_iter, flops::gemm(300, 300, 300));
         assert!(dense.flops_per_iter > dense.working_set_bytes);
 
         let cg = Task::cg_solve_loop("CG", n, nnz, 50, 4);

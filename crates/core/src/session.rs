@@ -21,13 +21,13 @@
 //! session wave is **bit-identical** to running the batch
 //! [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with)
 //! on the session's current samples — for any
-//! [`Parallelism`](crate::cluster::Parallelism), and regardless of how
+//! [`Parallelism`], and regardless of how
 //! the measurements were split into waves. The batch entry points are in
 //! fact thin wrappers over a one-wave session (see
 //! `relperf_workloads::experiment::cluster_measurements_seeded`).
 
 use crate::cache::ComparisonCache;
-use crate::cluster::{scored_wave, ClusterConfig, Clustering, ScoreTable};
+use crate::cluster::{scored_wave, ClusterConfig, Clustering, Parallelism, ScoreTable};
 use relperf_measure::sample::SampleError;
 use relperf_measure::{Sample, ScratchThreeWayComparator};
 use std::sync::Mutex;
@@ -452,6 +452,18 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     /// # Panics
     /// Panics unless every algorithm has at least one measurement.
     pub fn score(&mut self) -> &ScoreTable {
+        self.score_with(self.config.parallelism)
+    }
+
+    /// [`score`](ClusterSession::score) on `parallelism` for this call
+    /// only: the wave runs with it in place of `config().parallelism`,
+    /// which stays as it was. The table is the same for any
+    /// `parallelism`, so a host can size each wave to the cores it has
+    /// free without touching the session's exported configuration.
+    ///
+    /// # Panics
+    /// Panics unless every algorithm has at least one measurement.
+    pub fn score_with(&mut self, parallelism: Parallelism) -> &ScoreTable {
         let p = self.samples.len();
         assert!(
             self.samples.iter().all(Option::is_some),
@@ -477,7 +489,7 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
         let pool = &self.pool;
         let table = scored_wave(
             p,
-            self.config,
+            ClusterConfig { parallelism, ..self.config },
             self.seed,
             Some(&mut self.caches),
             &|| PoolGuard::checkout(pool, || comparator.new_scratch()),
@@ -706,6 +718,36 @@ mod tests {
                 });
                 assert_eq!(got, reference, "threads={threads}");
             }
+        }
+    }
+
+    /// A per-call parallelism runs the same wave: every table equals the
+    /// configured `score()` drive and the stored config never changes.
+    #[test]
+    fn score_with_matches_score_and_keeps_config() {
+        let cmp = comparator();
+        let waves = [
+            [noisy(1.00, 0.1, 8, 21), noisy(1.05, 0.1, 8, 22), noisy(2.0, 0.1, 8, 23)],
+            [noisy(1.00, 0.1, 5, 24), noisy(1.05, 0.1, 5, 25), noisy(2.0, 0.1, 5, 26)],
+        ];
+        let drive = |score: &mut dyn FnMut(&mut ClusterSession<&BootstrapComparator>) -> ScoreTable| {
+            let mut session = ClusterSession::new(3, &cmp, config(1), 13);
+            let tables: Vec<ScoreTable> = waves
+                .iter()
+                .map(|wave| {
+                    for (alg, values) in wave.iter().enumerate() {
+                        session.extend(alg, values).unwrap();
+                    }
+                    score(&mut session)
+                })
+                .collect();
+            assert_eq!(session.config(), config(1));
+            (tables, session.export_state())
+        };
+        let reference = drive(&mut |s| s.score().clone());
+        for k in 1..=3 {
+            let got = drive(&mut |s| s.score_with(Parallelism::with_threads(k)).clone());
+            assert_eq!(got, reference, "threads={k}");
         }
     }
 

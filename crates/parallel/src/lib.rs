@@ -24,7 +24,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// Worker threads to use. `0` means "ask the OS"
-    /// (`std::thread::available_parallelism`); `1` forces the serial path.
+    /// ([`hardware_threads`]); `1` forces the serial path.
     pub threads: usize,
     /// Consecutive indices handed to a worker at a time. `0` picks a chunk
     /// size that yields ~4 chunks per worker (good load balance for the
@@ -58,12 +58,7 @@ impl Parallelism {
     /// The number of worker threads that will actually run for `n` items:
     /// resolves `threads == 0` against the OS and never exceeds `n`.
     pub fn effective_threads(&self, n: usize) -> usize {
-        let hw = || {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        };
-        let t = if self.threads == 0 { hw() } else { self.threads };
+        let t = if self.threads == 0 { hardware_threads() } else { self.threads };
         t.clamp(1, n.max(1))
     }
 
@@ -116,6 +111,8 @@ where
 /// the chunks it processes, so buffers (resample count vectors, comparison
 /// caches, …) are allocated once per thread instead of once per index —
 /// with no locking, since no state is ever shared between workers.
+/// The calling thread is one of the workers: a call on `t` threads
+/// spawns `t − 1`.
 ///
 /// The determinism contract is unchanged: `f(&mut s, i)`'s *result* must
 /// depend only on `i` (and captured shared state), never on which worker
@@ -163,6 +160,24 @@ where
     threaded::map_indexed_with(n, threads, parallelism.effective_chunk(n, threads), &init, &f)
 }
 
+/// Threads this build can run at once: `std::thread::available_parallelism`
+/// (at least 1), read on the first call and cached, or 1 when the build
+/// cannot spawn workers (see [`threads_enabled`]).
+///
+/// The cache matters on hot paths: `available_parallelism` reads cgroup
+/// files on Linux, which costs tens of microseconds per call.
+pub fn hardware_threads() -> usize {
+    static HARDWARE_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    if !threads_enabled() {
+        return 1;
+    }
+    *HARDWARE_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+    })
+}
+
 /// `true` when this build can actually spawn worker threads (the `threads`
 /// cargo feature; consumers expose it as their `parallel` feature).
 pub const fn threads_enabled() -> bool {
@@ -200,21 +215,24 @@ mod threaded {
             // Pop from the back so low indices run first on average.
             jobs.reverse();
             let queue = Mutex::new(jobs);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        // One state per worker, reused across every chunk
-                        // this worker pops — never shared, never locked.
-                        let mut state = init();
-                        loop {
-                            let job = queue.lock().expect("queue poisoned").pop();
-                            let Some((start, slot)) = job else { break };
-                            for (offset, cell) in slot.iter_mut().enumerate() {
-                                *cell = Some(f(&mut state, start + offset));
-                            }
-                        }
-                    });
+            let work = || {
+                // One state per worker, reused across every chunk this
+                // worker pops — never shared, never locked.
+                let mut state = init();
+                loop {
+                    let job = queue.lock().expect("queue poisoned").pop();
+                    let Some((start, slot)) = job else { break };
+                    for (offset, cell) in slot.iter_mut().enumerate() {
+                        *cell = Some(f(&mut state, start + offset));
+                    }
                 }
+            };
+            std::thread::scope(|scope| {
+                // The calling thread is worker 0: spawn only the others.
+                for _ in 1..threads {
+                    scope.spawn(work);
+                }
+                work();
             });
         }
         out.into_iter()
@@ -273,6 +291,17 @@ mod tests {
         assert_eq!(p.effective_threads(0), 1);
         assert_eq!(Parallelism::with_threads(16).effective_threads(3), 3);
         assert_eq!(Parallelism::serial().effective_threads(100), 1);
+    }
+
+    #[test]
+    fn hardware_threads_is_positive_and_cached() {
+        let first = hardware_threads();
+        assert!(first >= 1);
+        assert_eq!(hardware_threads(), first);
+        assert_eq!(Parallelism::auto().effective_threads(usize::MAX), first);
+        if !threads_enabled() {
+            assert_eq!(first, 1);
+        }
     }
 
     #[test]

@@ -867,7 +867,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
                     // Op-level typed errors replay the leader's own
                     // behavior bit-for-bit (the state change, if any, is
                     // identical), so they are not replication failures.
-                    let result = run_op(&mut replica.session, op, &self.scratch);
+                    // The follower applies on one thread, so each Score
+                    // may use every hardware thread.
+                    let result =
+                        run_op(&mut replica.session, op, Parallelism::auto(), &self.scratch);
                     replica.last_applied = Some(op_seq);
                     self.applied_ops += 1;
                     if matches!(result, Ok(OpOutcome::Closed)) {

@@ -33,6 +33,19 @@
 //! drives for any thread count and cadence — property-tested in
 //! `tests/pipeline.rs`.
 //!
+//! # Score threads
+//!
+//! Each batch a scheduler thread runs is granted the hardware threads
+//! minus one per other batch executing when it starts
+//! ([`run_shard_batch`](SessionService::run_shard_batch)): when one
+//! tenant is live, its `Score` spreads its repetitions over every core
+//! (the scheduler thread works too, joined by spawned helpers); when
+//! every scheduler thread is busy, each new `Score` runs on its own
+//! thread. A batch keeps its grant until it ends, so the count
+//! subtracts batches, not the threads they hold. The grant is the same
+//! in synchronous mode, where batches run on the awaiting caller's
+//! thread.
+//!
 //! # Synchronous mode
 //!
 //! `scheduler_threads == 0` spawns nothing: batches run inline inside

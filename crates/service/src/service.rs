@@ -84,7 +84,7 @@ use relperf_measure::{
     ThreeWayComparator,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Identifies one hosted session: a tenant id plus the tenant's own
@@ -102,8 +102,11 @@ pub struct SessionKey {
 pub struct SessionSpec {
     /// Number of algorithms `p` the session clusters.
     pub algorithms: usize,
-    /// Clustering configuration (repetitions, schedule; the parallelism
-    /// only moves work around — results never depend on it).
+    /// Clustering configuration. `repetitions` shapes the results;
+    /// `parallelism` is stored, snapshotted and round-tripped but only
+    /// advisory: the service decides how many threads each `Score` runs
+    /// on (see [`SessionService::run_shard_batch`]), and results never
+    /// depend on it.
     pub config: ClusterConfig,
     /// Clustering seed.
     pub seed: u64,
@@ -467,6 +470,10 @@ pub struct SessionService<C: ScratchThreeWayComparator + Send + Sync> {
     limits: ServiceLimits,
     /// How scored waves of *independent sessions* fan out in `run_batch`.
     scheduler: Parallelism,
+    /// Non-empty batches executing right now, across every caller of
+    /// [`run_shard_batch`](Self::run_shard_batch) — what sizes each
+    /// batch's `Score` grant (see [`score_grant`]).
+    executing: AtomicUsize,
     /// Queued ops per tenant (the in-flight admission counter).
     tenants: Mutex<HashMap<u64, usize>>,
     /// Global monotone ticket counter; per-tenant tickets are monotone
@@ -511,6 +518,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                 .collect(),
             limits,
             scheduler,
+            executing: AtomicUsize::new(0),
             tenants: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
             clock: AtomicU64::new(0),
@@ -1029,6 +1037,14 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// An all-empty subset returns immediately without counting a batch,
     /// so a polling scheduler does not inflate `batches` while idle.
     ///
+    /// Thread grant: a batch that starts while `k` other batches execute
+    /// may use `hardware_threads() − k` threads (at least 1), split
+    /// evenly over the scheduler workers its jobs fan across; every
+    /// `Score` in it runs on that share, whatever the session's
+    /// `config.parallelism` says. The rule subtracts executing batches,
+    /// not the threads they were granted, and a batch keeps its grant
+    /// until it ends. Tables do not depend on the grant.
+    ///
     /// # Panics
     /// Panics when a shard index is out of range
     /// (`>= `[`num_shards`](Self::num_shards)).
@@ -1092,6 +1108,13 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         // exactly one worker (uncontended — the Mutex only converts the
         // shared borrow into the mutable one the session needs).
         let stats = &self.stats;
+        let executing = ExecutingBatch::enter(&self.executing);
+        let grant = score_grant(
+            relperf_parallel::hardware_threads(),
+            executing.others,
+            self.scheduler,
+            jobs.len(),
+        );
         let per_job: Vec<Vec<OpResponse>> = relperf_parallel::parallel_map_indexed_with(
             jobs.len(),
             self.scheduler,
@@ -1099,9 +1122,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             |(), i| {
                 let mut job = jobs[i].lock().expect("job poisoned");
                 let Job { key, session, ops, .. } = &mut *job;
-                run_session_ops(*key, session, std::mem::take(ops), stats)
+                run_session_ops(*key, session, std::mem::take(ops), grant, stats)
             },
         );
+        drop(executing);
 
         // Check sessions back in and release bookkeeping.
         let tick = self.tick();
@@ -1610,7 +1634,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                                 report.deduped_ops += 1;
                                 continue;
                             }
-                            let result = run_op(&mut rebuilt.session, op, &scratch);
+                            // Replay runs before the service takes traffic:
+                            // each Score may use every hardware thread.
+                            let result =
+                                run_op(&mut rebuilt.session, op, Parallelism::auto(), &scratch);
                             rebuilt.last_applied = Some(seq);
                             report.replayed_ops += 1;
                             if matches!(result, Ok(OpOutcome::Closed)) {
@@ -1798,6 +1825,36 @@ impl<C: ScratchThreeWayComparator + Send + Sync> std::fmt::Debug for SessionServ
     }
 }
 
+/// Registers one executing batch in the service's counter for as long as
+/// it lives, so a batch that panics still leaves the count right.
+struct ExecutingBatch<'a> {
+    counter: &'a AtomicUsize,
+    /// Batches that were already executing when this one entered.
+    others: usize,
+}
+
+impl<'a> ExecutingBatch<'a> {
+    fn enter(counter: &'a AtomicUsize) -> Self {
+        // Relaxed: the count sizes a thread grant and publishes no data.
+        let others = counter.fetch_add(1, Ordering::Relaxed);
+        ExecutingBatch { counter, others }
+    }
+}
+
+impl Drop for ExecutingBatch<'_> {
+    fn drop(&mut self) {
+        self.counter.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The parallelism one job's `Score` runs on: `hardware` threads less
+/// one per batch among the `others` executing (at least 1), split evenly
+/// over the threads `scheduler` fans this batch's `jobs` across.
+fn score_grant(hardware: usize, others: usize, scheduler: Parallelism, jobs: usize) -> Parallelism {
+    let budget = hardware.saturating_sub(others).max(1);
+    Parallelism::with_threads((budget / scheduler.effective_threads(jobs)).max(1))
+}
+
 /// Executes one session's op group in `(tenant, seq)` order. `session` is
 /// `None` when the registry entry was gone at checkout (every op fails
 /// typed); it is set to `None` on `Close` so check-in drops the entry.
@@ -1805,6 +1862,7 @@ fn run_session_ops<C: ScratchThreeWayComparator + Send + Sync>(
     key: SessionKey,
     session: &mut Option<ClusterSession<SharedComparator<C>>>,
     ops: Vec<(u64, SessionOp)>,
+    grant: Parallelism,
     stats: &StatCounters,
 ) -> Vec<OpResponse> {
     let mut responses = Vec::with_capacity(ops.len());
@@ -1814,7 +1872,7 @@ fn run_session_ops<C: ScratchThreeWayComparator + Send + Sync>(
                 tenant: key.tenant,
                 session: key.session,
             }),
-            Some(live) => run_op(live, op, stats),
+            Some(live) => run_op(live, op, grant, stats),
         };
         let closed = matches!(result, Ok(OpOutcome::Closed));
         responses.push(OpResponse { key, seq, result });
@@ -1825,12 +1883,14 @@ fn run_session_ops<C: ScratchThreeWayComparator + Send + Sync>(
     responses
 }
 
-/// Executes one op against a live session. Never panics on tenant input:
+/// Executes one op against a live session, a `Score` on `parallelism`
+/// (the tables do not depend on it). Never panics on tenant input:
 /// index and readiness preconditions are re-checked here (defense in
 /// depth — `submit` validated indices already).
 pub(crate) fn run_op<C: ScratchThreeWayComparator + Send + Sync>(
     session: &mut ClusterSession<SharedComparator<C>>,
     op: SessionOp,
+    parallelism: Parallelism,
     stats: &StatCounters,
 ) -> Result<OpOutcome, ServiceError> {
     let p = session.num_algorithms();
@@ -1869,7 +1929,7 @@ pub(crate) fn run_op<C: ScratchThreeWayComparator + Send + Sync>(
                 return Err(ServiceError::NotReadyToScore { missing });
             }
             StatCounters::bump(&stats.waves);
-            let table = session.score().clone();
+            let table = session.score_with(parallelism).clone();
             Ok(OpOutcome::Scored(WaveOutcome {
                 clustering: table.final_assignment(),
                 table,
@@ -1889,5 +1949,61 @@ pub(crate) fn run_op<C: ScratchThreeWayComparator + Send + Sync>(
             Ok(OpOutcome::Snapshot(snapshot::encode(&snap)))
         }
         SessionOp::Close => Ok(OpOutcome::Closed),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(hardware, others, scheduler threads, jobs) → Score threads`.
+    #[test]
+    fn score_grant_splits_the_idle_threads() {
+        let cases = [
+            // One scheduler worker per batch: the batch gets every idle thread.
+            (2, 0, 1, 1, 2),
+            (2, 1, 1, 1, 1),
+            (2, 2, 1, 1, 1),
+            (2, 0, 1, 4, 2),
+            (2, 1, 1, 4, 1),
+            (2, 2, 1, 4, 1),
+            // Jobs fanned over 2 scheduler workers share the budget.
+            (2, 0, 2, 1, 2),
+            (2, 0, 2, 4, 1),
+            (2, 1, 2, 4, 1),
+            (2, 2, 2, 4, 1),
+            (4, 0, 2, 1, 4),
+            (4, 1, 2, 1, 3),
+            (4, 2, 2, 1, 2),
+            (4, 0, 2, 4, 2),
+            (4, 1, 2, 4, 1),
+            (4, 2, 2, 4, 1),
+            // More batches than threads still leaves each Score one.
+            (1, 5, 3, 4, 1),
+        ];
+        for (hardware, others, scheduler, jobs, want) in cases {
+            let got = score_grant(hardware, others, Parallelism::with_threads(scheduler), jobs);
+            assert_eq!(
+                got,
+                Parallelism::with_threads(want),
+                "hardware={hardware} others={others} scheduler={scheduler} jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn executing_count_survives_a_panicking_batch() {
+        let counter = AtomicUsize::new(0);
+        let outer = ExecutingBatch::enter(&counter);
+        assert_eq!(outer.others, 0);
+        let unwound = std::panic::catch_unwind(|| {
+            let inner = ExecutingBatch::enter(&counter);
+            assert_eq!(inner.others, 1);
+            panic!("batch failed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(counter.load(Ordering::Relaxed), 1);
+        drop(outer);
+        assert_eq!(counter.load(Ordering::Relaxed), 0);
     }
 }

@@ -18,8 +18,8 @@
 //! | version | `u16` | currently 1 |
 //! | `p` | `u64` | algorithm count |
 //! | `config.repetitions` | `u64` | |
-//! | `config.parallelism.threads` | `u64` | advisory — results never depend on it |
-//! | `config.parallelism.chunk` | `u64` | advisory |
+//! | `config.parallelism.threads` | `u64` | stored, advisory: results never depend on it; the service decides a hosted `Score`'s threads |
+//! | `config.parallelism.chunk` | `u64` | stored, advisory (as above) |
 //! | reserved | `u8` | 0 written; 0 or 1 accepted (once a pair-schedule tag) |
 //! | `seed` | `u64` | clustering seed |
 //! | `criterion.stable_waves` | `u64` | |

@@ -8,8 +8,16 @@ use rand::prelude::*;
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_core::session::{ClusterSession, ConvergenceCriterion};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::{
+    Outcome, Sample, ScratchThreeWayComparator, SeededThreeWayComparator, ThreeWayComparator,
+};
+use relperf_service::journal::{self, JournalRecord};
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
+use relperf_service::snapshot;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn comparator() -> BootstrapComparator {
@@ -318,4 +326,217 @@ fn slow_tenant_does_not_convoy_fast_tenants() {
     };
     assert_eq!(wave.table.num_algorithms(), 4);
     rt.shutdown();
+}
+
+type Threads = Arc<Mutex<HashSet<ThreadId>>>;
+
+/// A comparator busy enough (300 bootstrap rounds) that every `Score`
+/// lasts milliseconds, so a granted worker thread gets chunks to run
+/// even on a loaded host.
+fn busy_comparator() -> BootstrapComparator {
+    BootstrapComparator::with_config(
+        5,
+        BootstrapConfig {
+            reps: 300,
+            ..Default::default()
+        },
+    )
+}
+
+/// [`busy_comparator`], recording which threads ran its comparisons.
+struct ThreadLog {
+    inner: BootstrapComparator,
+    threads: Threads,
+}
+
+impl ThreadLog {
+    fn new(threads: &Threads) -> Self {
+        ThreadLog {
+            inner: busy_comparator(),
+            threads: Arc::clone(threads),
+        }
+    }
+}
+
+impl ThreeWayComparator for ThreadLog {
+    fn compare(&self, a: &Sample, b: &Sample) -> Outcome {
+        self.inner.compare(a, b)
+    }
+}
+
+impl SeededThreeWayComparator for ThreadLog {
+    fn compare_seeded(&self, a: &Sample, b: &Sample, stream: u64) -> Outcome {
+        self.inner.compare_seeded(a, b, stream)
+    }
+}
+
+impl ScratchThreeWayComparator for ThreadLog {
+    type Scratch = <BootstrapComparator as ScratchThreeWayComparator>::Scratch;
+
+    fn new_scratch(&self) -> Self::Scratch {
+        self.inner.new_scratch()
+    }
+
+    fn compare_seeded_scratch(
+        &self,
+        scratch: &mut Self::Scratch,
+        a: &Sample,
+        b: &Sample,
+        stream: u64,
+    ) -> Outcome {
+        self.threads.lock().unwrap().insert(std::thread::current().id());
+        self.inner.compare_seeded_scratch(scratch, a, b, stream)
+    }
+}
+
+/// FNV-1a 64, the hash behind a leader digest's session checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What one hosted campaign shows a tenant: every scored table, the
+/// `Snapshot` op bytes, and the session checksum of the digest the
+/// service journals for it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    tables: Vec<ScoreTable>,
+    snapshot: Vec<u8>,
+    checksum: u64,
+}
+
+/// One tenant's campaign through a journaled runtime with
+/// `scheduler_threads` scheduler threads over a serial-spec session.
+fn hosted_campaign(
+    script: &Script,
+    cfg: ClusterConfig,
+    comparator: ThreadLog,
+    scheduler_threads: usize,
+) -> Observed {
+    let stores: Vec<MemJournalStore> = (0..4).map(|_| MemJournalStore::new()).collect();
+    let service = SessionService::with_journal(
+        comparator,
+        Parallelism::serial(),
+        ServiceLimits::default(),
+        JournalConfig::default(),
+        stores.iter().map(|s| Box::new(s.clone()) as Box<dyn JournalStore>).collect(),
+    )
+    .unwrap();
+    let rt = ServiceRuntime::start(
+        service,
+        RuntimeConfig {
+            scheduler_threads,
+            ..Default::default()
+        },
+    );
+    let spec = SessionSpec {
+        algorithms: script.p,
+        config: cfg,
+        seed: script.seed,
+        criterion: ConvergenceCriterion::default(),
+    };
+    rt.create_session(script.tenant, script.session, spec).unwrap();
+    let ask = |ops: Vec<SessionOp>| {
+        let seqs = rt.submit_all(script.tenant, script.session, ops).unwrap();
+        let responses = rt
+            .await_responses(script.tenant, &seqs, Duration::from_secs(60))
+            .unwrap();
+        responses.into_iter().last().unwrap().result.unwrap()
+    };
+    let mut tables = Vec::new();
+    for wave in &script.waves {
+        let mut ops: Vec<SessionOp> = wave
+            .iter()
+            .enumerate()
+            .map(|(alg, values)| SessionOp::Extend { alg, values: values.clone() })
+            .collect();
+        ops.push(SessionOp::Score);
+        let OpOutcome::Scored(outcome) = ask(ops) else {
+            panic!("the last op is a Score");
+        };
+        tables.push(outcome.table);
+    }
+    let OpOutcome::Snapshot(snapshot) = ask(vec![SessionOp::Snapshot]) else {
+        panic!("asked for a Snapshot");
+    };
+    assert_eq!(rt.emit_digests().unwrap(), 4);
+    rt.shutdown();
+    let checksums: Vec<u64> = stores
+        .iter()
+        .flat_map(|store| journal::scan(&store.stored().journal).unwrap().records)
+        .filter_map(|(_, record)| match record {
+            JournalRecord::Digest { sessions } => Some(sessions),
+            _ => None,
+        })
+        .flatten()
+        .filter(|d| (d.tenant, d.session) == (script.tenant, script.session))
+        .map(|d| d.checksum)
+        .collect();
+    assert_eq!(checksums.len(), 1, "one digest entry for the session");
+    Observed {
+        tables,
+        snapshot,
+        checksum: checksums[0],
+    }
+}
+
+/// A lone tenant on a 2-thread runtime has its `Score`s granted every
+/// hardware thread, yet what it observes — tables, snapshot bytes,
+/// session checksum — equals synchronous mode and a bare serial
+/// `ClusterSession`, and the session's stored config stays serial.
+#[test]
+fn idle_core_grant_is_invisible() {
+    let mut script = scripts(1, 4, 0x1D1E).remove(0);
+    for (w, wave) in script.waves.iter_mut().enumerate() {
+        for (alg, values) in wave.iter_mut().enumerate() {
+            *values = noisy(1.0 + 0.05 * alg as f64, 24, 0xC0DE ^ ((w as u64) << 8) ^ alg as u64);
+        }
+    }
+    let cfg = ClusterConfig {
+        repetitions: 24,
+        parallelism: Parallelism::serial(),
+    };
+
+    let cmp = busy_comparator();
+    let mut bare = ClusterSession::new(script.p, &cmp, cfg, script.seed);
+    let tables: Vec<ScoreTable> = script
+        .waves
+        .iter()
+        .map(|wave| {
+            for (alg, values) in wave.iter().enumerate() {
+                bare.extend(alg, values).unwrap();
+            }
+            bare.score().clone()
+        })
+        .collect();
+    let bare_snapshot = snapshot::encode(&SessionSnapshot {
+        config: bare.config(),
+        seed: bare.seed(),
+        criterion: bare.criterion(),
+        state: bare.export_state(),
+        rng_states: Vec::new(),
+    });
+    let reference = Observed {
+        checksum: fnv1a64(&bare_snapshot),
+        tables,
+        snapshot: bare_snapshot,
+    };
+
+    let sync = hosted_campaign(&script, cfg, ThreadLog::new(&Threads::default()), 0);
+    assert_eq!(sync, reference, "sync drive-on-drain mode");
+    let threads = Threads::default();
+    let pipelined = hosted_campaign(&script, cfg, ThreadLog::new(&threads), 2);
+    assert_eq!(pipelined, reference, "2 scheduler threads");
+    assert_eq!(
+        snapshot::decode(&pipelined.snapshot).unwrap().config,
+        cfg,
+        "the grant never reaches the stored config"
+    );
+    if relperf_parallel::hardware_threads() >= 2 {
+        assert!(
+            threads.lock().unwrap().len() >= 2,
+            "a lone tenant's Scores ran on one thread"
+        );
+    }
 }

@@ -7,9 +7,7 @@
 //! Sections:
 //!
 //! * `gemm/*` — square products at the sizes the experiments measure;
-//! * `factor/*` — LU, Cholesky and QR, blocked vs unblocked reference;
-//! * `rls/*` — the two equivalent RLS solvers, stacked QR vs normal
-//!   equations + Cholesky, checked to agree before timing;
+//! * `factor/*` — Cholesky, blocked vs unblocked reference;
 //! * `table1/*` — the end-to-end *measurement phase* of the Table I
 //!   workload (Procedure 5 run for real): the dominant pipeline cost this
 //!   engine exists to cut.
@@ -25,10 +23,7 @@ use relperf_bench::report::{Report, Row};
 use relperf_bench::{median_pair, row};
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with};
-use relperf_linalg::lu::Lu;
-use relperf_linalg::qr::Qr;
 use relperf_linalg::random::{random_matrix, random_spd};
-use relperf_linalg::rls::{solve_rls_cholesky, solve_rls_qr};
 use relperf_linalg::{KernelEngine, Parallelism};
 use relperf_workloads::scientific_code::{run_real_custom_with, SIZES};
 use std::hint::black_box;
@@ -95,34 +90,16 @@ fn main() {
         ));
     }
 
-    // — Factorizations: blocked vs unblocked reference —
+    // — Factorization: blocked vs unblocked reference —
     {
         let n = 768;
-        let a = random_matrix(&mut rng, n, n);
-        assert_eq!(Lu::factor(&a).unwrap(), Lu::factor_reference(&a).unwrap());
-        let runs = runs_for(n).max(5);
-        let (before_s, after_s) = median_pair(
-            runs,
-            || {
-                black_box(Lu::factor_reference(black_box(&a)).unwrap());
-            },
-            || {
-                black_box(Lu::factor(black_box(&a)).unwrap());
-            },
-        );
-        entries.push(entry(
-            format!("factor/lu_n{n}"),
-            (before_s, after_s),
-            "right-looking rank-1 vs panel-blocked, bit-identical",
-        ));
-
         let spd = random_spd(&mut rng, n);
         assert_eq!(
             Cholesky::factor(&spd).unwrap(),
             Cholesky::factor_reference(&spd).unwrap()
         );
         let (before_s, after_s) = median_pair(
-            runs,
+            runs_for(n),
             || {
                 black_box(Cholesky::factor_reference(black_box(&spd)).unwrap());
             },
@@ -134,46 +111,6 @@ fn main() {
             format!("factor/cholesky_n{n}"),
             (before_s, after_s),
             "right-looking rank-1 vs panel-blocked, bit-identical",
-        ));
-    }
-    for n in [64usize, 128] {
-        let a = random_matrix(&mut rng, n + 16, n);
-        assert_eq!(Qr::factor(&a).unwrap(), Qr::factor_reference(&a).unwrap());
-        let times = median_pair(
-            runs_for(n),
-            || {
-                black_box(Qr::factor_reference(black_box(&a)).unwrap());
-            },
-            || {
-                black_box(Qr::factor(black_box(&a)).unwrap());
-            },
-        );
-        entries.push(entry(
-            format!("factor/qr_{}x{n}", n + 16),
-            times,
-            "column-sweep vs row-sweep reflectors, bit-identical",
-        ));
-    }
-
-    // — RLS: the paper's two equivalent solvers for one MathTask —
-    for n in [50usize, 75] {
-        let a = random_matrix(&mut rng, n, n);
-        let b = random_matrix(&mut rng, n, n);
-        let (z_qr, z_chol) = (solve_rls_qr(&a, &b, 0.1), solve_rls_cholesky(&a, &b, 0.1));
-        assert!(z_qr.unwrap().approx_eq(&z_chol.unwrap(), 1e-8), "rls solvers disagree");
-        let times = median_pair(
-            runs_for(n),
-            || {
-                black_box(solve_rls_qr(black_box(&a), black_box(&b), 0.1).unwrap());
-            },
-            || {
-                black_box(solve_rls_cholesky(black_box(&a), black_box(&b), 0.1).unwrap());
-            },
-        );
-        entries.push(entry(
-            format!("rls/n{n}"),
-            times,
-            "stacked QR vs normal equations + Cholesky, agree to 1e-8",
         ));
     }
 

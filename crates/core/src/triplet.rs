@@ -10,6 +10,12 @@
 //! This module turns a [`Clustering`] into exactly that training signal:
 //! `(anchor, positive, negative)` index triplets where anchor and positive
 //! share a class and the negative comes from a strictly worse class.
+//!
+//! No workload consumes triplets, yet the module stays: it is the only
+//! realisation of that conclusion in the workspace, and the root
+//! `tests/end_to_end.rs` derives triplets from a full Table I clustering,
+//! which shows the clustering carries the multi-class structure such
+//! training needs.
 
 use crate::cluster::Clustering;
 use rand::seq::IndexedRandom;
@@ -30,9 +36,9 @@ pub struct Triplet {
 }
 
 /// All valid triplets of a clustering, enumerated deterministically
-/// (anchor-major order). Classes with fewer than two members contribute no
-/// anchors; the worst class contributes no negatives... rather, anchors in
-/// the worst class have no negatives and are skipped.
+/// (anchor-major order). An anchor needs a positive from its own class and
+/// a negative from a strictly worse class, so members of singleton classes
+/// and of the worst class are never anchors.
 pub fn enumerate_triplets(clustering: &Clustering) -> Vec<Triplet> {
     let assignments = clustering.assignments();
     let mut out = Vec::new();
@@ -69,17 +75,6 @@ pub fn sample_triplets<R: Rng + ?Sized>(
         return None;
     }
     Some((0..count).map(|_| *all.choose(rng).expect("non-empty")).collect())
-}
-
-/// Only the hardest triplets (minimum class margin) — the most informative
-/// examples for metric learning.
-pub fn hard_triplets(clustering: &Clustering) -> Vec<Triplet> {
-    let all = enumerate_triplets(clustering);
-    let min_margin = all.iter().map(|t| t.margin_classes).min();
-    match min_margin {
-        Some(m) => all.into_iter().filter(|t| t.margin_classes == m).collect(),
-        None => Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -156,21 +151,5 @@ mod tests {
         let all: std::collections::HashSet<Triplet> =
             enumerate_triplets(&c).into_iter().collect();
         assert!(s1.iter().all(|t| all.contains(t)));
-    }
-
-    #[test]
-    fn hard_triplets_have_minimum_margin() {
-        static LEVELS: [usize; 5] = [0, 0, 1, 1, 2];
-        let c = clustering_from_levels(&LEVELS);
-        let hard = hard_triplets(&c);
-        assert!(!hard.is_empty());
-        assert!(hard.iter().all(|t| t.margin_classes == 1));
-    }
-
-    #[test]
-    fn hard_triplets_of_empty_set_is_empty() {
-        static LEVELS: [usize; 2] = [0, 1];
-        let c = clustering_from_levels(&LEVELS);
-        assert!(hard_triplets(&c).is_empty());
     }
 }

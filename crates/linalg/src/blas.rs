@@ -30,7 +30,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// `y ← a·x + y` for slices, with the workspace-wide fused multiply-add
 /// [`crate::fmadd`] per element — the same op the blocked kernel engine
-/// uses, which is what keeps row-sweep solves and reflector applications
+/// uses, which is what keeps row-sweep solves and factorization updates
 /// bit-identical to their per-element reference loops.
 ///
 /// # Panics
@@ -61,16 +61,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// 1-norm (sum of absolute values) of a slice.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Infinity norm (maximum absolute value) of a slice.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// Matrix-vector product `A·x`.
 ///
 /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != A.cols()`.
@@ -87,43 +77,6 @@ pub fn gemv(a: &Matrix, x: &[f64]) -> Result<Vec<f64>> {
         y.push(dot(a.row(i), x));
     }
     Ok(y)
-}
-
-/// Transposed matrix-vector product `Aᵀ·x`.
-///
-/// Returns [`LinalgError::ShapeMismatch`] when `x.len() != A.rows()`.
-pub fn gemv_t(a: &Matrix, x: &[f64]) -> Result<Vec<f64>> {
-    if x.len() != a.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "gemv_t",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    let mut y = vec![0.0; a.cols()];
-    for i in 0..a.rows() {
-        axpy(x[i], a.row(i), &mut y);
-    }
-    Ok(y)
-}
-
-/// Rank-1 update `A ← A + α·x·yᵀ`.
-///
-/// Returns [`LinalgError::ShapeMismatch`] unless `x.len() == A.rows()` and
-/// `y.len() == A.cols()`.
-pub fn ger(a: &mut Matrix, alpha: f64, x: &[f64], y: &[f64]) -> Result<()> {
-    if x.len() != a.rows() || y.len() != a.cols() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "ger",
-            lhs: a.shape(),
-            rhs: (x.len(), y.len()),
-        });
-    }
-    for i in 0..a.rows() {
-        let s = alpha * x[i];
-        axpy(s, y, a.row_mut(i));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -166,18 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn norm1_and_inf() {
-        let x = vec![-1.0, 2.0, -3.0];
-        assert_eq!(norm1(&x), 6.0);
-        assert_eq!(norm_inf(&x), 3.0);
-    }
-
-    #[test]
     fn norms_of_zero_vector() {
         let z = vec![0.0; 5];
         assert_eq!(norm2(&z), 0.0);
-        assert_eq!(norm1(&z), 0.0);
-        assert_eq!(norm_inf(&z), 0.0);
     }
 
     #[test]
@@ -187,32 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn gemv_t_matches_transpose_gemv() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + 2 * j) as f64);
-        let x = vec![1.0, -1.0, 2.0];
-        let direct = gemv_t(&a, &x).unwrap();
-        let via_t = gemv(&a.transpose(), &x).unwrap();
-        assert_eq!(direct, via_t);
-    }
-
-    #[test]
     fn gemv_shape_errors() {
         let a = Matrix::zeros(2, 3);
         assert!(gemv(&a, &[1.0, 2.0]).is_err());
-        assert!(gemv_t(&a, &[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn ger_rank1_update() {
-        let mut a = Matrix::zeros(2, 2);
-        ger(&mut a, 2.0, &[1.0, 2.0], &[3.0, 4.0]).unwrap();
-        assert_eq!(a[(0, 0)], 6.0);
-        assert_eq!(a[(1, 1)], 16.0);
-    }
-
-    #[test]
-    fn ger_shape_errors() {
-        let mut a = Matrix::zeros(2, 2);
-        assert!(ger(&mut a, 1.0, &[1.0], &[1.0, 2.0]).is_err());
     }
 }

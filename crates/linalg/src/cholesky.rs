@@ -199,11 +199,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consume the factorization and return `L`.
-    pub fn into_l(self) -> Matrix {
-        self.l
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.l.rows()
@@ -226,16 +221,6 @@ impl Cholesky {
     /// an explicit inverse; [`Cholesky::solve_matrix`] is the cheaper path.
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
-    /// Determinant of the factored matrix: `det(A) = Π l_jj²`.
-    pub fn det(&self) -> f64 {
-        let mut d = 1.0;
-        for j in 0..self.dim() {
-            let v = self.l[(j, j)];
-            d *= v * v;
-        }
-        d
     }
 }
 
@@ -296,13 +281,6 @@ mod tests {
         let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
         let prod = gemm_naive(&a, &inv).unwrap();
         assert!(prod.approx_eq(&Matrix::identity(12), 1e-6));
-    }
-
-    #[test]
-    fn det_of_diagonal() {
-        let a = Matrix::from_diag(&[4.0, 9.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.det() - 36.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::cholesky::Cholesky;
 use crate::error::Result;
 use crate::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with, syrk_ata, syrk_ata_blocked};
-use crate::lu::Lu;
 use crate::matrix::Matrix;
 use relperf_parallel::Parallelism;
 
@@ -22,7 +21,7 @@ use relperf_parallel::Parallelism;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum KernelEngine {
     /// Unblocked reference kernels: the naive `ikj` GEMM, the rank-1
-    /// right-looking factorizations. The oracle everything else is tested
+    /// right-looking Cholesky. The oracle everything else is tested
     /// against — and the honest "before" side of the kernel benchmarks.
     Reference,
     /// The packed, cache-blocked microkernel engine (serial). The default.
@@ -73,17 +72,6 @@ impl KernelEngine {
             KernelEngine::Parallel(par) => Cholesky::factor_parallel_with(a, *par),
         }
     }
-
-    /// LU factorization with partial pivoting on this engine (the parallel
-    /// engine fans the trailing updates over row blocks — bit-identical,
-    /// see [`Lu::factor_parallel_with`]).
-    pub fn lu(&self, a: &Matrix) -> Result<Lu> {
-        match self {
-            KernelEngine::Reference => Lu::factor_reference(a),
-            KernelEngine::Blocked => Lu::factor(a),
-            KernelEngine::Parallel(par) => Lu::factor_parallel_with(a, *par),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,12 +94,10 @@ mod tests {
         let gemm0 = engines[0].gemm(&a, &b).unwrap();
         let gram0 = engines[0].gram(&a);
         let chol0 = engines[0].cholesky(&spd).unwrap();
-        let lu0 = engines[0].lu(&spd).unwrap();
         for e in &engines[1..] {
             assert_eq!(e.gemm(&a, &b).unwrap(), gemm0, "{}", e.label());
             assert_eq!(e.gram(&a), gram0, "{}", e.label());
             assert_eq!(e.cholesky(&spd).unwrap(), chol0, "{}", e.label());
-            assert_eq!(e.lu(&spd).unwrap(), lu0, "{}", e.label());
         }
     }
 

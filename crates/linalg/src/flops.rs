@@ -36,20 +36,6 @@ pub fn cholesky(n: usize) -> u64 {
     (n * n * n) / 3 + n * n
 }
 
-/// FLOPs of an LU factorization with partial pivoting: `(2/3)·n³` to
-/// leading order.
-pub fn lu(n: usize) -> u64 {
-    let n = n as u64;
-    2 * n * n * n / 3 + n * n
-}
-
-/// FLOPs of a Householder QR of an `m x n` matrix (`m ≥ n`):
-/// `2·n²·(m − n/3)` to leading order.
-pub fn qr(m: usize, n: usize) -> u64 {
-    let (m, n) = (m as u64, n as u64);
-    2 * n * n * m - (2 * n * n * n) / 3
-}
-
 /// FLOPs of one triangular solve with an `n x n` factor and a single
 /// right-hand side: `n²`.
 pub fn trsv(n: usize) -> u64 {
@@ -183,15 +169,6 @@ pub fn cg_iter_bytes(n: usize, nnz: usize) -> u64 {
     csr_bytes(n, nnz) + 14 * 8 * n as u64
 }
 
-/// Bytes that must cross the device link per `MathTask` iteration when the
-/// task runs on the accelerator: the two input matrices `A`, `B` move to the
-/// device and the scalar penalty comes back (the result matrix `Z` stays
-/// device-resident, matching the TensorFlow placement behaviour the paper
-/// describes as "data-movement between CPU and GPU").
-pub fn rls_iteration_offload_bytes(size: usize) -> u64 {
-    2 * matrix_bytes(size, size) + 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,8 +181,8 @@ mod tests {
 
     /// Pins the closed-form counts against instrumented replicas of the
     /// naive kernel loops: exact for the loops whose trip counts the
-    /// formulas enumerate, leading-order (≤ 5 %) for the factorizations
-    /// whose formulas keep only the conventional cubic + quadratic terms.
+    /// formulas enumerate, leading-order (≤ 5 %) for Cholesky, whose
+    /// formula keeps only the conventional cubic + quadratic terms.
     #[test]
     fn formulas_match_counted_naive_loops() {
         // gemm: one fused multiply-add = 2 FLOPs per (i, l, j) triple.
@@ -255,18 +232,6 @@ mod tests {
         let formula = cholesky(n);
         let err = (formula as f64 - count as f64).abs() / count as f64;
         assert!(err < 0.05, "cholesky: formula {formula} vs counted {count}");
-
-        // lu: same exercise for the right-looking elimination.
-        let mut count = 0u64;
-        for kcol in 0..n {
-            for _i in (kcol + 1)..n {
-                count += 1; // multiplier divide
-                count += 2 * (n - kcol - 1) as u64; // fused row update
-            }
-        }
-        let formula = lu(n);
-        let err = (formula as f64 - count as f64).abs() / count as f64;
-        assert!(err < 0.05, "lu: formula {formula} vs counted {count}");
     }
 
     /// Pins the sparse closed forms against instrumented replicas of the
@@ -356,14 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn qr_exceeds_cholesky_for_square() {
-        // QR on a square matrix costs roughly 4x Cholesky — the reason the
-        // normal-equations path is the default in `rls`.
-        let n = 64;
-        assert!(qr(n, n) > 3 * cholesky(n));
-    }
-
-    #[test]
     fn trsm_scales_with_rhs_count() {
         assert_eq!(trsm(10, 3), 300);
     }
@@ -390,7 +347,6 @@ mod tests {
     #[test]
     fn bytes_counts() {
         assert_eq!(matrix_bytes(2, 3), 48);
-        assert_eq!(rls_iteration_offload_bytes(10), 2 * 800 + 8);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!   packed, and thread-parallel), all bit-agreeing up to floating-point
 //!   reassociation and property-tested against the naive reference.
 //! * [`KernelEngine`] — selects the naive reference or the blocked/parallel kernels.
-//! * [`cholesky`], [`lu`], [`qr`], [`triangular`] — the factorizations needed
-//!   to solve the paper's Regularized Least Squares (RLS) task. The crate
-//!   carries only kernels that a workload or benchmark runs.
+//! * [`cholesky`], [`triangular`] — the factorization and solves needed to
+//!   solve the paper's Regularized Least Squares (RLS) task. The crate
+//!   carries only kernels that a workload runs.
 //! * [`rls`] — the RLS solver `Z = (AᵀA + λI)⁻¹ AᵀB` (Procedure 6 of the
-//!   paper) with both a normal-equations/Cholesky path and a QR path.
+//!   paper) through the normal equations and Cholesky.
 //! * [`sparse`] — the bandwidth-bound family: COO assembly, a [`CsrMatrix`]
 //!   with SpMV and sparse triangular solves, and deterministic Jacobi /
 //!   Conjugate-Gradient solvers, all pinned against the dense oracles.
@@ -31,9 +31,7 @@ pub mod engine;
 pub mod error;
 pub mod flops;
 pub mod gemm;
-pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod random;
 pub mod rls;
 pub mod sparse;

@@ -36,15 +36,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix with every element set to `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -153,11 +144,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     ///
     /// # Panics
@@ -205,40 +191,6 @@ impl Matrix {
     #[inline]
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Iterates over the rows as mutable slices, in order. See
-    /// [`Matrix::rows_iter`].
-    #[inline]
-    pub fn rows_iter_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_exact_mut(self.cols.max(1))
-    }
-
-    /// Borrow the contiguous block of `nr` full rows starting at row `r0`
-    /// as one flat slice (row-major, `cols` values per row).
-    ///
-    /// # Panics
-    /// Panics when `r0 + nr > rows`.
-    #[inline]
-    pub fn row_block(&self, r0: usize, nr: usize) -> &[f64] {
-        assert!(
-            r0 + nr <= self.rows,
-            "row block {r0}+{nr} out of bounds ({})",
-            self.rows
-        );
-        &self.data[r0 * self.cols..(r0 + nr) * self.cols]
-    }
-
-    /// Mutably borrow the contiguous block of `nr` full rows starting at
-    /// row `r0`. See [`Matrix::row_block`].
-    #[inline]
-    pub fn row_block_mut(&mut self, r0: usize, nr: usize) -> &mut [f64] {
-        assert!(
-            r0 + nr <= self.rows,
-            "row block {r0}+{nr} out of bounds ({})",
-            self.rows
-        );
-        &mut self.data[r0 * self.cols..(r0 + nr) * self.cols]
     }
 
     /// Splits the storage into the rows before `r` and the rows from `r`
@@ -325,40 +277,12 @@ impl Matrix {
         out
     }
 
-    /// Extracts the contiguous sub-matrix starting at `(r0, c0)` of size
-    /// `nr x nc`.
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the block exceeds the
-    /// matrix bounds.
-    pub fn submatrix(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Result<Matrix> {
-        if r0 + nr > self.rows || c0 + nc > self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "submatrix",
-                lhs: (self.rows, self.cols),
-                rhs: (r0 + nr, c0 + nc),
-            });
-        }
-        let mut out = Matrix::zeros(nr, nc);
-        for i in 0..nr {
-            let src = &self.data[(r0 + i) * self.cols + c0..(r0 + i) * self.cols + c0 + nc];
-            out.row_mut(i).copy_from_slice(src);
-        }
-        Ok(out)
-    }
-
     /// Applies `f` elementwise, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Scales every element by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 
@@ -643,23 +567,9 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_extracts_block() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.submatrix(1, 2, 2, 2).unwrap();
-        assert_eq!(s[(0, 0)], 6.0);
-        assert_eq!(s[(1, 1)], 11.0);
-    }
-
-    #[test]
-    fn submatrix_out_of_bounds() {
-        let m = Matrix::zeros(3, 3);
-        assert!(m.submatrix(2, 2, 2, 2).is_err());
-    }
-
-    #[test]
     fn add_sub_and_scale() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::filled(2, 2, 1.0);
+        let b = Matrix::from_fn(2, 2, |_, _| 1.0);
         let sum = &a + &b;
         assert_eq!(sum[(1, 1)], 5.0);
         let diff = &sum - &b;
@@ -707,7 +617,7 @@ mod tests {
 
     #[test]
     fn neg_negates() {
-        let m = Matrix::filled(2, 2, 3.0);
+        let m = Matrix::from_fn(2, 2, |_, _| 3.0);
         assert_eq!((-&m)[(0, 0)], -3.0);
     }
 

@@ -43,14 +43,8 @@ pub fn random_lower_triangular<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Matrix
     })
 }
 
-/// Random upper-triangular matrix, mirror of [`random_lower_triangular`].
-pub fn random_upper_triangular<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Matrix {
-    random_lower_triangular(rng, n).transpose()
-}
-
 /// Random diagonally-dominant matrix (each diagonal entry exceeds the sum of
-/// absolute off-diagonal entries in its row), guaranteed non-singular — used
-/// to exercise the LU path without pivoting breakdowns.
+/// absolute off-diagonal entries in its row), guaranteed non-singular.
 pub fn random_diag_dominant<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Matrix {
     let mut m = random_matrix(rng, n, n);
     for i in 0..n {
@@ -104,16 +98,6 @@ mod tests {
             assert!(l[(i, i)] >= 0.5);
             for j in (i + 1)..8 {
                 assert_eq!(l[(i, j)], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn upper_triangular_structure() {
-        let u = random_upper_triangular(&mut StdRng::seed_from_u64(6), 8);
-        for i in 0..8 {
-            for j in 0..i {
-                assert_eq!(u[(i, j)], 0.0);
             }
         }
     }

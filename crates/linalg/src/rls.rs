@@ -7,41 +7,21 @@
 //! penalty = ‖A·Z − B‖²
 //! ```
 //!
-//! Two mathematically equivalent solution paths are provided (the very
-//! situation the methodology ranks):
-//!
-//! * [`solve_rls_cholesky`] — normal equations + Cholesky (default, cheapest)
-//! * [`solve_rls_qr`] — QR of the stacked matrix `[A; √λ·I]` (more stable,
-//!   more FLOPs)
+//! [`solve_rls_cholesky_with`] solves it through the normal equations and
+//! Cholesky on any [`KernelEngine`]; [`math_task_with`] chains the solve
+//! and the penalty into one `MathTask`.
 
 use crate::engine::KernelEngine;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::qr::Qr;
 use rand::Rng;
 
-/// Which equivalent RLS algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RlsMethod {
-    /// Normal equations solved with Cholesky: `(AᵀA + λI)·Z = AᵀB`.
-    #[default]
-    NormalCholesky,
-    /// QR of the `(m+n) x n` stacked matrix `[A; √λ·I]` with right-hand side
-    /// `[B; 0]`.
-    StackedQr,
-}
-
-/// Solves `Z = (AᵀA + λI)⁻¹ AᵀB` via the normal equations and Cholesky,
-/// on the default (blocked) kernel engine.
+/// Solves `Z = (AᵀA + λI)⁻¹ AᵀB` via the normal equations and Cholesky
+/// on `engine`. Every engine returns bit-identical `Z` — the choice only
+/// affects speed.
 ///
 /// Requires `a.rows() == b.rows()`; `λ` must make `AᵀA + λI` positive
 /// definite (any `λ > 0` does for real `A`).
-pub fn solve_rls_cholesky(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
-    solve_rls_cholesky_with(a, b, lambda, KernelEngine::default())
-}
-
-/// [`solve_rls_cholesky`] on an explicit [`KernelEngine`]. Every engine
-/// returns bit-identical `Z` — the choice only affects speed.
 pub fn solve_rls_cholesky_with(
     a: &Matrix,
     b: &Matrix,
@@ -61,99 +41,30 @@ pub fn solve_rls_cholesky_with(
     engine.cholesky(&gram)?.solve_matrix(&atb)
 }
 
-/// Solves the same problem through the QR factorization of the stacked
-/// matrix `[A; √λ·I]`, which minimizes `‖A·Z − B‖² + λ‖Z‖²` column-wise —
-/// algebraically identical to the normal-equations solution.
-pub fn solve_rls_qr(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "rls_qr",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, n) = a.shape();
-    let sqrt_lambda = lambda.sqrt();
-    let stacked = Matrix::from_fn(m + n, n, |i, j| {
-        if i < m {
-            a[(i, j)]
-        } else if i - m == j {
-            sqrt_lambda
-        } else {
-            0.0
-        }
-    });
-    let rhs = Matrix::from_fn(m + n, b.cols(), |i, j| if i < m { b[(i, j)] } else { 0.0 });
-    Qr::factor(&stacked)?.solve_least_squares_matrix(&rhs)
-}
-
-/// Dispatches on [`RlsMethod`].
-pub fn solve_rls(a: &Matrix, b: &Matrix, lambda: f64, method: RlsMethod) -> Result<Matrix> {
-    solve_rls_with(a, b, lambda, method, KernelEngine::default())
-}
-
-/// [`solve_rls`] on an explicit [`KernelEngine`]. The QR path factors with
-/// [`Qr::factor`], whose implementations are bit-identical across engines
-/// already, so the engine choice matters for the normal-equations path.
-pub fn solve_rls_with(
-    a: &Matrix,
-    b: &Matrix,
-    lambda: f64,
-    method: RlsMethod,
-    engine: KernelEngine,
-) -> Result<Matrix> {
-    match method {
-        RlsMethod::NormalCholesky => solve_rls_cholesky_with(a, b, lambda, engine),
-        RlsMethod::StackedQr => solve_rls_qr(a, b, lambda),
-    }
-}
-
-/// The squared-Frobenius penalty `‖A·Z − B‖²` of Procedure 6, on the
-/// default (blocked) kernel engine.
-pub fn rls_penalty(a: &Matrix, z: &Matrix, b: &Matrix) -> Result<f64> {
-    rls_penalty_with(a, z, b, KernelEngine::default())
-}
-
-/// [`rls_penalty`] on an explicit [`KernelEngine`].
-pub fn rls_penalty_with(
-    a: &Matrix,
-    z: &Matrix,
-    b: &Matrix,
-    engine: KernelEngine,
-) -> Result<f64> {
+/// The squared-Frobenius penalty `‖A·Z − B‖²` of Procedure 6 on `engine`.
+fn rls_penalty_with(a: &Matrix, z: &Matrix, b: &Matrix, engine: KernelEngine) -> Result<f64> {
     let az = engine.gemm(a, z)?;
     let resid = az.try_sub(b)?;
     let norm = resid.frobenius_norm();
     Ok(norm * norm)
 }
 
-/// One full `MathTask` (Procedure 6): `iters` iterations of
+/// One full `MathTask` (Procedure 6) on `engine`: `iters` iterations of
 /// generate-solve-penalize, threading the penalty from each iteration into
 /// the regularizer of the next. Returns the final penalty.
 ///
 /// The initial `penalty` plays the role of `λ`; the paper seeds it with the
 /// output of the previous task (0 for the first). A floor of `1e-6` keeps
 /// the Gram matrix positive definite on the first iteration.
-pub fn math_task<R: Rng + ?Sized>(
-    rng: &mut R,
-    size: usize,
-    iters: usize,
-    penalty: f64,
-    method: RlsMethod,
-) -> Result<f64> {
-    math_task_with(rng, size, iters, penalty, method, KernelEngine::default())
-}
-
-/// [`math_task`] on an explicit [`KernelEngine`]. The RNG draw sequence
-/// and every kernel result are engine-independent, so all engines return
-/// the **same penalty bit for bit** from the same seed — golden-tested in
-/// `relperf-workloads`.
+///
+/// The RNG draw sequence and every kernel result are engine-independent,
+/// so all engines return the **same penalty bit for bit** from the same
+/// seed — golden-tested in `relperf-workloads`.
 pub fn math_task_with<R: Rng + ?Sized>(
     rng: &mut R,
     size: usize,
     iters: usize,
     mut penalty: f64,
-    method: RlsMethod,
     engine: KernelEngine,
 ) -> Result<f64> {
     if size == 0 {
@@ -163,7 +74,7 @@ pub fn math_task_with<R: Rng + ?Sized>(
         let a = crate::random::random_matrix(rng, size, size);
         let b = crate::random::random_matrix(rng, size, size);
         let lambda = penalty.max(1e-6);
-        let z = solve_rls_with(&a, &b, lambda, method, engine)?;
+        let z = solve_rls_cholesky_with(&a, &b, lambda, engine)?;
         penalty = rls_penalty_with(&a, &z, &b, engine)?;
     }
     Ok(penalty)
@@ -182,7 +93,7 @@ mod tests {
         let a = random_matrix(&mut rng, 12, 12);
         let b = random_matrix(&mut rng, 12, 12);
         let lambda = 0.5;
-        let z = solve_rls_cholesky(&a, &b, lambda).unwrap();
+        let z = solve_rls_cholesky_with(&a, &b, lambda, KernelEngine::default()).unwrap();
         // Check (AᵀA + λI)·Z = AᵀB.
         let mut gram = syrk_ata(&a);
         gram.add_diag_mut(lambda);
@@ -192,41 +103,12 @@ mod tests {
     }
 
     #[test]
-    fn qr_path_agrees_with_cholesky_path() {
-        let mut rng = StdRng::seed_from_u64(52);
-        let a = random_matrix(&mut rng, 10, 10);
-        let b = random_matrix(&mut rng, 10, 10);
-        let z_chol = solve_rls_cholesky(&a, &b, 0.3).unwrap();
-        let z_qr = solve_rls_qr(&a, &b, 0.3).unwrap();
-        assert!(
-            z_chol.approx_eq(&z_qr, 1e-6),
-            "max diff {}",
-            z_chol.try_sub(&z_qr).unwrap().max_abs()
-        );
-    }
-
-    #[test]
-    fn dispatch_matches_direct_calls() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let a = random_matrix(&mut rng, 8, 8);
-        let b = random_matrix(&mut rng, 8, 8);
-        assert_eq!(
-            solve_rls(&a, &b, 0.1, RlsMethod::NormalCholesky).unwrap(),
-            solve_rls_cholesky(&a, &b, 0.1).unwrap()
-        );
-        assert_eq!(
-            solve_rls(&a, &b, 0.1, RlsMethod::StackedQr).unwrap(),
-            solve_rls_qr(&a, &b, 0.1).unwrap()
-        );
-    }
-
-    #[test]
     fn larger_lambda_shrinks_solution() {
         let mut rng = StdRng::seed_from_u64(54);
         let a = random_matrix(&mut rng, 15, 15);
         let b = random_matrix(&mut rng, 15, 15);
-        let z_small = solve_rls_cholesky(&a, &b, 1e-3).unwrap();
-        let z_large = solve_rls_cholesky(&a, &b, 1e3).unwrap();
+        let z_small = solve_rls_cholesky_with(&a, &b, 1e-3, KernelEngine::default()).unwrap();
+        let z_large = solve_rls_cholesky_with(&a, &b, 1e3, KernelEngine::default()).unwrap();
         assert!(z_large.frobenius_norm() < z_small.frobenius_norm());
     }
 
@@ -236,8 +118,8 @@ mod tests {
         let a = crate::random::random_diag_dominant(&mut rng, 9);
         let b = random_matrix(&mut rng, 9, 9);
         // With λ → 0 and invertible A, Z → A⁻¹B and the penalty → 0.
-        let z = solve_rls_cholesky(&a, &b, 1e-12).unwrap();
-        let p = rls_penalty(&a, &z, &b).unwrap();
+        let z = solve_rls_cholesky_with(&a, &b, 1e-12, KernelEngine::default()).unwrap();
+        let p = rls_penalty_with(&a, &z, &b, KernelEngine::default()).unwrap();
         assert!(p >= 0.0);
         assert!(p < 1e-6, "penalty {p}");
     }
@@ -246,41 +128,37 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Matrix::zeros(4, 4);
         let b = Matrix::zeros(5, 4);
-        assert!(solve_rls_cholesky(&a, &b, 0.1).is_err());
-        assert!(solve_rls_qr(&a, &b, 0.1).is_err());
+        assert!(solve_rls_cholesky_with(&a, &b, 0.1, KernelEngine::default()).is_err());
     }
 
     #[test]
     fn math_task_runs_and_is_deterministic() {
-        let p1 = math_task(&mut StdRng::seed_from_u64(56), 10, 3, 0.0, RlsMethod::NormalCholesky)
-            .unwrap();
-        let p2 = math_task(&mut StdRng::seed_from_u64(56), 10, 3, 0.0, RlsMethod::NormalCholesky)
-            .unwrap();
+        let engine = KernelEngine::default();
+        let p1 = math_task_with(&mut StdRng::seed_from_u64(56), 10, 3, 0.0, engine).unwrap();
+        let p2 = math_task_with(&mut StdRng::seed_from_u64(56), 10, 3, 0.0, engine).unwrap();
         assert_eq!(p1, p2);
         assert!(p1.is_finite() && p1 >= 0.0);
     }
 
     #[test]
     fn math_task_zero_iters_returns_input_penalty() {
-        let p = math_task(&mut StdRng::seed_from_u64(57), 10, 0, 2.5, RlsMethod::NormalCholesky)
-            .unwrap();
+        let engine = KernelEngine::default();
+        let p = math_task_with(&mut StdRng::seed_from_u64(57), 10, 0, 2.5, engine).unwrap();
         assert_eq!(p, 2.5);
     }
 
     #[test]
     fn math_task_zero_size_rejected() {
-        assert!(math_task(&mut StdRng::seed_from_u64(58), 0, 1, 0.0, RlsMethod::NormalCholesky)
-            .is_err());
+        let engine = KernelEngine::default();
+        assert!(math_task_with(&mut StdRng::seed_from_u64(58), 0, 1, 0.0, engine).is_err());
     }
 
     #[test]
     fn math_task_penalty_chains_between_iterations() {
         // Different initial penalties must lead to different trajectories.
-        let p_a =
-            math_task(&mut StdRng::seed_from_u64(59), 8, 2, 0.0, RlsMethod::NormalCholesky).unwrap();
-        let p_b =
-            math_task(&mut StdRng::seed_from_u64(59), 8, 2, 100.0, RlsMethod::NormalCholesky)
-                .unwrap();
+        let engine = KernelEngine::default();
+        let p_a = math_task_with(&mut StdRng::seed_from_u64(59), 8, 2, 0.0, engine).unwrap();
+        let p_b = math_task_with(&mut StdRng::seed_from_u64(59), 8, 2, 100.0, engine).unwrap();
         assert_ne!(p_a, p_b);
     }
 }

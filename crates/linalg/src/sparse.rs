@@ -377,13 +377,6 @@ impl CsrMatrix {
         }
     }
 
-    /// In-memory byte footprint of the CSR arrays (values + column indices
-    /// + row offsets) — the model in [`crate::flops::csr_bytes`], computed
-    /// for this concrete matrix.
-    pub fn storage_bytes(&self) -> u64 {
-        crate::flops::csr_bytes(self.rows, self.nnz())
-    }
-
     fn check_vec(&self, op: &'static str, len: usize) -> SparseResult<()> {
         if len != self.cols {
             return Err(SparseError::ShapeMismatch {

@@ -9,9 +9,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_linalg::cholesky::Cholesky;
 use relperf_linalg::gemm::{gemm_blocked, gemm_naive, gemm_parallel_with, syrk_ata};
-use relperf_linalg::lu::Lu;
-use relperf_linalg::qr::Qr;
-use relperf_linalg::random::{random_diag_dominant, random_matrix, random_spd, random_vector};
+use relperf_linalg::random::{random_matrix, random_spd, random_vector};
 use relperf_linalg::triangular::{solve_lower, solve_upper};
 use relperf_linalg::Matrix;
 
@@ -77,25 +75,6 @@ proptest! {
             Cholesky::factor(&a).unwrap(),
             Cholesky::factor_reference(&a).unwrap()
         );
-    }
-
-    #[test]
-    fn lu_blocked_bit_identical_to_reference(seed in 0u64..1_000, n in 1usize..80) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // General random matrices exercise genuine pivoting.
-        let a = random_matrix(&mut rng, n, n);
-        match (Lu::factor(&a), Lu::factor_reference(&a)) {
-            (Ok(b), Ok(r)) => prop_assert_eq!(b, r),
-            (Err(_), Err(_)) => {}
-            (b, r) => prop_assert!(false, "diverging results: {:?} vs {:?}", b.is_ok(), r.is_ok()),
-        }
-    }
-
-    #[test]
-    fn qr_row_sweep_bit_identical_to_reference(seed in 0u64..1_000, n in 1usize..30, extra in 0usize..15) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(&mut rng, n + extra, n);
-        prop_assert_eq!(Qr::factor(&a).unwrap(), Qr::factor_reference(&a).unwrap());
     }
 
     #[test]
@@ -187,44 +166,6 @@ proptest! {
     }
 
     #[test]
-    fn lu_reconstructs_permuted_input(seed in 0u64..1_000, n in 1usize..20) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_diag_dominant(&mut rng, n);
-        let lu = Lu::factor(&a).unwrap();
-        let prod = gemm_naive(&lu.l(), &lu.u()).unwrap();
-        let pa = Matrix::from_fn(n, n, |i, j| a[(lu.permutation()[i], j)]);
-        prop_assert!(close(&prod, &pa, 1e-8));
-    }
-
-    #[test]
-    fn lu_determinant_multiplicative_with_scaling(seed in 0u64..1_000, n in 1usize..10, s in 0.5f64..2.0) {
-        // det(sA) = sⁿ det(A)
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_diag_dominant(&mut rng, n);
-        let det_a = Lu::factor(&a).unwrap().det();
-        let scaled = a.map(|x| s * x);
-        let det_scaled = Lu::factor(&scaled).unwrap().det();
-        let expected = s.powi(n as i32) * det_a;
-        prop_assert!(
-            (det_scaled - expected).abs() <= 1e-6 * expected.abs().max(1.0),
-            "{det_scaled} vs {expected}"
-        );
-    }
-
-    #[test]
-    fn qr_orthogonality_and_reconstruction(seed in 0u64..1_000, n in 1usize..15, extra in 0usize..10) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = n + extra;
-        let a = random_matrix(&mut rng, m, n);
-        let qr = Qr::factor(&a).unwrap();
-        let q = qr.q();
-        let qtq = gemm_naive(&q.transpose(), &q).unwrap();
-        prop_assert!(close(&qtq, &Matrix::identity(m), 1e-7));
-        let rec = gemm_naive(&q, qr.r()).unwrap();
-        prop_assert!(close(&rec, &a, 1e-7));
-    }
-
-    #[test]
     fn triangular_solves_roundtrip(seed in 0u64..1_000, n in 1usize..25) {
         let mut rng = StdRng::seed_from_u64(seed);
         let l = relperf_linalg::random::random_lower_triangular(&mut rng, n);
@@ -243,27 +184,12 @@ proptest! {
     }
 
     #[test]
-    fn rls_solutions_agree_across_methods(seed in 0u64..500, n in 2usize..12, lambda in 0.01f64..10.0) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(&mut rng, n, n);
-        let b = random_matrix(&mut rng, n, n);
-        let z1 = relperf_linalg::rls::solve_rls_cholesky(&a, &b, lambda).unwrap();
-        let z2 = relperf_linalg::rls::solve_rls_qr(&a, &b, lambda).unwrap();
-        prop_assert!(close(&z1, &z2, 1e-5), "max diff {}", z1.try_sub(&z2).unwrap().max_abs());
-    }
-
-    #[test]
     fn norms_satisfy_triangle_inequality(seed in 0u64..1_000, n in 1usize..40) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = random_vector(&mut rng, n);
         let y = random_vector(&mut rng, n);
         let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        use relperf_linalg::blas::{norm1, norm2, norm_inf};
+        use relperf_linalg::blas::norm2;
         prop_assert!(norm2(&sum) <= norm2(&x) + norm2(&y) + 1e-12);
-        prop_assert!(norm1(&sum) <= norm1(&x) + norm1(&y) + 1e-12);
-        prop_assert!(norm_inf(&sum) <= norm_inf(&x) + norm_inf(&y) + 1e-12);
-        // Norm ordering: ‖x‖_∞ ≤ ‖x‖₂ ≤ ‖x‖₁.
-        prop_assert!(norm_inf(&x) <= norm2(&x) + 1e-12);
-        prop_assert!(norm2(&x) <= norm1(&x) + 1e-12);
     }
 }

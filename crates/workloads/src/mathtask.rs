@@ -10,7 +10,7 @@
 
 use rand::Rng;
 use relperf_linalg::flops;
-use relperf_linalg::rls::{math_task_with, RlsMethod};
+use relperf_linalg::rls::math_task_with;
 use relperf_linalg::KernelEngine;
 use relperf_sim::Task;
 
@@ -63,7 +63,7 @@ pub fn run_real_with<R: Rng + ?Sized>(
     penalty: f64,
     engine: KernelEngine,
 ) -> Result<f64, relperf_linalg::LinalgError> {
-    math_task_with(rng, size, iters, penalty, RlsMethod::NormalCholesky, engine)
+    math_task_with(rng, size, iters, penalty, engine)
 }
 
 #[cfg(test)]

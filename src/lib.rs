@@ -12,7 +12,7 @@
 //!
 //! This facade re-exports the five workspace crates:
 //!
-//! * [`linalg`] — dense linear algebra substrate (GEMM, Cholesky/LU/QR,
+//! * [`linalg`] — dense linear algebra substrate (GEMM, Cholesky,
 //!   the Regularized-Least-Squares `MathTask`, FLOP accounting) plus the
 //!   sparse family: CSR/COO, SpMV, sparse triangular solves, and the
 //!   Jacobi/CG iterative solvers, all bit-identity-contracted against

@@ -7,15 +7,22 @@ use relative_performance::linalg::gemm::gemm_blocked;
 #[cfg(not(debug_assertions))]
 use relative_performance::linalg::gemm::gemm_naive;
 use relative_performance::linalg::random::random_matrix;
-use relative_performance::linalg::rls::{solve_rls_cholesky, solve_rls_qr};
+#[cfg(not(debug_assertions))]
+use relative_performance::linalg::rls::solve_rls_cholesky_with;
+#[cfg(not(debug_assertions))]
+use relative_performance::linalg::KernelEngine;
 use relative_performance::measure::timer::{measure, MeasureConfig};
 use relative_performance::prelude::*;
 
+// Only meaningful with optimizations, for the same reason as
+// `naive_gemm_not_faster_than_blocked_class` below.
+#[cfg(not(debug_assertions))]
 #[test]
 fn real_rls_paths_cluster_sensibly() {
-    // The stacked-QR path does ~4x the FLOPs of the normal-equations path;
-    // on real hardware the clustering must never rank QR strictly better.
-    let n = 60;
+    // The paper's RLS solve (Procedure 6) on the naive reference kernels
+    // and on the blocked engine: bit-identical results, so only the time
+    // differs, and the clustering must never rank the blocked engine worse.
+    let n = 160;
     let mut rng = StdRng::seed_from_u64(21);
     let a = random_matrix(&mut rng, n, n);
     let b = random_matrix(&mut rng, n, n);
@@ -23,27 +30,26 @@ fn real_rls_paths_cluster_sensibly() {
         warmup: 1,
         repetitions: 15,
     };
-    let s_chol = measure(cfg, || {
-        std::hint::black_box(solve_rls_cholesky(&a, &b, 0.1).unwrap());
-    })
-    .unwrap();
-    let s_qr = measure(cfg, || {
-        std::hint::black_box(solve_rls_qr(&a, &b, 0.1).unwrap());
-    })
-    .unwrap();
+    let engines = [KernelEngine::Reference, KernelEngine::Blocked];
+    let samples = engines.map(|engine| {
+        measure(cfg, || {
+            std::hint::black_box(solve_rls_cholesky_with(&a, &b, 0.1, engine).unwrap());
+        })
+        .unwrap()
+    });
 
-    let samples = [s_chol, s_qr];
     let comparator = MedianComparator::new(0.05);
-    let clustering = relative_scores_seeded(2, ClusterConfig::with_repetitions(20), 22, |_, i, j| {
-        comparator.compare(&samples[i], &samples[j])
-    })
-    .final_assignment();
+    let clustering =
+        relative_scores_seeded(2, ClusterConfig::with_repetitions(20), 22, |_, i, j| {
+            comparator.compare(&samples[i], &samples[j])
+        })
+        .final_assignment();
 
-    let chol_rank = clustering.assignment(0).rank;
-    let qr_rank = clustering.assignment(1).rank;
+    let reference_rank = clustering.assignment(0).rank;
+    let blocked_rank = clustering.assignment(1).rank;
     assert!(
-        chol_rank <= qr_rank,
-        "normal-equations path ranked worse ({chol_rank}) than QR ({qr_rank})"
+        blocked_rank <= reference_rank,
+        "blocked engine ranked worse ({blocked_rank}) than the reference ({reference_rank})"
     );
 }
 

@@ -1,6 +1,6 @@
-//! Report rendering: Markdown and CSV emitters for the paper's tables and
-//! figures — the relative-score layout of Table I, the sort walkthrough of
-//! Fig. 2, and ASCII histogram panels in the style of Fig. 1b.
+//! Report rendering: Markdown emitters for the paper's tables and figures —
+//! the relative-score layout of Table I, the final class assignment, and
+//! ASCII histogram panels in the style of Fig. 1b.
 
 use crate::cluster::{Clustering, ScoreTable};
 
@@ -49,22 +49,6 @@ pub fn clustering_markdown(clustering: &Clustering, labels: &[String]) -> String
     out
 }
 
-/// Renders the relative-score table as CSV (`algorithm,rank,score` rows,
-/// positive scores only).
-pub fn score_table_csv(table: &ScoreTable, labels: &[String]) -> String {
-    assert_eq!(labels.len(), table.num_algorithms());
-    let mut out = String::from("algorithm,rank,score\n");
-    for alg in 0..table.num_algorithms() {
-        for rank in 1..=table.num_classes() {
-            let s = table.score(alg, rank);
-            if s > 0.0 {
-                out.push_str(&format!("{},{},{:.4}\n", labels[alg], rank, s));
-            }
-        }
-    }
-    out
-}
-
 /// Renders aligned histogram panels (one per algorithm) — the textual
 /// equivalent of the paper's Fig. 1b distribution plot.
 pub fn histogram_panels(
@@ -77,37 +61,6 @@ pub fn histogram_panels(
         out.push_str(&hist.render_ascii(bar_width));
         out.push('\n');
     }
-    out
-}
-
-/// Renders a complete experiment report: summary statistics, the
-/// per-cluster score table, the final assignment, and the decision-model
-/// profiles — one self-contained Markdown document per experiment.
-pub fn full_report(
-    title: &str,
-    table: &ScoreTable,
-    labels: &[String],
-    profiles: &[crate::decision::AlgorithmProfile],
-) -> String {
-    assert_eq!(labels.len(), table.num_algorithms());
-    let mut out = format!("# {title}\n\n## Summary\n\n");
-    out.push_str("| Algorithm | Class | Score | Mean time [s] | Device MFLOPs | Cost |\n");
-    out.push_str("|---|---|---|---|---|---|\n");
-    for p in profiles {
-        out.push_str(&format!(
-            "| alg{} | C{} | {:.2} | {:.6} | {:.2} | {:.6} |\n",
-            p.label,
-            p.rank,
-            p.score,
-            p.mean_time_s,
-            p.device_flops as f64 / 1e6,
-            p.operating_cost
-        ));
-    }
-    out.push_str("\n## Relative scores\n\n");
-    out.push_str(&score_table_markdown(table, labels));
-    out.push_str("\n## Final assignment\n\n");
-    out.push_str(&clustering_markdown(&table.final_assignment(), labels));
     out
 }
 
@@ -152,46 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_for_positive_scores_only() {
-        let (t, labels) = table();
-        let csv = score_table_csv(&t, &labels);
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        // Header + one row per algorithm (deterministic comparator).
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "algorithm,rank,score");
-        assert!(lines.iter().skip(1).all(|l| l.ends_with("1.0000")));
-    }
-
-    #[test]
     #[should_panic(expected = "one label per algorithm")]
     fn label_count_checked() {
         let (t, _) = table();
         score_table_markdown(&t, &["x".to_string()]);
-    }
-
-    #[test]
-    fn full_report_contains_all_sections() {
-        let (t, labels) = table();
-        let profiles: Vec<crate::decision::AlgorithmProfile> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| crate::decision::AlgorithmProfile {
-                label: l.clone(),
-                rank: t.final_assignment().assignment(i).rank,
-                score: 1.0,
-                mean_time_s: 0.1 * (i + 1) as f64,
-                device_flops: 1_000,
-                accel_flops: 0,
-                operating_cost: 0.0,
-                device_energy_j: 1.0,
-            })
-            .collect();
-        let doc = full_report("Test Experiment", &t, &labels, &profiles);
-        assert!(doc.starts_with("# Test Experiment"));
-        assert!(doc.contains("## Summary"));
-        assert!(doc.contains("## Relative scores"));
-        assert!(doc.contains("## Final assignment"));
-        assert!(doc.contains("algAD"));
     }
 
     #[test]

@@ -215,13 +215,6 @@ impl Cholesky {
         let y = solve_lower_matrix(&self.l, b)?;
         solve_upper_matrix(&self.l.transpose(), &y)
     }
-
-    /// Inverse of the factored matrix, computed by solving against the
-    /// identity. Exposed because the paper's RLS expression is written with
-    /// an explicit inverse; [`Cholesky::solve_matrix`] is the cheaper path.
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
 }
 
 #[cfg(test)]
@@ -272,15 +265,6 @@ mod tests {
         let b = gemm_naive(&a, &x_true).unwrap();
         let x = Cholesky::factor(&a).unwrap().solve_matrix(&b).unwrap();
         assert!(x.approx_eq(&x_true, 1e-5));
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let a = random_spd(&mut rng, 12);
-        let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
-        let prod = gemm_naive(&a, &inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(12), 1e-6));
     }
 
     #[test]

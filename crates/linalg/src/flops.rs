@@ -101,23 +101,6 @@ pub fn spmv(nnz: usize) -> u64 {
     2 * nnz as u64
 }
 
-/// FLOPs of one sparse triangular solve (forward or backward substitution)
-/// on an `n x n` CSR factor with `nnz` stored entries including the
-/// diagonal: `2·(nnz − n)` fused multiply-subtracts on the off-diagonal
-/// entries plus `n` divisions.
-pub fn sptrsv(n: usize, nnz: usize) -> u64 {
-    2 * (nnz as u64 - n as u64) + n as u64
-}
-
-/// FLOPs of one Jacobi sweep on an `n x n` CSR matrix with `nnz` stored
-/// entries including the diagonal: `2·(nnz − n)` off-diagonal fused
-/// multiply-subtracts, `n` divisions by the diagonal, and `n`
-/// update-delta subtractions for the convergence test — which telescopes
-/// to exactly `2·nnz`.
-pub fn jacobi_iter(n: usize, nnz: usize) -> u64 {
-    2 * (nnz as u64 - n as u64) + 2 * n as u64
-}
-
 /// FLOPs of one Conjugate-Gradient iteration on an `n x n` SPD CSR matrix
 /// with `nnz` stored entries: the SpMV `q = A·p` ([`spmv`]), two dot
 /// products and three fused vector updates (`2·n` each), one residual
@@ -254,24 +237,6 @@ mod tests {
             }
         }
         assert_eq!(count, spmv(nnz));
-
-        // sptrsv: per row, one fused multiply-subtract per off-diagonal
-        // entry and one division by the diagonal.
-        let mut count = 0u64;
-        for &k in &offdiag {
-            count += 2 * k as u64 + 1;
-        }
-        assert_eq!(count, sptrsv(n, nnz));
-
-        // jacobi sweep: off-diagonal fused ops + diagonal divide + the
-        // |x' − x| convergence subtraction per element.
-        let mut count = 0u64;
-        for &k in &offdiag {
-            count += 2 * k as u64; // fused multiply-subtracts
-            count += 1; // divide by the diagonal
-            count += 1; // update-delta subtraction
-        }
-        assert_eq!(count, jacobi_iter(n, nnz));
 
         // cg iteration, step by step as `CsrMatrix::cg` executes it.
         let mut count = 0u64;

@@ -15,8 +15,8 @@
 //! * [`rls`] — the RLS solver `Z = (AᵀA + λI)⁻¹ AᵀB` (Procedure 6 of the
 //!   paper) through the normal equations and Cholesky.
 //! * [`sparse`] — the bandwidth-bound family: COO assembly, a [`CsrMatrix`]
-//!   with SpMV and sparse triangular solves, and deterministic Jacobi /
-//!   Conjugate-Gradient solvers, all pinned against the dense oracles.
+//!   with SpMV (pinned bit-identical to the dense fused loop), and the
+//!   deterministic Conjugate-Gradient solver the FEM workload runs.
 //! * [`flops`] — exact floating-point-operation counts for every kernel,
 //!   consumed by the simulator's energy model.
 //!
@@ -42,10 +42,6 @@ pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
 pub use sparse::{CooMatrix, CsrMatrix, IterSolve, SparseError};
 pub use relperf_parallel::Parallelism;
-
-/// Default tolerance used by tests and debug assertions when comparing
-/// floating-point results of mathematically equivalent kernels.
-pub const DEFAULT_TOL: f64 = 1e-9;
 
 /// The shared fused multiply-add `a·b + acc` every kernel element update
 /// in this crate goes through.

@@ -1,37 +1,28 @@
-//! Sparse linear algebra: COO assembly, CSR kernels, and deterministic
-//! iterative solvers.
+//! Sparse linear algebra: COO assembly, CSR kernels, and a deterministic
+//! Conjugate Gradient solver.
 //!
 //! Every workload the paper's clustering classifies elsewhere in this
 //! workspace is dense and compute-bound. This module adds the
 //! bandwidth-bound family: a [`CooMatrix`] triplet builder (the natural
 //! output of FEM scatter-assembly) with a duplicate-summing
-//! [`CooMatrix::to_csr`], a [`CsrMatrix`] with SpMV and sparse triangular
-//! solves, and two deterministic iterative solvers — [`CsrMatrix::jacobi`]
-//! and [`CsrMatrix::cg`] (Conjugate Gradient) — that fail with the typed
-//! [`SparseError::NotConverged`] instead of returning garbage.
+//! [`CooMatrix::to_csr`], a [`CsrMatrix`] with SpMV, and the deterministic
+//! Conjugate Gradient solver ([`CsrMatrix::cg`] / [`CsrMatrix::cg_fixed`])
+//! that fails with the typed [`SparseError::NotConverged`] instead of
+//! returning garbage.
 //!
 //! ## Bit-identity contract with the dense kernels
 //!
-//! The sparse kernels apply, per output element, exactly the same fused
-//! operations in exactly the same order as their dense counterparts, with
-//! the structurally-zero entries *skipped*:
-//!
-//! * [`CsrMatrix::spmv`] accumulates each output row left to right through
-//!   [`crate::fmadd`] starting from `+0.0` — the same sequence as a dense
-//!   per-row fused loop over the full row, minus the zero entries.
-//! * [`CsrMatrix::solve_lower`] / [`CsrMatrix::solve_upper`] subtract the
-//!   off-diagonal contributions in the same column order as
-//!   [`crate::triangular::solve_lower`] / [`solve_upper`]
-//!   (ascending `j`), through the same [`crate::fmadd`], and divide by the
-//!   same diagonal.
+//! [`CsrMatrix::spmv`] accumulates each output row left to right through
+//! [`crate::fmadd`] starting from `+0.0` — the same fused operations in
+//! the same order as a dense per-row fused loop over the full row, with
+//! the structurally-zero entries *skipped*.
 //!
 //! Skipping a structural zero is *exactly* a no-op for the accumulator —
 //! `fmadd(±0·x, s) == s` — **except** when the accumulator is `-0.0` or a
 //! product underflows to `-0.0`. Starting the accumulator from `+0.0`
-//! (SpMV) rules the first case out; the property tests pin the contract on
-//! data away from the underflow range, and the doc on each kernel states
-//! it. This is the same "equivalent algorithms stay bit-equal" discipline
-//! the dense engine variants follow.
+//! rules the first case out; the property tests pin the contract on data
+//! away from the underflow range. This is the same "equivalent algorithms
+//! stay bit-equal" discipline the dense engine variants follow.
 //!
 //! ## Cost model
 //!
@@ -40,12 +31,9 @@
 //! bytes moved ([`crate::flops::csr_bytes`], [`crate::flops::spmv_bytes`]),
 //! and the simulator feeds the byte traffic into the device's working-set
 //! roofline so offloading a sparse task is throttled by memory, not FLOPs.
-//!
-//! [`solve_upper`]: crate::triangular::solve_upper
 
 use crate::blas::{dot, norm2};
 use crate::matrix::Matrix;
-use crate::triangular::SINGULAR_TOL;
 use relperf_parallel::{parallel_map_indexed, Parallelism};
 
 /// Typed errors for the sparse kernels and iterative solvers.
@@ -70,23 +58,6 @@ pub enum SparseError {
         /// The offending shape.
         shape: (usize, usize),
     },
-    /// A kernel that divides by the diagonal found no stored diagonal
-    /// entry in `row`.
-    MissingDiagonal {
-        /// The operation that failed.
-        op: &'static str,
-        /// The row with no stored diagonal.
-        row: usize,
-    },
-    /// The stored diagonal entry in `row` is below the singularity
-    /// threshold ([`crate::triangular::SINGULAR_TOL`], shared with the
-    /// dense solves).
-    SingularDiagonal {
-        /// The operation that failed.
-        op: &'static str,
-        /// The row with the near-zero diagonal.
-        row: usize,
-    },
     /// The iterative solver exhausted its iteration budget above the
     /// requested tolerance. Carries the achieved residual so callers can
     /// decide whether "close" is close enough.
@@ -95,8 +66,8 @@ pub enum SparseError {
         op: &'static str,
         /// Iterations actually performed.
         iterations: usize,
-        /// Residual measure at the last iteration (2-norm of `b − A·x`
-        /// for CG, infinity-norm update delta for Jacobi).
+        /// Residual measure at the last iteration (2-norm of the CG
+        /// recurrence residual `b − A·x`).
         residual: f64,
         /// The tolerance that was requested.
         tol: f64,
@@ -121,12 +92,6 @@ impl std::fmt::Display for SparseError {
             }
             SparseError::NotSquare { op, shape } => {
                 write!(f, "{op}: matrix must be square, got {shape:?}")
-            }
-            SparseError::MissingDiagonal { op, row } => {
-                write!(f, "{op}: no stored diagonal entry in row {row}")
-            }
-            SparseError::SingularDiagonal { op, row } => {
-                write!(f, "{op}: near-zero diagonal in row {row}")
             }
             SparseError::NotConverged {
                 op,
@@ -430,140 +395,6 @@ impl CsrMatrix {
         }))
     }
 
-    /// Forward substitution `L·x = b` reading only the lower triangle
-    /// (entries with column `> i` are ignored, like the dense solve never
-    /// reading above the diagonal).
-    ///
-    /// Applies, per row, the same fused subtractions in the same ascending
-    /// column order as [`crate::triangular::solve_lower`], so for a
-    /// triangular matrix it is bit-identical to the dense solve on
-    /// `to_dense()` (module-docs caveats apply). Requires a stored
-    /// diagonal ([`SparseError::MissingDiagonal`]) of magnitude at least
-    /// [`SINGULAR_TOL`] ([`SparseError::SingularDiagonal`]).
-    pub fn solve_lower(&self, b: &[f64]) -> SparseResult<Vec<f64>> {
-        self.check_square("sparse_solve_lower")?;
-        self.check_vec("sparse_solve_lower", b.len())?;
-        let mut x = b.to_vec();
-        for i in 0..self.rows {
-            let (cols, vals) = self.row_entries(i);
-            let mut s = x[i];
-            let mut diag = None;
-            for (&j, &v) in cols.iter().zip(vals) {
-                match j.cmp(&i) {
-                    std::cmp::Ordering::Less => s = crate::fmadd(-v, x[j], s),
-                    std::cmp::Ordering::Equal => diag = Some(v),
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            let d = diag.ok_or(SparseError::MissingDiagonal {
-                op: "sparse_solve_lower",
-                row: i,
-            })?;
-            if d.abs() < SINGULAR_TOL {
-                return Err(SparseError::SingularDiagonal {
-                    op: "sparse_solve_lower",
-                    row: i,
-                });
-            }
-            x[i] = s / d;
-        }
-        Ok(x)
-    }
-
-    /// Backward substitution `U·x = b` reading only the upper triangle —
-    /// the mirror of [`CsrMatrix::solve_lower`], bit-identical to
-    /// [`crate::triangular::solve_upper`] on the densified matrix.
-    pub fn solve_upper(&self, b: &[f64]) -> SparseResult<Vec<f64>> {
-        self.check_square("sparse_solve_upper")?;
-        self.check_vec("sparse_solve_upper", b.len())?;
-        let mut x = b.to_vec();
-        for i in (0..self.rows).rev() {
-            let (cols, vals) = self.row_entries(i);
-            let mut s = x[i];
-            let mut diag = None;
-            // Ascending j > i — the dense backward solve's inner order.
-            for (&j, &v) in cols.iter().zip(vals) {
-                match j.cmp(&i) {
-                    std::cmp::Ordering::Less => {}
-                    std::cmp::Ordering::Equal => diag = Some(v),
-                    std::cmp::Ordering::Greater => s = crate::fmadd(-v, x[j], s),
-                }
-            }
-            let d = diag.ok_or(SparseError::MissingDiagonal {
-                op: "sparse_solve_upper",
-                row: i,
-            })?;
-            if d.abs() < SINGULAR_TOL {
-                return Err(SparseError::SingularDiagonal {
-                    op: "sparse_solve_upper",
-                    row: i,
-                });
-            }
-            x[i] = s / d;
-        }
-        Ok(x)
-    }
-
-    /// Jacobi iteration for `A·x = b` from `x₀ = 0`.
-    ///
-    /// Converges for strictly diagonally dominant `A`. Stops when the
-    /// infinity-norm update `‖x⁽ᵏ⁺¹⁾ − x⁽ᵏ⁾‖∞ ≤ tol`; returns
-    /// [`SparseError::NotConverged`] (carrying the last delta as the
-    /// residual) when `max_iters` sweeps were not enough. One sweep costs
-    /// [`crate::flops::jacobi_iter`] FLOPs.
-    pub fn jacobi(&self, b: &[f64], max_iters: usize, tol: f64) -> SparseResult<IterSolve> {
-        self.check_square("jacobi")?;
-        self.check_vec("jacobi", b.len())?;
-        let n = self.rows;
-        // Validate the diagonal once up front.
-        let mut diag = vec![0.0; n];
-        for (i, d) in diag.iter_mut().enumerate() {
-            let (cols, vals) = self.row_entries(i);
-            let v = match cols.binary_search(&i) {
-                Ok(pos) => vals[pos],
-                Err(_) => {
-                    return Err(SparseError::MissingDiagonal { op: "jacobi", row: i })
-                }
-            };
-            if v.abs() < SINGULAR_TOL {
-                return Err(SparseError::SingularDiagonal { op: "jacobi", row: i });
-            }
-            *d = v;
-        }
-        let mut x = vec![0.0; n];
-        let mut x_next = vec![0.0; n];
-        let mut delta = f64::INFINITY;
-        for iter in 1..=max_iters {
-            delta = 0.0_f64;
-            for i in 0..n {
-                let (cols, vals) = self.row_entries(i);
-                let mut s = b[i];
-                for (&j, &v) in cols.iter().zip(vals) {
-                    if j != i {
-                        s = crate::fmadd(-v, x[j], s);
-                    }
-                }
-                let xi = s / diag[i];
-                delta = delta.max((xi - x[i]).abs());
-                x_next[i] = xi;
-            }
-            std::mem::swap(&mut x, &mut x_next);
-            if delta <= tol {
-                return Ok(IterSolve {
-                    x,
-                    iterations: iter,
-                    residual: delta,
-                });
-            }
-        }
-        Err(SparseError::NotConverged {
-            op: "jacobi",
-            iterations: max_iters,
-            residual: delta,
-            tol,
-        })
-    }
-
     /// Conjugate Gradient for symmetric positive-definite `A·x = b` from
     /// `x₀ = 0`.
     ///
@@ -696,7 +527,7 @@ pub struct IterSolve {
     /// Iterations actually performed.
     pub iterations: usize,
     /// Residual measure at the final iteration (2-norm of the CG
-    /// recurrence residual; infinity-norm update delta for Jacobi).
+    /// recurrence residual).
     pub residual: f64,
 }
 
@@ -705,7 +536,6 @@ mod tests {
     use super::*;
     use crate::cholesky::Cholesky;
     use crate::random::{random_matrix, random_spd, random_vector};
-    use crate::triangular;
     use rand::prelude::*;
 
     /// Dense per-row fused mat-vec: the bit-identity oracle for SpMV.
@@ -784,8 +614,6 @@ mod tests {
         coo.push(0, 0, 2.0);
         let m = coo.to_csr();
         assert_eq!(m.spmv(&[3.0]).unwrap(), vec![6.0]);
-        assert_eq!(m.solve_lower(&[8.0]).unwrap(), vec![4.0]);
-        assert_eq!(m.solve_upper(&[8.0]).unwrap(), vec![4.0]);
     }
 
     #[test]
@@ -815,114 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_triangular_matches_dense_bitwise() {
-        let mut rng = StdRng::seed_from_u64(15);
-        for n in [1usize, 5, 23, 48] {
-            // Sparsify a dense lower-triangular matrix but keep the diagonal.
-            let mut l = crate::random::random_lower_triangular(&mut rng, n);
-            for i in 0..n {
-                for j in 0..i {
-                    if rng.random_range(0.0..1.0) < 0.6 {
-                        l.row_mut(i)[j] = 0.0;
-                    }
-                }
-            }
-            let b = random_vector(&mut rng, n);
-            let csr = CsrMatrix::from_dense(&l);
-            assert_eq!(
-                csr.solve_lower(&b).unwrap(),
-                triangular::solve_lower(&l, &b).unwrap(),
-                "lower n = {n}"
-            );
-            let u = l.transpose();
-            let ucsr = CsrMatrix::from_dense(&u);
-            assert_eq!(
-                ucsr.solve_upper(&b).unwrap(),
-                triangular::solve_upper(&u, &b).unwrap(),
-                "upper n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn triangular_ignores_other_triangle() {
-        // A full matrix solved as lower-triangular must read only j <= i.
-        let d = Matrix::from_rows(&[&[2.0, 99.0], &[1.0, 4.0]]).unwrap();
-        let csr = CsrMatrix::from_dense(&d);
-        let x = csr.solve_lower(&[2.0, 6.0]).unwrap();
-        assert_eq!(x, vec![1.0, 1.25]);
-    }
-
-    #[test]
-    fn triangular_missing_diagonal_is_typed() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 0, 1.0); // no (1,1)
-        let csr = coo.to_csr();
-        assert_eq!(
-            csr.solve_lower(&[1.0, 1.0]),
-            Err(SparseError::MissingDiagonal {
-                op: "sparse_solve_lower",
-                row: 1
-            })
-        );
-    }
-
-    #[test]
-    fn triangular_singular_diagonal_is_typed() {
-        let mut coo = CooMatrix::new(1, 1);
-        coo.push(0, 0, 1e-20);
-        assert!(matches!(
-            coo.to_csr().solve_upper(&[1.0]),
-            Err(SparseError::SingularDiagonal { row: 0, .. })
-        ));
-    }
-
-    #[test]
     fn diagonal_only_matrix_solves_everywhere() {
         let d = Matrix::from_diag(&[2.0, 4.0, 8.0]);
         let csr = CsrMatrix::from_dense(&d);
         let b = [2.0, 4.0, 8.0];
-        assert_eq!(csr.solve_lower(&b).unwrap(), vec![1.0; 3]);
-        assert_eq!(csr.solve_upper(&b).unwrap(), vec![1.0; 3]);
-        let jac = csr.jacobi(&b, 5, 0.0).unwrap();
-        assert_eq!(jac.x, vec![1.0; 3]);
         let cg = csr.cg(&b, 5, 1e-12).unwrap();
         assert!(cg.x.iter().all(|&v| (v - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn jacobi_converges_on_diagonally_dominant() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let d = crate::random::random_diag_dominant(&mut rng, 24);
-        let csr = CsrMatrix::from_dense(&d);
-        let xstar = random_vector(&mut rng, 24);
-        let b = crate::blas::gemv(&d, &xstar).unwrap();
-        let solve = csr.jacobi(&b, 500, 1e-13).unwrap();
-        for (xi, si) in xstar.iter().zip(&solve.x) {
-            assert!((xi - si).abs() < 1e-10, "{xi} vs {si}");
-        }
-    }
-
-    #[test]
-    fn jacobi_not_converged_carries_residual() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let d = crate::random::random_diag_dominant(&mut rng, 16);
-        let csr = CsrMatrix::from_dense(&d);
-        let b = random_vector(&mut rng, 16);
-        match csr.jacobi(&b, 2, 1e-15) {
-            Err(SparseError::NotConverged {
-                op,
-                iterations,
-                residual,
-                tol,
-            }) => {
-                assert_eq!(op, "jacobi");
-                assert_eq!(iterations, 2);
-                assert!(residual > tol);
-            }
-            other => panic!("expected NotConverged, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1010,8 +736,8 @@ mod tests {
         ));
         let sq = CsrMatrix::zeros(4, 4);
         assert!(matches!(
-            sq.solve_lower(&[1.0; 3]),
-            Err(SparseError::ShapeMismatch { .. })
+            sq.cg(&[1.0; 3], 1, 1e-3),
+            Err(SparseError::ShapeMismatch { op: "cg", .. })
         ));
     }
 

@@ -1,18 +1,16 @@
 //! Property-based tests of the sparse kernels against the dense oracles.
 //!
 //! The contract under test (see the `relperf_linalg::sparse` module docs):
-//! CSR round-trips preserve dense values exactly, SpMV and the sparse
-//! triangular solves are *bit-identical* to the matching dense fused
-//! loops with structural zeros skipped, and CG on SPD systems reaches the
-//! dense Cholesky solution within a pinned tolerance — for arbitrary
-//! patterns, including empty rows, 1×1, and diagonal-only shapes.
+//! CSR round-trips preserve dense values exactly, SpMV is *bit-identical*
+//! to the dense fused loop with structural zeros skipped, and CG on SPD
+//! systems reaches the dense Cholesky solution within a pinned tolerance —
+//! for arbitrary patterns, including empty rows and 1×1 shapes.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_linalg::cholesky::Cholesky;
-use relperf_linalg::random::{random_lower_triangular, random_spd, random_vector};
+use relperf_linalg::random::{random_spd, random_vector};
 use relperf_linalg::sparse::{CooMatrix, CsrMatrix};
-use relperf_linalg::triangular::{solve_lower, solve_upper};
 use relperf_linalg::{fmadd, Matrix, Parallelism};
 
 /// Random COO with the given fill probability, duplicate triplets
@@ -96,27 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn sparse_triangular_bit_identical_to_dense(seed in 0u64..1_000, n in 1usize..40, drop in 0.0f64..1.0) {
-        // Sparsify a well-conditioned dense triangular factor (keep the
-        // diagonal), then require bit-equality with the dense solves.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut l = random_lower_triangular(&mut rng, n);
-        for i in 0..n {
-            for j in 0..i {
-                if rng.random_range(0.0..1.0) < drop {
-                    l.row_mut(i)[j] = 0.0;
-                }
-            }
-        }
-        let b = random_vector(&mut rng, n);
-        let lcsr = CsrMatrix::from_dense(&l);
-        prop_assert_eq!(lcsr.solve_lower(&b).unwrap(), solve_lower(&l, &b).unwrap());
-        let u = l.transpose();
-        let ucsr = CsrMatrix::from_dense(&u);
-        prop_assert_eq!(ucsr.solve_upper(&b).unwrap(), solve_upper(&u, &b).unwrap());
-    }
-
-    #[test]
     fn cg_reaches_cholesky_solution(seed in 0u64..1_000, n in 1usize..28) {
         // Dense-SPD systems are tiny and well-conditioned (MᵀM + εI), so
         // CG must land on the direct Cholesky solution within a pinned
@@ -130,21 +107,6 @@ proptest! {
         for (c, d) in cg.x.iter().zip(&direct) {
             prop_assert!(relperf_linalg::approx_eq(*c, *d, 1e-6), "cg {} vs cholesky {}", c, d);
         }
-    }
-
-    #[test]
-    fn diagonal_only_systems_solve_exactly(seed in 0u64..1_000, n in 1usize..30) {
-        // Degenerate pattern: nothing off the diagonal. Every solver must
-        // produce the exact per-element quotient.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let diag: Vec<f64> = (0..n).map(|_| rng.random_range(0.5..2.0)).collect();
-        let b = random_vector(&mut rng, n);
-        let csr = CsrMatrix::from_dense(&Matrix::from_diag(&diag));
-        let expect: Vec<f64> = b.iter().zip(&diag).map(|(bi, di)| bi / di).collect();
-        prop_assert_eq!(csr.solve_lower(&b).unwrap(), expect.clone());
-        prop_assert_eq!(csr.solve_upper(&b).unwrap(), expect.clone());
-        let jac = csr.jacobi(&b, 2, 0.0).unwrap();
-        prop_assert_eq!(jac.x, expect);
     }
 
     #[test]

@@ -168,49 +168,12 @@ pub fn mean_ci<R: Rng + ?Sized>(
     })
 }
 
-/// Convenience: percentile CI of the median.
-pub fn median_ci<R: Rng + ?Sized>(
-    rng: &mut R,
-    sample: &Sample,
-    reps: usize,
-    level: f64,
-) -> ConfidenceInterval {
-    percentile_ci(rng, sample, reps, level, median_of)
-}
-
-/// Median of an unsorted slice (copies and sorts; helper for bootstrap
-/// statistics where the resample buffer is scratch anyway).
-pub fn median_of(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// Linear-interpolation quantile of an unsorted slice.
-///
-/// # Panics
-/// Panics when `xs` is empty or `q` lies outside `[0, 1]` (this cold
-/// convenience entry point validates; the hot-path [`quantile_sorted`]
-/// leaves validation to the caller).
-pub fn quantile_of(xs: &[f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    quantile_sorted(&v, q)
-}
-
 /// Linear-interpolation quantile of an already-sorted slice.
 ///
 /// Bounds are checked with `debug_assert!` only — this sits on the
 /// bootstrap comparator's hot path (called per quantile per round), so
 /// callers must validate `q` up front (in-tree callers do, via
-/// `BootstrapConfig::validate`, [`quantile_of`], or derived constants).
+/// `BootstrapConfig::validate` or derived constants).
 /// In a release build an unvalidated `q < 0` silently clamps to the
 /// minimum; `q > 1` panics on the index bound.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
@@ -491,14 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn median_ci_reasonable() {
-        let mut rng = StdRng::seed_from_u64(64);
-        let vals: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let ci = median_ci(&mut rng, &s(&vals), 300, 0.9);
-        assert!(ci.lo <= 4.5 && ci.hi >= 4.5, "{ci:?}");
-    }
-
-    #[test]
     fn disjoint_cis_for_separated_samples() {
         let mut rng = StdRng::seed_from_u64(65);
         let a = s(&[1.0, 1.1, 0.9, 1.05, 0.95]);
@@ -521,21 +476,6 @@ mod tests {
     fn bad_level_panics() {
         let mut rng = StdRng::seed_from_u64(67);
         percentile_ci(&mut rng, &s(&[1.0]), 10, 1.5, |xs| xs[0]);
-    }
-
-    #[test]
-    fn median_of_matches_sample_median() {
-        assert_eq!(median_of(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median_of(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-    }
-
-    #[test]
-    fn quantile_helpers_match_sample() {
-        let vals = [10.0, 20.0, 30.0, 40.0];
-        let sample = s(&vals);
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            assert!((quantile_of(&vals, q) - sample.quantile(q)).abs() < 1e-12);
-        }
     }
 
     // The emptiness check is a `debug_assert`, so release builds skip it.

@@ -25,20 +25,18 @@
 //!   through the allocation-free O(n) bootstrap round
 //!   ([`compare::ScratchThreeWayComparator`]), and [`compare::stream_seed`],
 //!   the workspace's per-index seed derivation.
-//! * [`ecdf`] — empirical CDFs and distribution distances (KS, overlap).
-//! * [`merge`] — the shared sorted-merge cursor the rank/ECDF/overlap
-//!   statistics walk their cached sorted views with.
+//! * [`merge`] — the sorted-merge cursor the Mann–Whitney rank statistic
+//!   walks two samples' sorted runs with.
 //! * [`ranksum`] — the Mann–Whitney U comparator for ablations.
-//! * [`sketch`] — opt-in bounded-memory quantile sketching and the
-//!   **approximate** [`sketch::SketchComparator`] mode (never a default;
-//!   the exact path is the oracle).
+//! * [`sketch`] — bounded-memory quantile sketching
+//!   ([`QuantileSketch`]) for streams too large to retain; rank-approximate
+//!   quantiles, exact count/extremes/mean, mergeable.
 //! * [`timer`] — wall-clock measurement harness with warmup control.
 
 #![warn(missing_docs)]
 
 pub mod bootstrap;
 pub mod compare;
-pub mod ecdf;
 pub mod merge;
 pub mod ranksum;
 pub mod sample;
@@ -50,4 +48,4 @@ pub use compare::{
     SeededThreeWayComparator, ThreeWayComparator,
 };
 pub use sample::{IngestStats, Sample};
-pub use sketch::{QuantileSketch, SketchComparator, SketchConfig};
+pub use sketch::QuantileSketch;

@@ -1,30 +1,24 @@
-//! The shared sorted-merge cursor.
+//! The sorted-merge cursor behind the rank statistic.
 //!
-//! Three statistics in this crate walk two cached sorted views
-//! ([`Sample::sorted`](crate::Sample::sorted)) as one merged ascending
-//! sequence: the Mann–Whitney pooled ranking
-//! ([`ranksum::mann_whitney_u`](crate::ranksum::mann_whitney_u)), the
-//! Kolmogorov–Smirnov distance
-//! ([`ecdf::ks_distance`](crate::ecdf::ks_distance)), and the range-overlap
-//! diagnostic ([`Sample::range_overlap`](crate::Sample::range_overlap)).
-//! They used to hand-roll the same two-cursor loop with three different
-//! tie conventions; [`merge_tie_groups`] is the single implementation they
-//! all ride on — O(nₐ + n_b), allocation-free, one visit per distinct
-//! value.
+//! The Mann–Whitney pooled ranking
+//! ([`ranksum::mann_whitney_u`](crate::ranksum::mann_whitney_u)) walks two
+//! samples' sorted orders as one merged ascending sequence.
+//! [`merge_tie_groups`] is that walk — O(nₐ + n_b), allocation-free, one
+//! visit per distinct value, with cross-side ties collected into a single
+//! group.
 //!
 //! Since the tiered ingest engine, a large sample's sorted order lives in
 //! **chunks** (sorted leaf runs — see
 //! [`Sample::sorted_chunks`](crate::Sample::sorted_chunks)), and asking
-//! for one contiguous slice forces a lazy materialization.
-//! [`merge_tie_groups_chunked`] is the same walk driven by two chunk
-//! iterators, so the statistics above consume the runs directly and never
-//! force a flat view; [`merge_tie_groups`] is now a thin wrapper treating
-//! each slice as a single chunk.
+//! for one contiguous slice forces a lazy materialization. The walk is
+//! therefore driven by two chunk iterators, so it consumes the runs
+//! directly and never forces a flat view; a flat slice is the one-chunk
+//! case (`std::iter::once(slice)`).
 
 /// One tie group in the merged ascending walk of two sorted slices: a
 /// distinct value, its multiplicity on each side, and the cumulative
-/// counts of elements `≤ value` on each side (everything a rank, an ECDF
-/// step, or a range count needs).
+/// counts of elements `≤ value` on each side (everything a pooled rank
+/// needs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TieGroup {
     /// The distinct value this group collects.
@@ -56,40 +50,9 @@ impl TieGroup {
     }
 }
 
-/// Walks two ascending slices as one merged sequence of [`TieGroup`]s,
-/// calling `visit` once per distinct value across both sides, in
-/// ascending order.
-///
-/// Equal values on the two sides are collected into a *single* group, so
-/// the caller never sees a tie split by which side it came from — the
-/// property that makes average ranks and ECDF steps well-defined. Runs in
-/// O(nₐ + n_b) with zero allocations.
-///
-/// Both slices must be sorted ascending (as [`Sample::sorted`] guarantees);
-/// this is checked with `debug_assert!` only.
-///
-/// # Examples
-///
-/// ```
-/// use relperf_measure::merge::merge_tie_groups;
-///
-/// let a = [1.0, 2.0, 2.0];
-/// let b = [2.0, 3.0];
-/// let mut seen = Vec::new();
-/// merge_tie_groups(&a, &b, |g| seen.push((g.value, g.count_a, g.count_b)));
-/// assert_eq!(seen, vec![(1.0, 1, 0), (2.0, 2, 1), (3.0, 0, 1)]);
-/// ```
-///
-/// [`Sample::sorted`]: crate::Sample::sorted
-pub fn merge_tie_groups(a: &[f64], b: &[f64], visit: impl FnMut(&TieGroup)) {
-    debug_assert!(a.windows(2).all(|w| w[0] <= w[1]), "first slice not sorted");
-    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]), "second slice not sorted");
-    merge_tie_groups_chunked(std::iter::once(a), std::iter::once(b), visit);
-}
-
 /// A flattening cursor over a sequence of ascending chunks, tracking the
 /// cumulative count of elements consumed — the per-side state of
-/// [`merge_tie_groups_chunked`].
+/// [`merge_tie_groups`].
 struct ChunkCursor<'a, I: Iterator<Item = &'a [f64]>> {
     chunks: I,
     /// Remainder of the current chunk (its consumed prefix already counted
@@ -152,16 +115,19 @@ impl<'a, I: Iterator<Item = &'a [f64]>> ChunkCursor<'a, I> {
     }
 }
 
-/// [`merge_tie_groups`] driven by two chunk iterators: each side is a
-/// sequence of ascending slices that concatenate to that side's full
-/// sorted order (exactly what [`Sample::sorted_chunks`] yields — one
-/// chunk for a flat sample, one per leaf for a tiered one).
+/// Walks two ascending sides as one merged sequence of [`TieGroup`]s,
+/// calling `visit` once per distinct value across both sides, in
+/// ascending order.
 ///
-/// Visits the identical [`TieGroup`] sequence the flat walk would, in the
-/// same order with the same cumulative counts, without ever needing the
-/// sides as contiguous slices — so callers on the comparator hot path
-/// never force a tiered sample to materialize its flat view. O(nₐ + n_b),
-/// allocation-free.
+/// Each side is a sequence of ascending slices that concatenate to that
+/// side's full sorted order (exactly what [`Sample::sorted_chunks`]
+/// yields — one chunk for a flat sample, one per leaf for a tiered one).
+/// Equal values on the two sides are collected into a *single* group, so
+/// the caller never sees a tie split by which side it came from — the
+/// property that makes average ranks well-defined. The walk never needs
+/// the sides as contiguous slices, so callers on the comparator hot path
+/// never force a tiered sample to materialize its flat view.
+/// O(nₐ + n_b), allocation-free.
 ///
 /// Chunk contract: each chunk is ascending (checked with `debug_assert!`
 /// only), and chunk boundaries are ascending too (`last of chunk k ≤
@@ -171,21 +137,26 @@ impl<'a, I: Iterator<Item = &'a [f64]>> ChunkCursor<'a, I> {
 /// # Examples
 ///
 /// ```
-/// use relperf_measure::merge::{merge_tie_groups, merge_tie_groups_chunked};
+/// use relperf_measure::merge::merge_tie_groups;
 ///
+/// let a = [1.0, 2.0, 2.0];
+/// let b = [2.0, 3.0];
+/// let mut seen = Vec::new();
+/// merge_tie_groups(std::iter::once(&a[..]), std::iter::once(&b[..]), |g| {
+///     seen.push((g.value, g.count_a, g.count_b))
+/// });
+/// assert_eq!(seen, vec![(1.0, 1, 0), (2.0, 2, 1), (3.0, 0, 1)]);
+///
+/// // Splitting a side into chunks visits the identical groups.
 /// let mut chunked = Vec::new();
-/// merge_tie_groups_chunked(
-///     [&[1.0, 2.0][..], &[2.0][..]],
-///     [&[2.0, 3.0][..]],
-///     |g| chunked.push(*g),
-/// );
-/// let mut flat = Vec::new();
-/// merge_tie_groups(&[1.0, 2.0, 2.0], &[2.0, 3.0], |g| flat.push(*g));
-/// assert_eq!(chunked, flat);
+/// merge_tie_groups([&[1.0, 2.0][..], &[2.0][..]], [&b[..]], |g| {
+///     chunked.push((g.value, g.count_a, g.count_b))
+/// });
+/// assert_eq!(chunked, seen);
 /// ```
 ///
 /// [`Sample::sorted_chunks`]: crate::Sample::sorted_chunks
-pub fn merge_tie_groups_chunked<'a>(
+pub fn merge_tie_groups<'a>(
     a: impl IntoIterator<Item = &'a [f64]>,
     b: impl IntoIterator<Item = &'a [f64]>,
     mut visit: impl FnMut(&TieGroup),
@@ -218,7 +189,7 @@ mod tests {
 
     fn groups(a: &[f64], b: &[f64]) -> Vec<TieGroup> {
         let mut out = Vec::new();
-        merge_tie_groups(a, b, |g| out.push(*g));
+        merge_tie_groups(std::iter::once(a), std::iter::once(b), |g| out.push(*g));
         out
     }
 
@@ -256,7 +227,7 @@ mod tests {
     fn cumulative_counts_are_ecdf_numerators() {
         let a = [1.0, 2.0, 2.0, 7.0];
         let b = [2.0, 3.0];
-        merge_tie_groups(&a, &b, |g| {
+        merge_tie_groups(std::iter::once(&a[..]), std::iter::once(&b[..]), |g| {
             assert_eq!(g.cum_a, a.iter().filter(|&&v| v <= g.value).count());
             assert_eq!(g.cum_b, b.iter().filter(|&&v| v <= g.value).count());
         });

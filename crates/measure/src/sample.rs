@@ -38,7 +38,7 @@
 //! materialized views** over the tiered index, invalidated by every write
 //! and counted in [`ingest_stats`](Sample::ingest_stats). Hot readers that
 //! do not need a contiguous view — the bootstrap comparator's cumulative
-//! quantile walk, the Mann–Whitney/KS merge cursors — iterate
+//! quantile walk, the Mann–Whitney merge cursor — iterate
 //! [`sorted_runs`](Sample::sorted_runs) /
 //! [`sorted_chunks`](Sample::sorted_chunks) instead and never force a
 //! materialization.
@@ -748,8 +748,8 @@ impl Sample {
     }
 
     /// The value slices of [`sorted_runs`](Sample::sorted_runs) — the
-    /// chunked drive for the shared merge cursor
-    /// ([`merge_tie_groups_chunked`](crate::merge::merge_tie_groups_chunked)).
+    /// chunked drive for the merge cursor
+    /// ([`merge_tie_groups`](crate::merge::merge_tie_groups)).
     pub fn sorted_chunks(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.sorted_runs().map(|r| r.values)
     }
@@ -942,11 +942,6 @@ impl Sample {
         self.quantile(0.5)
     }
 
-    /// Interquartile range `Q3 − Q1`.
-    pub fn iqr(&self) -> f64 {
-        self.quantile(0.75) - self.quantile(0.25)
-    }
-
     /// Evaluates several quantiles at once.
     ///
     /// # Contract
@@ -987,30 +982,6 @@ impl Sample {
         }
         let edges = (0..=bins).map(|i| lo + width * i as f64).collect();
         Histogram { edges, counts }
-    }
-
-    /// Fraction of measurements of `self` that fall inside the `[min, max]`
-    /// range of `other` — a crude but intuitive overlap diagnostic used in
-    /// reports (the comparison itself uses bootstrapping, not this).
-    ///
-    /// Counted on the shared merge cursor
-    /// ([`merge_tie_groups_chunked`](crate::merge::merge_tie_groups_chunked))
-    /// over the two sorted-run sequences: a tie group of `self` lies
-    /// inside iff its value is within `other`'s range. Never materializes
-    /// a flat view.
-    pub fn range_overlap(&self, other: &Sample) -> f64 {
-        let (lo, hi) = (other.min(), other.max());
-        let mut inside = 0usize;
-        crate::merge::merge_tie_groups_chunked(
-            self.sorted_chunks(),
-            other.sorted_chunks(),
-            |g| {
-                if g.value >= lo && g.value <= hi {
-                    inside += g.count_a;
-                }
-            },
-        );
-        inside as f64 / self.len() as f64
     }
 }
 
@@ -1172,12 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn iqr_known() {
-        let x = s(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(x.iqr(), 2.0);
-    }
-
-    #[test]
     fn quantiles_vectorized() {
         let x = s(&[1.0, 2.0, 3.0]);
         assert_eq!(x.quantiles(&[0.0, 0.5, 1.0]), vec![1.0, 2.0, 3.0]);
@@ -1220,16 +1185,6 @@ mod tests {
         let text = x.histogram(2).render_ascii(10);
         assert!(text.contains('#'));
         assert_eq!(text.lines().count(), 2);
-    }
-
-    #[test]
-    fn range_overlap_extremes() {
-        let a = s(&[1.0, 2.0, 3.0]);
-        let b = s(&[2.5, 4.0]);
-        let c = s(&[10.0, 11.0]);
-        assert_eq!(a.range_overlap(&c), 0.0);
-        assert_eq!(a.range_overlap(&a), 1.0);
-        assert!((a.range_overlap(&b) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Bounded-memory quantile sketching — the **approximate**, opt-in
-//! comparator mode for streams too large to retain.
+//! Bounded-memory quantile sketching for streams too large to retain.
 //!
 //! The exact pipeline keeps every measurement ([`Sample`]) and re-derives
 //! quantiles from the full distribution, as the paper prescribes. That is
 //! the default and the oracle. When a stream is simply too large to hold —
 //! months of per-request telemetry for one tenant — [`QuantileSketch`]
 //! offers the classical trade: O(k · log(n/k)) retained values instead of
-//! O(n), in exchange for *rank-approximate* quantiles.
+//! O(n), in exchange for *rank-approximate* quantiles. Count, extremes and
+//! mean stay exact, and [`QuantileSketch::merge`] combines sketches of
+//! disjoint streams.
 //!
 //! The sketch is a deterministic KLL/Manku-style level structure: level
 //! `l` holds values each standing for `2^l` original measurements. A full
@@ -19,15 +20,7 @@
 //! (about 1.7 % of `n` at `k = 256`, `n = 10⁵`); the error-bound test in
 //! this module asserts a conservative version of that bound against the
 //! exact oracle.
-//!
-//! [`SketchComparator`] runs the comparator quantile-dominance vote on two
-//! sketches. It is **approximate and never the default**: nothing in the
-//! session or service stack selects it implicitly, its outcomes carry no
-//! bootstrap significance semantics, and the exact
-//! [`BootstrapComparator`](crate::BootstrapComparator) remains the oracle
-//! it is tested against.
 
-use crate::compare::{Outcome, ScratchThreeWayComparator, SeededThreeWayComparator, ThreeWayComparator};
 use crate::sample::Sample;
 
 /// A deterministic bounded-memory quantile sketch (KLL/Manku-style level
@@ -267,163 +260,6 @@ impl QuantileSketch {
     }
 }
 
-/// Configuration of the [`SketchComparator`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SketchConfig {
-    /// Per-level sketch capacity `k` (memory bound; larger = tighter
-    /// quantile estimates).
-    pub capacity: usize,
-    /// Quantiles compared (same defaults as the exact comparator).
-    pub quantiles: Vec<f64>,
-    /// Relative margin `δ`: a quantile only counts as a win when it beats
-    /// the opponent by more than this fraction. Should be set *no tighter*
-    /// than the sketch's rank error — distinguishing differences finer
-    /// than the sketch can resolve is what the exact path is for.
-    pub margin: f64,
-    /// Fraction `γ` of quantiles that must win for a verdict.
-    pub dominance: f64,
-}
-
-impl Default for SketchConfig {
-    fn default() -> Self {
-        SketchConfig {
-            capacity: 256,
-            quantiles: vec![0.05, 0.25, 0.5, 0.75, 0.95],
-            margin: 0.05,
-            dominance: 0.8,
-        }
-    }
-}
-
-impl SketchConfig {
-    /// Validates the configuration, panicking with a descriptive message
-    /// on nonsensical values.
-    pub fn validate(&self) {
-        assert!(self.capacity >= 8, "sketch capacity must be at least 8");
-        assert!(!self.quantiles.is_empty(), "need at least one quantile");
-        assert!(
-            self.quantiles.iter().all(|q| (0.0..=1.0).contains(q)),
-            "quantiles must lie in [0, 1]"
-        );
-        assert!(self.margin >= 0.0, "margin must be non-negative");
-        assert!(
-            (0.0..=1.0).contains(&self.dominance),
-            "dominance must lie in [0, 1]"
-        );
-    }
-}
-
-/// **Approximate**, bounded-memory three-way comparator: sketches both
-/// samples and runs the quantile-dominance vote once on the estimated
-/// quantiles.
-///
-/// This is the opt-in mode for streams too large to compare exactly —
-/// memory during comparison is O(k·log(n/k)) per side instead of O(n).
-/// It is deliberately **never a default** anywhere in the stack:
-/// * its quantiles carry sketch rank error (see the [module docs](self)),
-///   so outcomes near the margin can differ from the exact comparator's;
-/// * it performs no bootstrap, so an outcome is a point verdict with no
-///   resampling significance behind it.
-///
-/// It is fully deterministic (no RNG, `Scratch = ()`); the seeded trait
-/// entry points ignore the stream index. The exact
-/// [`BootstrapComparator`](crate::BootstrapComparator) is the oracle the
-/// sketch path is tested against (`exact-vs-sketch agreement` in
-/// `bench_ingest` and this module's tests).
-///
-/// # Examples
-///
-/// ```
-/// use relperf_measure::{Outcome, Sample, SketchComparator, ThreeWayComparator};
-///
-/// let fast: Sample = Sample::new((0..500).map(|i| 1.0 + (i % 7) as f64 * 0.01).collect()).unwrap();
-/// let slow: Sample = Sample::new((0..500).map(|i| 2.0 + (i % 7) as f64 * 0.01).collect()).unwrap();
-/// let cmp = SketchComparator::default();
-/// assert_eq!(cmp.compare(&fast, &slow), Outcome::Better);
-/// assert_eq!(cmp.compare(&slow, &fast), Outcome::Worse);
-/// assert_eq!(cmp.compare(&fast, &fast), Outcome::Equivalent);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SketchComparator {
-    config: SketchConfig,
-}
-
-impl Default for SketchComparator {
-    fn default() -> Self {
-        SketchComparator::with_config(SketchConfig::default())
-    }
-}
-
-impl SketchComparator {
-    /// A comparator with the given configuration (validated here).
-    pub fn with_config(config: SketchConfig) -> Self {
-        config.validate();
-        SketchComparator { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SketchConfig {
-        &self.config
-    }
-
-    /// The quantile-dominance vote on two already-built sketches — the
-    /// entry point for callers that stream into sketches directly and
-    /// never hold a [`Sample`] at all.
-    ///
-    /// # Panics
-    /// Panics when either sketch is empty.
-    pub fn compare_sketches(&self, a: &QuantileSketch, b: &QuantileSketch) -> Outcome {
-        let q = self.config.quantiles.len();
-        let needed = ((self.config.dominance * q as f64).ceil() as usize).max(1);
-        let mut wins_a = 0usize;
-        let mut wins_b = 0usize;
-        for &quant in &self.config.quantiles {
-            let qa = a.quantile(quant);
-            let qb = b.quantile(quant);
-            let scale = qa.abs().min(qb.abs());
-            let gap = self.config.margin * scale;
-            if qa < qb - gap {
-                wins_a += 1;
-            } else if qb < qa - gap {
-                wins_b += 1;
-            }
-        }
-        if wins_a >= needed {
-            Outcome::Better
-        } else if wins_b >= needed {
-            Outcome::Worse
-        } else {
-            Outcome::Equivalent
-        }
-    }
-}
-
-impl ThreeWayComparator for SketchComparator {
-    fn compare(&self, a: &Sample, b: &Sample) -> Outcome {
-        let sa = QuantileSketch::from_sample(a, self.config.capacity);
-        let sb = QuantileSketch::from_sample(b, self.config.capacity);
-        self.compare_sketches(&sa, &sb)
-    }
-}
-
-impl SeededThreeWayComparator for SketchComparator {
-    /// Deterministic — the stream index is ignored.
-    fn compare_seeded(&self, a: &Sample, b: &Sample, _stream: u64) -> Outcome {
-        self.compare(a, b)
-    }
-}
-
-impl ScratchThreeWayComparator for SketchComparator {
-    /// Deterministic and allocation-light — no reusable working memory.
-    type Scratch = ();
-
-    fn new_scratch(&self) {}
-
-    fn compare_seeded_scratch(&self, _: &mut (), a: &Sample, b: &Sample, _stream: u64) -> Outcome {
-        self.compare(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,35 +396,6 @@ mod tests {
     #[should_panic(expected = "empty sketch")]
     fn empty_quantile_panics() {
         QuantileSketch::new(16).quantile(0.5);
-    }
-
-    #[test]
-    fn comparator_agrees_with_exact_on_separated_and_identical_pairs() {
-        use crate::compare::{BootstrapComparator, SeededThreeWayComparator as _};
-        let fast = Sample::new(stream(2000, 7)).unwrap();
-        let slow =
-            Sample::new(stream(2000, 8).iter().map(|v| v + 2.0).collect::<Vec<_>>()).unwrap();
-        let sketchy = SketchComparator::default();
-        let exact = BootstrapComparator::new(99);
-        for (a, b) in [(&fast, &slow), (&slow, &fast), (&fast, &fast)] {
-            assert_eq!(
-                sketchy.compare(a, b),
-                exact.compare_seeded(a, b, 0),
-                "sketch and exact disagree on a clear-cut pair"
-            );
-        }
-    }
-
-    #[test]
-    fn comparator_traits_are_deterministic() {
-        let a = Sample::new(stream(500, 9)).unwrap();
-        let b = Sample::new(stream(500, 10).iter().map(|v| v + 5.0).collect::<Vec<_>>()).unwrap();
-        let cmp = SketchComparator::default();
-        let direct = cmp.compare(&a, &b);
-        assert_eq!(cmp.compare_seeded(&a, &b, 0), direct);
-        assert_eq!(cmp.compare_seeded(&a, &b, 31337), direct);
-        assert_eq!(cmp.compare_seeded_scratch(&mut (), &a, &b, 7), direct);
-        assert_eq!(direct, Outcome::Better);
     }
 
     #[test]

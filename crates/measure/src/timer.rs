@@ -46,23 +46,6 @@ pub fn measure<F: FnMut()>(config: MeasureConfig, mut f: F) -> Result<Sample, Sa
     Sample::new(times)
 }
 
-/// Measures a fallible closure, aborting on the first error.
-pub fn try_measure<F, E>(config: MeasureConfig, mut f: F) -> Result<Result<Sample, SampleError>, E>
-where
-    F: FnMut() -> Result<(), E>,
-{
-    for _ in 0..config.warmup {
-        f()?;
-    }
-    let mut times = Vec::with_capacity(config.repetitions);
-    for _ in 0..config.repetitions {
-        let t0 = Instant::now();
-        f()?;
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    Ok(Sample::new(times))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,33 +93,5 @@ mod tests {
         })
         .unwrap();
         assert!(heavy.median() > light.median());
-    }
-
-    #[test]
-    fn try_measure_propagates_errors() {
-        let cfg = MeasureConfig {
-            warmup: 0,
-            repetitions: 3,
-        };
-        let mut n = 0;
-        let r: Result<_, &str> = try_measure(cfg, || {
-            n += 1;
-            if n == 2 {
-                Err("boom")
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(r.unwrap_err(), "boom");
-    }
-
-    #[test]
-    fn try_measure_success_path() {
-        let cfg = MeasureConfig {
-            warmup: 1,
-            repetitions: 4,
-        };
-        let r: Result<_, std::convert::Infallible> = try_measure(cfg, || Ok(()));
-        assert_eq!(r.unwrap().unwrap().len(), 4);
     }
 }

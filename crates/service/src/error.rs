@@ -73,6 +73,15 @@ pub enum ServiceError {
     NoAlgorithms,
     /// The session spec requested zero clustering repetitions.
     NoRepetitions,
+    /// The session's comparison caches (one per repetition, `algorithms²`
+    /// slots each) would exceed
+    /// [`MAX_SESSION_CACHE_BYTES`](crate::service::MAX_SESSION_CACHE_BYTES).
+    SessionTooLarge {
+        /// The requested algorithm count.
+        algorithms: usize,
+        /// The requested clustering repetitions.
+        repetitions: usize,
+    },
     /// The session spec's convergence criterion was invalid (routed
     /// through [`ConvergenceCriterion::try_validate`](relperf_core::session::ConvergenceCriterion::try_validate)).
     InvalidCriterion(CriterionError),
@@ -147,6 +156,15 @@ impl fmt::Display for ServiceError {
             ServiceError::NoRepetitions => {
                 write!(f, "a session needs at least one clustering repetition")
             }
+            ServiceError::SessionTooLarge {
+                algorithms,
+                repetitions,
+            } => write!(
+                f,
+                "{repetitions} repetitions over {algorithms} algorithms exceed the \
+                 {} comparison-cache bytes a session may hold",
+                crate::service::MAX_SESSION_CACHE_BYTES
+            ),
             ServiceError::InvalidCriterion(e) => write!(f, "invalid convergence criterion: {e}"),
             ServiceError::AlgorithmOutOfRange { alg, p } => {
                 write!(f, "algorithm {alg} out of range for a session over {p}")

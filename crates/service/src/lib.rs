@@ -113,7 +113,7 @@ pub use replication::{
 pub use runtime::{RuntimeConfig, RuntimeError, RuntimeHandle, ServiceRuntime};
 pub use service::{
     OpOutcome, OpResponse, RecoveryReport, SessionKey, SessionOp, SessionService, SessionSpec,
-    SessionStatus, ServiceLimits, SharedComparator, WaveOutcome,
+    SessionStatus, ServiceLimits, SharedComparator, WaveOutcome, MAX_SESSION_CACHE_BYTES,
 };
 pub use snapshot::{SessionSnapshot, SnapshotError};
 pub use stats::{RecoveryHealth, ServiceStats};

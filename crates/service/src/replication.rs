@@ -431,11 +431,6 @@ impl JournalShipper {
         (wrapped, JournalShipper { outboxes, lanes, config })
     }
 
-    /// Number of shard lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Segments cut but not yet acknowledged across all lanes.
     pub fn unacked_segments(&self) -> usize {
         self.lanes.iter().map(|l| l.unacked.len()).sum()

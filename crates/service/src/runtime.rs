@@ -538,11 +538,6 @@ impl<C: ScratchThreeWayComparator + Send + Sync> RuntimeHandle<C> {
     pub fn emit_digests(&self) -> Result<usize, ServiceError> {
         self.0.service.emit_digests()
     }
-
-    /// Whether this runtime runs batches inline (no scheduler threads).
-    pub fn is_sync(&self) -> bool {
-        self.0.sync_mode()
-    }
 }
 
 impl<C: ScratchThreeWayComparator + Send + Sync> fmt::Debug for RuntimeHandle<C> {

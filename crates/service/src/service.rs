@@ -77,6 +77,7 @@ use crate::journal::{
 };
 use crate::snapshot::{self, fnv1a64, SessionSnapshot, SnapshotError};
 use crate::stats::{ServiceStats, StatCounters};
+use relperf_core::cache::ComparisonCache;
 use relperf_core::cluster::{ClusterConfig, Clustering, Parallelism, ScoreTable};
 use relperf_core::session::{ClusterSession, ConvergenceCriterion};
 use relperf_measure::{
@@ -96,6 +97,16 @@ pub struct SessionKey {
     /// The session id within the tenant's namespace.
     pub session: u64,
 }
+
+/// The most comparison-cache memory one session may allocate, in bytes:
+/// one [`ComparisonCache`] per clustering repetition, each a fixed header
+/// plus `p²` `Option<Outcome>` slots. Every path that builds a session — a
+/// fresh spec, a restored or rehydrated snapshot, a journaled create on
+/// recovery or follower replay — rejects a larger shape with
+/// [`ServiceError::SessionTooLarge`] before allocating, so one hostile
+/// spec cannot exhaust the memory every tenant shares. 16 MiB is far above
+/// any spec in this repository (16 algorithms × 100 repetitions is 30 KiB).
+pub const MAX_SESSION_CACHE_BYTES: usize = 1 << 24;
 
 /// Everything needed to open a fresh session.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -582,20 +593,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     }
 
     fn admit(&self, tenant: u64, session: u64, spec: SessionSpec) -> Result<(), ServiceError> {
-        if spec.algorithms == 0 {
-            return Err(ServiceError::NoAlgorithms);
-        }
-        if spec.config.repetitions == 0 {
-            return Err(ServiceError::NoRepetitions);
-        }
-        spec.criterion.try_validate()?;
-        let session_obj = ClusterSession::with_criterion(
-            spec.algorithms,
-            SharedComparator(Arc::clone(&self.comparator)),
-            spec.config,
-            spec.seed,
-            spec.criterion,
-        );
+        let session_obj = build_session(&self.comparator, &spec)?;
         self.insert(
             SessionKey { tenant, session },
             session_obj,
@@ -642,30 +640,13 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         session: u64,
         snap: SessionSnapshot,
     ) -> Result<(), ServiceError> {
-        // The codec guarantees these hold for decoded bytes, but
-        // `restore_snapshot` accepts caller-built values — re-check them
-        // typed so the session constructors below can never panic on
-        // tenant input.
-        if snap.state.samples.is_empty() {
-            return Err(ServiceError::NoAlgorithms);
-        }
-        if snap.config.repetitions == 0 {
-            return Err(ServiceError::NoRepetitions);
-        }
-        snap.criterion.try_validate()?;
-        let session_obj = ClusterSession::try_restore(
-            SharedComparator(Arc::clone(&self.comparator)),
-            snap.config,
-            snap.seed,
-            snap.criterion,
-            snap.state,
-        )
-        .map_err(|what| ServiceError::BadSnapshot(SnapshotError::Malformed(what)))?;
+        // `restore_snapshot` accepts caller-built values, so they go
+        // through the same typed checks as decoded bytes.
+        let session_obj = restore_session_state(&self.comparator, snap)?;
         // Journal the *validated* session's own export, not the caller's
-        // bytes: `try_restore` may still reject caller-built values the
-        // checks above cannot see, and replaying the record must decode
-        // back into exactly this state (carried RNG states are a campaign
-        // -layer concern and deliberately not journaled).
+        // bytes: replaying the record must decode back into exactly this
+        // state (carried RNG states are a campaign-layer concern and
+        // deliberately not journaled).
         let record = JournalRecord::Restore {
             tenant,
             session,
@@ -809,19 +790,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             .spilled
             .remove(&key)
             .expect("caller checked the spill store");
-        let rebuilt = snapshot::decode(&spilled.bytes)
-            .map_err(ServiceError::from)
-            .and_then(|snap| {
-                ClusterSession::try_restore(
-                    SharedComparator(Arc::clone(&self.comparator)),
-                    snap.config,
-                    snap.seed,
-                    snap.criterion,
-                    snap.state,
-                )
-                .map_err(|what| ServiceError::BadSnapshot(SnapshotError::Malformed(what)))
-            });
-        let session = match rebuilt {
+        let session = match rebuild_session(&self.comparator, &spilled.bytes) {
             Ok(session) => session,
             Err(e) => {
                 // Unreachable for bytes the spill path itself encoded,
@@ -1580,26 +1549,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                             // Already covered by a mid-crash checkpoint.
                             continue;
                         }
-                        let typed = |error| RecoveryError::Session {
-                            shard,
-                            tenant,
-                            session,
-                            error,
-                        };
-                        if spec.algorithms == 0 {
-                            return Err(typed(ServiceError::NoAlgorithms));
-                        }
-                        if spec.config.repetitions == 0 {
-                            return Err(typed(ServiceError::NoRepetitions));
-                        }
-                        spec.criterion.try_validate().map_err(|e| typed(e.into()))?;
-                        let session_obj = ClusterSession::with_criterion(
-                            spec.algorithms,
-                            SharedComparator(Arc::clone(&comparator)),
-                            spec.config,
-                            spec.seed,
-                            spec.criterion,
-                        );
+                        let session_obj =
+                            build_session(&comparator, &spec).map_err(|error| {
+                                RecoveryError::Session { shard, tenant, session, error }
+                            })?;
                         sessions
                             .insert(key, Rebuilt { session: session_obj, last_applied: None });
                     }
@@ -1751,20 +1704,44 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
-/// Validates a journaled `Create` spec and builds the session — the
-/// admission-path checks, shared with follower replay so a replica
-/// applies exactly what the leader admitted.
+/// The typed shape checks every session source shares — admission,
+/// restore, rehydration, recovery replay and follower replay — so no
+/// path builds a session another path would reject, and none reaches a
+/// session constructor that panics or over-allocates on tenant input.
+fn check_session_shape(
+    algorithms: usize,
+    config: &ClusterConfig,
+    criterion: &ConvergenceCriterion,
+) -> Result<(), ServiceError> {
+    if algorithms == 0 {
+        return Err(ServiceError::NoAlgorithms);
+    }
+    if config.repetitions == 0 {
+        return Err(ServiceError::NoRepetitions);
+    }
+    let bytes = algorithms
+        .checked_mul(algorithms)
+        .and_then(|cells| cells.checked_mul(std::mem::size_of::<Option<Outcome>>()))
+        .and_then(|slots| slots.checked_add(std::mem::size_of::<ComparisonCache>()))
+        .and_then(|per_rep| per_rep.checked_mul(config.repetitions));
+    if bytes.is_none_or(|b| b > MAX_SESSION_CACHE_BYTES) {
+        return Err(ServiceError::SessionTooLarge {
+            algorithms,
+            repetitions: config.repetitions,
+        });
+    }
+    criterion.try_validate()?;
+    Ok(())
+}
+
+/// Validates a `Create` spec and builds the session — the admission
+/// path, shared with recovery and follower replay so a replica applies
+/// exactly what the leader admitted.
 pub(crate) fn build_session<C: ScratchThreeWayComparator + Send + Sync>(
     comparator: &Arc<C>,
     spec: &SessionSpec,
 ) -> Result<ClusterSession<SharedComparator<C>>, ServiceError> {
-    if spec.algorithms == 0 {
-        return Err(ServiceError::NoAlgorithms);
-    }
-    if spec.config.repetitions == 0 {
-        return Err(ServiceError::NoRepetitions);
-    }
-    spec.criterion.try_validate()?;
+    check_session_shape(spec.algorithms, &spec.config, &spec.criterion)?;
     Ok(ClusterSession::with_criterion(
         spec.algorithms,
         SharedComparator(Arc::clone(comparator)),
@@ -1796,14 +1773,16 @@ pub(crate) fn rebuild_session<C: ScratchThreeWayComparator + Send + Sync>(
     comparator: &Arc<C>,
     bytes: &[u8],
 ) -> Result<ClusterSession<SharedComparator<C>>, ServiceError> {
-    let snap = snapshot::decode(bytes)?;
-    if snap.state.samples.is_empty() {
-        return Err(ServiceError::NoAlgorithms);
-    }
-    if snap.config.repetitions == 0 {
-        return Err(ServiceError::NoRepetitions);
-    }
-    snap.criterion.try_validate()?;
+    restore_session_state(comparator, snapshot::decode(bytes)?)
+}
+
+/// Rebuilds a live session from a decoded or caller-built snapshot, with
+/// the same typed validation as the admission path.
+fn restore_session_state<C: ScratchThreeWayComparator + Send + Sync>(
+    comparator: &Arc<C>,
+    snap: SessionSnapshot,
+) -> Result<ClusterSession<SharedComparator<C>>, ServiceError> {
+    check_session_shape(snap.state.samples.len(), &snap.config, &snap.criterion)?;
     ClusterSession::try_restore(
         SharedComparator(Arc::clone(comparator)),
         snap.config,

@@ -698,6 +698,14 @@ fn enc_service_error(w: &mut Writer, e: &ServiceError) {
             w.u8(15);
             enc_replication_error(w, rep);
         }
+        ServiceError::SessionTooLarge {
+            algorithms,
+            repetitions,
+        } => {
+            w.u8(16);
+            w.u64(*algorithms as u64);
+            w.u64(*repetitions as u64);
+        }
     }
 }
 
@@ -914,6 +922,10 @@ fn dec_service_error(r: &mut Reader) -> Result<ServiceError, SnapshotError> {
             _ => return Err(SnapshotError::Malformed("unknown journal io error tag")),
         }),
         15 => ServiceError::Replication(dec_replication_error(r)?),
+        16 => ServiceError::SessionTooLarge {
+            algorithms: r.u64()? as usize,
+            repetitions: r.u64()? as usize,
+        },
         _ => return Err(SnapshotError::Malformed("unknown service error tag")),
     })
 }

@@ -360,6 +360,72 @@ fn restore_snapshot_rejects_inconsistent_caller_built_values() {
     assert_eq!(s.num_sessions(), 1);
 }
 
+/// A spec whose comparison caches would not fit the per-session budget is
+/// rejected typed before anything is allocated — through a fresh create
+/// and through restore bytes carrying a forged repetition count — so one
+/// tenant cannot abort the process every tenant shares.
+#[test]
+fn oversized_sessions_are_rejected_before_allocating() {
+    use relperf_core::cache::ComparisonCache;
+    use relperf_core::session::SessionState;
+    use relperf_measure::Outcome;
+    use relperf_service::service::MAX_SESSION_CACHE_BYTES;
+    use relperf_service::snapshot::{self, SessionSnapshot};
+    use std::mem::size_of;
+    let s = tiny_service(ServiceLimits::default());
+    let huge = 1usize << 40;
+    let too_large = |algorithms, repetitions| {
+        Err(ServiceError::SessionTooLarge {
+            algorithms,
+            repetitions,
+        })
+    };
+    let spec = |algorithms: usize, repetitions: usize| {
+        let mut spec = SessionSpec::new(algorithms, 7);
+        spec.config = ClusterConfig {
+            repetitions,
+            ..Default::default()
+        };
+        spec
+    };
+    assert_eq!(s.create_session(1, 1, spec(1, huge)), too_large(1, huge));
+    assert_eq!(s.create_session(1, 2, spec(8, huge)), too_large(8, huge));
+    // p² overflows usize: still typed, not a wrapped product.
+    assert_eq!(s.create_session(1, 3, spec(huge, 1)), too_large(huge, 1));
+    // The budget itself fits; one repetition more does not.
+    let per_rep = size_of::<ComparisonCache>() + 64 * 64 * size_of::<Option<Outcome>>();
+    let fits = MAX_SESSION_CACHE_BYTES / per_rep;
+    assert_eq!(
+        s.create_session(1, 4, spec(64, fits + 1)),
+        too_large(64, fits + 1)
+    );
+    s.create_session(1, 5, spec(64, fits)).unwrap();
+
+    let forged = |repetitions: usize| {
+        snapshot::encode(&SessionSnapshot {
+            config: ClusterConfig {
+                repetitions,
+                ..Default::default()
+            },
+            seed: 1,
+            criterion: ConvergenceCriterion::default(),
+            state: SessionState {
+                samples: vec![None; 8],
+                dirty: vec![false; 8],
+                ingested: false,
+                table: None,
+                waves: 0,
+                stable_run: 0,
+                converged: false,
+            },
+            rng_states: Vec::new(),
+        })
+    };
+    assert_eq!(s.restore_session(2, 1, &forged(huge)), too_large(8, huge));
+    assert_eq!(s.num_sessions(), 1);
+    assert_eq!(s.stats().rejections, 5);
+}
+
 #[test]
 fn stats_count_requests_waves_and_batches() {
     let s = tiny_service(ServiceLimits::default());

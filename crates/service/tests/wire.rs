@@ -117,6 +117,10 @@ fn all_service_errors() -> Vec<ServiceError> {
         },
         ServiceError::NoAlgorithms,
         ServiceError::NoRepetitions,
+        ServiceError::SessionTooLarge {
+            algorithms: 50,
+            repetitions: 51,
+        },
         ServiceError::InvalidCriterion(CriterionError::ZeroStableWaves),
         ServiceError::InvalidCriterion(CriterionError::BadTolerance { score_tol: -1.0 }),
         ServiceError::AlgorithmOutOfRange { alg: 15, p: 16 },

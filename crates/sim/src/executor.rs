@@ -186,28 +186,6 @@ impl Platform {
         Sample::new(times)
     }
 
-    /// Like [`Platform::measure`], but with an additional AR(1) drift
-    /// applied *across* repetitions: real measurement campaigns see
-    /// autocorrelated system state (frequency scaling, thermal drift,
-    /// background load), not i.i.d. noise. `drift` is stepped once per
-    /// repetition and multiplies that repetition's total time.
-    pub fn measure_with_drift<R: Rng + ?Sized>(
-        &self,
-        tasks: &[Task],
-        placement: &[Loc],
-        n: usize,
-        drift: &mut crate::noise::Ar1Drift,
-        rng: &mut R,
-    ) -> Result<Sample, SampleError> {
-        let times: Vec<f64> = (0..n)
-            .map(|_| {
-                let factor = drift.step(rng);
-                self.execute(tasks, placement, rng).total_time_s * factor
-            })
-            .collect();
-        Sample::new(times)
-    }
-
     /// Noise-free execution record (useful for FLOP/energy/cost accounting
     /// where the decision models need the deterministic expectation).
     pub fn execute_noiseless(&self, tasks: &[Task], placement: &[Loc]) -> ExecutionRecord {
@@ -262,16 +240,6 @@ pub struct ExecutionRecord {
     pub operating_cost: f64,
     /// Per-task details in execution order.
     pub per_task: Vec<TaskRecord>,
-}
-
-impl ExecutionRecord {
-    /// FLOPs executed on the given device.
-    pub fn flops_on(&self, loc: Loc) -> u64 {
-        match loc {
-            Loc::Device => self.device_flops,
-            Loc::Accelerator => self.accel_flops,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -434,32 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn drifted_measurements_are_autocorrelated() {
-        let p = quiet_platform();
-        let tasks = vec![task(5, 1_000_000, 0)];
-        let mut rng = StdRng::seed_from_u64(30);
-        let mut drift = crate::noise::Ar1Drift::new(0.95, 0.05);
-        let s = p
-            .measure_with_drift(&tasks, &[Loc::Device], 300, &mut drift, &mut rng)
-            .unwrap();
-        let xs = s.values();
-        let mean = s.mean();
-        let var: f64 = xs.iter().map(|x| (x - mean).powi(2)).sum();
-        let cov: f64 = xs.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
-        assert!(
-            cov / var > 0.7,
-            "drifted campaign should be autocorrelated, got {}",
-            cov / var
-        );
-        // Plain measure() on the quiet platform is constant (no noise; the
-        // tiny residue is mean-computation rounding).
-        let flat = p
-            .measure(&tasks, &[Loc::Device], 10, &mut rng)
-            .unwrap();
-        assert!(flat.std_dev() < 1e-12 * flat.mean());
-    }
-
-    #[test]
     fn noiseless_execution_matches_quiet_platform() {
         let mut noisy_platform = quiet_platform();
         noisy_platform.device_noise = NoiseModel::Gaussian { std_frac: 0.5 };
@@ -493,8 +435,8 @@ mod tests {
         assert_eq!(rec.per_task[1].loc, Loc::Accelerator);
         let sum: f64 = rec.per_task.iter().map(|t| t.time_s).sum();
         assert!((sum - rec.total_time_s).abs() < 1e-12);
-        assert_eq!(rec.flops_on(Loc::Device), 1_000);
-        assert_eq!(rec.flops_on(Loc::Accelerator), 4_000);
+        assert_eq!(rec.device_flops, 1_000);
+        assert_eq!(rec.accel_flops, 4_000);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl MultiPlatform {
         }
     }
 
-    /// Number of placement targets (device + accelerators).
-    pub fn num_targets(&self) -> usize {
-        1 + self.accelerators.len()
-    }
-
     /// Executes the task sequence under the placement.
     ///
     /// # Panics

@@ -136,48 +136,6 @@ impl NoiseModel {
     }
 }
 
-/// A first-order autoregressive drift process for *between-measurement*
-/// correlation: real systems wander (frequency scaling, thermal state,
-/// background load), so consecutive measurements of the same algorithm are
-/// not independent. The process is
-/// `x_{t+1} = ρ·x_t + √(1−ρ²)·σ·ε`, applied as a multiplicative factor
-/// `1 + x_t` (clamped to [`MIN_FACTOR`]).
-#[derive(Debug, Clone)]
-pub struct Ar1Drift {
-    rho: f64,
-    sigma: f64,
-    state: f64,
-}
-
-impl Ar1Drift {
-    /// Creates a drift process with correlation `rho ∈ [0, 1)` and
-    /// stationary relative standard deviation `sigma`.
-    ///
-    /// # Panics
-    /// Panics on out-of-range parameters.
-    pub fn new(rho: f64, sigma: f64) -> Self {
-        assert!((0.0..1.0).contains(&rho), "rho must be in [0, 1)");
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        Ar1Drift {
-            rho,
-            sigma,
-            state: 0.0,
-        }
-    }
-
-    /// Advances the process one step and returns the multiplicative factor.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let innovation = (1.0 - self.rho * self.rho).sqrt() * self.sigma * standard_normal(rng);
-        self.state = self.rho * self.state + innovation;
-        (1.0 + self.state).max(MIN_FACTOR)
-    }
-
-    /// Current drift state (0 = nominal speed).
-    pub fn state(&self) -> f64 {
-        self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,44 +234,6 @@ mod tests {
     fn sampling_is_deterministic_per_seed() {
         let m = NoiseModel::LogNormal { sigma: 0.3 };
         assert_eq!(sample_n(&m, 50, 10), sample_n(&m, 50, 10));
-    }
-
-    #[test]
-    fn ar1_drift_is_autocorrelated() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut strong = Ar1Drift::new(0.95, 0.05);
-        let xs: Vec<f64> = (0..2_000).map(|_| strong.step(&mut rng)).collect();
-        // Lag-1 autocorrelation of the factor sequence.
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var: f64 = xs.iter().map(|x| (x - mean).powi(2)).sum();
-        let cov: f64 = xs.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
-        let rho_hat = cov / var;
-        assert!(rho_hat > 0.8, "estimated lag-1 correlation {rho_hat}");
-
-        // rho = 0 degenerates to independent noise.
-        let mut white = Ar1Drift::new(0.0, 0.05);
-        let ys: Vec<f64> = (0..2_000).map(|_| white.step(&mut rng)).collect();
-        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-        let var_y: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
-        let cov_y: f64 = ys.windows(2).map(|w| (w[0] - mean_y) * (w[1] - mean_y)).sum();
-        assert!((cov_y / var_y).abs() < 0.1);
-    }
-
-    #[test]
-    fn ar1_drift_stationary_spread() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut p = Ar1Drift::new(0.9, 0.03);
-        let xs: Vec<f64> = (0..20_000).map(|_| p.step(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
-        assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
-        assert!((sd - 0.03).abs() < 0.01, "sd {sd}");
-    }
-
-    #[test]
-    #[should_panic(expected = "rho must be in")]
-    fn ar1_rejects_bad_rho() {
-        Ar1Drift::new(1.0, 0.1);
     }
 
     #[test]

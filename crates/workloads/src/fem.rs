@@ -30,7 +30,7 @@
 //! [`Experiment::table1_fem`]: crate::experiment::Experiment::table1_fem
 
 use relperf_linalg::flops;
-use relperf_linalg::sparse::{CooMatrix, CsrMatrix, IterSolve, SparseError, SparseResult};
+use relperf_linalg::sparse::{CooMatrix, CsrMatrix, IterSolve, SparseResult};
 use relperf_linalg::{KernelEngine, Matrix};
 use relperf_sim::Task;
 
@@ -246,19 +246,6 @@ impl FemScenario {
     }
 }
 
-/// Runs the FEM workload as one loop of a Procedure-5-style chained code:
-/// the previous task's `penalty` seeds the output scalar, which is the
-/// run's [`FemRun::integral_u`] plus the carried penalty. The signature
-/// mirrors [`crate::mathtask::run_real_with`] so the FEM-extended real
-/// code can thread its tasks exactly like the dense-only one.
-pub fn run_real_chained(
-    scenario: &FemScenario,
-    penalty: f64,
-    engine: KernelEngine,
-) -> Result<f64, SparseError> {
-    Ok(penalty + scenario.run_real_with(engine)?.integral_u)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,17 +386,5 @@ mod tests {
         );
         // The workload is sized past the Table-I accelerator's knee.
         assert!(t.working_set_bytes > 10_000_000);
-    }
-
-    #[test]
-    fn chained_run_threads_the_penalty() {
-        let s = FemScenario {
-            nx: 4,
-            ny: 4,
-            cg_iters: 8,
-        };
-        let base = run_real_chained(&s, 0.0, KernelEngine::default()).unwrap();
-        let chained = run_real_chained(&s, 2.5, KernelEngine::default()).unwrap();
-        assert!((chained - base - 2.5).abs() < 1e-12);
     }
 }

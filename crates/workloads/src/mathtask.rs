@@ -4,7 +4,7 @@
 //!   and byte counts come from the exact kernel accounting in
 //!   `relperf-linalg::flops`; this is what the Table I and Fig. 1b
 //!   experiments execute on the simulated platform.
-//! * [`run_real`] — the actual computation (random `A`, `B`; solve
+//! * [`run_real_with`] — the actual computation (random `A`, `B`; solve
 //!   `Z = (AᵀA + λI)⁻¹AᵀB`; penalty `‖AZ − B‖²`) on this machine, used by
 //!   the quickstart example and the real-measurement path.
 
@@ -40,22 +40,12 @@ pub fn simulated_task(name: &str, size: usize, iters: usize) -> Task {
     }
 }
 
-/// Runs the real `MathTask` on this machine (Procedure 6 verbatim) on the
-/// default blocked kernel engine and returns the final penalty.
-pub fn run_real<R: Rng + ?Sized>(
-    rng: &mut R,
-    size: usize,
-    iters: usize,
-    penalty: f64,
-) -> Result<f64, relperf_linalg::LinalgError> {
-    run_real_with(rng, size, iters, penalty, KernelEngine::default())
-}
-
-/// [`run_real`] on an explicit [`KernelEngine`]. Every engine draws the
-/// same RNG stream and computes bit-identical kernels, so the returned
-/// penalty is **the same, bit for bit**, whichever engine runs — only the
-/// wall-clock (the thing the paper measures) changes. Golden-tested in
-/// `tests/kernel_golden.rs`.
+/// Runs the real `MathTask` on this machine (Procedure 6 verbatim) on an
+/// explicit [`KernelEngine`] and returns the final penalty. Every engine
+/// draws the same RNG stream and computes bit-identical kernels, so the
+/// returned penalty is **the same, bit for bit**, whichever engine runs —
+/// only the wall-clock (the thing the paper measures) changes.
+/// Golden-tested in `tests/kernel_golden.rs`.
 pub fn run_real_with<R: Rng + ?Sized>(
     rng: &mut R,
     size: usize,
@@ -90,14 +80,15 @@ mod tests {
     #[test]
     fn run_real_produces_finite_penalty() {
         let mut rng = StdRng::seed_from_u64(101);
-        let p = run_real(&mut rng, 12, 2, 0.0).unwrap();
+        let p = run_real_with(&mut rng, 12, 2, 0.0, KernelEngine::default()).unwrap();
         assert!(p.is_finite() && p >= 0.0);
     }
 
     #[test]
     fn run_real_threads_penalty() {
-        let a = run_real(&mut StdRng::seed_from_u64(102), 10, 1, 0.0).unwrap();
-        let b = run_real(&mut StdRng::seed_from_u64(102), 10, 1, 50.0).unwrap();
+        let engine = KernelEngine::default();
+        let a = run_real_with(&mut StdRng::seed_from_u64(102), 10, 1, 0.0, engine).unwrap();
+        let b = run_real_with(&mut StdRng::seed_from_u64(102), 10, 1, 50.0, engine).unwrap();
         assert_ne!(a, b, "initial penalty must influence the result");
     }
 }

@@ -17,9 +17,6 @@ pub const SIZES: [usize; 3] = [50, 75, 300];
 /// the paper's `n = 300`.
 pub const LARGE_SIZES: [usize; 3] = [128, 256, 512];
 
-/// Default loop length `n` of each `MathTask` (paper: `n = 10`).
-pub const DEFAULT_ITERS: usize = 10;
-
 /// The three tasks with `n` loop iterations each.
 pub fn tasks(iters: usize) -> Vec<Task> {
     tasks_custom(&SIZES, iters)
@@ -49,31 +46,12 @@ pub fn placements() -> Vec<(String, Vec<Loc>)> {
         .collect()
 }
 
-/// Runs the *real* scientific code (Procedure 5) on this machine: three
-/// chained `MathTask`s threading the penalty. Placement is ignored — on a
-/// single machine there is only one device — but the signature mirrors the
-/// simulated pipeline so examples can swap between the two.
-pub fn run_real<R: Rng + ?Sized>(
-    rng: &mut R,
-    iters: usize,
-) -> Result<f64, relperf_linalg::LinalgError> {
-    run_real_custom(rng, &SIZES, iters)
-}
-
-/// [`run_real`] with caller-chosen task sizes (smaller instances for tests
-/// and demos, [`LARGE_SIZES`] for the scaled-up campaign).
-pub fn run_real_custom<R: Rng + ?Sized>(
-    rng: &mut R,
-    sizes: &[usize],
-    iters: usize,
-) -> Result<f64, relperf_linalg::LinalgError> {
-    run_real_custom_with(rng, sizes, iters, KernelEngine::default())
-}
-
-/// [`run_real_custom`] on an explicit [`KernelEngine`]. The returned
-/// penalty is bit-identical across engines (see
-/// [`crate::mathtask::run_real_with`]); the engine only decides how fast
-/// the measured workload runs.
+/// Runs the *real* scientific code (Procedure 5) on this machine: one
+/// chained `MathTask` per entry of `sizes` (the paper's [`SIZES`], smaller
+/// instances for tests, or [`LARGE_SIZES`] for the scaled-up campaign),
+/// threading the penalty. The returned penalty is bit-identical across
+/// engines (see [`crate::mathtask::run_real_with`]); the engine only
+/// decides how fast the measured workload runs.
 pub fn run_real_custom_with<R: Rng + ?Sized>(
     rng: &mut R,
     sizes: &[usize],
@@ -124,7 +102,13 @@ mod tests {
     fn run_real_small_instance() {
         // A scaled-down instance keeps the test fast; the full-size run is
         // exercised by the examples and benches in release mode.
-        let p = run_real_custom(&mut StdRng::seed_from_u64(111), &[8, 10, 12], 2).unwrap();
+        let p = run_real_custom_with(
+            &mut StdRng::seed_from_u64(111),
+            &[8, 10, 12],
+            2,
+            KernelEngine::default(),
+        )
+        .unwrap();
         assert!(p.is_finite() && p >= 0.0);
     }
 }

@@ -7,7 +7,7 @@
 
 use rand::prelude::*;
 use relperf_linalg::{KernelEngine, Parallelism};
-use relperf_workloads::scientific_code::{run_real_custom, run_real_custom_with};
+use relperf_workloads::scientific_code::run_real_custom_with;
 
 const SEED: u64 = 20_260_730;
 const SIZES: [usize; 3] = [16, 24, 32];
@@ -45,8 +45,14 @@ fn golden_scientific_code_penalty_identical_across_engines() {
             engine.label()
         );
     }
-    // The default path is the blocked engine and must agree too.
-    let p = run_real_custom(&mut StdRng::seed_from_u64(SEED), &SIZES, ITERS).unwrap();
+    // The default engine is the blocked one and must agree too.
+    let p = run_real_custom_with(
+        &mut StdRng::seed_from_u64(SEED),
+        &SIZES,
+        ITERS,
+        KernelEngine::default(),
+    )
+    .unwrap();
     assert_eq!(p.to_bits(), reference.to_bits());
 }
 
@@ -56,7 +62,13 @@ fn golden_scientific_code_penalty_pinned() {
     // change to the RNG stream, the fused element op, or the kernel
     // accumulation order shows up here before it can silently invalidate
     // measured experiments.
-    let p = run_real_custom(&mut StdRng::seed_from_u64(SEED), &SIZES, ITERS).unwrap();
+    let p = run_real_custom_with(
+        &mut StdRng::seed_from_u64(SEED),
+        &SIZES,
+        ITERS,
+        KernelEngine::default(),
+    )
+    .unwrap();
     assert_eq!(
         p.to_bits(),
         PINNED_PENALTY_BITS,

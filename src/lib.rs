@@ -14,9 +14,8 @@
 //!
 //! * [`linalg`] — dense linear algebra substrate (GEMM, Cholesky,
 //!   the Regularized-Least-Squares `MathTask`, FLOP accounting) plus the
-//!   sparse family: CSR/COO, SpMV, sparse triangular solves, and the
-//!   Jacobi/CG iterative solvers, all bit-identity-contracted against
-//!   their dense oracles,
+//!   sparse family: CSR/COO, SpMV, and the conjugate-gradient solver,
+//!   bit-identity-contracted against their dense oracles,
 //! * [`sim`] — the edge-platform simulator (devices, links, noise,
 //!   energy/cost metering, calibrated presets),
 //! * [`measure`] — samples (gallop-merge bulk ingest over a tiered
@@ -92,7 +91,7 @@ pub mod prelude {
     pub use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, MedianComparator};
     pub use relperf_measure::{
         IngestStats, Outcome, QuantileSketch, Sample, Scratch, ScratchThreeWayComparator,
-        SeededThreeWayComparator, SketchComparator, SketchConfig, ThreeWayComparator,
+        SeededThreeWayComparator, ThreeWayComparator,
     };
     pub use relperf_linalg::sparse::{CooMatrix, CsrMatrix, IterSolve, SparseError};
     pub use relperf_parallel::{parallel_map_indexed, parallel_map_indexed_with, Parallelism};

@@ -41,8 +41,6 @@ pub struct ComparisonCache {
     p: usize,
     /// Outcome of `(lo, hi)` with `lo < hi`, keyed `lo * p + hi`.
     slots: Vec<Option<Outcome>>,
-    hits: usize,
-    misses: usize,
 }
 
 impl ComparisonCache {
@@ -51,20 +49,7 @@ impl ComparisonCache {
         ComparisonCache {
             p,
             slots: vec![None; p * p],
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Forgets all cached outcomes while keeping the allocation and the
-    /// hit/miss tallies — so one cache serves many clustering repetitions
-    /// in turn. This is how the parallel engine uses it: each worker owns
-    /// one cache as part of its per-worker state
-    /// (`relative_scores_seeded_with`) and resets it between the
-    /// repetitions it runs; a memo is never shared *across* workers, which
-    /// is what keeps concurrent repetitions independent.
-    pub fn reset(&mut self) {
-        self.slots.fill(None);
     }
 
     /// The outcome of comparing `a` against `b`, computing it with
@@ -84,12 +69,8 @@ impl ComparisonCache {
         let (lo, hi, flipped) = if a < b { (a, b, false) } else { (b, a, true) };
         let slot = lo * self.p + hi;
         let outcome = match self.slots[slot] {
-            Some(outcome) => {
-                self.hits += 1;
-                outcome
-            }
+            Some(outcome) => outcome,
             None => {
-                self.misses += 1;
                 let outcome = cmp(lo, hi);
                 self.slots[slot] = Some(outcome);
                 outcome
@@ -120,16 +101,6 @@ impl ComparisonCache {
             }
         }
     }
-
-    /// Number of queries answered from the cache since construction.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of queries that invoked the comparator since construction.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +122,6 @@ mod tests {
             assert_eq!(cache.get_or_compute(3, 2, &mut cmp), Equivalent);
         }
         assert_eq!(calls, 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 9);
     }
 
     #[test]
@@ -161,15 +130,6 @@ mod tests {
         let mut cmp = |_: usize, _: usize| Better;
         assert_eq!(cache.get_or_compute(0, 1, &mut cmp), Better);
         assert_eq!(cache.get_or_compute(1, 0, &mut cmp), Worse);
-    }
-
-    #[test]
-    fn reset_forgets_outcomes() {
-        let mut cache = ComparisonCache::new(2);
-        assert_eq!(cache.get_or_compute(0, 1, &mut |_, _| Better), Better);
-        cache.reset();
-        assert_eq!(cache.get_or_compute(0, 1, &mut |_, _| Worse), Worse);
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

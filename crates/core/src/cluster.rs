@@ -268,14 +268,15 @@ impl Clustering {
 ///   pure function of it (see
 ///   `relperf_measure::SeededThreeWayComparator::compare_seeded`).
 ///   Repetitions are therefore independent, and the score table is
-///   **bit-identical** for any [`Parallelism`] in `config` — including the
-///   serial fallback build.
+///   **bit-identical** for any [`Parallelism`] in `config`,
+///   [`Parallelism::serial`] included.
 /// * **Memoized comparisons.** Within one repetition a [`ComparisonCache`]
 ///   answers repeated queries about the same pair (bubble-sort passes
 ///   revisit pairs after swaps) and enforces antisymmetry, cutting the
 ///   number of bootstrap invocations per repetition to at most `p(p-1)/2`.
-///   Across repetitions the cache is reset, preserving the stochastic
-///   flips that relative scores exist to measure.
+///   Each repetition starts from a fresh cache and nothing is memoized
+///   across calls, preserving the stochastic flips that relative scores
+///   exist to measure.
 ///
 /// # Examples
 ///
@@ -304,63 +305,45 @@ pub fn relative_scores_seeded(
     seed: u64,
     cmp: impl Fn(u64, usize, usize) -> Outcome + Sync,
 ) -> ScoreTable {
-    relative_scores_seeded_with(p, config, seed, || (), move |(), stream, a, b| {
-        cmp(stream, a, b)
-    })
-}
-
-/// [`relative_scores_seeded`] with a per-worker **scratch arena**: each
-/// worker thread calls `init()` once and every comparison it evaluates
-/// receives that state as `cmp(&mut scratch, stream, a, b)` — the hook
-/// that lets an allocating comparator (e.g. the bootstrap fast path's
-/// `relperf_measure::Scratch`) reuse its working memory across all the
-/// repetitions a worker runs, without locking.
-///
-/// The determinism contract extends the seeded one: the *outcome* must be
-/// a pure function of `(stream, a, b)`; scratch is working memory only.
-/// Under that contract the score table is bit-identical for any
-/// [`Parallelism`]. Workers fan over repetitions; each worker reuses one
-/// [`ComparisonCache`] across its repetitions (reset between them)
-/// instead of allocating `p²` slots per shuffle, and computes only the
-/// pairs its sorts actually visit.
-pub fn relative_scores_seeded_with<S, I, F>(
-    p: usize,
-    config: ClusterConfig,
-    seed: u64,
-    init: I,
-    cmp: F,
-) -> ScoreTable
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64, usize, usize) -> Outcome + Sync,
-{
-    scored_wave(p, config, seed, None, &init, &cmp)
+    let mut caches: Vec<ComparisonCache> = (0..config.repetitions)
+        .map(|_| ComparisonCache::new(p))
+        .collect();
+    scored_wave(
+        p,
+        config,
+        seed,
+        &mut caches,
+        &|| (),
+        &|(): &mut (), stream, a, b| cmp(stream, a, b),
+    )
 }
 
 /// The wave engine both batch and streaming entry points share: one full
 /// pass of Procedure 4 (all `config.repetitions` shuffled sorts) over
 /// whatever samples back `cmp`.
 ///
-/// * `warm == None` — the batch path ([`relative_scores_seeded_with`]):
-///   comparisons are memoized per repetition in transient per-worker
-///   caches and forgotten afterwards.
-/// * `warm == Some(caches)` — the session path
-///   ([`ClusterSession`](crate::session::ClusterSession)): `caches[rep]`
-///   is repetition `rep`'s [`ComparisonCache`], carried **across waves**.
-///   Cached outcomes are answered without calling `cmp`; misses are
-///   computed and written back. The caller invalidates the pairs whose
-///   samples changed between waves.
+/// `caches[rep]` is repetition `rep`'s [`ComparisonCache`]. Cached
+/// outcomes are answered without calling `cmp`; misses are computed and
+/// written back. [`relative_scores_seeded`] passes fresh caches; a
+/// [`ClusterSession`](crate::session::ClusterSession) carries its caches
+/// **across waves** and invalidates the pairs whose samples changed
+/// between them.
 ///
-/// Because every outcome is a pure function of `(samples, stream)` — the
-/// seeded-comparator contract — a warm cache can only replay what `cmp`
-/// would return, so for any cache state that is consistent with the
-/// current samples the result is **bit-identical** to the cold batch path
-/// on those samples, for any [`Parallelism`].
+/// Each worker thread calls `init()` once and every comparison it
+/// evaluates receives that state as `cmp(&mut scratch, stream, a, b)` —
+/// the hook that lets an allocating comparator (e.g. the bootstrap fast
+/// path's `relperf_measure::Scratch`) reuse its working memory without
+/// locking. The *outcome* must be a pure function of `(samples, stream)` —
+/// the seeded-comparator contract — so scratch is working memory only,
+/// and a warm cache can only replay what `cmp` would return: for any
+/// cache state that is consistent with the current samples the result is
+/// **bit-identical** to a wave from fresh caches on those samples, for
+/// any [`Parallelism`].
 pub(crate) fn scored_wave<S, I, F>(
     p: usize,
     config: ClusterConfig,
     seed: u64,
-    warm: Option<&mut [ComparisonCache]>,
+    caches: &mut [ComparisonCache],
     init: &I,
     cmp: &F,
 ) -> ScoreTable
@@ -369,13 +352,7 @@ where
     F: Fn(&mut S, u64, usize, usize) -> Outcome + Sync,
 {
     assert!(config.repetitions > 0, "need at least one repetition");
-    if let Some(caches) = &warm {
-        assert_eq!(
-            caches.len(),
-            config.repetitions,
-            "one warm cache per repetition"
-        );
-    }
+    assert_eq!(caches.len(), config.repetitions, "one cache per repetition");
 
     // Tally of one finished repetition: algorithm → rank, plus the
     // largest rank observed.
@@ -405,44 +382,25 @@ where
         tally(&state)
     };
 
-    let per_rep: Vec<(Vec<usize>, usize)> = match warm {
-        None => relperf_parallel::parallel_map_indexed_with(
+    // Each worker continues the repetition's cache (cloned in, written
+    // back by index afterwards — the clone is p² option-bytes, negligible
+    // next to one bootstrap).
+    let results: Vec<((Vec<usize>, usize), ComparisonCache)> =
+        relperf_parallel::parallel_map_indexed_with(
             config.repetitions,
             config.parallelism,
-            || (ComparisonCache::new(p), init()),
-            |(cache, scratch), rep| {
-                cache.reset();
-                run_rep(cache, scratch, rep)
+            init,
+            |scratch, rep| {
+                let mut cache = caches[rep].clone();
+                let t = run_rep(&mut cache, scratch, rep);
+                (t, cache)
             },
-        ),
-        Some(caches) => {
-            // Warm path: each worker continues the repetition's persistent
-            // cache (cloned in, written back by index afterwards — the
-            // clone is p² option-bytes, negligible next to one bootstrap).
-            let caches_view: &[ComparisonCache] = caches;
-            let results: Vec<((Vec<usize>, usize), ComparisonCache)> =
-                relperf_parallel::parallel_map_indexed_with(
-                    config.repetitions,
-                    config.parallelism,
-                    init,
-                    |scratch, rep| {
-                        let mut cache = caches_view[rep].clone();
-                        let t = run_rep(&mut cache, scratch, rep);
-                        (t, cache)
-                    },
-                );
-            let mut per_rep = Vec::with_capacity(config.repetitions);
-            for (rep, (t, cache)) in results.into_iter().enumerate() {
-                caches[rep] = cache;
-                per_rep.push(t);
-            }
-            per_rep
-        }
-    };
+        );
 
     let mut counts = vec![vec![0usize; p.max(1)]; p];
     let mut max_rank = 0usize;
-    for (ranks_of, rep_max) in per_rep {
+    for (slot, ((ranks_of, rep_max), cache)) in caches.iter_mut().zip(results) {
+        *slot = cache;
         for (alg, &rank) in ranks_of.iter().enumerate() {
             counts[alg][rank - 1] += 1;
         }
@@ -610,8 +568,8 @@ mod tests {
 
     #[test]
     fn scratch_arena_is_working_memory_only() {
-        // relative_scores_seeded_with: a worker-local scratch must not
-        // change results vs. the stateless path, whatever it accumulates.
+        // scored_wave: a worker-local scratch must not change results vs.
+        // the stateless path, whatever it accumulates.
         let base = ClusterConfig::with_repetitions(40);
         let reference = relative_scores_seeded(6, base, 5, stochastic_seeded_cmp);
         for threads in [1usize, 0, 4] {
@@ -619,12 +577,15 @@ mod tests {
                 parallelism: Parallelism::with_threads(threads),
                 ..base
             };
-            let got = relative_scores_seeded_with(
+            let mut caches: Vec<ComparisonCache> =
+                (0..40).map(|_| ComparisonCache::new(6)).collect();
+            let got = scored_wave(
                 6,
                 cfg,
                 5,
-                || Vec::<u64>::new(),
-                |scratch, stream, a, b| {
+                &mut caches,
+                &Vec::<u64>::new,
+                &|scratch: &mut Vec<u64>, stream, a, b| {
                     scratch.push(stream); // scribble freely
                     stochastic_seeded_cmp(stream, a, b)
                 },

@@ -15,10 +15,9 @@
 //! 4. renders the tables and figures of the paper from those results
 //!    ([`report`]).
 //!
-//! The clustering engine is [`relative_scores_seeded`] /
-//! [`relative_scores_seeded_with`]: per-repetition seed streams
-//! (`relperf_measure::stream_seed`), per-worker [`cache::ComparisonCache`]
-//! and scratch arenas, and work fanned out across threads via
+//! The clustering engine is [`relative_scores_seeded`]: per-repetition
+//! seed streams (`relperf_measure::stream_seed`), per-repetition
+//! [`cache::ComparisonCache`]s, and work fanned out across threads via
 //! [`cluster::Parallelism`] — bit-identical for any thread count.
 //!
 //! On top of the batch engine, [`session::ClusterSession`] streams the
@@ -42,10 +41,7 @@ pub mod sort;
 pub mod triplet;
 
 pub use cache::ComparisonCache;
-pub use cluster::{
-    relative_scores_seeded, relative_scores_seeded_with, ClusterConfig, Clustering, Parallelism,
-    ScoreTable,
-};
+pub use cluster::{relative_scores_seeded, ClusterConfig, Clustering, Parallelism, ScoreTable};
 pub use session::{ClusterSession, ConvergenceCriterion, CriterionError, SessionState};
 pub use relperf_measure::Outcome;
 pub use sort::{sort, sort_with_trace, SortState, SortStep};

@@ -19,7 +19,7 @@
 //! Determinism is inherited wholesale from the seeded batch engine: every
 //! comparison outcome is a pure function of `(samples, stream)`, so a
 //! session wave is **bit-identical** to running the batch
-//! [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with)
+//! [`relative_scores_seeded`](crate::cluster::relative_scores_seeded)
 //! on the session's current samples — for any
 //! [`Parallelism`], and regardless of how
 //! the measurements were split into waves. The batch entry points are in
@@ -175,7 +175,7 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     /// A session over `p` algorithms with the default
     /// [`ConvergenceCriterion`]. `config` and `seed` mean exactly what
     /// they mean for
-    /// [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with);
+    /// [`relative_scores_seeded`](crate::cluster::relative_scores_seeded);
     /// the comparator may be owned or borrowed (`&C` is a comparator too).
     ///
     /// # Panics
@@ -437,7 +437,7 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     /// warm caches, and updates the convergence state.
     ///
     /// The returned table is **bit-identical** to
-    /// [`relative_scores_seeded_with`](crate::cluster::relative_scores_seeded_with)
+    /// [`relative_scores_seeded`](crate::cluster::relative_scores_seeded)
     /// over the session's current samples with the same `config` and
     /// `seed`, for any `Parallelism` — no matter how the measurements were
     /// split into waves.
@@ -491,7 +491,7 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
             p,
             ClusterConfig { parallelism, ..self.config },
             self.seed,
-            Some(&mut self.caches),
+            &mut self.caches,
             &|| PoolGuard::checkout(pool, || comparator.new_scratch()),
             &|guard: &mut PoolGuard<'_, C::Scratch>, stream, a, b| {
                 let sa = samples[a].as_ref().expect("checked above");

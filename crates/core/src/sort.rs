@@ -72,16 +72,6 @@ impl SortState {
             .map(|pos| self.ranks[pos])
     }
 
-    /// The members of class `r` (1-based) in sequence order.
-    pub fn class_members(&self, r: usize) -> Vec<usize> {
-        self.sequence
-            .iter()
-            .zip(&self.ranks)
-            .filter(|&(_, &rank)| rank == r)
-            .map(|(&a, _)| a)
-            .collect()
-    }
-
     fn assert_invariants(&self) {
         debug_assert!(self.ranks.is_empty() || self.ranks[0] == 1, "first rank must be 1");
         for w in self.ranks.windows(2) {
@@ -297,12 +287,8 @@ mod tests {
         let levels = [0, 1, 0, 1];
         let s = sort(4, level_cmp(&levels));
         assert_eq!(s.num_classes(), 2);
-        let mut c1 = s.class_members(1);
-        c1.sort_unstable();
-        assert_eq!(c1, vec![0, 2]);
-        let mut c2 = s.class_members(2);
-        c2.sort_unstable();
-        assert_eq!(c2, vec![1, 3]);
+        let ranks: Vec<_> = (0..4).map(|alg| s.rank_of(alg)).collect();
+        assert_eq!(ranks, [Some(1), Some(2), Some(1), Some(2)]);
     }
 
     #[test]
@@ -437,11 +423,9 @@ mod tests {
     fn class_members_ordering() {
         let levels = [1, 0, 1];
         let s = sort(3, level_cmp(&levels));
-        assert_eq!(s.class_members(1), vec![1]);
-        let mut c2 = s.class_members(2);
-        c2.sort_unstable();
-        assert_eq!(c2, vec![0, 2]);
-        assert!(s.class_members(3).is_empty());
+        let ranks: Vec<_> = (0..3).map(|alg| s.rank_of(alg)).collect();
+        assert_eq!(ranks, [Some(2), Some(1), Some(2)]);
+        assert_eq!(s.num_classes(), 2);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Cholesky {
     /// out over row blocks (`gemm_region_parallel`) — panels and the
     /// diagonal blocks stay serial (lower-order work). Bit-identical to
     /// [`Cholesky::factor`] and [`Cholesky::factor_reference`] for any
-    /// [`Parallelism`], including the serial fallback build: per element
+    /// [`Parallelism`], [`Parallelism::serial`] included: per element
     /// the fused update sequence is unchanged, only which thread computes
     /// its row band differs.
     pub fn factor_parallel_with(a: &Matrix, parallelism: Parallelism) -> Result<Self> {

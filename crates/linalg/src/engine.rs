@@ -28,8 +28,8 @@ pub enum KernelEngine {
     #[default]
     Blocked,
     /// The blocked engine with GEMM parallelized over row-block indices.
-    /// Deterministic for any [`Parallelism`], including the serial
-    /// fallback build.
+    /// Deterministic for any [`Parallelism`], [`Parallelism::serial`]
+    /// included.
     Parallel(Parallelism),
 }
 

@@ -18,11 +18,6 @@ pub fn gemm(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
 }
 
-/// FLOPs of a matrix-vector product `m x n · n`: `2·m·n`.
-pub fn gemv(m: usize, n: usize) -> u64 {
-    2 * (m as u64) * (n as u64)
-}
-
 /// FLOPs of `AᵀA` for an `m x n` matrix exploiting symmetry:
 /// `m·n·(n+1)` (half of the general product plus the diagonal).
 pub fn syrk(m: usize, n: usize) -> u64 {
@@ -264,11 +259,6 @@ mod tests {
         // FLOP/byte wherever the pattern is actually sparse.
         let (n, nnz) = (1000, 5000);
         assert!((spmv(nnz) as f64) < spmv_bytes(n, n, nnz) as f64);
-    }
-
-    #[test]
-    fn gemv_count() {
-        assert_eq!(gemv(3, 4), 24);
     }
 
     #[test]

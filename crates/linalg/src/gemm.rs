@@ -500,8 +500,8 @@ pub(crate) fn gemm_region(
 /// reuses one packing arena across its bands. Per element the accumulation
 /// is the same full-length in-order `k` sweep with the same spill/reload
 /// points as the serial engine, so the region is **bit-identical** to
-/// [`gemm_region`] for any [`Parallelism`] — including the serial
-/// fallback build, which short-circuits to the serial engine.
+/// [`gemm_region`] for any [`Parallelism`]; one worker short-circuits to
+/// the serial engine.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_region_parallel(
     c: &mut [f64],
@@ -529,7 +529,7 @@ pub(crate) fn gemm_region_parallel(
         return;
     }
     let nblocks = m.div_ceil(BLOCK);
-    if parallelism.effective_threads(nblocks) <= 1 || !relperf_parallel::threads_enabled() {
+    if parallelism.effective_threads(nblocks) <= 1 {
         return gemm_region(
             c, c_stride, cr0, cc0, m, n, k, a_src, a_stride, ar0, ac0, a_trans, b_src, b_stride,
             br0, bc0, b_trans, mode, arena,
@@ -639,19 +639,18 @@ pub fn gemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// `B` panels are built once and shared read-only. Each output element is
 /// computed by exactly one worker with the same full-length in-order `k`
 /// accumulation, so the result is **bit-identical** to [`gemm_blocked`]
-/// (and therefore to [`gemm_naive`]) for any [`Parallelism`] — including
-/// the `--no-default-features` serial fallback.
+/// (and therefore to [`gemm_naive`]) for any [`Parallelism`].
 pub fn gemm_parallel_with(a: &Matrix, b: &Matrix, parallelism: Parallelism) -> Result<Matrix> {
     check_shapes(a, b)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if m == 0 || n == 0 {
         return Ok(Matrix::zeros(m, n));
     }
-    // One worker (explicitly, or because the build lacks threads, or the
-    // matrix has a single row block) gains nothing from the band
-    // staging — run the serial engine directly. Bit-identical either way.
+    // One worker (explicitly, or because the matrix has a single row
+    // block) gains nothing from the band staging — run the serial engine
+    // directly. Bit-identical either way.
     let nblocks_hint = m.div_ceil(BLOCK);
-    if parallelism.effective_threads(nblocks_hint) <= 1 || !relperf_parallel::threads_enabled() {
+    if parallelism.effective_threads(nblocks_hint) <= 1 {
         return gemm_blocked(a, b);
     }
     // Pack every KC chunk of B once, shared read-only across workers.

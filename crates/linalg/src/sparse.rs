@@ -386,8 +386,8 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::spmv`] with the output rows fanned over worker threads.
     ///
-    /// Rows are independent, so any [`Parallelism`] — including the serial
-    /// fallback — produces **bit-identical** output.
+    /// Rows are independent, so any [`Parallelism`] — including
+    /// [`Parallelism::serial`] — produces **bit-identical** output.
     pub fn spmv_with(&self, x: &[f64], parallelism: Parallelism) -> SparseResult<Vec<f64>> {
         self.check_vec("spmv", x.len())?;
         Ok(parallel_map_indexed(self.rows, parallelism, |i| {

@@ -109,11 +109,6 @@ impl ConfidenceInterval {
         v >= self.lo && v <= self.hi
     }
 
-    /// `true` when the two intervals share at least one point.
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// Interval width.
     pub fn width(&self) -> f64 {
         self.hi - self.lo
@@ -291,11 +286,6 @@ impl QuantilePlan {
         self.walk.sort_unstable_by_key(|&(pos, _)| pos);
     }
 
-    /// The resample size this plan is targeted at.
-    pub fn resample_size(&self) -> usize {
-        self.n
-    }
-
     /// Reads all planned quantiles from the resample described by
     /// `(sorted, counts)` into `out` (input quantile order), using
     /// `stats` as scratch. One cumulative pass over `counts`; both
@@ -460,8 +450,7 @@ mod tests {
         let b = s(&[5.0, 5.1, 4.9, 5.05, 4.95]);
         let ca = mean_ci(&mut rng, &a, 200, 0.95);
         let cb = mean_ci(&mut rng, &b, 200, 0.95);
-        assert!(!ca.overlaps(&cb));
-        assert!(ca.overlaps(&ca));
+        assert!(ca.hi < cb.lo, "{ca:?} vs {cb:?}");
     }
 
     #[test]
@@ -546,10 +535,8 @@ mod tests {
     #[test]
     fn quantile_plan_reuses_and_retargets() {
         let mut plan = QuantilePlan::new(&[0.5], 4);
-        assert_eq!(plan.resample_size(), 4);
         plan.prepare(&[0.5], 4); // no-op
         plan.prepare(&[0.25, 0.75], 8); // retarget
-        assert_eq!(plan.resample_size(), 8);
         let sorted = [1.0, 2.0];
         let counts = [4, 4];
         let (mut stats, mut out) = (Vec::new(), Vec::new());

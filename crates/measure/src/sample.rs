@@ -1040,11 +1040,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total number of counted measurements.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
@@ -1159,7 +1154,6 @@ mod tests {
     fn histogram_counts_everything() {
         let x = s(&[0.0, 0.1, 0.5, 0.9, 1.0]);
         let h = x.histogram(2);
-        assert_eq!(h.bins(), 2);
         assert_eq!(h.total(), 5);
         assert_eq!(h.counts, vec![2, 3]); // 0.5 and max land in the last bin
         assert_eq!(h.edges.len(), 3);

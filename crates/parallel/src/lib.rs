@@ -9,17 +9,18 @@
 //! items on any number of threads in any order and writing results back by
 //! index is **bit-identical** to the serial loop. That property is what
 //! lets the workspace guarantee "same seed → same clustering" regardless
-//! of `--no-default-features`, thread count, or scheduling.
+//! of thread count or scheduling.
 //!
-//! With the `threads` cargo feature disabled (the consumers' serial
-//! fallback), [`parallel_map_indexed`] degrades to a plain ordered loop and
-//! this crate has zero runtime dependencies beyond `std`.
+//! Serial execution is a run-time choice, not a build: on
+//! [`Parallelism::serial`] (or any config that resolves to one thread)
+//! [`parallel_map_indexed`] is a plain ordered loop on the calling thread.
+//! The crate has no dependencies beyond `std`.
 
 #![warn(missing_docs)]
 
 /// How much parallelism to apply to an index-addressable loop.
 ///
-/// Threaded through [`ClusterConfig`](https://docs.rs/relperf-core)
+/// Threaded through `relperf-core`'s `ClusterConfig`
 /// and the facade prelude so one knob controls the whole pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
@@ -75,8 +76,8 @@ impl Parallelism {
 
 /// Maps `f` over `0..n`, returning results in index order.
 ///
-/// `f(i)` must depend only on `i` (and captured shared state) — under the
-/// `threads` feature the indices are evaluated concurrently in unspecified
+/// `f(i)` must depend only on `i` (and captured shared state) — on more
+/// than one thread the indices are evaluated concurrently in unspecified
 /// order, and the output is reassembled by index, so the result is
 /// bit-identical to the serial loop for any [`Parallelism`].
 ///
@@ -153,111 +154,62 @@ where
     if n == 0 {
         return Vec::new();
     }
-    if threads <= 1 || !threads_enabled() {
+    if threads <= 1 {
         let mut state = init();
         return (0..n).map(|i| f(&mut state, i)).collect();
     }
-    threaded::map_indexed_with(n, threads, parallelism.effective_chunk(n, threads), &init, &f)
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    {
+        // Job list: disjoint output chunks tagged with their start
+        // index, popped by workers until drained (simple work sharing —
+        // chunks are contiguous so reassembly is free).
+        let mut jobs: Vec<(usize, &mut [Option<T>])> = Vec::new();
+        let mut start = 0usize;
+        for slot in out.chunks_mut(parallelism.effective_chunk(n, threads)) {
+            let len = slot.len();
+            jobs.push((start, slot));
+            start += len;
+        }
+        // Pop from the back so low indices run first on average.
+        jobs.reverse();
+        let queue = std::sync::Mutex::new(jobs);
+        let work = || {
+            // One state per worker, reused across every chunk this
+            // worker pops — never shared, never locked.
+            let mut state = init();
+            loop {
+                let job = queue.lock().expect("queue poisoned").pop();
+                let Some((start, slot)) = job else { break };
+                for (offset, cell) in slot.iter_mut().enumerate() {
+                    *cell = Some(f(&mut state, start + offset));
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            // The calling thread is worker 0: spawn only the others.
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
+        });
+    }
+    out.into_iter()
+        .map(|cell| cell.expect("all chunks processed"))
+        .collect()
 }
 
-/// Threads this build can run at once: `std::thread::available_parallelism`
-/// (at least 1), read on the first call and cached, or 1 when the build
-/// cannot spawn workers (see [`threads_enabled`]).
+/// Threads the host can run at once: `std::thread::available_parallelism`
+/// (at least 1), read on the first call and cached.
 ///
 /// The cache matters on hot paths: `available_parallelism` reads cgroup
 /// files on Linux, which costs tens of microseconds per call.
 pub fn hardware_threads() -> usize {
     static HARDWARE_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    if !threads_enabled() {
-        return 1;
-    }
     *HARDWARE_THREADS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|v| v.get())
             .unwrap_or(1)
     })
-}
-
-/// `true` when this build can actually spawn worker threads (the `threads`
-/// cargo feature; consumers expose it as their `parallel` feature).
-pub const fn threads_enabled() -> bool {
-    cfg!(feature = "threads")
-}
-
-#[cfg(feature = "threads")]
-mod threaded {
-    use std::sync::Mutex;
-
-    pub fn map_indexed_with<T, S, I, F>(
-        n: usize,
-        threads: usize,
-        chunk: usize,
-        init: &I,
-        f: &F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        {
-            // Job list: disjoint output chunks tagged with their start
-            // index, popped by workers until drained (simple work sharing —
-            // chunks are contiguous so reassembly is free).
-            let mut jobs: Vec<(usize, &mut [Option<T>])> = Vec::new();
-            let mut start = 0usize;
-            for slot in out.chunks_mut(chunk) {
-                let len = slot.len();
-                jobs.push((start, slot));
-                start += len;
-            }
-            // Pop from the back so low indices run first on average.
-            jobs.reverse();
-            let queue = Mutex::new(jobs);
-            let work = || {
-                // One state per worker, reused across every chunk this
-                // worker pops — never shared, never locked.
-                let mut state = init();
-                loop {
-                    let job = queue.lock().expect("queue poisoned").pop();
-                    let Some((start, slot)) = job else { break };
-                    for (offset, cell) in slot.iter_mut().enumerate() {
-                        *cell = Some(f(&mut state, start + offset));
-                    }
-                }
-            };
-            std::thread::scope(|scope| {
-                // The calling thread is worker 0: spawn only the others.
-                for _ in 1..threads {
-                    scope.spawn(work);
-                }
-                work();
-            });
-        }
-        out.into_iter()
-            .map(|cell| cell.expect("all chunks processed"))
-            .collect()
-    }
-}
-
-#[cfg(not(feature = "threads"))]
-mod threaded {
-    pub fn map_indexed_with<T, S, I, F>(
-        n: usize,
-        _threads: usize,
-        _chunk: usize,
-        init: &I,
-        f: &F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let mut state = init();
-        (0..n).map(|i| f(&mut state, i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -299,9 +251,6 @@ mod tests {
         assert!(first >= 1);
         assert_eq!(hardware_threads(), first);
         assert_eq!(Parallelism::auto().effective_threads(usize::MAX), first);
-        if !threads_enabled() {
-            assert_eq!(first, 1);
-        }
     }
 
     #[test]
@@ -313,7 +262,6 @@ mod tests {
         assert_eq!(auto.effective_chunk(3, 4), 1);
     }
 
-    #[cfg(feature = "threads")]
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
@@ -359,6 +307,21 @@ mod tests {
             |_, i| i,
         );
         assert_eq!(inits.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn threaded_path_makes_one_state_per_worker() {
+        // Two workers, the calling thread included, each call `init` once.
+        for n in [2usize, 3, 100] {
+            let inits = std::sync::atomic::AtomicUsize::new(0);
+            let _ = parallel_map_indexed_with(
+                n,
+                Parallelism::with_threads(2),
+                || inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                |_, i| i,
+            );
+            assert_eq!(inits.load(std::sync::atomic::Ordering::Relaxed), 2, "n={n}");
+        }
     }
 
     #[test]

@@ -51,8 +51,7 @@
 //! `scheduler_threads == 0` spawns nothing: batches run inline inside
 //! `await_responses` / `collect_ready` ("drive-on-drain"). This mode is
 //! fully deterministic end to end — no timing anywhere — and is what the
-//! fuzz and overload tests pin their golden values against; it is also
-//! the natural fallback when the `parallel` feature is compiled out.
+//! fuzz and overload tests pin their golden values against.
 
 use crate::error::{RecoveryError, ServiceError};
 use crate::journal::{JournalConfig, JournalStore};

@@ -106,8 +106,8 @@ pub struct MeasuredAlgorithm {
 /// across threads.
 ///
 /// Placement `i` draws its measurements from an RNG derived from
-/// `(seed, i)`, so the result does not depend on `parallelism` — the
-/// serial fallback build and any thread count produce identical samples.
+/// `(seed, i)`, so the result does not depend on `parallelism` — any
+/// thread count, one included, produces identical samples.
 pub fn measure_all_seeded(
     exp: &Experiment,
     n: usize,

@@ -80,8 +80,7 @@ pub use relperf_workloads as workloads;
 pub mod prelude {
     pub use relperf_core::cache::ComparisonCache;
     pub use relperf_core::cluster::{
-        relative_scores_seeded, relative_scores_seeded_with, ClusterConfig, Clustering,
-        ScoreTable,
+        relative_scores_seeded, ClusterConfig, Clustering, ScoreTable,
     };
     pub use relperf_core::session::{ClusterSession, ConvergenceCriterion};
     pub use relperf_core::decision::{

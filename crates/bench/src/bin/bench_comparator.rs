@@ -6,9 +6,10 @@
 //!   sort-based **reference oracle** (the pre-fast-path implementation,
 //!   kept in-tree as `BootstrapComparator::compare_seeded_reference`)
 //!   against the allocation-free count-based fast path, a fresh scratch
-//!   arena per comparison against a reused one, and the clustering
-//!   repetition loop on one thread against all cores (asserted
-//!   bit-identical before timing);
+//!   arena per comparison against a reused one, the same two paths over
+//!   the recorded comparisons of `solo_campaign`-shaped session waves and
+//!   on a tiered pair, and the clustering repetition loop on one thread
+//!   against all cores (asserted bit-identical before timing);
 //! * `timings` — single medians of the layers the pipeline is built from:
 //!   bootstrap resampling, the median comparator, the platform simulator,
 //!   the three-way sort and Procedure 4, and the full
@@ -24,14 +25,17 @@ use rand::prelude::*;
 use relperf_bench::report::{Report, Row};
 use relperf_bench::{median_pair, median_secs, noisy_sample, paper_comparator, row, run_pipeline};
 use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Parallelism};
+use relperf_core::session::ClusterSession;
 use relperf_core::sort::sort;
 use relperf_measure::bootstrap::{mean_ci, resample};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, MedianComparator, Scratch};
 use relperf_measure::{
-    Outcome, ScratchThreeWayComparator, SeededThreeWayComparator, ThreeWayComparator,
+    stream_seed, Outcome, Sample, ScratchThreeWayComparator, SeededThreeWayComparator,
+    ThreeWayComparator,
 };
 use relperf_workloads::experiment::{cluster_measurements_seeded, measure_all_seeded, Experiment};
 use std::hint::black_box;
+use std::sync::Mutex;
 
 /// Median seconds per call of `f`, timed over batches of `calls` calls so
 /// sub-microsecond operations stay above the timer's resolution.
@@ -50,6 +54,97 @@ fn pair(name: String, (before_s, after_s): (f64, f64)) -> Row {
 
 fn timing(name: String, median_s: f64) -> Row {
     row!["name" => name, "median_s" => median_s]
+}
+
+/// One comparison a session asked for: `(stream, a, b)`, with `a` and `b`
+/// indices into the recorded sample table.
+type Job = (u64, usize, usize);
+
+/// A [`BootstrapComparator`] that records every comparison it answers.
+/// Samples are stored once per distinct content, so a wave's p samples
+/// take p table slots however many comparisons read them.
+struct Recording<'a> {
+    inner: &'a BootstrapComparator,
+    log: Mutex<(Vec<Sample>, Vec<Job>)>,
+}
+
+impl Recording<'_> {
+    fn record(&self, a: &Sample, b: &Sample, stream: u64) {
+        let mut log = self.log.lock().expect("recorder lock");
+        let (samples, jobs) = &mut *log;
+        let mut slot = |s: &Sample| match samples.iter().rposition(|t| t.values() == s.values()) {
+            Some(i) => i,
+            None => {
+                samples.push(s.clone());
+                samples.len() - 1
+            }
+        };
+        jobs.push((stream, slot(a), slot(b)));
+    }
+}
+
+impl ThreeWayComparator for Recording<'_> {
+    fn compare(&self, a: &Sample, b: &Sample) -> Outcome {
+        self.inner.compare(a, b)
+    }
+}
+
+impl SeededThreeWayComparator for Recording<'_> {
+    fn compare_seeded(&self, a: &Sample, b: &Sample, stream: u64) -> Outcome {
+        self.record(a, b, stream);
+        self.inner.compare_seeded(a, b, stream)
+    }
+}
+
+impl ScratchThreeWayComparator for Recording<'_> {
+    type Scratch = Scratch;
+
+    fn new_scratch(&self) -> Scratch {
+        Scratch::new()
+    }
+
+    fn compare_seeded_scratch(
+        &self,
+        scratch: &mut Scratch,
+        a: &Sample,
+        b: &Sample,
+        stream: u64,
+    ) -> Outcome {
+        self.record(a, b, stream);
+        self.inner.compare_seeded_scratch(scratch, a, b, stream)
+    }
+}
+
+/// The comparisons `campaigns` `solo_campaign`-shaped campaigns ask for:
+/// one session per campaign over `Experiment::table1(10)`, 50
+/// repetitions, six waves that each extend every algorithm by 5 values
+/// (n 5 → 30) and score. Seeds are derived the way the repo benchmark
+/// derives them from its seed 1.
+fn solo_wave_jobs(comparator: &BootstrapComparator, campaigns: u64) -> (Vec<Sample>, Vec<Job>) {
+    let (waves, per_wave) = (6, 5);
+    let exp = Experiment::table1(10);
+    let recording = Recording {
+        inner: comparator,
+        log: Mutex::default(),
+    };
+    for k in 0..campaigns {
+        let seed = stream_seed(1, k + 1);
+        let measured = measure_all_seeded(&exp, waves * per_wave, seed, Parallelism::serial());
+        let config = ClusterConfig {
+            repetitions: 50,
+            parallelism: Parallelism::serial(),
+        };
+        let mut session =
+            ClusterSession::new(measured.len(), &recording, config, stream_seed(seed, 7));
+        for w in 0..waves {
+            for (alg, m) in measured.iter().enumerate() {
+                let values = &m.sample.values()[w * per_wave..(w + 1) * per_wave];
+                session.extend(alg, values).expect("finite measurements");
+            }
+            session.score();
+        }
+    }
+    recording.log.into_inner().expect("recorder lock")
 }
 
 /// Comparator answering by a fixed quality level per algorithm.
@@ -113,6 +208,69 @@ fn main() {
             entries.push(pair(format!("scratch/n{n}_reps{reps}"), per_stream));
         }
     }
+
+    // The comparisons of real session waves, replayed: unlike the
+    // single-pair rows above, they change pair and sample size from one
+    // comparison to the next, as a wave does.
+    let comparator = paper_comparator(stream_seed(1, 0x00C0_FFEE));
+    let (samples, jobs) = solo_wave_jobs(&comparator, 8);
+    let replay_reference = || {
+        jobs.iter()
+            .map(|&(s, a, b)| comparator.compare_seeded_reference(&samples[a], &samples[b], s))
+            .collect::<Vec<_>>()
+    };
+    let mut scratch = Scratch::new();
+    let mut replay_fast = || {
+        jobs.iter()
+            .map(|&(s, a, b)| {
+                comparator.compare_seeded_scratch(&mut scratch, &samples[a], &samples[b], s)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        replay_reference(),
+        replay_fast(),
+        "the fast path must replay the reference outcomes"
+    );
+    let (before_s, after_s) = median_pair(
+        3,
+        || {
+            black_box(replay_reference());
+        },
+        || {
+            black_box(replay_fast());
+        },
+    );
+    let per_job = |t: f64| t / jobs.len() as f64;
+    entries.push(pair(
+        "compare/solo_waves".to_string(),
+        (per_job(before_s), per_job(after_s)),
+    ));
+
+    // A tiered pair (n > Sample::TIER_THRESHOLD): the walk rides the leaf
+    // runs.
+    let (a, b) = (noisy_sample(1.00, 5000, 4), noisy_sample(1.05, 5000, 5));
+    assert!(a.ingest_stats().tiered && b.ingest_stats().tiered);
+    let tiered_streams = 8u64;
+    let mut scratch = Scratch::new();
+    let (before_s, after_s) = median_pair(
+        5,
+        || {
+            for s in 0..tiered_streams {
+                black_box(comparator.compare_seeded_reference(&a, &b, s));
+            }
+        },
+        || {
+            for s in 0..tiered_streams {
+                black_box(comparator.compare_seeded_scratch(&mut scratch, &a, &b, s));
+            }
+        },
+    );
+    let per_stream = |t: f64| t / tiered_streams as f64;
+    entries.push(pair(
+        "compare/n5000_tiered_reps30".to_string(),
+        (per_stream(before_s), per_stream(after_s)),
+    ));
 
     // End to end: the Table I pipeline's clustering stage (measurements
     // are shared; the comparator dominates). Before = same engine with
@@ -300,7 +458,10 @@ fn main() {
         ));
     }
 
-    Report::new("comparator", row!["units" => "seconds"])
+    Report::new(
+        "comparator",
+        row!["units" => "seconds", "solo_wave_jobs" => jobs.len()],
+    )
         .table("entries", entries)
         .table("timings", timings)
         .write();

@@ -215,6 +215,13 @@ pub(crate) fn interp_value(vlo: f64, vhi: f64, lo: usize, hi: usize, frac: f64) 
 /// [`quantile_sorted`] (the interpolation arithmetic is replicated
 /// exactly; the count vector describes the same sorted multiset).
 ///
+/// The comparator's form, [`extract_sample_into`](Self::extract_sample_into),
+/// reads small samples (`n ≤ 256`) by a branch-free **rank pass** instead
+/// of the walk: the walk's stop test is data-dependent at every element,
+/// and on bootstrap resamples its branches mispredict often enough to
+/// dominate a round. The plan keeps the positions in both orders — sorted
+/// for the walk, in lanes of 16 for the rank pass.
+///
 /// # Examples
 ///
 /// ```
@@ -242,6 +249,40 @@ pub struct QuantilePlan {
     /// `(order-statistic position, stats slot)` ascending by position;
     /// slot `2i` holds quantile `i`'s `lo` element, `2i + 1` its `hi`.
     walk: Vec<(usize, usize)>,
+    /// The same positions in slot order, 16 lanes (8 quantiles) per
+    /// chunk, for the rank pass; unused lanes of the last chunk are 0.
+    /// Empty unless `n ≤ RANK_PASS_MAX`.
+    lanes: Vec<[u32; LANES]>,
+}
+
+/// Largest sample (and resample) size [`QuantilePlan::extract_sample_into`]
+/// reads by the rank pass; larger ones keep the cumulative walk, whose
+/// cost stops at the last target instead of touching every element. Set
+/// at the measured crossover (see ARCHITECTURE.md, "Hot path &
+/// complexity").
+const RANK_PASS_MAX: usize = 256;
+
+/// Order-statistic positions the rank pass updates per element: the `lo`
+/// and `hi` of 8 quantiles.
+const LANES: usize = 16;
+
+/// The rank pass over one sorted run: for every lane `j`, the number of
+/// elements whose running resample count (inclusive) is `≤ targets[j]` —
+/// exactly the index where the cumulative walk stops for that target,
+/// since the running count never decreases. Branch-free: one fixed-width
+/// compare-and-add per element, which the compiler turns into a vector
+/// compare (`vpcmpud` on AVX-512) instead of a mispredicted loop exit.
+#[inline(always)]
+fn rank_pass(ids: &[u32], counts_by_id: &[u32], targets: &[u32; LANES]) -> [u32; LANES] {
+    let mut ranks = [0u32; LANES];
+    let mut c = 0u32;
+    for &id in ids {
+        c += counts_by_id[id as usize];
+        for (rank, &t) in ranks.iter_mut().zip(targets) {
+            *rank += u32::from(c <= t);
+        }
+    }
+    ranks
 }
 
 impl QuantilePlan {
@@ -284,6 +325,17 @@ impl QuantilePlan {
             self.walk.push((hi, 2 * i + 1));
         }
         self.walk.sort_unstable_by_key(|&(pos, _)| pos);
+        self.lanes.clear();
+        if n <= RANK_PASS_MAX {
+            for chunk in self.interp.chunks(LANES / 2) {
+                let mut targets = [0u32; LANES];
+                for (pair, &(lo, hi, _)) in targets.chunks_exact_mut(2).zip(chunk) {
+                    pair[0] = lo as u32;
+                    pair[1] = hi as u32;
+                }
+                self.lanes.push(targets);
+            }
+        }
     }
 
     /// Reads all planned quantiles from the resample described by
@@ -330,14 +382,26 @@ impl QuantilePlan {
     /// `counts_by_id[i]` copies of `sample.values()[i]`, as tallied by
     /// [`resample_id_counts_into`] — into `out`.
     ///
-    /// The cumulative walk advances one persistent cursor through
-    /// [`Sample::sorted_runs`], reading each element's multiplicity via
-    /// its insertion id, so it needs **neither** the flat sorted view
-    /// **nor** the position map: on a tiered sample the hot comparator
-    /// path forces no lazy materialization. Bit-identical to expanding
-    /// the counts and calling [`quantile_sorted`] (same sorted multiset,
-    /// same interpolation arithmetic — it is the same walk
-    /// `extract_into` performs, just over chunked storage).
+    /// It reads each element's multiplicity via its insertion id, so it
+    /// needs **neither** the flat sorted view **nor** the position map:
+    /// on a tiered sample the hot comparator path forces no lazy
+    /// materialization. Two strategies, one result:
+    ///
+    /// * **Rank pass** — a sample held as one sorted run (every flat
+    ///   sample) with `n ≤ 256`: one pass over the run adds up the running
+    ///   resample count and, at every element, advances all planned
+    ///   positions at once by a branch-free compare (16 at a time; plans
+    ///   of more than 8 quantiles take one pass per 16). Each position
+    ///   ends on the index the walk would stop at.
+    /// * **Cumulative walk** — every other sample, tiered ones included:
+    ///   one persistent cursor through [`Sample::sorted_runs`], stopping
+    ///   at each position in ascending order. It stops at the last
+    ///   target, so it wins once `n` is large enough that touching every
+    ///   element costs more than the walk's mispredicted exits.
+    ///
+    /// Both are bit-identical to expanding the counts and calling
+    /// [`quantile_sorted`] (same sorted multiset, same order statistics,
+    /// same interpolation arithmetic).
     ///
     /// `counts_by_id` must sum to the plan's resample size (checked with
     /// `debug_assert!` — hot path).
@@ -354,10 +418,22 @@ impl QuantilePlan {
             self.n,
             "counts must describe a resample of the planned size"
         );
-        stats.clear();
-        stats.resize(self.interp.len() * 2, 0.0);
+        out.clear();
         let mut runs = sample.sorted_runs();
         let mut run = runs.next().expect("samples are non-empty");
+        let one_run = run.ids.len() == sample.len();
+        if one_run && sample.len().max(self.n) <= RANK_PASS_MAX {
+            for (targets, interp) in self.lanes.iter().zip(self.interp.chunks(LANES / 2)) {
+                let ranks = rank_pass(run.ids, counts_by_id, targets);
+                for (k, &(lo, hi, frac)) in ranks.chunks_exact(2).zip(interp) {
+                    let (vlo, vhi) = (run.values[k[0] as usize], run.values[k[1] as usize]);
+                    out.push(interp_value(vlo, vhi, lo, hi, frac));
+                }
+            }
+            return;
+        }
+        stats.clear();
+        stats.resize(self.interp.len() * 2, 0.0);
         let mut k = 0usize;
         let mut cum = 0usize;
         for &(target, slot) in &self.walk {
@@ -376,7 +452,6 @@ impl QuantilePlan {
             }
             stats[slot] = run.values[k];
         }
-        out.clear();
         for (i, &(lo, hi, frac)) in self.interp.iter().enumerate() {
             out.push(interp_value(stats[2 * i], stats[2 * i + 1], lo, hi, frac));
         }
@@ -544,6 +619,13 @@ mod tests {
         let expanded = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0];
         assert_eq!(out[0], quantile_sorted(&expanded, 0.25));
         assert_eq!(out[1], quantile_sorted(&expanded, 0.75));
+    }
+
+    #[test]
+    fn rank_pass_cutoff_matches_the_proptests() {
+        // `tests/proptests.rs` mirrors the cutoff to draw sizes on both of
+        // its sides; moving it means moving that copy too.
+        assert_eq!(RANK_PASS_MAX, 256);
     }
 
     #[test]

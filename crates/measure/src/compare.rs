@@ -178,10 +178,11 @@ impl<T: ScratchThreeWayComparator> ScratchThreeWayComparator for &T {
 pub struct Scratch {
     /// Resample tallies over insertion order (shared by both sides —
     /// side A is fully drawn and read before side B is drawn). Indexed by
-    /// insertion id so the cumulative walk can ride the sample's sorted
+    /// insertion id so the quantile read can ride the sample's sorted
     /// runs and never needs a flat view or position map.
     counts: Vec<u32>,
-    /// Order statistics picked by the cumulative walk (2 per quantile).
+    /// Order statistics picked by the cumulative walk (2 per quantile;
+    /// unused by the rank pass).
     stats: Vec<f64>,
     /// Side A's quantile values for the current round.
     q_a: Vec<f64>,
@@ -259,16 +260,20 @@ impl BootstrapConfig {
 /// # Fast path
 ///
 /// A bootstrap round never materializes or sorts a resample: because
-/// [`Sample`] maintains a sorted index, each resample is drawn as a count
-/// vector over insertion order (same RNG draw sequence, so seeded
-/// outcomes are **bit-identical** to the sort-based reference — see
+/// [`Sample`] maintains a sorted index, each resample is drawn as a tally
+/// over insertion order ([`resample_id_counts_into`]: same RNG draw
+/// sequence, so seeded outcomes are **bit-identical** to the sort-based
+/// reference — see
 /// [`compare_seeded_reference`](BootstrapComparator::compare_seeded_reference))
-/// and quantiles are read by one cumulative walk over the sample's sorted
-/// runs: O(n) per round with zero allocations at steady state, given a
-/// reused [`Scratch`]. On a tiered sample the walk rides the leaf runs
-/// directly, so comparison forces no lazy flat-view materialization. The
-/// dominance vote and the repetition loop both exit as soon as the
-/// outcome is decided.
+/// and quantiles are read by one pass over the sample's sorted ids
+/// ([`QuantilePlan::extract_sample_into`]): O(n) per round with zero
+/// allocations at steady state, given a reused [`Scratch`]. Samples of up
+/// to 256 measurements are read by a branch-free rank pass, since the
+/// cumulative walk's data-dependent stops mispredict often enough to
+/// dominate a round; larger and tiered samples keep the walk, which
+/// rides the leaf runs directly, so comparison forces no lazy flat-view
+/// materialization. The dominance vote and the repetition loop both exit
+/// as soon as the outcome is decided.
 ///
 /// # Examples
 ///
@@ -372,10 +377,10 @@ impl BootstrapComparator {
     }
 
     /// One bootstrap round, allocation-free and O(n): draw each resample
-    /// as a count vector over the sample's cached sorted order (same RNG
-    /// draw sequence as materializing the buffer — `n` uniform index
-    /// draws per side), read the configured quantiles by one cumulative
-    /// walk, and score the quantile-dominance vote for `a`, `b`, or a tie.
+    /// as a tally over insertion order (same RNG draw sequence as
+    /// materializing the buffer — `n` uniform index draws per side), read
+    /// the configured quantiles in one pass over the sample's sorted ids,
+    /// and score the quantile-dominance vote for `a`, `b`, or a tie.
     ///
     /// The vote exits early as soon as a win is locked in (one side
     /// reached the needed count) or unreachable for both sides; the vote

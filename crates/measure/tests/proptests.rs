@@ -4,7 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_measure::bootstrap::{
-    mean_ci, quantile_sorted, quantiles_from_counts, resample, resample_counts_into, resample_into,
+    mean_ci, quantile_sorted, quantiles_from_counts, resample, resample_counts_into,
+    resample_id_counts_into, resample_into, QuantilePlan,
 };
 use relperf_measure::compare::{
     BootstrapComparator, BootstrapConfig, MedianComparator, Outcome, SeededThreeWayComparator,
@@ -31,8 +32,100 @@ fn tie_prone_value() -> impl Strategy<Value = f64> {
     })
 }
 
+/// The largest sample `QuantilePlan::extract_sample_into` reads by its
+/// rank pass (the private `RANK_PASS_MAX` of `relperf_measure::bootstrap`,
+/// whose unit tests pin it to this value).
+const RANK_PASS_MAX: usize = 256;
+
+/// A sample size in `1..=2·RANK_PASS_MAX + 88`, with both sides of the
+/// rank-pass cutoff drawn explicitly a quarter of the time each.
+fn rank_pass_size() -> impl Strategy<Value = usize> {
+    (0u8..4, 1usize..2 * RANK_PASS_MAX + 89).prop_map(|(pick, n)| match pick {
+        0 => RANK_PASS_MAX,
+        1 => RANK_PASS_MAX + 1,
+        _ => n,
+    })
+}
+
+/// 1–12 quantiles mixing the ends of `[0, 1]`, duplicates of the previous
+/// quantile, and continuous draws.
+fn quantile_list() -> impl Strategy<Value = Vec<f64>> {
+    vec((0u8..5, 0.0f64..1.0), 1..13).prop_map(|picks| {
+        let mut qs: Vec<f64> = Vec::with_capacity(picks.len());
+        for (kind, q) in picks {
+            qs.push(match (kind, qs.last()) {
+                (0, _) => 0.0,
+                (1, _) => 1.0,
+                (2, Some(&prev)) => prev,
+                _ => q,
+            });
+        }
+        qs
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn sample_quantile_reads_equal_expanded_counts(
+        n in rank_pass_size(),
+        seed in 0u64..1_000,
+        quantiles in quantile_list(),
+        layout in 0u8..3,
+        run_len in 2usize..12,
+        leaf_target in 2usize..40,
+        resampled in proptest::bool::ANY,
+    ) {
+        // Both strategies of QuantilePlan::extract_sample_into — the rank
+        // pass (one sorted run, n ≤ RANK_PASS_MAX) and the cumulative walk
+        // (larger or tiered samples) — must be BIT-identical to expanding
+        // the tallies into a resample, sorting it, and calling
+        // quantile_sorted: on either side of the cutoff, for flat, tiered
+        // and fragmented samples, tie-prone values, more than 16 planned
+        // order statistics, and tallies that sum to n (a bootstrap draw)
+        // or to any other size.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.random_bool(0.5) {
+                    rng.random_range(0..6) as f64 * 0.25 + 0.25
+                } else {
+                    rng.random_range(0.001f64..1_000.0)
+                }
+            })
+            .collect();
+        let mut s = Sample::new(values).unwrap();
+        match layout {
+            0 => {}
+            1 => s.force_tiered_for_test(leaf_target),
+            _ => s.fragment_for_test(run_len, leaf_target),
+        }
+
+        let mut counts = Vec::new();
+        if resampled {
+            resample_id_counts_into(&mut rng, &s, &mut counts);
+        } else {
+            counts = (0..n).map(|_| rng.random_range(0..4u32)).collect();
+            counts[rng.random_range(0..n)] += 1;
+        }
+        let mut expanded: Vec<f64> = s
+            .values()
+            .iter()
+            .zip(&counts)
+            .flat_map(|(&v, &c)| std::iter::repeat_n(v, c as usize))
+            .collect();
+        expanded.sort_by(|x, y| x.partial_cmp(y).unwrap());
+
+        let plan = QuantilePlan::new(&quantiles, expanded.len());
+        let (mut stats, mut out) = (Vec::new(), Vec::new());
+        plan.extract_sample_into(&s, &counts, &mut stats, &mut out);
+        prop_assert_eq!(out.len(), quantiles.len());
+        for (&got, &q) in out.iter().zip(&quantiles) {
+            let want = quantile_sorted(&expanded, q);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "n = {}, q = {}", n, q);
+        }
+    }
 
     #[test]
     fn quantiles_are_monotone_and_bounded(values in finite_values()) {

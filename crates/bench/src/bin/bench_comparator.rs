@@ -7,7 +7,9 @@
 //!   kept in-tree as `BootstrapComparator::compare_seeded_reference`)
 //!   against the allocation-free count-based fast path, a fresh scratch
 //!   arena per comparison against a reused one, the same two paths over
-//!   the recorded comparisons of `solo_campaign`-shaped session waves and
+//!   the recorded comparisons of `solo_campaign`-shaped session waves
+//!   (the meta counts them, `solo_wave_jobs`, and how many of them the
+//!   range certificate decides without a round, `solo_wave_certified`) and
 //!   on a tiered pair, and the clustering repetition loop on one thread
 //!   against all cores (asserted bit-identical before timing);
 //! * `timings` — single medians of the layers the pipeline is built from:
@@ -241,6 +243,16 @@ fn main() {
             black_box(replay_fast());
         },
     );
+    // The share of those comparisons the range certificate decides
+    // without a round.
+    let certified = jobs
+        .iter()
+        .filter(|&&(_, a, b)| {
+            comparator
+                .range_certificate(&samples[a], &samples[b])
+                .is_some()
+        })
+        .count();
     let per_job = |t: f64| t / jobs.len() as f64;
     entries.push(pair(
         "compare/solo_waves".to_string(),
@@ -460,7 +472,11 @@ fn main() {
 
     Report::new(
         "comparator",
-        row!["units" => "seconds", "solo_wave_jobs" => jobs.len()],
+        row![
+            "units" => "seconds",
+            "solo_wave_jobs" => jobs.len(),
+            "solo_wave_certified" => certified,
+        ],
     )
         .table("entries", entries)
         .table("timings", timings)

@@ -259,7 +259,14 @@ impl BootstrapConfig {
 ///
 /// # Fast path
 ///
-/// A bootstrap round never materializes or sorts a resample: because
+/// A comparison whose two samples' ranges are separated by more than the
+/// margin runs no round at all: its outcome is fixed before any draw, and
+/// [`range_certificate`](Self::range_certificate) returns it from the
+/// samples' O(1) extremes. On the recorded comparisons of
+/// `solo_campaign`-shaped waves this decides about two in three.
+///
+/// Every other comparison runs the rounds. A bootstrap round never
+/// materializes or sorts a resample: because
 /// [`Sample`] maintains a sorted index, each resample is drawn as a tally
 /// over insertion order ([`resample_id_counts_into`]: same RNG draw
 /// sequence, so seeded outcomes are **bit-identical** to the sort-based
@@ -319,16 +326,76 @@ impl BootstrapComparator {
         &self.config
     }
 
-    fn next_rng(&self) -> StdRng {
-        let c = self.counter.fetch_add(1, Ordering::Relaxed);
-        // SplitMix64 step decorrelates consecutive counters.
-        StdRng::seed_from_u64(stream_seed(self.base_seed, c))
+    /// The **range certificate**: the outcome of comparing `a` against
+    /// `b`, decided from the samples' extremes alone, or `None` when their
+    /// ranges are not separated by more than the margin.
+    ///
+    /// If `a.min() ≥ f64::MIN_POSITIVE` and
+    /// `a.max()·(1 + margin)·(1 + 1e-12) < b.min()`, every round's vote
+    /// is a win for `a` for any resample and any quantile list, so the
+    /// outcome is that of `reps` wins to none (`Better`, or `Equivalent`
+    /// at threshold 1). The mirrored condition gives `Worse`. The rounds
+    /// would reach the same outcome, bit for bit, since every round's
+    /// result is known.
+    ///
+    /// Why every quantile wins: a resample quantile of `a` is
+    /// `vlo·(1−frac) + vhi·frac` over two of `a`'s values, so in exact
+    /// arithmetic it lies in `[a.min, a.max]`; in floats it lies within a
+    /// relative few ulps (`u` = 2⁻⁵³) of that range, ≤ `a.max·(1 + 5u)`,
+    /// and likewise `q_b ≥ b.min·(1 − 5u)`. The vote's test
+    /// `q_a < q_b − margin·min(|q_a|, |q_b|)` has `min = q_a`, and rounding
+    /// the product and the difference costs another few `u`, so it holds
+    /// whenever `b.min > a.max·(1 + margin)·(1 + 16u)`. The condition's own
+    /// four roundings (`1 + margin`, `1 + 1e-12` and both products) cost
+    /// `4u`, and `1e-12` exceeds the ~20u (≈ 2.2e-15) these add up to, for
+    /// any finite margin.
+    ///
+    /// Relative error bounds hold only for normal floats: below
+    /// `f64::MIN_POSITIVE` a product rounds to a multiple of 2⁻¹⁰⁷⁴, so the
+    /// median of the resample `[3·2⁻¹⁰⁷⁴, 3·2⁻¹⁰⁷⁴]` reads `4·2⁻¹⁰⁷⁴`.
+    /// Hence the lower bound on `a.min()`, which keeps both sides' values
+    /// normal; any absolute rounding error left in a subnormal partial
+    /// product is then at most `u` times the normal quantile it feeds.
+    /// Anything the condition does not cover runs the rounds: zero or
+    /// negative values, a product that overflows to `inf` (which compares
+    /// false), an infinite margin.
+    pub fn range_certificate(&self, a: &Sample, b: &Sample) -> Option<Outcome> {
+        let margin = self.config.margin;
+        let separated = |lo: &Sample, hi: &Sample| {
+            lo.min() >= f64::MIN_POSITIVE && lo.max() * (1.0 + margin) * (1.0 + 1e-12) < hi.min()
+        };
+        let reps = self.config.reps;
+        if separated(a, b) {
+            Some(self.decide(reps, 0))
+        } else if separated(b, a) {
+            Some(self.decide(0, reps))
+        } else {
+            None
+        }
     }
 
-    /// The full bootstrap comparison driven by an explicit generator —
-    /// the allocation-free O(n)-per-round fast path.
+    /// The final decision on `wins_a` and `wins_b` round wins out of
+    /// `reps`.
+    fn decide(&self, wins_a: usize, wins_b: usize) -> Outcome {
+        let reps = self.config.reps as f64;
+        let pa = wins_a as f64 / reps;
+        let pb = wins_b as f64 / reps;
+        if pa - pb > self.config.threshold {
+            Outcome::Better
+        } else if pb - pa > self.config.threshold {
+            Outcome::Worse
+        } else {
+            Outcome::Equivalent
+        }
+    }
+
+    /// The full bootstrap comparison on stochastic stream `stream` — the
+    /// path every entry point takes.
     ///
-    /// The repetition loop locks in early: once the round-win lead is
+    /// The [`range_certificate`](Self::range_certificate) answers first;
+    /// it draws nothing, builds no plan and reads no quantile. Otherwise
+    /// the rounds run on the allocation-free O(n)-per-round fast path,
+    /// and the repetition loop locks in early: once the round-win lead is
     /// large enough (or the gap small enough) that no allocation of the
     /// remaining rounds can change which side of the threshold the final
     /// frequencies land on, the answer is already decided and the
@@ -337,43 +404,35 @@ impl BootstrapComparator {
     /// per-round win count only moves monotonically, so the outcome is
     /// bit-identical to running every round (each comparison owns its
     /// RNG, so the skipped draws are observable to nobody).
-    fn compare_with_rng(
+    fn compare_stream(
         &self,
-        rng: &mut StdRng,
+        stream: u64,
         a: &Sample,
         b: &Sample,
         scratch: &mut Scratch,
     ) -> Outcome {
+        if let Some(outcome) = self.range_certificate(a, b) {
+            return outcome;
+        }
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.base_seed, stream));
         scratch.plan_a.prepare(&self.config.quantiles, a.len());
         scratch.plan_b.prepare(&self.config.quantiles, b.len());
         let reps = self.config.reps;
-        let threshold = self.config.threshold;
-        let decide = |wa: usize, wb: usize| -> Outcome {
-            let pa = wa as f64 / reps as f64;
-            let pb = wb as f64 / reps as f64;
-            if pa - pb > threshold {
-                Outcome::Better
-            } else if pb - pa > threshold {
-                Outcome::Worse
-            } else {
-                Outcome::Equivalent
-            }
-        };
         let mut wins_a = 0usize;
         let mut wins_b = 0usize;
         for done in 1..=reps {
-            match self.round(rng, a, b, scratch) {
+            match self.round(&mut rng, a, b, scratch) {
                 RoundResult::A => wins_a += 1,
                 RoundResult::B => wins_b += 1,
                 RoundResult::Tie => {}
             }
             let rem = reps - done;
             // Decided iff the best and worst remaining allocations agree.
-            if decide(wins_a, wins_b + rem) == decide(wins_a + rem, wins_b) {
+            if self.decide(wins_a, wins_b + rem) == self.decide(wins_a + rem, wins_b) {
                 break;
             }
         }
-        decide(wins_a, wins_b)
+        self.decide(wins_a, wins_b)
     }
 
     /// One bootstrap round, allocation-free and O(n): draw each resample
@@ -387,7 +446,7 @@ impl BootstrapComparator {
     /// consumes no randomness, so early exit cannot perturb seeding.
     ///
     /// `scratch.plan_a` / `plan_b` must already be prepared for the two
-    /// sample sizes (done once per comparison in `compare_with_rng`).
+    /// sample sizes (done once per comparison in `compare_stream`).
     fn round<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -512,10 +571,11 @@ enum RoundResult {
 }
 
 impl ThreeWayComparator for BootstrapComparator {
+    /// Compares on the next stream of the internal counter: the `i`-th
+    /// call answers what `compare_seeded(a, b, i)` would.
     fn compare(&self, a: &Sample, b: &Sample) -> Outcome {
-        let mut rng = self.next_rng();
-        let mut scratch = Scratch::new();
-        self.compare_with_rng(&mut rng, a, b, &mut scratch)
+        let stream = self.counter.fetch_add(1, Ordering::Relaxed);
+        self.compare_stream(stream, a, b, &mut Scratch::new())
     }
 }
 
@@ -543,8 +603,7 @@ impl ScratchThreeWayComparator for BootstrapComparator {
         b: &Sample,
         stream: u64,
     ) -> Outcome {
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.base_seed, stream));
-        self.compare_with_rng(&mut rng, a, b, scratch)
+        self.compare_stream(stream, a, b, scratch)
     }
 }
 
@@ -933,6 +992,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn compare_counter_advances_once_per_call_certified_or_not() {
+        // Certified pairs run no round, yet each `compare` still consumes
+        // one stream of the internal counter: the i-th call answers what
+        // stream i answers, whichever mix of pairs came before it.
+        // `fast`/`near` is the borderline pair of
+        // `borderline_pair_flips_between_outcomes`.
+        let fast = noisy(1.000, 0.10, 30, 9);
+        let near = noisy(1.050, 0.10, 30, 10);
+        let slow = noisy(2.0, 0.05, 30, 42);
+        let cfg = BootstrapConfig {
+            reps: 20,
+            ..Default::default()
+        };
+        let cmp = BootstrapComparator::with_config(74, cfg);
+        let pairs = [
+            (&fast, &slow),
+            (&fast, &near),
+            (&slow, &fast),
+            (&near, &fast),
+            (&fast, &near),
+            (&slow, &near),
+        ];
+        assert!(cmp.range_certificate(&fast, &slow).is_some());
+        assert!(cmp.range_certificate(&fast, &near).is_none());
+        let mut uncertified = Vec::new();
+        for i in 0..60u64 {
+            let (a, b) = pairs[(i as usize * 7) % pairs.len()];
+            let got = cmp.compare(a, b);
+            assert_eq!(got, cmp.compare_seeded_reference(a, b, i), "call {i}");
+            if cmp.range_certificate(a, b).is_none() {
+                uncertified.push(got);
+            }
+        }
+        // The uncertified borderline calls are stochastic: a counter that
+        // stalled or skipped would shift them onto other streams.
+        let distinct: std::collections::HashSet<_> = uncertified.iter().copied().collect();
+        assert!(
+            distinct.len() >= 2,
+            "uncertified calls collapsed to {distinct:?}"
+        );
+    }
+
+    #[test]
+    fn certificate_keeps_out_of_rounding_reach() {
+        // Two pairs whose ranges are separated, yet a resample quantile
+        // ties across them, so at dominance 1 every round ties and the
+        // rounds answer Equivalent. The certificate must not fire on
+        // either.
+        let cfg = BootstrapConfig {
+            margin: 0.0,
+            dominance: 1.0,
+            ..Default::default()
+        };
+        let cmp = BootstrapComparator::with_config(79, cfg);
+        // One ulp apart: for n = 8 the 0.05 quantile of [b; 8] reads
+        // b·0.65 + b·0.35 = 1.0. Only the 1e-12 slack keeps this out.
+        let one_ulp = (
+            Sample::new(vec![1.0; 8]).unwrap(),
+            Sample::new(vec![1.0f64.next_up(); 8]).unwrap(),
+        );
+        // Subnormal: below f64::MIN_POSITIVE a product rounds to a
+        // multiple of 2^-1074, not relative to the value. The median of
+        // [3·2^-1074; 2] reads 1.5 → 2 twice, 4·2^-1074, and that of
+        // [5·2^-1074; 2] reads 2.5 → 2 twice, also 4·2^-1074. The slack
+        // vanishes at this scale; the MIN_POSITIVE bound keeps it out.
+        let unit = f64::from_bits(1);
+        let subnormal = (
+            Sample::new(vec![3.0 * unit; 2]).unwrap(),
+            Sample::new(vec![5.0 * unit; 2]).unwrap(),
+        );
+        for (a, b) in [&one_ulp, &subnormal] {
+            assert!(a.max() < b.min());
+            assert_eq!(cmp.range_certificate(a, b), None);
+            for stream in 0..5 {
+                assert_eq!(
+                    cmp.compare_seeded_reference(a, b, stream),
+                    Outcome::Equivalent
+                );
+                assert_eq!(cmp.compare_seeded(a, b, stream), Outcome::Equivalent);
+            }
+        }
+        // Scaled apart, the subnormal pair is certified both ways.
+        let scale =
+            |s: &Sample| Sample::new(s.values().iter().map(|v| v * 2f64.powi(60)).collect());
+        let (a, b) = (scale(&subnormal.0).unwrap(), scale(&subnormal.1).unwrap());
+        assert_eq!(cmp.range_certificate(&a, &b), Some(Outcome::Better));
+        assert_eq!(cmp.range_certificate(&b, &a), Some(Outcome::Worse));
+        assert_eq!(cmp.compare_seeded_reference(&a, &b, 0), Outcome::Better);
     }
 
     #[test]

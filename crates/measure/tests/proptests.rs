@@ -382,3 +382,98 @@ proptest! {
         );
     }
 }
+
+/// `x` moved by `ulps` steps through the positive floats (clamped to the
+/// finite positive range).
+fn step_ulps(x: f64, ulps: i64) -> f64 {
+    let bits = (x.to_bits() as i64 + ulps).clamp(1, f64::MAX.to_bits() as i64);
+    f64::from_bits(bits as u64)
+}
+
+/// `n` values spread away from `edge` (downwards when `dir` is −1, up
+/// when +1), `edge` itself first: all equal to it, a few ulps apart, or up
+/// to 1% or 50% away. The ulp lattice is where the type-7 interpolation's
+/// rounding decides a quantile vote.
+fn spread_from(edge: f64, dir: i64, kind: u8, draws: &[f64]) -> Vec<f64> {
+    let mut values: Vec<f64> = draws
+        .iter()
+        .map(|&u| match kind {
+            0 => edge,
+            1 => step_ulps(edge, dir * (u * 4.0) as i64),
+            k => edge * (1.0 + dir as f64 * [0.01, 0.5][k as usize - 2] * u),
+        })
+        .map(|v| if v.is_finite() { v } else { edge })
+        .collect();
+    values[0] = edge;
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn range_certificate_equals_reference_oracle(
+        shape_a in (vec(0.0f64..1.0, 1..24), 0u8..4, 0u8..4),
+        shape_b in (vec(0.0f64..1.0, 1..24), 0u8..4),
+        config in (0u8..4, 0u8..3, 0u8..3, 1usize..25),
+        boundary in (0u8..6, 1u64..64, 0u8..3, -8i64..9),
+        layout in (proptest::bool::ANY, 2usize..6, proptest::bool::ANY),
+        stream in 0u64..500,
+    ) {
+        // The certificate decides a comparison from the samples' extremes
+        // alone; pin it to the oracle where that is tightest. `b.min()`
+        // sits within ±8 ulps of `a.max()·(1 + margin)` (the vote's own
+        // boundary), of that times `1 + 1e-12` (the certificate's
+        // boundary), or clearly past both, with `a.max()` anywhere from
+        // subnormal to near `f64::MAX`.
+        let (ua, kind_a, sign) = shape_a;
+        let (ub, kind_b) = shape_b;
+        let (mi, di, ti, reps) = config;
+        let (magnitude, k, anchor, ulps) = boundary;
+        let (tiered, leaf, swap) = layout;
+        let margin = [0.0, 0.02, 0.5, 1e3][mi as usize];
+        let tiny = f64::from_bits(1);
+        let top = match magnitude {
+            0 => tiny * k as f64,
+            1 => tiny * (1e6 + k as f64),
+            2 => f64::MIN_POSITIVE * (1.0 + k as f64 / 64.0),
+            3 => 1.0 + k as f64 / 64.0,
+            4 => 1e300,
+            _ => f64::MAX / (1.0 + margin) / 1.6,
+        };
+        // `sign` puts a zero or a negative value at the bottom of `a`.
+        let mut a = spread_from(top, -1, kind_a, &ua);
+        match (sign, a.len()) {
+            (0, n) if n > 1 => a[n - 1] = 0.0,
+            (1, n) if n > 1 => a[n - 1] = -top,
+            _ => {}
+        }
+        let scaled = top * (1.0 + margin);
+        let b_min = step_ulps(match anchor {
+            0 => scaled,
+            1 => scaled * (1.0 + 1e-12),
+            _ => scaled * 1.25,
+        }, ulps);
+        let b = spread_from(b_min, 1, kind_b, &ub);
+        let (mut sa, mut sb) = (Sample::new(a).unwrap(), Sample::new(b).unwrap());
+        if swap {
+            std::mem::swap(&mut sa, &mut sb);
+        }
+        if tiered {
+            sa.force_tiered_for_test(leaf);
+            sb.force_tiered_for_test(leaf);
+        }
+        let cmp = BootstrapComparator::with_config(2024, BootstrapConfig {
+            reps,
+            margin,
+            dominance: [0.0, 0.8, 1.0][di as usize],
+            threshold: [0.0, 0.5, 1.0][ti as usize],
+            ..Default::default()
+        });
+        prop_assert_eq!(
+            cmp.compare_seeded(&sa, &sb, stream),
+            cmp.compare_seeded_reference(&sa, &sb, stream),
+            "margin {} top {:e} anchor {} ulps {}", margin, top, anchor, ulps
+        );
+    }
+}

@@ -9,9 +9,9 @@
 //! Before any timing, the harness asserts the growth contract: bulk
 //! extend, the baseline push loop, and `Sample::new` over the
 //! concatenated waves must agree **bit for bit** on values, sorted view,
-//! and position map — and the bounded-memory sketch must agree with the
-//! exact engine within its documented rank-error bound. A benchmark of a
-//! wrong answer is worthless.
+//! and insertion ids of the sorted order — and the bounded-memory sketch
+//! must agree with the exact engine within its documented rank-error
+//! bound. A benchmark of a wrong answer is worthless.
 //!
 //! The baseline is O(n²) in total, so at N = 1e6 it is not run to
 //! completion: its time is extrapolated quadratically from the measured
@@ -62,6 +62,21 @@ impl BaselineSample {
         self.sorted_pos.push(ins);
         self.values.push(value);
     }
+
+    /// The insertion ids of the sorted order: the inverse of `sorted_pos`,
+    /// built outside any timed region.
+    fn sorted_ids(&self) -> Vec<u32> {
+        let mut ids = vec![0u32; self.sorted_pos.len()];
+        for (i, &pos) in self.sorted_pos.iter().enumerate() {
+            ids[pos] = i as u32;
+        }
+        ids
+    }
+}
+
+/// The insertion ids of a sample's sorted order, read through its runs.
+fn sorted_ids(s: &Sample) -> Vec<u32> {
+    s.sorted_runs().flat_map(|r| r.ids.iter().copied()).collect()
 }
 
 /// Noisy timing-like measurements with deliberate ties (quantised to a
@@ -103,10 +118,10 @@ fn assert_bit_identity(values: &[f64]) {
     let batch = Sample::new(values.to_vec()).expect("finite");
     assert_eq!(bulk.values(), base.values.as_slice());
     assert_eq!(bulk.sorted(), base.sorted.as_slice());
-    assert_eq!(bulk.sorted_positions(), base.sorted_pos.as_slice());
+    assert_eq!(sorted_ids(&bulk), base.sorted_ids());
     assert_eq!(batch.values(), bulk.values());
     assert_eq!(batch.sorted(), bulk.sorted());
-    assert_eq!(batch.sorted_positions(), bulk.sorted_positions());
+    assert_eq!(sorted_ids(&batch), sorted_ids(&bulk));
 }
 
 /// Exact-vs-sketch agreement, checked before the sketch is timed: every
@@ -156,7 +171,7 @@ fn main() {
         let bulk = ingest_bulk(&big);
         let batch = Sample::new(big.clone()).expect("finite");
         assert_eq!(bulk.sorted(), batch.sorted());
-        assert_eq!(bulk.sorted_positions(), batch.sorted_positions());
+        assert_eq!(sorted_ids(&bulk), sorted_ids(&batch));
         assert!(bulk.ingest_stats().tiered, "1e6 sample should be tiered");
         assert_sketch_agreement(&bulk, 256);
     }

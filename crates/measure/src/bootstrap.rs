@@ -27,41 +27,18 @@ pub fn resample<R: Rng + ?Sized>(rng: &mut R, sample: &Sample) -> Vec<f64> {
     buf
 }
 
-/// Draws one bootstrap resample as a *count vector over sorted positions*:
-/// after the call, `counts[k]` is how many times `sample.sorted()[k]` was
-/// drawn, with `counts.iter().sum::<u32>() == n`.
-///
-/// This consumes **exactly the same RNG draw sequence** as
-/// [`resample_into`] (`n` uniform index draws into insertion order), so a
-/// seeded resample and its count-vector form describe the identical
-/// multiset — the count form just arrives pre-sorted, which is what makes
-/// the comparator's allocation-free O(n) round possible (no buffer, no
-/// `O(n log n)` sort; quantiles are read by a cumulative walk, see
-/// [`QuantilePlan`]).
-pub fn resample_counts_into<R: Rng + ?Sized>(rng: &mut R, sample: &Sample, counts: &mut Vec<u32>) {
-    let n = sample.len();
-    debug_assert!(n <= u32::MAX as usize, "count vector uses u32 tallies");
-    let pos = sample.sorted_positions();
-    counts.clear();
-    counts.resize(n, 0);
-    for _ in 0..n {
-        counts[pos[rng.random_range(0..n)]] += 1;
-    }
-}
-
 /// Draws one bootstrap resample as a *count vector over insertion order*:
 /// after the call, `counts[i]` is how many times `sample.values()[i]` was
 /// drawn, with `counts.iter().sum::<u32>() == n`.
 ///
 /// This consumes **exactly the same RNG draw sequence** as
-/// [`resample_into`] and [`resample_counts_into`] (`n` uniform index draws
-/// into insertion order — the tally is indexed by the draw itself, with no
-/// permutation applied), so all three forms describe the identical
-/// multiset. Unlike [`resample_counts_into`] it never touches
-/// [`Sample::sorted_positions`], so on a tiered sample it forces **no
-/// lazy materialization** — pair it with
-/// [`QuantilePlan::extract_sample_into`], which reads the tallies through
-/// the sample's sorted runs. This is the comparator's hot-path form.
+/// [`resample_into`] (`n` uniform index draws into insertion order — the
+/// tally is indexed by the draw itself, with no permutation applied), so
+/// a seeded resample and its tally describe the identical multiset. Pair
+/// it with [`QuantilePlan::extract_sample_into`], which reads the tallies
+/// through the sample's sorted runs, so on a tiered sample a round forces
+/// **no lazy materialization** and never sorts (an allocation-free O(n)
+/// round, see [`QuantilePlan`]). This is the comparator's hot-path form.
 pub fn resample_id_counts_into<R: Rng + ?Sized>(
     rng: &mut R,
     sample: &Sample,
@@ -203,44 +180,47 @@ pub(crate) fn interp_value(vlo: f64, vhi: f64, lo: usize, hi: usize, frac: f64) 
 }
 
 /// Precomputed order-statistic schedule for reading a fixed list of
-/// quantiles out of a count-vector resample in **one cumulative pass**.
+/// quantiles out of a tallied resample without materializing it.
 ///
 /// [`quantile_sorted`] on a materialized resample of size `n` reads at
 /// most two order statistics per quantile (the floor and ceiling of the
 /// interpolation position). A `QuantilePlan` computes those positions
-/// once per `(quantiles, n)` pair; [`extract_into`](Self::extract_into)
-/// then walks the cumulative counts a single time, picking every needed
-/// element on the way — O(n + q) per bootstrap round, no allocation, no
-/// sort, and **bit-identical** to sorting the resample and calling
-/// [`quantile_sorted`] (the interpolation arithmetic is replicated
-/// exactly; the count vector describes the same sorted multiset).
+/// once per `(quantiles, n)` pair ([`prepare`](Self::prepare));
+/// [`extract_sample_into`](Self::extract_sample_into) then reads every
+/// one of them from a [`resample_id_counts_into`] tally in a single pass
+/// over the sample's sorted runs — O(n + q) per bootstrap round, no
+/// allocation, no sort, and **bit-identical** to sorting the resample and
+/// calling [`quantile_sorted`] (the interpolation arithmetic is
+/// replicated exactly; the tally describes the same sorted multiset).
 ///
-/// The comparator's form, [`extract_sample_into`](Self::extract_sample_into),
-/// reads small samples (`n ≤ 256`) by a branch-free **rank pass** instead
-/// of the walk: the walk's stop test is data-dependent at every element,
-/// and on bootstrap resamples its branches mispredict often enough to
-/// dominate a round. The plan keeps the positions in both orders — sorted
-/// for the walk, in lanes of 16 for the rank pass.
+/// Small samples (`n ≤ 256`) are read by a branch-free **rank pass**
+/// instead of a cumulative walk: the walk's stop test is data-dependent
+/// at every element, and on bootstrap resamples its branches mispredict
+/// often enough to dominate a round. The plan keeps the positions in
+/// both orders — sorted for the walk, in lanes of 16 for the rank pass.
 ///
 /// # Examples
 ///
 /// ```
-/// use relperf_measure::bootstrap::{quantile_sorted, quantiles_from_counts};
+/// use relperf_measure::bootstrap::{quantile_sorted, QuantilePlan};
+/// use relperf_measure::Sample;
 ///
-/// let sorted = [1.0, 2.0, 4.0, 8.0];
-/// let counts = [1, 0, 2, 1]; // the resample {1.0, 4.0, 4.0, 8.0}
+/// let x = Sample::new(vec![8.0, 1.0, 4.0, 2.0]).unwrap();
+/// let counts = [1, 1, 2, 0]; // the resample {8.0, 1.0, 4.0, 4.0}
 /// let expanded = [1.0, 4.0, 4.0, 8.0];
-/// for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-///     assert_eq!(
-///         quantiles_from_counts(&sorted, &counts, &[q])[0],
-///         quantile_sorted(&expanded, q),
-///     );
+/// let qs = [0.0, 0.25, 0.5, 0.9, 1.0];
+/// let mut plan = QuantilePlan::default();
+/// plan.prepare(&qs, expanded.len());
+/// let (mut stats, mut out) = (Vec::new(), Vec::new());
+/// plan.extract_sample_into(&x, &counts, &mut stats, &mut out);
+/// for (&got, &q) in out.iter().zip(&qs) {
+///     assert_eq!(got, quantile_sorted(&expanded, q));
 /// }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QuantilePlan {
-    /// Resample size the positions are computed for (`counts` must sum to
-    /// this, not necessarily `sorted.len()`).
+    /// Resample size the positions are computed for (`counts_by_id` must
+    /// sum to this, not necessarily `sample.len()`).
     n: usize,
     quantiles: Vec<f64>,
     /// `(lo, hi, frac)` per quantile, in input order — the exact
@@ -286,16 +266,6 @@ fn rank_pass(ids: &[u32], counts_by_id: &[u32], targets: &[u32; LANES]) -> [u32;
 }
 
 impl QuantilePlan {
-    /// Builds a plan for reading `quantiles` from resamples of size `n`.
-    ///
-    /// # Panics
-    /// Panics when `n == 0` or any quantile lies outside `[0, 1]`.
-    pub fn new(quantiles: &[f64], n: usize) -> Self {
-        let mut plan = QuantilePlan::default();
-        plan.prepare(quantiles, n);
-        plan
-    }
-
     /// (Re)targets the plan at `(quantiles, n)`, reusing its allocations.
     /// A no-op when the plan already matches — callers comparing many
     /// same-sized samples pay the position math once.
@@ -338,53 +308,15 @@ impl QuantilePlan {
         }
     }
 
-    /// Reads all planned quantiles from the resample described by
-    /// `(sorted, counts)` into `out` (input quantile order), using
-    /// `stats` as scratch. One cumulative pass over `counts`; both
-    /// buffers are cleared and refilled, never reallocated at steady
-    /// state.
+    /// Reads all planned quantiles of the resample described by
+    /// `counts_by_id` — `counts_by_id[i]` copies of `sample.values()[i]`,
+    /// as tallied by [`resample_id_counts_into`] — into `out` (input
+    /// quantile order), using `stats` as scratch. Both buffers are cleared
+    /// and refilled, never reallocated at steady state.
     ///
-    /// `counts[k]` is the multiplicity of `sorted[k]` and must sum to the
-    /// plan's resample size (checked with `debug_assert!` — hot path).
-    pub fn extract_into(
-        &self,
-        sorted: &[f64],
-        counts: &[u32],
-        stats: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(sorted.len(), counts.len());
-        debug_assert_eq!(
-            counts.iter().map(|&c| c as usize).sum::<usize>(),
-            self.n,
-            "counts must describe a resample of the planned size"
-        );
-        stats.clear();
-        stats.resize(self.interp.len() * 2, 0.0);
-        let mut cum = 0usize;
-        let mut k = 0usize;
-        for &(target, slot) in &self.walk {
-            while cum + counts[k] as usize <= target {
-                cum += counts[k] as usize;
-                k += 1;
-            }
-            stats[slot] = sorted[k];
-        }
-        out.clear();
-        for (i, &(lo, hi, frac)) in self.interp.iter().enumerate() {
-            out.push(interp_value(stats[2 * i], stats[2 * i + 1], lo, hi, frac));
-        }
-    }
-
-    /// [`extract_into`](Self::extract_into) driven by the sample's sorted
-    /// runs instead of a contiguous sorted slice: reads all planned
-    /// quantiles of the resample described by `counts_by_id` —
-    /// `counts_by_id[i]` copies of `sample.values()[i]`, as tallied by
-    /// [`resample_id_counts_into`] — into `out`.
-    ///
-    /// It reads each element's multiplicity via its insertion id, so it
-    /// needs **neither** the flat sorted view **nor** the position map:
-    /// on a tiered sample the hot comparator path forces no lazy
+    /// It reads each element's multiplicity via its insertion id while
+    /// walking [`Sample::sorted_runs`], so it never needs the flat sorted
+    /// view: on a tiered sample the hot comparator path forces no lazy
     /// materialization. Two strategies, one result:
     ///
     /// * **Rank pass** — a sample held as one sorted run (every flat
@@ -456,22 +388,6 @@ impl QuantilePlan {
             out.push(interp_value(stats[2 * i], stats[2 * i + 1], lo, hi, frac));
         }
     }
-}
-
-/// Convenience wrapper around [`QuantilePlan`]: quantiles of the resample
-/// described by `(sorted, counts)` — `counts[k]` copies of `sorted[k]` —
-/// equal to expanding the counts and calling [`quantile_sorted`] on the
-/// expansion, without materializing it.
-///
-/// # Panics
-/// Panics when the counts sum to zero or a quantile is outside `[0, 1]`.
-pub fn quantiles_from_counts(sorted: &[f64], counts: &[u32], quantiles: &[f64]) -> Vec<f64> {
-    let m: usize = counts.iter().map(|&c| c as usize).sum();
-    let plan = QuantilePlan::new(quantiles, m);
-    let mut stats = Vec::new();
-    let mut out = Vec::new();
-    plan.extract_into(sorted, counts, &mut stats, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -552,70 +468,94 @@ mod tests {
 
     #[test]
     fn counted_resample_matches_sorted_buffer_resample() {
-        // Same seed → the count vector must describe exactly the multiset
-        // resample_into draws, and its quantiles must be bit-identical to
-        // sorting the buffer.
-        let x = s(&[5.0, 1.0, 3.0, 3.0, 9.0, 2.0, 7.0]);
-        for seed in 0..20u64 {
-            let mut buf = Vec::new();
-            resample_into(&mut StdRng::seed_from_u64(seed), &x, &mut buf);
-            buf.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        // Same seed → the insertion-id tally must describe exactly the
+        // multiset resample_into draws, and the quantiles read from it
+        // must be bit-identical to sorting the buffer: for a flat and a
+        // tiered sample (rank pass vs cumulative walk), and for flat
+        // samples on both sides of the rank-pass cutoff, where plan and
+        // read must agree on which strategy runs.
+        let qs = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
+        let mut plan = QuantilePlan::default();
+        for (n, tiered) in [
+            (60, false),
+            (60, true),
+            (RANK_PASS_MAX, false),
+            (RANK_PASS_MAX + 1, false),
+        ] {
+            let vals: Vec<f64> = (0..n).map(|i| ((i * 31) % 13) as f64 * 0.25).collect();
+            let mut x = s(&vals);
+            if tiered {
+                x.force_tiered_for_test(7);
+            }
+            plan.prepare(&qs, n);
+            for seed in 0..20u64 {
+                let mut buf = Vec::new();
+                resample_into(&mut StdRng::seed_from_u64(seed), &x, &mut buf);
+                buf.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-            let mut counts = Vec::new();
-            resample_counts_into(&mut StdRng::seed_from_u64(seed), &x, &mut counts);
-            let expanded: Vec<f64> = x
-                .sorted()
-                .iter()
-                .zip(&counts)
-                .flat_map(|(&v, &c)| std::iter::repeat(v).take(c as usize))
-                .collect();
-            assert_eq!(expanded, buf, "seed {seed}");
+                let mut counts = Vec::new();
+                resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &x, &mut counts);
+                let expanded: Vec<f64> = x
+                    .sorted_runs()
+                    .flat_map(|run| run.ids.iter())
+                    .flat_map(|&id| {
+                        std::iter::repeat_n(x.values()[id as usize], counts[id as usize] as usize)
+                    })
+                    .collect();
+                assert_eq!(expanded, buf, "n {n} tiered {tiered} seed {seed}");
 
-            let qs = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
-            let fast = quantiles_from_counts(x.sorted(), &counts, &qs);
-            for (i, &q) in qs.iter().enumerate() {
-                assert_eq!(fast[i], quantile_sorted(&buf, q), "seed {seed} q {q}");
+                let (mut stats, mut out) = (Vec::new(), Vec::new());
+                plan.extract_sample_into(&x, &counts, &mut stats, &mut out);
+                let want: Vec<f64> = qs.iter().map(|&q| quantile_sorted(&buf, q)).collect();
+                assert_eq!(out, want, "n {n} tiered {tiered} seed {seed}");
             }
         }
     }
 
     #[test]
     fn id_counts_walk_matches_sorted_counts_walk() {
-        // The insertion-indexed tally + sorted-runs walk must be
-        // bit-identical to the sorted-position tally + flat walk, on both
-        // tiers (same RNG consumption, same multiset, same arithmetic).
-        let vals: Vec<f64> = (0..60).map(|i| ((i * 31) % 13) as f64 * 0.25).collect();
+        // The insertion-indexed tally does not depend on how the sample is
+        // held, and reading it through the tiered sample's sorted-runs walk
+        // must be bit-identical to reading it through the flat sample (the
+        // rank pass at n ≤ RANK_PASS_MAX, the single-run walk above it).
         let qs = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
-        for tiered in [false, true] {
-            let mut x = s(&vals);
-            if tiered {
-                x.force_tiered_for_test(7);
-            }
-            let plan = QuantilePlan::new(&qs, x.len());
+        let mut plan = QuantilePlan::default();
+        for n in [60, RANK_PASS_MAX + 1] {
+            let vals: Vec<f64> = (0..n).map(|i| ((i * 31) % 13) as f64 * 0.25).collect();
+            let flat = s(&vals);
+            let mut tiered = s(&vals);
+            tiered.force_tiered_for_test(7);
+            plan.prepare(&qs, n);
             for seed in 0..20u64 {
-                let mut pos_counts = Vec::new();
-                resample_counts_into(&mut StdRng::seed_from_u64(seed), &x, &mut pos_counts);
-                let mut id_counts = Vec::new();
-                resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &x, &mut id_counts);
+                let mut flat_counts = Vec::new();
+                resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &flat, &mut flat_counts);
+                let mut tiered_counts = Vec::new();
+                resample_id_counts_into(
+                    &mut StdRng::seed_from_u64(seed),
+                    &tiered,
+                    &mut tiered_counts,
+                );
+                assert_eq!(tiered_counts, flat_counts, "n {n} seed {seed}");
 
                 let (mut stats, mut flat_out) = (Vec::new(), Vec::new());
-                plan.extract_into(x.sorted(), &pos_counts, &mut stats, &mut flat_out);
+                plan.extract_sample_into(&flat, &flat_counts, &mut stats, &mut flat_out);
                 let mut runs_out = Vec::new();
-                plan.extract_sample_into(&x, &id_counts, &mut stats, &mut runs_out);
-                assert_eq!(runs_out, flat_out, "seed {seed} tiered {tiered}");
+                plan.extract_sample_into(&tiered, &tiered_counts, &mut stats, &mut runs_out);
+                assert_eq!(runs_out, flat_out, "n {n} seed {seed}");
             }
         }
     }
 
     #[test]
     fn quantile_plan_reuses_and_retargets() {
-        let mut plan = QuantilePlan::new(&[0.5], 4);
+        let mut plan = QuantilePlan::default();
+        plan.prepare(&[0.5], 4);
         plan.prepare(&[0.5], 4); // no-op
         plan.prepare(&[0.25, 0.75], 8); // retarget
-        let sorted = [1.0, 2.0];
+        let x = s(&[2.0, 1.0]);
         let counts = [4, 4];
         let (mut stats, mut out) = (Vec::new(), Vec::new());
-        plan.extract_into(&sorted, &counts, &mut stats, &mut out);
+        plan.extract_sample_into(&x, &counts, &mut stats, &mut out);
         let expanded = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0];
         assert_eq!(out[0], quantile_sorted(&expanded, 0.25));
         assert_eq!(out[1], quantile_sorted(&expanded, 0.75));
@@ -631,12 +571,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty resample")]
     fn quantile_plan_rejects_empty() {
-        QuantilePlan::new(&[0.5], 0);
+        QuantilePlan::default().prepare(&[0.5], 0);
     }
 
     #[test]
     #[should_panic(expected = "must lie in")]
     fn quantile_plan_rejects_bad_quantile() {
-        QuantilePlan::new(&[1.5], 3);
+        QuantilePlan::default().prepare(&[1.5], 3);
     }
 }

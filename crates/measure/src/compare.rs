@@ -179,7 +179,7 @@ pub struct Scratch {
     /// Resample tallies over insertion order (shared by both sides —
     /// side A is fully drawn and read before side B is drawn). Indexed by
     /// insertion id so the quantile read can ride the sample's sorted
-    /// runs and never needs a flat view or position map.
+    /// runs and never needs a flat view.
     counts: Vec<u32>,
     /// Order statistics picked by the cumulative walk (2 per quantile;
     /// unused by the rank pass).

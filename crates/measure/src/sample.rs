@@ -27,15 +27,13 @@
 //! index in a single pass — `O(n + k log n)` for a batch of `k` into a
 //! flat sample, `O(k log k + touched leaves)` into a tiered one — instead
 //! of `k` binary inserts. The result is **bit-identical** (values, sorted
-//! view, position map) to pushing the same values one at a time, which is
-//! itself bit-identical to [`Sample::new`] of the concatenation; the
-//! whole equivalence is property-tested across tier boundaries
-//! (`crates/measure/tests/ingest.rs`).
+//! view, insertion ids of the sorted order) to pushing the same values
+//! one at a time, which is itself bit-identical to [`Sample::new`] of the
+//! concatenation; the whole equivalence is property-tested across tier
+//! boundaries (`crates/measure/tests/proptests.rs`).
 //!
-//! The flat ascending copy ([`sorted`](Sample::sorted)) and the
-//! insertion→sorted position map
-//! ([`sorted_positions`](Sample::sorted_positions)) are **lazily
-//! materialized views** over the tiered index, invalidated by every write
+//! The flat ascending copy ([`sorted`](Sample::sorted)) is a **lazily
+//! materialized view** over the tiered index, invalidated by every write
 //! and counted in [`ingest_stats`](Sample::ingest_stats). Hot readers that
 //! do not need a contiguous view — the bootstrap comparator's cumulative
 //! quantile walk, the Mann–Whitney merge cursor — iterate
@@ -58,9 +56,7 @@ use std::sync::OnceLock;
 ///   [module docs](self)) for O(1)–O(log n) order-statistic queries,
 /// * running first and second moments in insertion order, making
 ///   [`mean`](Sample::mean) and [`variance`](Sample::variance) O(1),
-/// * a lazily materialized ascending copy ([`sorted`](Sample::sorted))
-///   and insertion-order → sorted-order position map
-///   ([`sorted_positions`](Sample::sorted_positions)).
+/// * a lazily materialized ascending copy ([`sorted`](Sample::sorted)).
 ///
 /// # Growth contract
 ///
@@ -69,11 +65,11 @@ use std::sync::OnceLock;
 /// time, one built by [`extend_from_slice`](Sample::extend_from_slice)
 /// bulk waves under **any** batch split, and one built by [`Sample::new`]
 /// from the concatenation all agree exactly on
-/// [`values`](Sample::values), [`sorted`](Sample::sorted), and
-/// [`sorted_positions`](Sample::sorted_positions) (ties ordered stably by
-/// insertion). This is what lets the streaming session engine reuse the
-/// count-vector comparator fast path between measurement waves regardless
-/// of how measurements were batched.
+/// [`values`](Sample::values), [`sorted`](Sample::sorted), and the
+/// insertion ids of [`sorted_runs`](Sample::sorted_runs) (ties ordered
+/// stably by insertion). This is what lets the streaming session engine
+/// reuse the count-vector comparator fast path between measurement waves
+/// regardless of how measurements were batched.
 ///
 /// Capacity: insertion indices are kept as `u32`, so a sample holds at
 /// most `u32::MAX` measurements (checked with `assert!` on ingest).
@@ -104,8 +100,6 @@ pub struct Sample {
     /// Lazily materialized flat ascending copy (tiered index only — the
     /// flat index *is* its own sorted view). Invalidated on every write.
     flat: OnceLock<Vec<f64>>,
-    /// Lazily materialized inverse argsort. Invalidated on every write.
-    positions: OnceLock<Vec<usize>>,
     /// Times a lazy flat view was (re)built — see
     /// [`ingest_stats`](Sample::ingest_stats).
     materializations: AtomicU64,
@@ -386,8 +380,8 @@ pub struct IngestStats {
     pub tiered: bool,
     /// Number of sorted leaf runs (1 for the flat tier).
     pub leaves: usize,
-    /// Times a lazily cached flat view ([`Sample::sorted`] or
-    /// [`Sample::sorted_positions`]) was (re)built since construction.
+    /// Times the lazily cached flat view ([`Sample::sorted`]) was
+    /// (re)built since construction.
     pub materializations: u64,
     /// Bulk gallop-merges performed by
     /// [`Sample::extend_from_slice`] / [`Sample::try_extend_all`].
@@ -449,9 +443,8 @@ impl Sample {
             values.len() <= u32::MAX as usize,
             "sample exceeds the u32 insertion-id capacity"
         );
-        // Stable argsort once; the sorted copy and (lazily) the inverse
-        // permutation both derive from it, so the views are always
-        // consistent and ties order by insertion index.
+        // Stable argsort once; the sorted copy derives from it, so ties
+        // order by insertion index.
         let mut ids: Vec<u32> = (0..values.len() as u32).collect();
         ids.sort_by(|&i, &j| {
             values[i as usize]
@@ -470,7 +463,6 @@ impl Sample {
             m2,
             index: SortedIndex::Flat { sorted, ids },
             flat: OnceLock::new(),
-            positions: OnceLock::new(),
             materializations: AtomicU64::new(0),
             bulk_merges: 0,
             compactions: 0,
@@ -479,10 +471,9 @@ impl Sample {
         Ok(sample)
     }
 
-    /// Drops the lazy flat views (called by every write).
+    /// Drops the lazy flat view (called by every write).
     fn invalidate(&mut self) {
         self.flat = OnceLock::new();
-        self.positions = OnceLock::new();
     }
 
     /// Switches a flat index that outgrew [`TIER_THRESHOLD`](Sample::TIER_THRESHOLD)
@@ -538,7 +529,7 @@ impl Sample {
     /// The new value is inserted *after* any existing equal values,
     /// exactly where the stable argsort of [`Sample::new`] would place it —
     /// so a sample grown by `push` is **bit-identical** (values, sorted
-    /// view, position map) to one constructed from the final vector in one
+    /// view, insertion ids) to one constructed from the final vector in one
     /// shot. Cost: two O(n) memmoves in the flat tier, one O(leaf)
     /// memmove plus an O(log #leaves) directory search in the tiered
     /// tier. Streams of measurements should prefer
@@ -638,7 +629,7 @@ impl Sample {
     /// Ingests a wave of measurements through the **bulk path**: the
     /// longest finite prefix is sorted once and gallop-merged into the
     /// sorted index in a single pass — bit-identical (values, sorted
-    /// view, position map) to [`push`](Sample::push)ing the same values
+    /// view, insertion ids) to [`push`](Sample::push)ing the same values
     /// one at a time, at a fraction of the cost.
     ///
     /// Error semantics are the streaming ones: on the first non-finite
@@ -752,31 +743,6 @@ impl Sample {
     /// ([`merge_tie_groups`](crate::merge::merge_tie_groups)).
     pub fn sorted_chunks(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.sorted_runs().map(|r| r.values)
-    }
-
-    /// For each insertion-order index `i`, the position of `values[i]` in
-    /// [`sorted`](Sample::sorted): `sorted()[sorted_positions()[i]] ==
-    /// values()[i]`. This is the permutation that lets a bootstrap
-    /// resample be drawn directly as a count vector over sorted positions
-    /// (see `relperf_measure::bootstrap::resample_counts_into`).
-    ///
-    /// Lazily materialized from the sorted index on first access after a
-    /// write (counted in [`ingest_stats`](Sample::ingest_stats)); the
-    /// comparator fast path uses insertion-indexed tallies
-    /// (`resample_id_counts_into`) and does not touch it.
-    pub fn sorted_positions(&self) -> &[usize] {
-        self.positions.get_or_init(|| {
-            self.materializations.fetch_add(1, Ordering::Relaxed);
-            let mut pos = vec![0usize; self.values.len()];
-            let mut rank = 0usize;
-            for run in self.sorted_runs() {
-                for &id in run.ids {
-                    pos[id as usize] = rank;
-                    rank += 1;
-                }
-            }
-            pos
-        })
     }
 
     /// The `k`-th order statistic (0-based, `k < len()`): `sorted()[k]`
@@ -999,7 +965,7 @@ fn fold_moment(sum: &mut f64, w_mean: &mut f64, m2: &mut f64, v: f64, n: usize) 
 }
 
 impl Clone for Sample {
-    /// Clones the measurements and the sorted index; the lazy flat views
+    /// Clones the measurements and the sorted index; the lazy flat view
     /// and observability counters start fresh (they are caches, not
     /// state — the clone compares equal to the original).
     fn clone(&self) -> Self {
@@ -1010,7 +976,6 @@ impl Clone for Sample {
             m2: self.m2,
             index: self.index.clone(),
             flat: OnceLock::new(),
-            positions: OnceLock::new(),
             materializations: AtomicU64::new(0),
             bulk_merges: self.bulk_merges,
             compactions: self.compactions,
@@ -1019,14 +984,17 @@ impl Clone for Sample {
 }
 
 impl PartialEq for Sample {
-    /// Equality of the full growth contract: insertion order, sorted
-    /// view, and position map must all agree bit for bit (lazy caches and
-    /// counters excluded; the internal tier is irrelevant). Comparing
-    /// tiered samples materializes their flat views.
+    /// Equality of the full growth contract: insertion order and the
+    /// insertion ids of the sorted order must agree bit for bit (lazy
+    /// caches and counters excluded; the internal tier is irrelevant).
+    /// Equal values and ids imply an equal sorted view, so the runs are
+    /// compared id by id and nothing is materialized.
     fn eq(&self, other: &Self) -> bool {
         self.values == other.values
-            && self.sorted() == other.sorted()
-            && self.sorted_positions() == other.sorted_positions()
+            && self
+                .sorted_runs()
+                .flat_map(|r| r.ids)
+                .eq(other.sorted_runs().flat_map(|r| r.ids))
     }
 }
 
@@ -1070,6 +1038,11 @@ mod tests {
 
     fn s(v: &[f64]) -> Sample {
         Sample::new(v.to_vec()).unwrap()
+    }
+
+    /// The insertion ids of the sorted order, read through the runs.
+    fn sorted_ids(x: &Sample) -> Vec<u32> {
+        x.sorted_runs().flat_map(|r| r.ids.iter().copied()).collect()
     }
 
     #[test]
@@ -1189,13 +1162,13 @@ mod tests {
     }
 
     #[test]
-    fn sorted_positions_is_the_inverse_argsort() {
+    fn sorted_ids_are_the_stable_argsort() {
         let x = s(&[3.0, 1.0, 2.0, 1.0]);
         assert_eq!(x.sorted(), &[1.0, 1.0, 2.0, 3.0]);
         // Ties broken stably: the first 1.0 gets the earlier position.
-        assert_eq!(x.sorted_positions(), &[3, 0, 2, 1]);
-        for (i, &v) in x.values().iter().enumerate() {
-            assert_eq!(x.sorted()[x.sorted_positions()[i]], v);
+        assert_eq!(sorted_ids(&x), &[1, 3, 2, 0]);
+        for (r, &id) in sorted_ids(&x).iter().enumerate() {
+            assert_eq!(x.sorted()[r], x.values()[id as usize]);
         }
     }
 
@@ -1258,7 +1231,7 @@ mod tests {
         let rebuilt = Sample::new(concat).unwrap();
         assert_eq!(bulk.values(), pushed.values());
         assert_eq!(bulk.sorted(), pushed.sorted());
-        assert_eq!(bulk.sorted_positions(), pushed.sorted_positions());
+        assert_eq!(sorted_ids(&bulk), sorted_ids(&pushed));
         assert_eq!(bulk, rebuilt);
         assert_eq!(bulk.ingest_stats().bulk_merges, 1);
     }
@@ -1278,7 +1251,7 @@ mod tests {
         let flat = s(&vals);
         assert_eq!(tiered.values(), flat.values());
         assert_eq!(tiered.sorted(), flat.sorted());
-        assert_eq!(tiered.sorted_positions(), flat.sorted_positions());
+        assert_eq!(sorted_ids(&tiered), sorted_ids(&flat));
         assert_eq!(tiered.min(), flat.min());
         assert_eq!(tiered.max(), flat.max());
         for k in 0..vals.len() {
@@ -1329,18 +1302,20 @@ mod tests {
         let mut x = s(&vals);
         x.force_tiered_for_test(8);
         assert_eq!(x.ingest_stats().materializations, 0);
+        // Equality walks the runs: neither side builds a flat view.
+        let twin = x.clone();
+        assert!(x == twin);
+        assert_eq!(x.ingest_stats().materializations, 0);
+        assert_eq!(twin.ingest_stats().materializations, 0);
         let _ = x.sorted();
         let _ = x.sorted(); // cached — no recount
         assert_eq!(x.ingest_stats().materializations, 1);
-        let _ = x.sorted_positions();
-        assert_eq!(x.ingest_stats().materializations, 2);
-        x.push(1.5).unwrap(); // invalidates both views
+        x.push(1.5).unwrap(); // invalidates the view
         assert_eq!(x.sorted().len(), 65);
-        let pos = x.sorted_positions().to_vec();
-        assert_eq!(x.ingest_stats().materializations, 4);
-        // The rebuilt views are consistent.
-        for (i, &v) in x.values().iter().enumerate() {
-            assert_eq!(x.sorted()[pos[i]], v);
+        assert_eq!(x.ingest_stats().materializations, 2);
+        // The rebuilt view is consistent with the runs.
+        for (r, &id) in sorted_ids(&x).iter().enumerate() {
+            assert_eq!(x.sorted()[r], x.values()[id as usize]);
         }
     }
 
@@ -1380,7 +1355,7 @@ mod tests {
         let flat = s(&vals);
         assert_eq!(skewed.values(), flat.values());
         assert_eq!(skewed.sorted(), flat.sorted());
-        assert_eq!(skewed.sorted_positions(), flat.sorted_positions());
+        assert_eq!(sorted_ids(&skewed), sorted_ids(&flat));
     }
 
     #[test]
@@ -1407,7 +1382,7 @@ mod tests {
         let flat = s(&twin);
         assert_eq!(x.values(), flat.values());
         assert_eq!(x.sorted(), flat.sorted());
-        assert_eq!(x.sorted_positions(), flat.sorted_positions());
+        assert_eq!(sorted_ids(&x), sorted_ids(&flat));
         // The bulk path triggers the valve too.
         x.fragment_for_test(2, 8);
         x.extend_from_slice(&[9.0; 16]).unwrap();

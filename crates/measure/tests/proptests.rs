@@ -4,8 +4,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_measure::bootstrap::{
-    mean_ci, quantile_sorted, quantiles_from_counts, resample, resample_counts_into,
-    resample_id_counts_into, resample_into, QuantilePlan,
+    mean_ci, quantile_sorted, resample, resample_id_counts_into, resample_into, QuantilePlan,
 };
 use relperf_measure::compare::{
     BootstrapComparator, BootstrapConfig, MedianComparator, Outcome, SeededThreeWayComparator,
@@ -13,6 +12,11 @@ use relperf_measure::compare::{
 };
 use relperf_measure::ranksum::MannWhitneyComparator;
 use relperf_measure::Sample;
+
+/// The insertion ids of the sorted order, read through the runs.
+fn sorted_ids(s: &Sample) -> Vec<u32> {
+    s.sorted_runs().flat_map(|r| r.ids.iter().copied()).collect()
+}
 
 fn finite_values() -> impl Strategy<Value = Vec<f64>> {
     vec(0.001f64..1_000.0, 1..200)
@@ -117,7 +121,8 @@ proptest! {
             .collect();
         expanded.sort_by(|x, y| x.partial_cmp(y).unwrap());
 
-        let plan = QuantilePlan::new(&quantiles, expanded.len());
+        let mut plan = QuantilePlan::default();
+        plan.prepare(&quantiles, expanded.len());
         let (mut stats, mut out) = (Vec::new(), Vec::new());
         plan.extract_sample_into(&s, &counts, &mut stats, &mut out);
         prop_assert_eq!(out.len(), quantiles.len());
@@ -225,10 +230,11 @@ proptest! {
         qb in 0.0f64..1.0,
     ) {
         // The comparator fast path in one property: drawing a resample as
-        // a count vector over sorted positions and reading quantiles by
-        // cumulative walk must be BIT-identical (== on f64, no epsilon)
-        // to materializing the same seeded resample, sorting it, and
-        // calling quantile_sorted — for arbitrary samples and quantiles.
+        // a tally over insertion ids and reading quantiles through the
+        // sorted runs must be BIT-identical (== on f64, no epsilon) to
+        // materializing the same seeded resample, sorting it, and calling
+        // quantile_sorted — for arbitrary samples and quantiles. The tally
+        // must consume the RNG exactly as resample_into does.
         let s = Sample::new(values).unwrap();
 
         let mut buf = Vec::new();
@@ -236,11 +242,15 @@ proptest! {
         buf.sort_by(|x, y| x.partial_cmp(y).unwrap());
 
         let mut counts = Vec::new();
-        resample_counts_into(&mut StdRng::seed_from_u64(seed), &s, &mut counts);
+        resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &s, &mut counts);
         prop_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), s.len());
 
         let quantiles = [qa, qb, 0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
-        let fast = quantiles_from_counts(s.sorted(), &counts, &quantiles);
+        let mut plan = QuantilePlan::default();
+        plan.prepare(&quantiles, s.len());
+        let (mut stats, mut fast) = (Vec::new(), Vec::new());
+        plan.extract_sample_into(&s, &counts, &mut stats, &mut fast);
+        prop_assert_eq!(fast.len(), quantiles.len());
         for (i, &q) in quantiles.iter().enumerate() {
             prop_assert_eq!(fast[i], quantile_sorted(&buf, q), "q = {}", q);
         }
@@ -249,7 +259,7 @@ proptest! {
     #[test]
     fn incremental_push_equals_batch_construction(values in finite_values()) {
         // A sample grown one push at a time must be bit-identical — values,
-        // sorted view, position map, quantiles — to one built by
+        // sorted view, insertion ids, quantiles — to one built by
         // Sample::new from the same prefix, at every prefix length. This
         // is the invariant that keeps the count-vector comparator fast
         // path valid mid-stream.
@@ -259,7 +269,7 @@ proptest! {
             let rebuilt = Sample::new(values[..=i].to_vec()).unwrap();
             prop_assert_eq!(grown.values(), rebuilt.values());
             prop_assert_eq!(grown.sorted(), rebuilt.sorted());
-            prop_assert_eq!(grown.sorted_positions(), rebuilt.sorted_positions());
+            prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
         }
         let rebuilt = Sample::new(values).unwrap();
         for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0] {
@@ -276,7 +286,7 @@ proptest! {
     ) {
         // The ingest-engine growth contract: a sample grown by bulk
         // gallop-merge waves (any batch split, flat or tiered index) must
-        // be bit-identical — values, sorted view, position map — to one
+        // be bit-identical — values, sorted view, insertion ids — to one
         // grown by per-element push AND to one built by Sample::new from
         // the concatenation, after every wave.
         let mut bulk = Sample::new(base.clone()).unwrap();
@@ -294,10 +304,10 @@ proptest! {
             let rebuilt = Sample::new(all.clone()).unwrap();
             prop_assert_eq!(bulk.values(), pushed.values());
             prop_assert_eq!(bulk.sorted(), pushed.sorted());
-            prop_assert_eq!(bulk.sorted_positions(), pushed.sorted_positions());
+            prop_assert_eq!(sorted_ids(&bulk), sorted_ids(&pushed));
             prop_assert_eq!(bulk.values(), rebuilt.values());
             prop_assert_eq!(bulk.sorted(), rebuilt.sorted());
-            prop_assert_eq!(bulk.sorted_positions(), rebuilt.sorted_positions());
+            prop_assert_eq!(sorted_ids(&bulk), sorted_ids(&rebuilt));
             // Running moments ride the same insertion-order fold.
             prop_assert_eq!(bulk.mean(), pushed.mean());
             prop_assert_eq!(bulk.variance(), pushed.variance());

@@ -381,8 +381,8 @@ pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         for _ in 0..len {
             values.push(r.f64()?);
         }
-        // Rebuilding through `Sample::new` re-derives the cached sorted
-        // view and position map, so the restored sample is bit-identical
+        // Rebuilding through `Sample::new` re-derives the sorted index
+        // (view and insertion ids), so the restored sample is bit-identical
         // to the exported one (the `Sample` growth invariant).
         let sample =
             Sample::new(values).map_err(|_| SnapshotError::Malformed("non-finite sample value"))?;

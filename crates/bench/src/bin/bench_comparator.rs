@@ -13,9 +13,14 @@
 //!   on a tiered pair, and the clustering repetition loop on one thread
 //!   against all cores (asserted bit-identical before timing);
 //! * `timings` — single medians of the layers the pipeline is built from:
-//!   bootstrap resampling, the median comparator, the platform simulator,
-//!   the three-way sort and Procedure 4, and the full
-//!   measure → compare → cluster pipeline of both paper experiments.
+//!   the per-round split of the replay's overlapping comparisons (the
+//!   ones the certificate leaves to the rounds: RNG draws, tally scatter,
+//!   both rank passes, vote plus lock-in, each the difference between
+//!   two cumulative replays and read per round; the meta counts them),
+//!   a two-thread fork/join, bootstrap resampling, the median
+//!   comparator, the platform simulator, the three-way sort and
+//!   Procedure 4, and the full measure → compare → cluster pipeline of
+//!   both paper experiments.
 //!
 //! Run from the workspace root:
 //!
@@ -29,12 +34,13 @@ use relperf_bench::{median_pair, median_secs, noisy_sample, paper_comparator, ro
 use relperf_core::cluster::{relative_scores_seeded, ClusterConfig, Parallelism};
 use relperf_core::session::ClusterSession;
 use relperf_core::sort::sort;
-use relperf_measure::bootstrap::{mean_ci, resample};
+use relperf_measure::bootstrap::{mean_ci, resample, resample_id_counts_into, QuantilePlan};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, MedianComparator, Scratch};
 use relperf_measure::{
     stream_seed, Outcome, Sample, ScratchThreeWayComparator, SeededThreeWayComparator,
     ThreeWayComparator,
 };
+use relperf_parallel::parallel_map_indexed_with;
 use relperf_workloads::experiment::{cluster_measurements_seeded, measure_all_seeded, Experiment};
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -149,6 +155,128 @@ fn solo_wave_jobs(comparator: &BootstrapComparator, campaigns: u64) -> (Vec<Samp
     recording.log.into_inner().expect("recorder lock")
 }
 
+/// How far [`replay_rounds`] runs each bootstrap round; each phase adds
+/// one step of the comparator's round to the one before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    /// Both sides' `n` uniform index draws, folded into a checksum.
+    Draws,
+    /// The draws scattered into the insertion-order tallies.
+    Tally,
+    /// Plus both sides' quantile reads (rank passes at these sizes).
+    RankPasses,
+    /// Plus the dominance vote and the repetition lock-in: the whole
+    /// comparison.
+    Vote,
+}
+
+/// Replays `jobs` through the public pieces of
+/// [`BootstrapComparator`]'s round, up to `phase`. `Phase::Vote` runs
+/// each comparison to its lock-in as the comparator does and returns
+/// every job's rounds and outcome; the earlier phases run `rounds[i]`
+/// rounds of job `i` and return `None` outcomes. Every phase seeds each
+/// job's RNG stream as the comparator does (so that cost lands in the
+/// draws).
+fn replay_rounds(
+    comparator: &BootstrapComparator,
+    base_seed: u64,
+    samples: &[Sample],
+    jobs: &[Job],
+    rounds: &[usize],
+    phase: Phase,
+) -> Vec<(usize, Option<Outcome>)> {
+    let config = comparator.config();
+    let reps = config.reps;
+    let q = config.quantiles.len();
+    let needed = ((config.dominance * q as f64).ceil() as usize).max(1);
+    let decide = |wins_a: usize, wins_b: usize| {
+        let (pa, pb) = (wins_a as f64 / reps as f64, wins_b as f64 / reps as f64);
+        if pa - pb > config.threshold {
+            Outcome::Better
+        } else if pb - pa > config.threshold {
+            Outcome::Worse
+        } else {
+            Outcome::Equivalent
+        }
+    };
+    let (mut counts, mut stats) = (Vec::new(), Vec::new());
+    let (mut q_a, mut q_b) = (Vec::new(), Vec::new());
+    let (mut plan_a, mut plan_b) = (QuantilePlan::default(), QuantilePlan::default());
+    let mut checksum = 0usize;
+    let mut out = Vec::with_capacity(jobs.len());
+    for (i, &(stream, a, b)) in jobs.iter().enumerate() {
+        let (a, b) = (&samples[a], &samples[b]);
+        let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, stream));
+        if phase < Phase::Tally {
+            for _ in 0..rounds[i] {
+                for n in [a.len(), b.len()] {
+                    for _ in 0..n {
+                        checksum ^= rng.random_range(0..n);
+                    }
+                }
+            }
+            out.push((rounds[i], None));
+            continue;
+        }
+        if phase < Phase::RankPasses {
+            for _ in 0..rounds[i] {
+                resample_id_counts_into(&mut rng, a, &mut counts);
+                resample_id_counts_into(&mut rng, b, &mut counts);
+            }
+            out.push((rounds[i], None));
+            continue;
+        }
+        plan_a.prepare(&config.quantiles, a.len());
+        plan_b.prepare(&config.quantiles, b.len());
+        let (mut wins_a, mut wins_b, mut done) = (0usize, 0usize, 0usize);
+        while done < reps {
+            resample_id_counts_into(&mut rng, a, &mut counts);
+            plan_a.extract_sample_into(a, &counts, &mut stats, &mut q_a);
+            resample_id_counts_into(&mut rng, b, &mut counts);
+            plan_b.extract_sample_into(b, &counts, &mut stats, &mut q_b);
+            done += 1;
+            if phase < Phase::Vote {
+                if done == rounds[i] {
+                    break;
+                }
+                continue;
+            }
+            // The comparator's early-exit vote.
+            let (mut votes_a, mut votes_b) = (0usize, 0usize);
+            for k in 0..q {
+                let gap = config.margin * q_a[k].abs().min(q_b[k].abs());
+                if q_a[k] < q_b[k] - gap {
+                    votes_a += 1;
+                } else if q_b[k] < q_a[k] - gap {
+                    votes_b += 1;
+                }
+                if votes_a >= needed {
+                    wins_a += 1;
+                    break;
+                }
+                let rem = q - k - 1;
+                if votes_a + rem < needed {
+                    if votes_b >= needed {
+                        wins_b += 1;
+                        break;
+                    }
+                    if votes_b + rem < needed {
+                        break;
+                    }
+                }
+            }
+            let rem = reps - done;
+            if decide(wins_a, wins_b + rem) == decide(wins_a + rem, wins_b) {
+                break;
+            }
+        }
+        let outcome = (phase == Phase::Vote).then(|| decide(wins_a, wins_b));
+        out.push((done, outcome));
+    }
+    black_box(checksum);
+    out
+}
+
 /// Comparator answering by a fixed quality level per algorithm.
 fn by_level(levels: &[usize]) -> impl Fn(usize, usize) -> Outcome + Sync + '_ {
     move |a, b| match levels[a].cmp(&levels[b]) {
@@ -214,7 +342,8 @@ fn main() {
     // The comparisons of real session waves, replayed: unlike the
     // single-pair rows above, they change pair and sample size from one
     // comparison to the next, as a wave does.
-    let comparator = paper_comparator(stream_seed(1, 0x00C0_FFEE));
+    let replay_seed = stream_seed(1, 0x00C0_FFEE);
+    let comparator = paper_comparator(replay_seed);
     let (samples, jobs) = solo_wave_jobs(&comparator, 8);
     let replay_reference = || {
         jobs.iter()
@@ -243,20 +372,97 @@ fn main() {
             black_box(replay_fast());
         },
     );
-    // The share of those comparisons the range certificate decides
-    // without a round.
-    let certified = jobs
-        .iter()
-        .filter(|&&(_, a, b)| {
-            comparator
-                .range_certificate(&samples[a], &samples[b])
-                .is_some()
-        })
-        .count();
     let per_job = |t: f64| t / jobs.len() as f64;
     entries.push(pair(
         "compare/solo_waves".to_string(),
         (per_job(before_s), per_job(after_s)),
+    ));
+
+    // The comparisons the range certificate leaves to the rounds, split
+    // per round. The full replay must reach the comparator's outcomes
+    // before anything is timed.
+    let overlap: Vec<Job> = jobs
+        .iter()
+        .copied()
+        .filter(|&(_, a, b)| {
+            comparator
+                .range_certificate(&samples[a], &samples[b])
+                .is_none()
+        })
+        .collect();
+    let certified = jobs.len() - overlap.len();
+    let replay = |rounds: &[usize], phase| {
+        replay_rounds(&comparator, replay_seed, &samples, &overlap, rounds, phase)
+    };
+    let full = replay(&[], Phase::Vote);
+    let mut scratch = Scratch::new();
+    for (&(s, a, b), &(_, outcome)) in overlap.iter().zip(&full) {
+        let expected = comparator.compare_seeded_scratch(&mut scratch, &samples[a], &samples[b], s);
+        assert_eq!(
+            outcome,
+            Some(expected),
+            "the split replay must reach the comparator's outcome"
+        );
+    }
+    let rounds: Vec<usize> = full.iter().map(|&(r, _)| r).collect();
+    let total_rounds: usize = rounds.iter().sum();
+    let total_draws: usize = overlap
+        .iter()
+        .zip(&rounds)
+        .map(|(&(_, a, b), &r)| r * (samples[a].len() + samples[b].len()))
+        .sum();
+    // Interleave the phases run by run so host drift spreads over all
+    // four, then difference the cumulative medians.
+    let phases = [Phase::Draws, Phase::Tally, Phase::RankPasses, Phase::Vote];
+    let mut times: [Vec<f64>; 4] = Default::default();
+    for run in 0..10 {
+        for (t, &phase) in times.iter_mut().zip(&phases) {
+            let started = std::time::Instant::now();
+            black_box(replay(&rounds, phase));
+            if run > 0 {
+                t.push(started.elapsed().as_secs_f64());
+            }
+        }
+    }
+    let cumulative: Vec<f64> = times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2] / total_rounds as f64
+        })
+        .collect();
+    let steps = ["draws", "tally_scatter", "rank_passes", "vote_lock_in"];
+    for (k, name) in steps.iter().enumerate() {
+        let before = if k == 0 { 0.0 } else { cumulative[k - 1] };
+        timings.push(timing(format!("round/{name}"), cumulative[k] - before));
+    }
+    let mut scratch = Scratch::new();
+    timings.push(timing(
+        "round/comparator".to_string(),
+        median_secs(9, || {
+            for &(s, a, b) in &overlap {
+                black_box(comparator.compare_seeded_scratch(
+                    &mut scratch,
+                    &samples[a],
+                    &samples[b],
+                    s,
+                ));
+            }
+        }) / total_rounds as f64,
+    ));
+
+    // What `Score`'s fan-out pays per call on two threads: one scoped
+    // spawn and join around trivial work.
+    timings.push(timing(
+        "parallel/fork_join".to_string(),
+        per_call(64, || {
+            black_box(parallel_map_indexed_with(
+                2,
+                Parallelism::with_threads(2),
+                || (),
+                |(), i| i,
+            ));
+        }),
     ));
 
     // A tiered pair (n > Sample::TIER_THRESHOLD): the walk rides the leaf
@@ -476,6 +682,9 @@ fn main() {
             "units" => "seconds",
             "solo_wave_jobs" => jobs.len(),
             "solo_wave_certified" => certified,
+            "overlap_jobs" => overlap.len(),
+            "overlap_rounds_per_job" => total_rounds as f64 / overlap.len() as f64,
+            "overlap_draws_per_round" => total_draws as f64 / total_rounds as f64,
         ],
     )
         .table("entries", entries)

@@ -1,24 +1,36 @@
 //! Machine-readable benchmark of the durability layer: journal append
-//! throughput under group commit, and recovery (replay) time as a
-//! function of journal length. Writes `BENCH_recovery.json`.
+//! throughput under group commit, recovery (replay) time as a function
+//! of journal length, and the set-up of a 16-shard journaled service.
+//! Writes `BENCH_recovery.json`.
 //!
-//! Two sweeps:
+//! Three sweeps:
 //!
 //! 1. **Append throughput** — one session on a file-backed journal
-//!   (`FileJournalStore` in a temp directory), admitting single-`Push`
-//!   groups as fast as the journal accepts them, at `group_commit`
-//!   1 / 8 / 64. Every admission appends one record; a sync (real
-//!   `fdatasync`) lands every `group_commit` ops, so the sweep shows how
-//!   group commit amortises the sync cost. The timed section is admission
-//!   only — execution runs untimed afterwards.
+//!    (`FileJournalStore` in a temp directory), admitting single-`Push`
+//!    groups as fast as the journal accepts them, at `group_commit`
+//!    1 / 8 / 64. Every admission appends one record; a sync (real
+//!    `fdatasync`) lands every `group_commit` ops, so the sweep shows how
+//!    group commit amortises the sync cost. The timed section is admission
+//!    only — execution runs untimed afterwards.
 //!
 //! 2. **Recovery time vs journal length** — a scripted session (pushes
-//!   with a `Score` every 50 ops, no compaction) journaled to in-memory
-//!   stores, then recovered. Before any timing, the same script is
-//!   recovered once on an identical store set and its probe wave is
-//!   asserted **bit-identical** to a crash-free golden run; only then is
-//!   a fresh, identical store set timed. Recovery here is pure replay —
-//!   the time scales with the journal, not with disk.
+//!    with a `Score` every 50 ops, no compaction) journaled to in-memory
+//!    stores, then recovered. Before any timing, the same script is
+//!    recovered once on an identical store set and its probe wave is
+//!    asserted **bit-identical** to a crash-free golden run; only then is
+//!    a fresh, identical store set timed. Recovery here is pure replay —
+//!    the time scales with the journal, not with disk.
+//!
+//! 3. **Set-up over 16 shards** — `SessionService::with_journal` and
+//!    `SessionService::recover` over one `FileJournalStore` per shard in a
+//!    temp directory, which is what a service start or a crash restart
+//!    pays before it admits anything: mostly the fresh checkpoint each
+//!    shard installs (four fsyncs each). The shards install concurrently;
+//!    the `compact_serial` row runs the same 16 installs one shard after
+//!    another (interleaved with `compact_all` on the same service) as the
+//!    reference. Each row reports the quartiles of its runs.
+//!
+//! The first two sweeps use one shard, so their installs run inline.
 //!
 //! Run from the workspace root:
 //!
@@ -32,11 +44,20 @@ use relperf_core::cluster::Parallelism;
 use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
+use std::path::Path;
 use std::time::Instant;
 
 const APPEND_OPS: usize = 2_000;
 /// Journal lengths (in ops) swept by the recovery-time benchmark.
 const REPLAY_SIZES: [usize; 3] = [100, 1_000, 5_000];
+/// Shards of the set-up sweep, one file store each (the repo
+/// benchmark's service runs with 16).
+const SETUP_SHARDS: usize = 16;
+/// Sessions the recovered set-up service hosts, two per shard on
+/// average.
+const SETUP_SESSIONS: u64 = 32;
+/// Timed runs per set-up row.
+const SETUP_RUNS: usize = 21;
 
 fn config(group_commit: usize) -> JournalConfig {
     JournalConfig {
@@ -78,28 +99,21 @@ fn drive(service: &SessionService<BootstrapComparator>, n: usize) {
 /// the handles (flushed, service dropped).
 fn build_journal(n: usize) -> Vec<MemJournalStore> {
     let stores = mem_stores(1);
-    let service = SessionService::with_journal(
-        journal_comparator(),
-        Parallelism::auto(),
-        ServiceLimits::default(),
-        config(64),
-        boxed(&stores),
-    )
-    .expect("journaled service");
+    let service = journaled(boxed(&stores));
     drive(&service, n);
     service.flush_journals().expect("flush");
     stores
 }
 
 fn recover(
-    stores: &[MemJournalStore],
+    stores: Vec<Box<dyn JournalStore>>,
 ) -> (SessionService<BootstrapComparator>, RecoveryReport) {
     SessionService::recover(
         journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
         config(64),
-        boxed(stores),
+        stores,
     )
     .expect("recovery")
 }
@@ -138,7 +152,7 @@ fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
 fn bench_recovery(n: usize) -> Row {
     // Bit-identity first, on its own identical store set: the recovered
     // session's probe wave must equal a crash-free golden's.
-    let (recovered, report) = recover(&build_journal(n));
+    let (recovered, report) = recover(boxed(&build_journal(n)));
     assert!(report.replayed_ops > 0, "nothing replayed at n={n}");
     let golden = SessionService::new(
         journal_comparator(),
@@ -154,15 +168,126 @@ fn bench_recovery(n: usize) -> Row {
     );
 
     // Now time a fresh, identical store set.
-    let stores = build_journal(n);
+    let stores = boxed(&build_journal(n));
     let started = Instant::now();
-    let (_service, report) = recover(&stores);
+    let (_service, report) = recover(stores);
     let recover_s = started.elapsed().as_secs_f64();
     row![
         "journal_ops" => n,
         "replayed_ops" => report.replayed_ops,
         "recover_ms" => recover_s * 1e3,
         "replay_ops_per_s" => report.replayed_ops as f64 / recover_s,
+    ]
+}
+
+/// One `FileJournalStore` per set-up shard under `dir`.
+fn file_stores(dir: &Path) -> Vec<Box<dyn JournalStore>> {
+    (0..SETUP_SHARDS)
+        .map(|i| {
+            let store = FileJournalStore::open(dir.join(format!("shard-{i:02}"))).expect("open");
+            Box::new(store) as Box<dyn JournalStore>
+        })
+        .collect()
+}
+
+fn journaled(stores: Vec<Box<dyn JournalStore>>) -> SessionService<BootstrapComparator> {
+    SessionService::with_journal(
+        journal_comparator(),
+        Parallelism::auto(),
+        ServiceLimits::default(),
+        config(64),
+        stores,
+    )
+    .expect("journaled service")
+}
+
+/// `SETUP_SESSIONS` sessions spread over the shards, each fed the first
+/// 20 ops of the script, then flushed: the state the recover row
+/// restores.
+fn populate(service: &SessionService<BootstrapComparator>) {
+    for tenant in 1..=SETUP_SESSIONS {
+        service.create_session(tenant, 1, SessionSpec::new(2, 7)).expect("create");
+        service.submit_all(tenant, 1, (0..20).map(op).collect()).expect("admission");
+    }
+    service.run_batch();
+    service.flush_journals().expect("flush");
+}
+
+/// The quartiles of `times_s` as a set-up row, in milliseconds.
+fn setup_row(op: &str, mut times_s: Vec<f64>, replayed_ops: usize) -> Row {
+    times_s.sort_by(f64::total_cmp);
+    let ms = |q: usize| times_s[(times_s.len() - 1) * q / 4] * 1e3;
+    row![
+        "op" => op,
+        "shards" => SETUP_SHARDS,
+        "replayed_ops" => replayed_ops,
+        "runs" => times_s.len(),
+        "p25_ms" => ms(1),
+        "median_ms" => ms(2),
+        "p75_ms" => ms(3),
+    ]
+}
+
+fn bench_setup(root: &Path) -> Vec<Row> {
+    let fresh = |name: String| {
+        let dir = root.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    // A fresh start: every shard installs an empty checkpoint.
+    let starts: Vec<f64> = (0..=SETUP_RUNS)
+        .map(|r| {
+            let stores = file_stores(&fresh(format!("start-{r}")));
+            let started = Instant::now();
+            let service = journaled(stores);
+            let elapsed = started.elapsed().as_secs_f64();
+            assert_eq!(service.stats().journal_compactions, SETUP_SHARDS as u64);
+            elapsed
+        })
+        .collect();
+
+    // A crash restart: load, replay and re-checkpoint every shard.
+    let mut replayed_ops = 0;
+    let restarts: Vec<f64> = (0..=SETUP_RUNS)
+        .map(|r| {
+            let dir = fresh(format!("restart-{r}"));
+            populate(&journaled(file_stores(&dir)));
+            let stores = file_stores(&dir);
+            let started = Instant::now();
+            let (service, report) = recover(stores);
+            let elapsed = started.elapsed().as_secs_f64();
+            assert_eq!(report.sessions, SETUP_SESSIONS as usize);
+            replayed_ops = report.replayed_ops;
+            assert_eq!(service.stats().journal_compactions, SETUP_SHARDS as u64);
+            elapsed
+        })
+        .collect();
+
+    // The same installs, one shard after another vs all at once, on one
+    // populated service.
+    let service = journaled(file_stores(&fresh("compact".to_string())));
+    populate(&service);
+    let serial = || {
+        for idx in 0..SETUP_SHARDS {
+            assert!(service.compact_shard(idx).expect("install"));
+        }
+    };
+    let fan_out = || assert_eq!(service.compact_all().expect("install"), SETUP_SHARDS);
+    let time = |f: &dyn Fn()| {
+        let started = Instant::now();
+        f();
+        started.elapsed().as_secs_f64()
+    };
+    let (serials, fan_outs): (Vec<f64>, Vec<f64>) =
+        (0..=SETUP_RUNS).map(|_| (time(&serial), time(&fan_out))).unzip();
+    let _ = std::fs::remove_dir_all(root);
+
+    // Each list's first run is the warmup.
+    vec![
+        setup_row("with_journal", starts[1..].to_vec(), 0),
+        setup_row("recover", restarts[1..].to_vec(), replayed_ops),
+        setup_row("compact_serial", serials[1..].to_vec(), 0),
+        setup_row("compact_all", fan_outs[1..].to_vec(), 0),
     ]
 }
 
@@ -177,9 +302,12 @@ fn main() {
 
     let recoveries: Vec<Row> = REPLAY_SIZES.iter().map(|&n| bench_recovery(n)).collect();
 
+    let setup = bench_setup(&root);
+
     let units = row![
         "append_throughput" => "admissions/s (file-backed, fdatasync every group_commit ops)",
         "recovery" => "ms to rebuild all sessions from checkpoint + replay (in-memory stores)",
+        "setup" => "ms per call over 16 file-backed shards (quartiles of the runs)",
     ];
     Report::new(
         "recovery",
@@ -190,5 +318,6 @@ fn main() {
     )
     .table("append", appends)
     .table("recovery", recoveries)
+    .table("setup", setup)
     .write();
 }

@@ -4,9 +4,11 @@
 //! may compare the same algorithm pair several times (a pair can become
 //! adjacent again after swaps in later passes). The paper's semantics only
 //! require a fresh stochastic comparison per *repetition* — within one
-//! repetition, re-asking the comparator about the same pair spends a full
-//! bootstrap (hundreds of resample-and-sort rounds) to re-answer a
-//! question it already answered. [`ComparisonCache`] memoizes the outcome
+//! repetition, re-asking the comparator about the same pair spends
+//! another comparison (for a pair whose ranges overlap, up to `reps`
+//! bootstrap rounds) to re-answer a question it already answered, and a
+//! stochastic comparator may even answer it differently.
+//! [`ComparisonCache`] memoizes the outcome
 //! per unordered pair for the duration of one repetition, enforcing
 //! antisymmetry (`cmp(b, a) == cmp(a, b).invert()`) as a side effect.
 //!

@@ -11,6 +11,12 @@
 //! lets the workspace guarantee "same seed → same clustering" regardless
 //! of thread count or scheduling.
 //!
+//! The engine has a second caller off the hot path: the session service
+//! installs every shard's journal checkpoint through
+//! [`parallel_map_indexed`], one thread per shard, since each install
+//! blocks in fsync rather than on a core. Results come back in shard
+//! order, so the lowest failing shard is the one reported.
+//!
 //! Serial execution is a run-time choice, not a build: on
 //! [`Parallelism::serial`] (or any config that resolves to one thread)
 //! [`parallel_map_indexed`] is a plain ordered loop on the calling thread.

@@ -258,7 +258,8 @@ pub enum RecoveryError {
     /// The post-recovery checkpoint (which makes the rebuilt state
     /// durable and truncates torn tails) failed to install.
     Checkpoint {
-        /// Index of the failing shard store.
+        /// Index of the failing shard store (the lowest, when several
+        /// fail: every shard attempts its install).
         shard: usize,
         /// The underlying rejection.
         error: ServiceError,

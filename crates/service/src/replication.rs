@@ -999,7 +999,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         stores: Vec<Box<dyn JournalStore>>,
     ) -> Result<(SessionService<C>, PromotionReport), ServiceError> {
         let (service, report) = self.promote(scheduler, limits)?;
-        service.attach_journals(config, stores)?;
+        service.attach_journals(config, stores).map_err(|(_, error)| error)?;
         Ok((service, report))
     }
 }

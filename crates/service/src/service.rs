@@ -555,12 +555,9 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     ) -> Result<Self, ServiceError> {
         assert!(!stores.is_empty(), "need at least one journal store");
         let service = Self::from_arc(Arc::new(comparator), stores.len(), scheduler, limits);
-        for (idx, store) in stores.into_iter().enumerate() {
-            service.shard(idx).journal = Some(ShardJournal::new(store, config));
-        }
         // Install empty checkpoints so every store holds a parseable
         // durable history from the first moment.
-        service.compact_all()?;
+        service.attach_journals(config, stores).map_err(|(_, error)| error)?;
         Ok(service)
     }
 
@@ -1250,13 +1247,14 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     }
 
     /// Attaches one journal per shard and installs fresh checkpoints —
-    /// the `with_journal` tail shared with follower promotion, which
-    /// builds the service first and makes it durable after.
+    /// the tail `with_journal`, `recover` and follower promotion share
+    /// (each builds the service first and makes it durable after). On
+    /// failure, names the lowest-index shard whose install failed.
     pub(crate) fn attach_journals(
         &self,
         config: JournalConfig,
         stores: Vec<Box<dyn JournalStore>>,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<(), (usize, ServiceError)> {
         assert_eq!(
             stores.len(),
             self.shards.len(),
@@ -1265,8 +1263,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         for (idx, store) in stores.into_iter().enumerate() {
             self.shard(idx).journal = Some(ShardJournal::new(store, config));
         }
-        self.compact_all()?;
-        Ok(())
+        self.compact_shards().map(drop)
     }
 
     /// Appends a divergence-detection
@@ -1345,14 +1342,29 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         self.compact_locked(&mut guard)
     }
 
-    /// [`compact_shard`](Self::compact_shard) over every shard; returns
-    /// how many shards installed a fresh checkpoint.
+    /// [`compact_shard`](Self::compact_shard) over every shard, all
+    /// shards at once; returns how many shards installed a fresh
+    /// checkpoint. Every shard attempts its install; on failure the
+    /// error is the lowest-index failing shard's.
     pub fn compact_all(&self) -> Result<usize, ServiceError> {
+        self.compact_shards().map_err(|(_, error)| error)
+    }
+
+    /// Runs [`compact_shard`](Self::compact_shard) on every shard
+    /// concurrently, one thread per shard: an install blocks in fsync,
+    /// not on a core, and the filesystem folds concurrent fsyncs into
+    /// shared journal commits, so the width is the shard count, not the
+    /// core count. Each shard's own install order is unchanged. Results
+    /// are read in shard order, so a failure names the lowest-index
+    /// failing shard; a one-shard service runs inline.
+    fn compact_shards(&self) -> Result<usize, (usize, ServiceError)> {
+        let n = self.shards.len();
+        let width = Parallelism { threads: n, chunk: 1 };
+        let results =
+            relperf_parallel::parallel_map_indexed(n, width, |idx| self.compact_shard(idx));
         let mut compacted = 0;
-        for idx in 0..self.shards.len() {
-            if self.compact_shard(idx)? {
-                compacted += 1;
-            }
+        for (idx, result) in results.into_iter().enumerate() {
+            compacted += usize::from(result.map_err(|error| (idx, error))?);
         }
         Ok(compacted)
     }
@@ -1645,17 +1657,12 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                     error,
                 })?;
         }
-        for (idx, store) in stores.into_iter().enumerate() {
-            service.shard(idx).journal = Some(ShardJournal::new(store, config));
-        }
         // A fresh checkpoint everywhere makes the recovered state — and
         // the truncation of any torn tail — durable before the service
         // accepts new work.
-        for idx in 0..service.shards.len() {
-            service
-                .compact_shard(idx)
-                .map_err(|error| RecoveryError::Checkpoint { shard: idx, error })?;
-        }
+        service
+            .attach_journals(config, stores)
+            .map_err(|(shard, error)| RecoveryError::Checkpoint { shard, error })?;
         Ok((service, report))
     }
 

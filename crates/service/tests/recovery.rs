@@ -230,8 +230,10 @@ fn crash_at(
         assert_eq!(apply(&service, step), golden_outcomes[i]);
     }
 
-    // Arm every store: only the one the step touches fires; power_cycle
-    // disarms the rest.
+    // Arm every store: an admission step fires only the store it
+    // touches, a `Compact` step fires every store (shards compact
+    // concurrently and each attempts its install); power_cycle disarms
+    // the rest.
     for h in &handles {
         h.arm(point);
     }
@@ -400,6 +402,50 @@ fn mid_snapshot_crash_dedupes_replay() {
     );
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(recovered.session_status(1, 1).unwrap().waves, 1);
+}
+
+/// Shards compact concurrently, but failures still come back in shard
+/// order: with two armed stores, `compact_all` and the post-recovery
+/// checkpoint both name the lower shard, and every unarmed shard still
+/// installs its fresh checkpoint.
+#[test]
+fn concurrent_compaction_reports_the_lowest_failing_shard() {
+    const WIDE: usize = 16;
+    const ARMED: [usize; 2] = [3, 9];
+    let arm = |handles: &[MemJournalStore]| {
+        for idx in ARMED {
+            handles[idx].arm(CrashPoint::MidSnapshot);
+        }
+    };
+    let handles = handles(WIDE);
+    let service = journaled(&handles);
+    for tenant in 1..=8 {
+        service.create_session(tenant, 1, SessionSpec::new(2, tenant)).unwrap();
+    }
+    let installed = |h: &MemJournalStore| h.counters().2;
+    let before: Vec<u64> = handles.iter().map(installed).collect();
+
+    arm(&handles);
+    let err = service.compact_all().unwrap_err();
+    assert!(matches!(err, ServiceError::Journal(JournalIoError::Crashed)), "{err}");
+    for (idx, h) in handles.iter().enumerate() {
+        let armed = ARMED.contains(&idx);
+        assert_eq!(h.crashed(), armed, "shard {idx}");
+        let fresh = installed(h) == before[idx] + 1;
+        assert_eq!(fresh, !armed, "shard {idx}: fresh checkpoint iff unarmed");
+    }
+    drop(service);
+
+    for h in &handles {
+        h.power_cycle();
+    }
+    arm(&handles);
+    match recover(&handles) {
+        Err(RecoveryError::Checkpoint { shard, .. }) => assert_eq!(shard, ARMED[0]),
+        Err(e) => panic!("expected a checkpoint failure, got {e}"),
+        Ok(_) => panic!("recovery must fail on the armed shards"),
+    }
+    assert!(ARMED.iter().all(|&idx| handles[idx].crashed()));
 }
 
 /// Mid-journal corruption (not a torn tail) is a typed error naming the

@@ -39,7 +39,9 @@
 //! ```
 
 use relperf_bench::report::{Report, Row};
-use relperf_bench::{boxed, journal_comparator, mem_stores, probe, row};
+use relperf_bench::{
+    boxed, drive_script, journal_comparator, journal_config, mem_stores, probe, row, script_op,
+};
 use relperf_core::cluster::Parallelism;
 use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
@@ -59,48 +61,12 @@ const SETUP_SESSIONS: u64 = 32;
 /// Timed runs per set-up row.
 const SETUP_RUNS: usize = 21;
 
-fn config(group_commit: usize) -> JournalConfig {
-    JournalConfig {
-        group_commit,
-        // Never compact during the sweeps: recovery must replay the
-        // whole journal, and appends must all hit the same stream.
-        compact_every: usize::MAX,
-    }
-}
-
-/// The deterministic script: op `i` is a `Score` every 50th op, otherwise
-/// a `Push` into algorithm `i % 2`. Pure function of `i`, so two runs
-/// build byte-identical journals.
-fn op(i: usize) -> SessionOp {
-    if i % 50 == 49 {
-        SessionOp::Score
-    } else {
-        SessionOp::Push {
-            alg: i % 2,
-            value: 1.0 + (i % 2) as f64 + (i % 7) as f64 * 0.01,
-        }
-    }
-}
-
-/// Drives the script on `service`, one admission group per op.
-fn drive(service: &SessionService<BootstrapComparator>, n: usize) {
-    service.create_session(1, 1, SessionSpec::new(2, 7)).expect("create");
-    for i in 0..n {
-        service.submit_all(1, 1, vec![op(i)]).expect("admission");
-        // Drain periodically so queue depth never interferes.
-        if i % 256 == 255 {
-            service.run_batch();
-        }
-    }
-    service.run_batch();
-}
-
 /// Builds the length-`n` journal on fresh in-memory stores and returns
 /// the handles (flushed, service dropped).
 fn build_journal(n: usize) -> Vec<MemJournalStore> {
     let stores = mem_stores(1);
     let service = journaled(boxed(&stores));
-    drive(&service, n);
+    drive_script(&service, 1, n);
     service.flush_journals().expect("flush");
     stores
 }
@@ -112,7 +78,7 @@ fn recover(
         journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
-        config(64),
+        journal_config(64),
         stores,
     )
     .expect("recovery")
@@ -126,7 +92,7 @@ fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
         journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
-        config(group_commit),
+        journal_config(group_commit),
         vec![Box::new(store) as Box<dyn JournalStore>],
     )
     .expect("journaled service");
@@ -134,7 +100,7 @@ fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
 
     let started = Instant::now();
     for i in 0..APPEND_OPS {
-        service.submit_all(1, 1, vec![op(i)]).expect("admission");
+        service.submit_all(1, 1, vec![script_op(i, 1)]).expect("admission");
     }
     service.flush_journals().expect("flush");
     let total_s = started.elapsed().as_secs_f64();
@@ -160,10 +126,10 @@ fn bench_recovery(n: usize) -> Row {
         Parallelism::auto(),
         ServiceLimits::default(),
     );
-    drive(&golden, n);
+    drive_script(&golden, 1, n);
     assert_eq!(
-        probe(&recovered, 1),
-        probe(&golden, 1),
+        probe(&recovered, 0),
+        probe(&golden, 0),
         "recovered session diverged from the crash-free golden at n={n}"
     );
 
@@ -195,7 +161,7 @@ fn journaled(stores: Vec<Box<dyn JournalStore>>) -> SessionService<BootstrapComp
         journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
-        config(64),
+        journal_config(64),
         stores,
     )
     .expect("journaled service")
@@ -207,7 +173,8 @@ fn journaled(stores: Vec<Box<dyn JournalStore>>) -> SessionService<BootstrapComp
 fn populate(service: &SessionService<BootstrapComparator>) {
     for tenant in 1..=SETUP_SESSIONS {
         service.create_session(tenant, 1, SessionSpec::new(2, 7)).expect("create");
-        service.submit_all(tenant, 1, (0..20).map(op).collect()).expect("admission");
+        let ops = (0..20).map(|i| script_op(i, 1)).collect();
+        service.submit_all(tenant, 1, ops).expect("admission");
     }
     service.run_batch();
     service.flush_journals().expect("flush");

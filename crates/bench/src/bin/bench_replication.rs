@@ -30,7 +30,9 @@
 //! ```
 
 use relperf_bench::report::{Report, Row};
-use relperf_bench::{boxed, journal_comparator, mem_stores, probe, row};
+use relperf_bench::{
+    boxed, drive_script, journal_comparator, journal_config, mem_stores, probe, row,
+};
 use relperf_core::cluster::Parallelism;
 use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
@@ -47,44 +49,6 @@ const SEGMENT_SIZES: [usize; 3] = [1 << 12, 1 << 16, 1 << 20];
 /// Journal lengths (in ops) swept by the promotion-latency benchmark.
 const PROMOTE_SIZES: [usize; 3] = [100, 1_000, 5_000];
 
-fn config() -> JournalConfig {
-    JournalConfig {
-        group_commit: 1,
-        // Never compact: the whole script must ship as one record stream.
-        compact_every: usize::MAX,
-    }
-}
-
-/// The deterministic script: op `i` lands on session `i % SESSIONS` and
-/// is a `Score` every 50th op, otherwise a `Push` whose algorithm
-/// alternates per round-robin round (so every session feeds both
-/// algorithms). Pure function of `i`, so two runs build byte-identical
-/// journals.
-fn op(i: usize) -> SessionOp {
-    let alg = (i / SESSIONS as usize) % 2;
-    if i % 50 == 49 {
-        SessionOp::Score
-    } else {
-        SessionOp::Push {
-            alg,
-            value: 1.0 + alg as f64 + (i % 7) as f64 * 0.01,
-        }
-    }
-}
-
-fn drive(service: &SessionService<BootstrapComparator>, n: usize) {
-    for s in 0..SESSIONS {
-        service.create_session(1, s, SessionSpec::new(2, 7 + s)).expect("create");
-    }
-    for i in 0..n {
-        service.submit_all(1, i as u64 % SESSIONS, vec![op(i)]).expect("admission");
-        if i % 256 == 255 {
-            service.run_batch();
-        }
-    }
-    service.run_batch();
-}
-
 /// Drives the script on a shipper-tapped leader (digests emitted when
 /// asked), leaving everything durable in the outboxes. Returns the store
 /// handles (for byte accounting) and the armed shipper.
@@ -100,11 +64,11 @@ fn shipped_journal(
         journal_comparator(),
         Parallelism::auto(),
         ServiceLimits::default(),
-        config(),
+        journal_config(1),
         stores,
     )
     .expect("journaled leader");
-    drive(&service, n);
+    drive_script(&service, SESSIONS, n);
     service.flush_journals().expect("flush");
     if digests {
         service.emit_digests().expect("digests");
@@ -191,7 +155,7 @@ fn main() {
             Parallelism::auto(),
             ServiceLimits::default(),
         );
-        drive(&golden, 1_000);
+        drive_script(&golden, SESSIONS, 1_000);
         for s in 0..SESSIONS {
             assert_eq!(
                 probe(&promoted, s),

@@ -15,7 +15,8 @@ use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_measure::Sample;
 use relperf_service::{
-    JournalStore, MemJournalStore, OpOutcome, SessionOp, SessionService, WaveOutcome,
+    JournalConfig, JournalStore, MemJournalStore, OpOutcome, SessionOp, SessionService,
+    SessionSpec, WaveOutcome,
 };
 use relperf_workloads::experiment::{
     cluster_measurements_seeded, measure_all_seeded, Experiment, MeasuredAlgorithm,
@@ -106,6 +107,51 @@ pub fn journal_comparator() -> BootstrapComparator {
             ..Default::default()
         },
     )
+}
+
+/// The durability benches' journal settings: syncs every `group_commit`
+/// ops and never compacts, so recovery replays, and the shipper ships,
+/// the whole journal.
+pub fn journal_config(group_commit: usize) -> JournalConfig {
+    JournalConfig {
+        group_commit,
+        compact_every: usize::MAX,
+    }
+}
+
+/// Op `i` of the durability benches' script over `sessions` sessions: it
+/// lands on session `i % sessions` and is a `Score` every 50th op,
+/// otherwise a `Push` whose algorithm alternates per round-robin round
+/// (so every session feeds both algorithms). A pure function of `i`, so
+/// two runs build byte-identical journals.
+pub fn script_op(i: usize, sessions: u64) -> SessionOp {
+    let alg = (i / sessions as usize) % 2;
+    if i % 50 == 49 {
+        SessionOp::Score
+    } else {
+        SessionOp::Push {
+            alg,
+            value: 1.0 + alg as f64 + (i % 7) as f64 * 0.01,
+        }
+    }
+}
+
+/// Creates tenant 1's sessions `0..sessions` (session `s` seeded `7 + s`)
+/// and admits the first `n` [`script_op`]s, one group each, draining
+/// every 256 ops so queue depth never interferes.
+pub fn drive_script(service: &SessionService<BootstrapComparator>, sessions: u64, n: usize) {
+    for s in 0..sessions {
+        service.create_session(1, s, SessionSpec::new(2, 7 + s)).expect("create");
+    }
+    for i in 0..n {
+        service
+            .submit_all(1, i as u64 % sessions, vec![script_op(i, sessions)])
+            .expect("admission");
+        if i % 256 == 255 {
+            service.run_batch();
+        }
+    }
+    service.run_batch();
 }
 
 /// `n` fresh in-memory journal stores.

@@ -357,14 +357,7 @@ pub fn encode_record(record: &JournalRecord) -> Vec<u8> {
             enc_bytes(&mut w, snapshot);
         }
         JournalRecord::Ops { tenant, session, first_seq, ops } => {
-            w.u8(2);
-            w.u64(*tenant);
-            w.u64(*session);
-            w.u64(*first_seq);
-            w.u64(ops.len() as u64);
-            for op in ops {
-                enc_op(&mut w, op);
-            }
+            return encode_ops_record(*tenant, *session, *first_seq, ops);
         }
         JournalRecord::Checkpoint { seq_floor, sessions } => {
             w.u8(3);

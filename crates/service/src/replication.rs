@@ -9,13 +9,16 @@
 //! bytes the journal makes durable, cuts them into `SHIP` segments (one
 //! envelope per shard lane carrying a segment sequence number and a
 //! cumulative FNV-1a digest of the whole shipped stream), and delivers
-//! them through a [`SegmentTransport`]. A [`Follower`] replays the
-//! records through the same executor recovery uses into a warm standby
-//! session set and acks the highest contiguously applied segment (the
-//! **watermark**); the shipper retransmits everything above the ack, so
-//! drops, duplicates, bounded reordering, truncation, and bit flips on
-//! the transport all heal — or surface as a typed
-//! [`ReplicationError`], never a panic.
+//! them through a [`SegmentTransport`]. A [`Follower`] applies the
+//! records into a warm standby session set through the one record
+//! applier crash recovery uses, and acks the highest contiguously applied
+//! segment (the **watermark**); the shipper retransmits everything above
+//! the ack, so drops, duplicates, bounded reordering, truncation, and bit
+//! flips on the transport all heal — or surface as a typed
+//! [`ReplicationError`], never a panic. Only two replay policies differ
+//! from recovery's: a create or restore for a session the replica
+//! already holds fails it typed rather than being skipped, and digest
+//! records are verified rather than skipped.
 //!
 //! # Envelope layout
 //!
@@ -60,15 +63,12 @@ use crate::journal::{
     self, JournalConfig, JournalError, JournalIoError, JournalRecord, JournalStore, StoredShard,
 };
 use crate::service::{
-    build_session, rebuild_session, run_op, session_checksum, OpOutcome, ServiceLimits,
-    SessionKey, SessionService, SharedComparator,
+    session_checksum, shard_for, Replay, ServiceLimits, SessionKey, SessionService,
 };
 use crate::snapshot::{fnv1a64, fnv1a64_from, FNV_OFFSET};
-use crate::stats::StatCounters;
 use relperf_core::cluster::Parallelism;
-use relperf_core::session::ClusterSession;
-use relperf_measure::{stream_seed, ScratchThreeWayComparator};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use relperf_measure::ScratchThreeWayComparator;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -555,12 +555,6 @@ pub enum ReplicaState {
     Failed(ReplicationError),
 }
 
-/// One replicated session: the warm standby state plus its applied mark.
-struct Replica<C: ScratchThreeWayComparator + Send + Sync> {
-    session: ClusterSession<SharedComparator<C>>,
-    last_applied: Option<u64>,
-}
-
 /// One lane's replay state.
 struct FollowerLane {
     /// The segment seq the lane applies next (first segment is 1).
@@ -598,24 +592,18 @@ pub struct PromotionReport {
 /// The follower half of replication: replays shipped segments into a
 /// warm standby session set (see the [module docs](self)).
 pub struct Follower<C: ScratchThreeWayComparator + Send + Sync> {
-    comparator: Arc<C>,
     lanes: Vec<FollowerLane>,
-    sessions: HashMap<SessionKey, Replica<C>>,
-    /// Strictly above every applied op seq (the promoted service resumes
-    /// here).
-    next_seq: u64,
+    /// The warm standby sessions.
+    replay: Replay<C>,
     state: ReplicaState,
-    /// Replay discards responses; scratch counters keep `run_op` honest.
-    scratch: StatCounters,
     applied_segments: u64,
-    applied_ops: u64,
 }
 
 impl<C: ScratchThreeWayComparator + Send + Sync> fmt::Debug for Follower<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Follower")
             .field("lanes", &self.lanes.len())
-            .field("sessions", &self.sessions.len())
+            .field("sessions", &self.replay.sessions.len())
             .field("state", &self.state)
             .finish_non_exhaustive()
     }
@@ -630,7 +618,6 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
     pub fn new(comparator: C, shards: usize) -> Self {
         assert!(shards > 0, "need at least one lane");
         Follower {
-            comparator: Arc::new(comparator),
             lanes: (0..shards)
                 .map(|_| FollowerLane {
                     expected: 1,
@@ -639,12 +626,9 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
                     parked: BTreeMap::new(),
                 })
                 .collect(),
-            sessions: HashMap::new(),
-            next_seq: 0,
+            replay: Replay::new(Arc::new(comparator)),
             state: ReplicaState::Following,
-            scratch: StatCounters::default(),
             applied_segments: 0,
-            applied_ops: 0,
         }
     }
 
@@ -655,7 +639,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
 
     /// Sessions currently replicated.
     pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
+        self.replay.sessions.len()
     }
 
     /// The lane's applied watermark (highest contiguously applied
@@ -670,9 +654,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
     /// The export checksum of one replicated session, if present — the
     /// same value a leader digest carries for it.
     pub fn session_checksum(&self, tenant: u64, session: u64) -> Option<u64> {
-        self.sessions
+        self.replay
+            .sessions
             .get(&SessionKey { tenant, session })
-            .map(|r| session_checksum(&r.session))
+            .map(|(live, _)| session_checksum(live))
     }
 
     /// Seals the replica: every further segment is rejected with
@@ -812,6 +797,11 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         Ok(())
     }
 
+    /// Applies one complete record. A record the shared [`Replay`]
+    /// rejects — a create or restore for a session the replica already
+    /// holds included — is a typed [`ReplicationError::Apply`]; digests
+    /// are verified here, and a checkpoint cannot appear in a shipped
+    /// stream.
     fn apply_record(
         &mut self,
         shard: usize,
@@ -819,76 +809,21 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         record: JournalRecord,
     ) -> Result<(), ReplicationError> {
         match record {
-            JournalRecord::Create { tenant, session, spec } => {
-                let key = SessionKey { tenant, session };
-                if self.sessions.contains_key(&key) {
-                    return Err(ReplicationError::Apply {
-                        tenant,
-                        session,
-                        what: "create for a session the replica already holds".to_string(),
-                    });
-                }
-                let built = build_session(&self.comparator, &spec)
-                    .map_err(|e| ReplicationError::Apply { tenant, session, what: e.to_string() })?;
-                self.sessions.insert(key, Replica { session: built, last_applied: None });
-            }
-            JournalRecord::Restore { tenant, session, snapshot } => {
-                let key = SessionKey { tenant, session };
-                if self.sessions.contains_key(&key) {
-                    return Err(ReplicationError::Apply {
-                        tenant,
-                        session,
-                        what: "restore for a session the replica already holds".to_string(),
-                    });
-                }
-                let built = rebuild_session(&self.comparator, &snapshot)
-                    .map_err(|e| ReplicationError::Apply { tenant, session, what: e.to_string() })?;
-                self.sessions.insert(key, Replica { session: built, last_applied: None });
-            }
-            JournalRecord::Ops { tenant, session, first_seq, ops } => {
-                self.next_seq = self.next_seq.max(first_seq + ops.len() as u64);
-                let key = SessionKey { tenant, session };
-                let Some(replica) = self.sessions.get_mut(&key) else {
-                    // Closed before these ops executed: the leader
-                    // answered them with typed errors and no state
-                    // change — skipping replays exactly that.
-                    return Ok(());
-                };
-                for (i, op) in ops.into_iter().enumerate() {
-                    let op_seq = first_seq + i as u64;
-                    if replica.last_applied.is_some_and(|mark| op_seq <= mark) {
-                        continue;
-                    }
-                    // Op-level typed errors replay the leader's own
-                    // behavior bit-for-bit (the state change, if any, is
-                    // identical), so they are not replication failures.
-                    // The follower applies on one thread, so each Score
-                    // may use every hardware thread.
-                    let result =
-                        run_op(&mut replica.session, op, Parallelism::auto(), &self.scratch);
-                    replica.last_applied = Some(op_seq);
-                    self.applied_ops += 1;
-                    if matches!(result, Ok(OpOutcome::Closed)) {
-                        self.sessions.remove(&key);
-                        break;
-                    }
-                }
-            }
-            JournalRecord::Checkpoint { .. } => {
-                return Err(ReplicationError::Records {
-                    shard: shard as u32,
-                    seq,
-                    error: JournalError::Corrupt {
-                        offset: 0,
-                        what: "checkpoint record in a shipped stream",
-                    },
-                });
-            }
-            JournalRecord::Digest { sessions } => {
-                self.verify_digest(shard, &sessions)?;
-            }
+            JournalRecord::Checkpoint { .. } => Err(ReplicationError::Records {
+                shard: shard as u32,
+                seq,
+                error: JournalError::Corrupt {
+                    offset: 0,
+                    what: "checkpoint record in a shipped stream",
+                },
+            }),
+            JournalRecord::Digest { sessions } => self.verify_digest(shard, &sessions),
+            record => self.replay.apply(record).map_err(|(key, e)| ReplicationError::Apply {
+                tenant: key.tenant,
+                session: key.session,
+                what: e.to_string(),
+            }),
         }
-        Ok(())
     }
 
     /// Checks a leader divergence digest against the replica's own
@@ -911,20 +846,19 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         };
         for d in digested {
             let key = SessionKey { tenant: d.tenant, session: d.session };
-            let Some(replica) = self.sessions.get(&key) else {
+            let Some((live, _)) = self.replay.sessions.get(&key) else {
                 return Err(diverged(d.tenant, d.session, d.checksum, 0));
             };
-            let found = session_checksum(&replica.session);
+            let found = session_checksum(live);
             if found != d.checksum {
                 return Err(diverged(d.tenant, d.session, d.checksum, found));
             }
         }
-        for key in self.sessions.keys() {
-            let here = (stream_seed(key.tenant, key.session) % self.lanes.len() as u64) as usize;
-            if here == shard
+        for (key, (live, _)) in &self.replay.sessions {
+            if shard_for(*key, self.lanes.len()) == shard
                 && !digested.iter().any(|d| d.tenant == key.tenant && d.session == key.session)
             {
-                let found = session_checksum(&self.sessions[key].session);
+                let found = session_checksum(live);
                 return Err(diverged(key.tenant, key.session, 0, found));
             }
         }
@@ -960,25 +894,18 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
             }
             ReplicaState::Failed(e) => return Err(ServiceError::Replication(e.clone())),
         }
-        let mut report = PromotionReport {
-            sessions: self.sessions.len(),
-            applied_ops: self.applied_ops,
+        let (applied_ops, next_seq) = (self.replay.replayed_ops as u64, self.replay.next_seq);
+        let service =
+            SessionService::install_replay(self.replay, self.lanes.len(), scheduler, limits)
+                .map_err(|(_, error)| error)?;
+        let report = PromotionReport {
+            sessions: service.num_sessions() + service.num_spilled(),
+            applied_ops,
             applied_segments: self.applied_segments,
             discarded_segments: self.lanes.iter().map(|l| l.parked.len()).sum(),
             truncated_bytes: self.lanes.iter().map(|l| l.buf.len()).sum(),
-            next_seq: self.next_seq,
+            next_seq,
         };
-        let service =
-            SessionService::from_arc(Arc::clone(&self.comparator), self.lanes.len(), scheduler, limits);
-        service.resume_seq(self.next_seq);
-        let mut sessions = self.sessions;
-        let mut keys: Vec<SessionKey> = sessions.keys().copied().collect();
-        keys.sort();
-        for key in keys {
-            let replica = sessions.remove(&key).expect("key just listed");
-            service.install_recovered(key, replica.session, replica.last_applied)?;
-        }
-        report.sessions = service.num_sessions() + service.num_spilled();
         service.stat_counters().record_recovery(
             report.applied_ops,
             u64::from(report.truncated_bytes > 0),

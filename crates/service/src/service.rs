@@ -84,7 +84,7 @@ use relperf_measure::{
     stream_seed, Outcome, Sample, ScratchThreeWayComparator, SeededThreeWayComparator,
     ThreeWayComparator,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -564,7 +564,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// The shard hosting `key` — a pure function of the key, so placement
     /// is stable across runs and processes.
     fn shard_of(&self, key: SessionKey) -> usize {
-        (stream_seed(key.tenant, key.session) % self.shards.len() as u64) as usize
+        shard_for(key, self.shards.len())
     }
 
     fn tick(&self) -> u64 {
@@ -647,13 +647,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         let record = JournalRecord::Restore {
             tenant,
             session,
-            snapshot: snapshot::encode(&SessionSnapshot {
-                config: session_obj.config(),
-                seed: session_obj.seed(),
-                criterion: session_obj.criterion(),
-                state: session_obj.export_state(),
-                rng_states: Vec::new(),
-            }),
+            snapshot: export_session(&session_obj),
         };
         self.insert(SessionKey { tenant, session }, session_obj, Some(record))
     }
@@ -737,17 +731,10 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             return Ok(());
         }
         let session = hosted.session.expect("victim is idle (checked in)");
-        let snap = SessionSnapshot {
-            config: session.config(),
-            seed: session.seed(),
-            criterion: session.criterion(),
-            state: session.export_state(),
-            rng_states: Vec::new(),
-        };
         shard.spilled.insert(
             v,
             Spilled {
-                bytes: snapshot::encode(&snap),
+                bytes: export_session(&session),
                 algorithms: hosted.algorithms,
                 total_measurements: hosted.total_measurements,
                 waves: hosted.waves,
@@ -1240,12 +1227,6 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         &self.stats
     }
 
-    /// Resumes the global seq counter past every already-issued ticket
-    /// (recovery / follower promotion).
-    pub(crate) fn resume_seq(&self, next: u64) {
-        self.seq.store(next, Ordering::Relaxed);
-    }
-
     /// Attaches one journal per shard and installs fresh checkpoints —
     /// the tail `with_journal`, `recover` and follower promotion share
     /// (each builds the service first and makes it durable after). On
@@ -1405,18 +1386,11 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             Vec::with_capacity(shard.sessions.len() + shard.spilled.len());
         for (key, hosted) in &shard.sessions {
             let session = hosted.session.as_ref().expect("no checkouts (checked above)");
-            let snap = SessionSnapshot {
-                config: session.config(),
-                seed: session.seed(),
-                criterion: session.criterion(),
-                state: session.export_state(),
-                rng_states: Vec::new(),
-            };
             sessions.push(CheckpointSession {
                 tenant: key.tenant,
                 session: key.session,
                 last_applied: hosted.last_applied,
-                snapshot: snapshot::encode(&snap),
+                snapshot: export_session(session),
             });
         }
         for (key, spilled) in &shard.spilled {
@@ -1484,17 +1458,15 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         mut stores: Vec<Box<dyn JournalStore>>,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         assert!(!stores.is_empty(), "need at least one journal store");
-        struct Rebuilt<C: ScratchThreeWayComparator + Send + Sync> {
-            session: ClusterSession<SharedComparator<C>>,
-            last_applied: Option<u64>,
-        }
-        let comparator = Arc::new(comparator);
+        let shards = stores.len();
+        let typed = |shard, key: SessionKey, error| RecoveryError::Session {
+            shard,
+            tenant: key.tenant,
+            session: key.session,
+            error,
+        };
         let mut report = RecoveryReport::default();
-        let mut sessions: HashMap<SessionKey, Rebuilt<C>> = HashMap::new();
-        let mut next_seq = 0u64;
-        // Replay discards responses; the scratch counters keep `run_op`
-        // honest without polluting the recovered service's stats.
-        let scratch = StatCounters::default();
+        let mut replay = Replay::new(Arc::new(comparator));
         for (shard, store) in stores.iter_mut().enumerate() {
             let stored = store
                 .load()
@@ -1523,26 +1495,12 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                         },
                     });
                 };
-                next_seq = next_seq.max(seq_floor);
+                replay.next_seq = replay.next_seq.max(seq_floor);
                 for cp in checkpointed {
                     let key = SessionKey { tenant: cp.tenant, session: cp.session };
-                    let typed = |error| RecoveryError::Session {
-                        shard,
-                        tenant: cp.tenant,
-                        session: cp.session,
-                        error,
-                    };
-                    let session =
-                        rebuild_session(&comparator, &cp.snapshot).map_err(typed)?;
-                    if sessions
-                        .insert(key, Rebuilt { session, last_applied: cp.last_applied })
-                        .is_some()
-                    {
-                        return Err(typed(ServiceError::SessionExists {
-                            tenant: key.tenant,
-                            session: key.session,
-                        }));
-                    }
+                    replay
+                        .open(key, &cp.snapshot, cp.last_applied)
+                        .map_err(|error| typed(shard, key, error))?;
                 }
             }
             // The journal is torn-tolerant: scan stops at the longest
@@ -1554,109 +1512,38 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                 report.truncated_bytes += stored.journal.len() - scan.valid_len;
             }
             for (offset, record) in scan.records {
-                match record {
-                    JournalRecord::Create { tenant, session, spec } => {
-                        let key = SessionKey { tenant, session };
-                        if sessions.contains_key(&key) {
-                            // Already covered by a mid-crash checkpoint.
-                            continue;
-                        }
-                        let session_obj =
-                            build_session(&comparator, &spec).map_err(|error| {
-                                RecoveryError::Session { shard, tenant, session, error }
-                            })?;
-                        sessions
-                            .insert(key, Rebuilt { session: session_obj, last_applied: None });
-                    }
-                    JournalRecord::Restore { tenant, session, snapshot } => {
-                        let key = SessionKey { tenant, session };
-                        if sessions.contains_key(&key) {
-                            continue;
-                        }
-                        let session_obj =
-                            rebuild_session(&comparator, &snapshot).map_err(|error| {
-                                RecoveryError::Session { shard, tenant, session, error }
-                            })?;
-                        sessions
-                            .insert(key, Rebuilt { session: session_obj, last_applied: None });
-                    }
-                    JournalRecord::Ops { tenant, session, first_seq, ops } => {
-                        next_seq = next_seq.max(first_seq + ops.len() as u64);
-                        let key = SessionKey { tenant, session };
-                        let Some(rebuilt) = sessions.get_mut(&key) else {
-                            // The session was closed (or never durable):
-                            // the live run answered these with typed
-                            // errors and no state change — dropping them
-                            // replays exactly that.
-                            report.dropped_ops += ops.len();
-                            continue;
-                        };
-                        let total = ops.len();
-                        let mut closed_at = None;
-                        for (i, op) in ops.into_iter().enumerate() {
-                            let seq = first_seq + i as u64;
-                            if rebuilt.last_applied.is_some_and(|mark| seq <= mark) {
-                                report.deduped_ops += 1;
-                                continue;
-                            }
-                            // Replay runs before the service takes traffic:
-                            // each Score may use every hardware thread.
-                            let result =
-                                run_op(&mut rebuilt.session, op, Parallelism::auto(), &scratch);
-                            rebuilt.last_applied = Some(seq);
-                            report.replayed_ops += 1;
-                            if matches!(result, Ok(OpOutcome::Closed)) {
-                                closed_at = Some(i);
-                                break;
-                            }
-                        }
-                        if let Some(i) = closed_at {
-                            sessions.remove(&key);
-                            // Group ops after a Close answered
-                            // `SessionUnknown` live; state-neutral.
-                            report.dropped_ops += total - (i + 1);
-                        }
-                    }
-                    JournalRecord::Checkpoint { .. } => {
-                        return Err(RecoveryError::Journal {
-                            shard,
-                            error: journal::JournalError::Corrupt {
-                                offset,
-                                what: "checkpoint record in a journal stream",
-                            },
-                        });
-                    }
-                    // Divergence beacons carry no state; a restarting
-                    // leader replays past them (replicas consume them).
-                    JournalRecord::Digest { .. } => {}
+                if matches!(record, JournalRecord::Checkpoint { .. }) {
+                    return Err(RecoveryError::Journal {
+                        shard,
+                        error: journal::JournalError::Corrupt {
+                            offset,
+                            what: "checkpoint record in a journal stream",
+                        },
+                    });
+                }
+                // `apply` passes over divergence digests: they carry no
+                // state (replicas verify them).
+                match replay.apply(record) {
+                    Ok(()) => {}
+                    // A create or restore a mid-crash checkpoint already
+                    // covers.
+                    Err((_, ServiceError::SessionExists { .. })) => {}
+                    Err((key, error)) => return Err(typed(shard, key, error)),
                 }
             }
         }
-        // Build the service and install the rebuilt sessions in key order
-        // (deterministic spill decisions if the recovered set exceeds
-        // residency capacity).
-        let service = Self::from_arc(Arc::clone(&comparator), stores.len(), scheduler, limits);
-        service.seq.store(next_seq, Ordering::Relaxed);
-        report.sessions = sessions.len();
-        report.next_seq = next_seq;
+        report.sessions = replay.sessions.len();
+        report.replayed_ops = replay.replayed_ops;
+        report.deduped_ops = replay.deduped_ops;
+        report.dropped_ops = replay.dropped_ops;
+        report.next_seq = replay.next_seq;
+        let service = Self::install_replay(replay, shards, scheduler, limits)
+            .map_err(|(key, error)| typed(shard_for(key, shards), key, error))?;
         service.stats.record_recovery(
             report.replayed_ops as u64,
             report.torn_shards as u64,
             report.truncated_bytes as u64,
         );
-        let mut keys: Vec<SessionKey> = sessions.keys().copied().collect();
-        keys.sort();
-        for key in keys {
-            let rebuilt = sessions.remove(&key).expect("key just listed");
-            service
-                .install_recovered(key, rebuilt.session, rebuilt.last_applied)
-                .map_err(|error| RecoveryError::Session {
-                    shard: service.shard_of(key),
-                    tenant: key.tenant,
-                    session: key.session,
-                    error,
-                })?;
-        }
         // A fresh checkpoint everywhere makes the recovered state — and
         // the truncation of any torn tail — durable before the service
         // accepts new work.
@@ -1666,22 +1553,32 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         Ok((service, report))
     }
 
-    /// Installs one recovered session (journals are not attached yet, so
-    /// this never appends; the post-recovery checkpoint makes it durable).
-    pub(crate) fn install_recovered(
-        &self,
-        key: SessionKey,
-        session: ClusterSession<SharedComparator<C>>,
-        last_applied: Option<u64>,
-    ) -> Result<(), ServiceError> {
-        let idx = self.shard_of(key);
-        let tick = self.tick();
-        let mut guard = self.shard(idx);
-        self.insert_locked(&mut guard, idx, key, session, tick)?;
-        if let Some(h) = guard.sessions.get_mut(&key) {
-            h.last_applied = last_applied;
+    /// Builds an unjournaled service over `replay`'s comparator and
+    /// sessions — the install step recovery and follower promotion
+    /// share. Sessions go in key order, so spill decisions are
+    /// deterministic when the set exceeds residency capacity, each keeps
+    /// its applied mark, and the seq counter resumes past every replayed
+    /// op. On failure, names the session whose install failed.
+    pub(crate) fn install_replay(
+        replay: Replay<C>,
+        shards: usize,
+        scheduler: Parallelism,
+        limits: ServiceLimits,
+    ) -> Result<Self, (SessionKey, ServiceError)> {
+        let service = Self::from_arc(replay.comparator, shards, scheduler, limits);
+        service.seq.store(replay.next_seq, Ordering::Relaxed);
+        for (key, (session, last_applied)) in replay.sessions {
+            let idx = service.shard_of(key);
+            let tick = service.tick();
+            let mut guard = service.shard(idx);
+            service
+                .insert_locked(&mut guard, idx, key, session, tick)
+                .map_err(|error| (key, error))?;
+            if let Some(h) = guard.sessions.get_mut(&key) {
+                h.last_applied = last_applied;
+            }
         }
-        Ok(())
+        Ok(service)
     }
 }
 
@@ -1711,10 +1608,129 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
+/// The shard of `key` among `shards` — a pure function of the key, so
+/// a replica, a recovered service and the leader place it alike.
+pub(crate) fn shard_for(key: SessionKey, shards: usize) -> usize {
+    (stream_seed(key.tenant, key.session) % shards as u64) as usize
+}
+
+/// The one path from journal records to session state, shared by
+/// [`SessionService::recover`] and the replication follower; both
+/// install the result through [`SessionService::install_replay`]. What
+/// differs stays at the call sites: recovery skips a create or restore
+/// the replay already holds (a mid-crash checkpoint covers it) and digest
+/// records, while the follower fails on the first and verifies the
+/// second.
+pub(crate) struct Replay<C: ScratchThreeWayComparator + Send + Sync> {
+    comparator: Arc<C>,
+    /// Replayed sessions, each with its applied-seq mark, in key order.
+    pub(crate) sessions: BTreeMap<SessionKey, (ClusterSession<SharedComparator<C>>, Option<u64>)>,
+    /// Strictly above every replayed op seq (and every checkpoint's seq
+    /// floor): where the installed service's counter resumes.
+    pub(crate) next_seq: u64,
+    /// Ops executed.
+    pub(crate) replayed_ops: usize,
+    /// Ops at or below their session's applied mark, skipped.
+    pub(crate) deduped_ops: usize,
+    /// Ops addressed to a closed (or never durable) session, or after a
+    /// `Close` in their group: the live run answered them with typed
+    /// errors and no state change, and dropping them replays exactly
+    /// that.
+    pub(crate) dropped_ops: usize,
+    /// Replay discards responses; scratch counters keep `run_op` honest
+    /// without polluting the installed service's stats.
+    scratch: StatCounters,
+}
+
+impl<C: ScratchThreeWayComparator + Send + Sync> Replay<C> {
+    pub(crate) fn new(comparator: Arc<C>) -> Self {
+        Replay {
+            comparator,
+            sessions: BTreeMap::new(),
+            next_seq: 0,
+            replayed_ops: 0,
+            deduped_ops: 0,
+            dropped_ops: 0,
+            scratch: StatCounters::default(),
+        }
+    }
+
+    /// Opens `key` from snapshot bytes with its applied mark (a base
+    /// checkpoint entry, or a `Restore` record with none).
+    pub(crate) fn open(
+        &mut self,
+        key: SessionKey,
+        snapshot: &[u8],
+        last_applied: Option<u64>,
+    ) -> Result<(), ServiceError> {
+        self.vacant(key)?;
+        let session = rebuild_session(&self.comparator, snapshot)?;
+        self.sessions.insert(key, (session, last_applied));
+        Ok(())
+    }
+
+    fn vacant(&self, key: SessionKey) -> Result<(), ServiceError> {
+        if self.sessions.contains_key(&key) {
+            return Err(ServiceError::SessionExists { tenant: key.tenant, session: key.session });
+        }
+        Ok(())
+    }
+
+    /// Replays one journal record; a `Create` or `Restore` for a key
+    /// the replay already holds fails with `SessionExists`. Op-level
+    /// typed errors are the leader's own behavior, replayed bit for bit
+    /// (the state change, if any, is identical), so they are not replay
+    /// failures. `Checkpoint` and `Digest` records carry no session
+    /// state; the callers vet them.
+    pub(crate) fn apply(&mut self, record: JournalRecord) -> Result<(), (SessionKey, ServiceError)> {
+        match record {
+            JournalRecord::Create { tenant, session, spec } => {
+                let key = SessionKey { tenant, session };
+                self.vacant(key).map_err(|e| (key, e))?;
+                let built = build_session(&self.comparator, &spec).map_err(|e| (key, e))?;
+                self.sessions.insert(key, (built, None));
+            }
+            JournalRecord::Restore { tenant, session, snapshot } => {
+                let key = SessionKey { tenant, session };
+                self.open(key, &snapshot, None).map_err(|e| (key, e))?;
+            }
+            JournalRecord::Ops { tenant, session, first_seq, ops } => {
+                self.next_seq = self.next_seq.max(first_seq + ops.len() as u64);
+                let key = SessionKey { tenant, session };
+                let total = ops.len();
+                let Some((live, mark)) = self.sessions.get_mut(&key) else {
+                    self.dropped_ops += total;
+                    return Ok(());
+                };
+                for (i, op) in ops.into_iter().enumerate() {
+                    let seq = first_seq + i as u64;
+                    if mark.is_some_and(|mark| seq <= mark) {
+                        self.deduped_ops += 1;
+                        continue;
+                    }
+                    // Replay applies one op at a time and serves nothing
+                    // meanwhile: each Score may use every hardware thread.
+                    let result = run_op(live, op, Parallelism::auto(), &self.scratch);
+                    *mark = Some(seq);
+                    self.replayed_ops += 1;
+                    if matches!(result, Ok(OpOutcome::Closed)) {
+                        self.sessions.remove(&key);
+                        self.dropped_ops += total - (i + 1);
+                        break;
+                    }
+                }
+            }
+            JournalRecord::Checkpoint { .. } | JournalRecord::Digest { .. } => {}
+        }
+        Ok(())
+    }
+}
+
 /// The typed shape checks every session source shares — admission,
-/// restore, rehydration, recovery replay and follower replay — so no
-/// path builds a session another path would reject, and none reaches a
-/// session constructor that panics or over-allocates on tenant input.
+/// restore, rehydration, and the [`Replay`] that recovery and follower
+/// replication share — so no path builds a session another path would
+/// reject, and none reaches a session constructor that panics or
+/// over-allocates on tenant input.
 fn check_session_shape(
     algorithms: usize,
     config: &ClusterConfig,
@@ -1742,8 +1758,8 @@ fn check_session_shape(
 }
 
 /// Validates a `Create` spec and builds the session — the admission
-/// path, shared with recovery and follower replay so a replica applies
-/// exactly what the leader admitted.
+/// path, shared with [`Replay`] so a replica applies exactly what the
+/// leader admitted.
 pub(crate) fn build_session<C: ScratchThreeWayComparator + Send + Sync>(
     comparator: &Arc<C>,
     spec: &SessionSpec,
@@ -1758,24 +1774,33 @@ pub(crate) fn build_session<C: ScratchThreeWayComparator + Send + Sync>(
     ))
 }
 
-/// The divergence-detection checksum of a live session: FNV-1a 64 over
-/// its canonical snapshot-codec export (RNG streams excluded) — exactly
-/// the bytes a spill or checkpoint writes, so the checksum is bit-exact
-/// across replicas, residency states, and processes.
-pub(crate) fn session_checksum<C: ScratchThreeWayComparator + Send + Sync>(
+/// A live session's canonical snapshot-codec export, RNG streams
+/// excluded — the bytes every spill, checkpoint, journaled restore and
+/// `Snapshot` op writes, and the inverse of [`rebuild_session`].
+fn export_session<C: ScratchThreeWayComparator + Send + Sync>(
     session: &ClusterSession<SharedComparator<C>>,
-) -> u64 {
-    fnv1a64(&snapshot::encode(&SessionSnapshot {
+) -> Vec<u8> {
+    snapshot::encode(&SessionSnapshot {
         config: session.config(),
         seed: session.seed(),
         criterion: session.criterion(),
         state: session.export_state(),
         rng_states: Vec::new(),
-    }))
+    })
 }
 
-/// Decodes checkpoint/restore snapshot bytes back into a live session,
-/// with the same typed validation as the admission path.
+/// The divergence-detection checksum of a live session: FNV-1a 64 over
+/// its [`export_session`] bytes — exactly what a spill or checkpoint
+/// writes, so the checksum is bit-exact across replicas, residency
+/// states, and processes.
+pub(crate) fn session_checksum<C: ScratchThreeWayComparator + Send + Sync>(
+    session: &ClusterSession<SharedComparator<C>>,
+) -> u64 {
+    fnv1a64(&export_session(session))
+}
+
+/// Decodes [`export_session`] (or any checkpoint/restore) bytes back into
+/// a live session, with the same typed validation as the admission path.
 pub(crate) fn rebuild_session<C: ScratchThreeWayComparator + Send + Sync>(
     comparator: &Arc<C>,
     bytes: &[u8],
@@ -1924,16 +1949,7 @@ pub(crate) fn run_op<C: ScratchThreeWayComparator + Send + Sync>(
                 stable_run: session.stable_run(),
             }))
         }
-        SessionOp::Snapshot => {
-            let snap = SessionSnapshot {
-                config: session.config(),
-                seed: session.seed(),
-                criterion: session.criterion(),
-                state: session.export_state(),
-                rng_states: Vec::new(),
-            };
-            Ok(OpOutcome::Snapshot(snapshot::encode(&snap)))
-        }
+        SessionOp::Snapshot => Ok(OpOutcome::Snapshot(export_session(session))),
         SessionOp::Close => Ok(OpOutcome::Closed),
     }
 }

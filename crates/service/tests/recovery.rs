@@ -404,6 +404,37 @@ fn mid_snapshot_crash_dedupes_replay() {
     assert_eq!(recovered.session_status(1, 1).unwrap().waves, 1);
 }
 
+/// A replayed `Close` removes the session: the ops after it in its group
+/// and a later group addressed to the closed key are dropped (the live
+/// run answered them `SessionUnknown`), counted, and leave the other
+/// session untouched.
+#[test]
+fn replayed_close_drops_the_session_and_its_later_ops() {
+    let handles = handles(1);
+    let service = journaled(&handles);
+    service.create_session(1, 1, SessionSpec::new(2, 7)).unwrap();
+    service.create_session(1, 2, SessionSpec::new(2, 8)).unwrap();
+    run_wave(&service, 1, 2, 0);
+    // Both groups are admitted before either executes, so both are
+    // journaled.
+    let close = vec![
+        SessionOp::Extend { alg: 0, values: noisy(1.0, 5, 1) },
+        SessionOp::Close,
+        SessionOp::Score,
+    ];
+    service.submit_all(1, 1, close).unwrap();
+    service.submit_all(1, 1, vec![SessionOp::Push { alg: 1, value: 2.0 }]).unwrap();
+    service.run_batch();
+    assert!(service.session_status(1, 1).is_none());
+    drop(service);
+
+    let (recovered, report) = recover(&handles).unwrap();
+    assert!(recovered.session_status(1, 1).is_none(), "a closed session came back");
+    assert_eq!(recovered.session_status(1, 2).unwrap().waves, 1);
+    assert_eq!(report.sessions, 1);
+    assert_eq!(report.dropped_ops, 2, "the Score after Close and the later Push, got {report:?}");
+}
+
 /// Shards compact concurrently, but failures still come back in shard
 /// order: with two armed stores, `compact_all` and the post-recovery
 /// checkpoint both name the lower shard, and every unarmed shard still

@@ -539,6 +539,75 @@ fn promotion_discards_torn_record_tail() {
     assert_eq!(run_wave(&promoted, 1, 1, 0), golden_wave);
 }
 
+/// A replayed `Close` removes the session on the follower too: the
+/// leader's digest (which lists only the survivor) passes, and the
+/// promoted service does not serve the closed session.
+#[test]
+fn replayed_close_is_absent_after_promotion() {
+    let handles = handles(1);
+    let (service, mut shipper) = shipping_leader(&handles, 0, ServiceLimits::default());
+    service.create_session(1, 1, SessionSpec::new(2, 7)).unwrap();
+    service.create_session(1, 2, SessionSpec::new(2, 8)).unwrap();
+    let golden_wave = run_wave(&service, 1, 2, 0);
+    let close = vec![
+        SessionOp::Extend { alg: 0, values: noisy(1.0, 5, 1) },
+        SessionOp::Close,
+        SessionOp::Score,
+    ];
+    service.submit_all(1, 1, close).unwrap();
+    service.submit_all(1, 1, vec![SessionOp::Push { alg: 1, value: 2.0 }]).unwrap();
+    service.run_batch();
+    service.emit_digests().unwrap();
+    service.flush_journals().unwrap();
+    drop(service);
+
+    let follower = Arc::new(Mutex::new(Follower::new(comparator(), 1)));
+    let report = shipper.pump(&mut InProcTransport::new(Arc::clone(&follower)));
+    assert!(report.errors.is_empty(), "clean stream errored: {report:?}");
+    let follower = Arc::try_unwrap(follower).ok().expect("transport dropped").into_inner().unwrap();
+    assert_eq!(*follower.state(), ReplicaState::Following);
+    assert_eq!(follower.num_sessions(), 1);
+
+    let (promoted, report) = follower
+        .promote(Parallelism::auto(), ServiceLimits::default())
+        .unwrap();
+    assert_eq!(report.sessions, 1);
+    assert!(promoted.session_status(1, 1).is_none(), "a closed session was promoted");
+    assert_eq!(promoted.session_status(1, 2).unwrap().waves, 1);
+    let next = run_wave(&promoted, 1, 2, 1);
+    assert_eq!(next.waves, golden_wave.waves + 1);
+}
+
+/// A stream that creates the same session twice cannot come from a
+/// leader (admission rejects the second create): the follower fails
+/// typed with `Apply` instead of replacing the session, and refuses
+/// promotion.
+#[test]
+fn duplicate_create_fails_typed_and_refuses_promotion() {
+    let create = journal::encode_record(&JournalRecord::Create {
+        tenant: 1,
+        session: 1,
+        spec: SessionSpec::new(2, 7),
+    });
+    let stream = [create.as_slice(), create.as_slice()].concat();
+    let mut follower = Follower::new(comparator(), 1);
+    let err = follower
+        .apply_segment(&encode_segment(0, 1, fnv(FNV_OFFSET, &stream), &stream))
+        .unwrap_err();
+    assert!(
+        matches!(err, ReplicationError::Apply { tenant: 1, session: 1, .. }),
+        "expected a typed Apply failure, got {err}"
+    );
+    assert!(matches!(
+        follower.state(),
+        ReplicaState::Failed(ReplicationError::Apply { tenant: 1, session: 1, .. })
+    ));
+    match follower.promote(Parallelism::auto(), ServiceLimits::default()) {
+        Err(ServiceError::Replication(ReplicationError::Apply { tenant: 1, session: 1, .. })) => {}
+        other => panic!("failed replica promoted: {other:?}"),
+    }
+}
+
 /// Divergence digests are verified both ways on crafted streams: a
 /// matching digest passes; a checksum mismatch, a digested session the
 /// replica lacks, and a replica session the digest lacks each latch

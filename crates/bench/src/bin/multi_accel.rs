@@ -14,46 +14,34 @@ use relperf_core::cluster::{relative_scores_seeded, ClusterConfig};
 use relperf_measure::{stream_seed, Sample, SeededThreeWayComparator};
 use relperf_sim::device::{DeviceKind, DeviceSpec};
 use relperf_sim::link::LinkSpec;
-use relperf_sim::multi::{enumerate_multi_placements, multi_label, AcceleratorSlot, MultiPlatform};
 use relperf_sim::noise::NoiseModel;
+use relperf_sim::{enumerate_placements, placement_label, AcceleratorSlot, Platform};
 use relperf_workloads::scientific_code;
 
-fn platform() -> MultiPlatform {
-    let table1 = relperf_sim::presets::table1_platform();
-    let p = MultiPlatform {
-        device: table1.device.clone(),
-        device_noise: table1.device_noise.clone(),
-        accelerators: vec![
-            AcceleratorSlot {
-                spec: table1.accelerator.clone(),
-                link: table1.link.clone(),
-                noise: table1.accel_noise.clone(),
-                transfer_noise: table1.transfer_noise.clone(),
-            },
-            AcceleratorSlot {
-                spec: DeviceSpec {
-                    name: "raspberry-pi-4".into(),
-                    kind: DeviceKind::RaspberryPi,
-                    peak_flops: 5.0e9,
-                    mem_capacity_bytes: 512 << 20,
-                    mem_pressure_penalty: 1.0,
-                    energy_per_flop: 0.15e-9,
-                    idle_power_watts: 2.5,
-                    cost_per_second: 1.0e-3,
-                    launch_overhead_s: 5.0e-5,
-                },
-                link: LinkSpec {
-                    name: "gigabit-ethernet".into(),
-                    latency_s: 2.0e-4,
-                    bandwidth_bytes_per_s: 1.2e8,
-                    energy_per_byte: 6.0e-9,
-                },
-                noise: NoiseModel::Gaussian { std_frac: 0.03 },
-                transfer_noise: NoiseModel::LogNormal { sigma: 0.1 },
-            },
-        ],
-        context_switch_s: table1.context_switch_s,
-    };
+/// The Table I platform plus a Raspberry-Pi-class board as accelerator `B`.
+fn platform() -> Platform {
+    let mut p = relperf_sim::presets::table1_platform();
+    p.accelerators.push(AcceleratorSlot {
+        spec: DeviceSpec {
+            name: "raspberry-pi-4".into(),
+            kind: DeviceKind::RaspberryPi,
+            peak_flops: 5.0e9,
+            mem_capacity_bytes: 512 << 20,
+            mem_pressure_penalty: 1.0,
+            energy_per_flop: 0.15e-9,
+            idle_power_watts: 2.5,
+            cost_per_second: 1.0e-3,
+            launch_overhead_s: 5.0e-5,
+        },
+        link: LinkSpec {
+            name: "gigabit-ethernet".into(),
+            latency_s: 2.0e-4,
+            bandwidth_bytes_per_s: 1.2e8,
+            energy_per_byte: 6.0e-9,
+        },
+        noise: NoiseModel::Gaussian { std_frac: 0.03 },
+        transfer_noise: NoiseModel::LogNormal { sigma: 0.1 },
+    });
     p.validate();
     p
 }
@@ -62,13 +50,13 @@ fn main() {
     header("Two accelerators (A = GPU, B = Raspberry Pi): 27 placements of the RLS code");
     let platform = platform();
     let tasks = scientific_code::tasks(10);
-    let placements = enumerate_multi_placements(3, 2);
+    let placements = enumerate_placements(tasks.len(), platform.accelerators.len());
 
     let samples: Vec<(String, Sample)> = placements
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let label = multi_label(p);
+            let label = placement_label(p);
             let mut rng = StdRng::seed_from_u64(stream_seed(SEED, i as u64));
             let sample = platform
                 .measure(&tasks, p, 30, &mut rng)

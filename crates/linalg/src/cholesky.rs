@@ -9,7 +9,7 @@
 //! perturbing seeded experiment outputs.
 
 use crate::error::{LinalgError, Result};
-use crate::gemm::{gemm_region, gemm_region_parallel, Acc, PackArena, BLOCK};
+use crate::gemm::{gemm_region_parallel, Acc, PackArena, BLOCK};
 use crate::matrix::Matrix;
 use relperf_parallel::Parallelism;
 use crate::triangular::{solve_lower, solve_lower_matrix, solve_upper, solve_upper_matrix};
@@ -97,7 +97,7 @@ impl Cholesky {
     /// that is symmetric only up to rounding (e.g. `AᵀA` assembled with a
     /// non-symmetric kernel) get a well-defined result.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        Self::factor_impl(a, None)
+        Self::factor_parallel_with(a, Parallelism::serial())
     }
 
     /// [`Cholesky::factor`] with the off-diagonal trailing updates fanned
@@ -108,10 +108,6 @@ impl Cholesky {
     /// the fused update sequence is unchanged, only which thread computes
     /// its row band differs.
     pub fn factor_parallel_with(a: &Matrix, parallelism: Parallelism) -> Result<Self> {
-        Self::factor_impl(a, Some(parallelism))
-    }
-
-    fn factor_impl(a: &Matrix, parallelism: Option<Parallelism>) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 op: "cholesky",
@@ -158,18 +154,11 @@ impl Cholesky {
                 // Off-diagonal block (rows c1..n, cols c0..c1): one
                 // microkernel-driven `C −= P · P_blockᵀ`.
                 if c1 < n {
-                    match parallelism {
-                        None => gemm_region(
-                            l.as_mut_slice(), n, c1, c0, n - c1, c1 - c0, nb, &p, nb,
-                            c1 - j1, 0, false, &p, nb, c0 - j1, 0, true, Acc::Sub,
-                            &mut arena,
-                        ),
-                        Some(par) => gemm_region_parallel(
-                            l.as_mut_slice(), n, c1, c0, n - c1, c1 - c0, nb, &p, nb,
-                            c1 - j1, 0, false, &p, nb, c0 - j1, 0, true, Acc::Sub,
-                            &mut arena, par,
-                        ),
-                    }
+                    gemm_region_parallel(
+                        l.as_mut_slice(), n, c1, c0, n - c1, c1 - c0, nb, &p, nb,
+                        c1 - j1, 0, false, &p, nb, c0 - j1, 0, true, Acc::Sub,
+                        &mut arena, parallelism,
+                    );
                 }
             }
         }

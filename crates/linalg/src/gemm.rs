@@ -492,14 +492,14 @@ pub(crate) fn gemm_region(
 /// [`gemm_region`] with the row-block loop fanned out across threads —
 /// the parallel trailing-update engine of the blocked factorizations.
 ///
-/// Work decomposition mirrors [`gemm_parallel_with`]: each work item is
-/// one [`BLOCK`]-row band of the output region, computed into a private
-/// band buffer (seeded from the current output values, which `Sub` mode
-/// and later `k` chunks reload from) and copied back in index order. The
-/// packed `B` chunks are built once and shared read-only; each worker
-/// reuses one packing arena across its bands. Per element the accumulation
-/// is the same full-length in-order `k` sweep with the same spill/reload
-/// points as the serial engine, so the region is **bit-identical** to
+/// Each work item is one [`BLOCK`]-row band of the output region,
+/// computed into a private band buffer (seeded from the current output
+/// values, which `Sub` mode and later `k` chunks reload from) and copied
+/// back in index order. The packed `B` chunks are built once and shared
+/// read-only; each worker reuses one packing arena across its bands. Per
+/// element the accumulation is the same full-length in-order `k` sweep
+/// with the same spill/reload points as the serial engine, so the region
+/// is **bit-identical** to
 /// [`gemm_region`] for any [`Parallelism`]; one worker short-circuits to
 /// the serial engine.
 #[allow(clippy::too_many_arguments)]
@@ -631,8 +631,8 @@ pub fn gemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(c)
 }
 
-/// The blocked engine parallelized over row-block indices via
-/// [`relperf_parallel::parallel_map_indexed_with`].
+/// The blocked engine parallelized over row-block indices: one
+/// `gemm_region_parallel` call over the whole of a zeroed `C`.
 ///
 /// Each work item is one [`BLOCK`]-row band of `C`; every worker reuses a
 /// private packed-`A` arena across the bands it processes, while the packed
@@ -643,57 +643,30 @@ pub fn gemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 pub fn gemm_parallel_with(a: &Matrix, b: &Matrix, parallelism: Parallelism) -> Result<Matrix> {
     check_shapes(a, b)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || n == 0 {
-        return Ok(Matrix::zeros(m, n));
-    }
-    // One worker (explicitly, or because the matrix has a single row
-    // block) gains nothing from the band staging — run the serial engine
-    // directly. Bit-identical either way.
-    let nblocks_hint = m.div_ceil(BLOCK);
-    if parallelism.effective_threads(nblocks_hint) <= 1 {
-        return gemm_blocked(a, b);
-    }
-    // Pack every KC chunk of B once, shared read-only across workers.
-    let mut bpacks: Vec<Vec<f64>> = Vec::new();
-    let mut k0 = 0;
-    loop {
-        let kc = (k - k0).min(KC);
-        let mut bp = Vec::new();
-        pack_b(b.as_slice(), n, k0, 0, false, kc, n, &mut bp);
-        bpacks.push(bp);
-        k0 += kc;
-        if k0 >= k {
-            break;
-        }
-    }
-    let nblocks = m.div_ceil(BLOCK);
-    let bands = relperf_parallel::parallel_map_indexed_with(
-        nblocks,
+    let mut c = Matrix::zeros(m, n);
+    gemm_region_parallel(
+        c.as_mut_slice(),
+        n,
+        0,
+        0,
+        m,
+        n,
+        k,
+        a.as_slice(),
+        k,
+        0,
+        0,
+        false,
+        b.as_slice(),
+        n,
+        0,
+        0,
+        false,
+        Acc::Set,
+        &mut PackArena::new(),
         parallelism,
-        Vec::<f64>::new,
-        |apack, bi| {
-            let i0 = bi * BLOCK;
-            let rows = (m - i0).min(BLOCK);
-            let mut band = vec![0.0; rows * n];
-            let mut k0 = 0;
-            for (ci, bp) in bpacks.iter().enumerate() {
-                let kc = (k - k0).min(KC);
-                pack_a(a.as_slice(), k, i0, k0, false, false, rows, kc, apack);
-                drive_block(&mut band, n, rows, n, kc, apack, bp, ci > 0);
-                k0 += kc;
-            }
-            band
-        },
     );
-    // Assembling the returned bands costs one O(m·n) copy. That is the
-    // price of `parallel_map_indexed_with`'s value-returning contract
-    // (which is what makes the determinism argument a one-liner); it is
-    // amortized against the O(m·n·k) compute the bands carry.
-    let mut data = Vec::with_capacity(m * n);
-    for band in bands {
-        data.extend_from_slice(&band);
-    }
-    Matrix::from_vec(m, n, data)
+    Ok(c)
 }
 
 /// Computes `AᵀA` exploiting symmetry (only the upper triangle is

@@ -680,6 +680,17 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
     /// mismatch, corrupt records, a record that will not apply, a failed
     /// divergence digest) moves it to a terminal [`ReplicaState`].
     pub fn apply_segment(&mut self, envelope: &[u8]) -> Result<u64, ReplicationError> {
+        self.apply_decoded(decode_segment(envelope))
+    }
+
+    /// [`apply_segment`](Self::apply_segment) on an envelope the caller
+    /// already decoded, so a server that reads the shard for its ack
+    /// decodes each envelope once. A decode error still ranks below a
+    /// sealed or failed replica state, as in `apply_segment`.
+    pub(crate) fn apply_decoded(
+        &mut self,
+        segment: Result<ShipSegment, ReplicationError>,
+    ) -> Result<u64, ReplicationError> {
         match &self.state {
             ReplicaState::Following => {}
             ReplicaState::Sealed => return Err(ReplicationError::Sealed),
@@ -693,7 +704,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
             }
             ReplicaState::Failed(e) => return Err(e.clone()),
         }
-        let segment = decode_segment(envelope)?;
+        let segment = segment?;
         let shard = segment.shard as usize;
         if shard >= self.lanes.len() {
             return Err(ReplicationError::UnknownShard {

@@ -1428,13 +1428,12 @@ where
         };
         let response = match decode_request(&payload)? {
             Request::Ship { envelope } => {
-                let shard = crate::replication::decode_segment(&envelope)
-                    .map(|s| u64::from(s.shard))
-                    .unwrap_or(u64::MAX);
+                let segment = crate::replication::decode_segment(&envelope);
+                let shard = segment.as_ref().map_or(u64::MAX, |s| u64::from(s.shard));
                 let applied = follower
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .apply_segment(&envelope);
+                    .apply_decoded(segment);
                 match applied {
                     Ok(watermark) => Response::ShipAck { shard, watermark },
                     Err(e) => Response::Error {

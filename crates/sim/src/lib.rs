@@ -3,12 +3,14 @@
 //! The paper measures a scientific code on a concrete testbed (Intel Xeon
 //! Platinum 8160 + NVIDIA P100 over PCIe, TensorFlow 2.1). That hardware is
 //! not available here, so this crate provides the substitute substrate: a
-//! deterministic, seeded simulator of a two-device edge platform —
-//! an edge *device* `D` and an *accelerator* `A` — with
+//! deterministic, seeded simulator of an edge platform — an edge *device*
+//! `D` and one or more *accelerators* `A`, `B`, … ([`Platform`]; the presets
+//! carry one, as the paper's testbed does) — with
 //!
 //! * per-device compute throughput, memory capacity and memory-pressure
 //!   throttling ([`device`]),
-//! * an interconnect with latency, bandwidth and per-byte energy ([`link`]),
+//! * one interconnect per accelerator with latency, bandwidth and per-byte
+//!   energy ([`link`]),
 //! * stochastic measurement noise from scratch-built distributions
 //!   ([`noise`]),
 //! * a task/placement execution model with per-iteration offload transfers
@@ -27,14 +29,13 @@ pub mod device;
 pub mod energy;
 pub mod executor;
 pub mod link;
-pub mod multi;
 pub mod noise;
 pub mod presets;
 pub mod task;
 pub mod trace;
 
 pub use device::{DeviceKind, DeviceSpec};
-pub use executor::{ExecutionRecord, Platform};
+pub use executor::{AcceleratorSlot, ExecutionRecord, Platform};
 pub use link::LinkSpec;
 pub use noise::NoiseModel;
 pub use task::{enumerate_placements, placement_label, Loc, Task};

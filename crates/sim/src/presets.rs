@@ -9,7 +9,7 @@
 //! the structure each preset must reproduce.
 
 use crate::device::{DeviceKind, DeviceSpec};
-use crate::executor::Platform;
+use crate::executor::{AcceleratorSlot, Platform};
 use crate::link::LinkSpec;
 use crate::noise::NoiseModel;
 
@@ -36,27 +36,29 @@ fn edge_cpu() -> DeviceSpec {
 pub fn fig1_platform() -> Platform {
     let p = Platform {
         device: edge_cpu(),
-        accelerator: DeviceSpec {
-            name: "p100-edge-slice".into(),
-            kind: DeviceKind::Gpu,
-            peak_flops: 2.0e11, // 4x the edge core on dense kernels
-            mem_capacity_bytes: 2_400_000,
-            mem_pressure_penalty: 0.141,
-            energy_per_flop: 0.25e-9,
-            idle_power_watts: 30.0,
-            cost_per_second: 2.0e-2,
-            launch_overhead_s: 1.0e-5,
-        },
-        link: pcie_link(),
-        context_switch_s: 5.0e-4,
         device_noise: NoiseModel::GaussianWithSpikes {
             std_frac: 0.012,
             spike_prob: 0.02,
             spike_alpha: 2.0,
             spike_scale: 0.05,
         },
-        accel_noise: NoiseModel::LogNormal { sigma: 0.012 },
-        transfer_noise: NoiseModel::LogNormal { sigma: 0.05 },
+        accelerators: vec![AcceleratorSlot {
+            spec: DeviceSpec {
+                name: "p100-edge-slice".into(),
+                kind: DeviceKind::Gpu,
+                peak_flops: 2.0e11, // 4x the edge core on dense kernels
+                mem_capacity_bytes: 2_400_000,
+                mem_pressure_penalty: 0.141,
+                energy_per_flop: 0.25e-9,
+                idle_power_watts: 30.0,
+                cost_per_second: 2.0e-2,
+                launch_overhead_s: 1.0e-5,
+            },
+            link: pcie_link(),
+            noise: NoiseModel::LogNormal { sigma: 0.012 },
+            transfer_noise: NoiseModel::LogNormal { sigma: 0.05 },
+        }],
+        context_switch_s: 5.0e-4,
     };
     p.validate();
     p
@@ -71,32 +73,34 @@ pub fn fig1_platform() -> Platform {
 pub fn table1_platform() -> Platform {
     let p = Platform {
         device: edge_cpu(),
-        accelerator: DeviceSpec {
-            name: "edge-accelerator".into(),
-            kind: DeviceKind::Gpu,
-            peak_flops: 5.95e10, // modest 1.19x advantage on dense kernels
-            mem_capacity_bytes: 2_300_000,
-            mem_pressure_penalty: 12.0,
-            energy_per_flop: 0.3e-9,
-            idle_power_watts: 20.0,
-            cost_per_second: 2.0e-2,
-            launch_overhead_s: 4.0e-5,
-        },
-        link: LinkSpec {
-            name: "pcie3-x16".into(),
-            latency_s: 3.0e-5,
-            bandwidth_bytes_per_s: 2.0e10,
-            energy_per_byte: 1.2e-9,
-        },
-        context_switch_s: 2.5e-3,
         device_noise: NoiseModel::GaussianWithSpikes {
             std_frac: 0.012,
             spike_prob: 0.02,
             spike_alpha: 2.0,
             spike_scale: 0.05,
         },
-        accel_noise: NoiseModel::LogNormal { sigma: 0.012 },
-        transfer_noise: NoiseModel::LogNormal { sigma: 0.05 },
+        accelerators: vec![AcceleratorSlot {
+            spec: DeviceSpec {
+                name: "edge-accelerator".into(),
+                kind: DeviceKind::Gpu,
+                peak_flops: 5.95e10, // modest 1.19x advantage on dense kernels
+                mem_capacity_bytes: 2_300_000,
+                mem_pressure_penalty: 12.0,
+                energy_per_flop: 0.3e-9,
+                idle_power_watts: 20.0,
+                cost_per_second: 2.0e-2,
+                launch_overhead_s: 4.0e-5,
+            },
+            link: LinkSpec {
+                name: "pcie3-x16".into(),
+                latency_s: 3.0e-5,
+                bandwidth_bytes_per_s: 2.0e10,
+                energy_per_byte: 1.2e-9,
+            },
+            noise: NoiseModel::LogNormal { sigma: 0.012 },
+            transfer_noise: NoiseModel::LogNormal { sigma: 0.05 },
+        }],
+        context_switch_s: 2.5e-3,
     };
     p.validate();
     p
@@ -135,32 +139,34 @@ fn pcie_link() -> LinkSpec {
 pub fn raspberry_platform() -> Platform {
     let p = Platform {
         device: edge_cpu(),
-        accelerator: DeviceSpec {
-            name: "raspberry-pi-4".into(),
-            kind: DeviceKind::RaspberryPi,
-            peak_flops: 5.0e9, // 10x slower
-            mem_capacity_bytes: 512 << 20,
-            mem_pressure_penalty: 1.0,
-            energy_per_flop: 0.15e-9,
-            idle_power_watts: 2.5,
-            cost_per_second: 0.0,
-            launch_overhead_s: 5.0e-5,
-        },
-        link: LinkSpec {
-            name: "gigabit-ethernet".into(),
-            latency_s: 2.0e-4,
-            bandwidth_bytes_per_s: 1.2e8,
-            energy_per_byte: 6.0e-9,
-        },
-        context_switch_s: 1.0e-3,
         device_noise: NoiseModel::Gaussian { std_frac: 0.015 },
-        accel_noise: NoiseModel::GaussianWithSpikes {
-            std_frac: 0.04,
-            spike_prob: 0.05,
-            spike_alpha: 1.8,
-            spike_scale: 0.2,
-        },
-        transfer_noise: NoiseModel::LogNormal { sigma: 0.15 },
+        accelerators: vec![AcceleratorSlot {
+            spec: DeviceSpec {
+                name: "raspberry-pi-4".into(),
+                kind: DeviceKind::RaspberryPi,
+                peak_flops: 5.0e9, // 10x slower
+                mem_capacity_bytes: 512 << 20,
+                mem_pressure_penalty: 1.0,
+                energy_per_flop: 0.15e-9,
+                idle_power_watts: 2.5,
+                cost_per_second: 0.0,
+                launch_overhead_s: 5.0e-5,
+            },
+            link: LinkSpec {
+                name: "gigabit-ethernet".into(),
+                latency_s: 2.0e-4,
+                bandwidth_bytes_per_s: 1.2e8,
+                energy_per_byte: 6.0e-9,
+            },
+            noise: NoiseModel::GaussianWithSpikes {
+                std_frac: 0.04,
+                spike_prob: 0.05,
+                spike_alpha: 1.8,
+                spike_scale: 0.2,
+            },
+            transfer_noise: NoiseModel::LogNormal { sigma: 0.15 },
+        }],
+        context_switch_s: 1.0e-3,
     };
     p.validate();
     p
@@ -181,32 +187,34 @@ pub fn smartphone_platform() -> Platform {
             cost_per_second: 0.0,
             launch_overhead_s: 0.0,
         },
-        accelerator: DeviceSpec {
-            name: "cloudlet-gpu".into(),
-            kind: DeviceKind::Server,
-            peak_flops: 5.0e12,
-            mem_capacity_bytes: 16 << 30,
-            mem_pressure_penalty: 0.5,
-            energy_per_flop: 0.1e-9,
-            idle_power_watts: 80.0,
-            cost_per_second: 0.1,
-            launch_overhead_s: 1.0e-4,
-        },
-        link: LinkSpec {
-            name: "wifi-5".into(),
-            latency_s: 3.0e-3,
-            bandwidth_bytes_per_s: 5.0e7,
-            energy_per_byte: 2.0e-8,
-        },
-        context_switch_s: 5.0e-3,
         device_noise: NoiseModel::Gaussian { std_frac: 0.03 },
-        accel_noise: NoiseModel::Gaussian { std_frac: 0.02 },
-        transfer_noise: NoiseModel::GaussianWithSpikes {
-            std_frac: 0.1,
-            spike_prob: 0.1,
-            spike_alpha: 1.5,
-            spike_scale: 0.5,
-        },
+        accelerators: vec![AcceleratorSlot {
+            spec: DeviceSpec {
+                name: "cloudlet-gpu".into(),
+                kind: DeviceKind::Server,
+                peak_flops: 5.0e12,
+                mem_capacity_bytes: 16 << 30,
+                mem_pressure_penalty: 0.5,
+                energy_per_flop: 0.1e-9,
+                idle_power_watts: 80.0,
+                cost_per_second: 0.1,
+                launch_overhead_s: 1.0e-4,
+            },
+            link: LinkSpec {
+                name: "wifi-5".into(),
+                latency_s: 3.0e-3,
+                bandwidth_bytes_per_s: 5.0e7,
+                energy_per_byte: 2.0e-8,
+            },
+            noise: NoiseModel::Gaussian { std_frac: 0.02 },
+            transfer_noise: NoiseModel::GaussianWithSpikes {
+                std_frac: 0.1,
+                spike_prob: 0.1,
+                spike_alpha: 1.5,
+                spike_scale: 0.5,
+            },
+        }],
+        context_switch_s: 5.0e-3,
     };
     p.validate();
     p
@@ -232,45 +240,49 @@ mod tests {
         // stays at full accelerator rate...
         let dense_ws = 3 * 8 * 300 * 300u64;
         assert_eq!(
-            p.accelerator.effective_flops(dense_ws),
-            p.accelerator.peak_flops
+            p.accelerators[0].spec.effective_flops(dense_ws),
+            p.accelerators[0].spec.peak_flops
         );
         // ...while FEM-scale sparse byte traffic (tens of MB per solve)
         // is throttled by more than an order of magnitude — the mechanism
         // that gives the sparse family its own performance class.
         let sparse_traffic = 12_000_000u64;
         assert!(
-            p.accelerator.effective_flops(sparse_traffic) * 10.0 < p.accelerator.peak_flops
+            p.accelerators[0].spec.effective_flops(sparse_traffic) * 10.0
+                < p.accelerators[0].spec.peak_flops
         );
         // The edge device is never throttled at these scales.
-        assert_eq!(p.device.effective_flops(sparse_traffic), p.device.peak_flops);
+        assert_eq!(
+            p.device.effective_flops(sparse_traffic),
+            p.device.peak_flops
+        );
     }
 
     #[test]
     fn fig1_accelerator_is_faster_but_memory_constrained() {
         let p = fig1_platform();
-        assert!(p.accelerator.peak_flops > p.device.peak_flops);
-        assert!(p.accelerator.mem_capacity_bytes < p.device.mem_capacity_bytes);
+        assert!(p.accelerators[0].spec.peak_flops > p.device.peak_flops);
+        assert!(p.accelerators[0].spec.mem_capacity_bytes < p.device.mem_capacity_bytes);
     }
 
     #[test]
     fn table1_accelerator_has_modest_advantage() {
         let p = table1_platform();
-        let ratio = p.accelerator.peak_flops / p.device.peak_flops;
+        let ratio = p.accelerators[0].spec.peak_flops / p.device.peak_flops;
         assert!(ratio > 1.0 && ratio < 1.5, "ratio {ratio}");
     }
 
     #[test]
     fn raspberry_is_slower_but_more_efficient() {
         let p = raspberry_platform();
-        assert!(p.accelerator.peak_flops < p.device.peak_flops);
-        assert!(p.accelerator.energy_per_flop < p.device.energy_per_flop);
+        assert!(p.accelerators[0].spec.peak_flops < p.device.peak_flops);
+        assert!(p.accelerators[0].spec.energy_per_flop < p.device.energy_per_flop);
     }
 
     #[test]
     fn smartphone_link_is_high_latency() {
         let p = smartphone_platform();
-        assert!(p.link.latency_s >= 1e-3);
-        assert!(p.accelerator.cost_per_second > 0.0);
+        assert!(p.accelerators[0].link.latency_s >= 1e-3);
+        assert!(p.accelerators[0].spec.cost_per_second > 0.0);
     }
 }

@@ -2,29 +2,42 @@
 
 use std::fmt;
 
-/// Where a task runs: the edge device `D` or the accelerator `A`.
+/// Where a task runs: the edge device `D` or accelerator `k` of the
+/// platform (see [`crate::Platform::accelerators`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loc {
     /// The edge device (paper notation `D`).
     Device,
-    /// The accelerator (paper notation `A`).
-    Accelerator,
+    /// Accelerator `k`, 0-based (paper notation `A` for the first).
+    Accelerator(usize),
 }
 
 impl Loc {
-    /// Single-letter paper notation.
+    /// Accelerators that have a letter: `A`–`Z` without `D`.
+    pub const MAX_ACCELERATORS: usize = 25;
+
+    /// Single-letter paper notation: `D` for the device and `A`, `B`, `C`,
+    /// `E`, … for accelerators 0, 1, 2, 3, … — the letters skip `D`, so
+    /// every label stays unique. `'?'` past [`Loc::MAX_ACCELERATORS`].
     pub fn letter(self) -> char {
         match self {
             Loc::Device => 'D',
-            Loc::Accelerator => 'A',
+            Loc::Accelerator(k) if k < Self::MAX_ACCELERATORS => {
+                let skip_d = u8::from(k >= 3);
+                char::from(b'A' + k as u8 + skip_d)
+            }
+            Loc::Accelerator(_) => '?',
         }
     }
 
-    /// Parses `'D'`/`'A'` (case-insensitive).
+    /// Inverse of [`Loc::letter`] (case-insensitive).
     pub fn from_letter(c: char) -> Option<Loc> {
         match c.to_ascii_uppercase() {
             'D' => Some(Loc::Device),
-            'A' => Some(Loc::Accelerator),
+            c @ 'A'..='Z' => {
+                let k = c as usize - 'A' as usize;
+                Some(Loc::Accelerator(if c > 'D' { k - 1 } else { k }))
+            }
             _ => None,
         }
     }
@@ -159,31 +172,40 @@ pub fn placement_label(placement: &[Loc]) -> String {
 }
 
 /// Parses a paper-notation label (e.g. `"DAD"`) into a placement vector.
-/// Returns `None` on any character outside `{D, A}`.
+/// Returns `None` on any character outside `A`–`Z`.
 pub fn parse_placement(label: &str) -> Option<Vec<Loc>> {
     label.chars().map(Loc::from_letter).collect()
 }
 
-/// Enumerates all `2^n` placements of `n` tasks in a stable order:
-/// lexicographic with `D < A`, so `DD…D` comes first and `AA…A` last.
-/// This is the paper's Fig. 1a (n=2, four algorithms) and Table I (n=3,
-/// eight algorithms) enumeration.
-pub fn enumerate_placements(n: usize) -> Vec<Vec<Loc>> {
-    assert!(n < usize::BITS as usize, "placement count would overflow");
-    let mut out = Vec::with_capacity(1 << n);
-    for mask in 0..(1u64 << n) {
-        let mut p = Vec::with_capacity(n);
-        for bit in (0..n).rev() {
-            // Highest bit = first task, so the order is lexicographic.
-            if mask & (1 << bit) == 0 {
-                p.push(Loc::Device);
-            } else {
-                p.push(Loc::Accelerator);
+/// Enumerates all `(1 + accelerators)^n` placements of `n` tasks in a
+/// stable order: lexicographic with `D < A < B < …`, so `DD…D` comes
+/// first. With one accelerator this is the paper's Fig. 1a (n=2, four
+/// algorithms) and Table I (n=3, eight algorithms) enumeration.
+///
+/// # Panics
+/// Panics when the space exceeds 2^20 placements.
+pub fn enumerate_placements(n: usize, accelerators: usize) -> Vec<Vec<Loc>> {
+    let base = 1 + accelerators as u64;
+    let total = u32::try_from(n)
+        .ok()
+        .and_then(|n| base.checked_pow(n))
+        .filter(|&total| total <= 1 << 20)
+        .expect("placement space too large to enumerate");
+    (0..total)
+        .map(|mut code| {
+            let mut p = vec![Loc::Device; n];
+            // The last task is the lowest digit, so the order is
+            // lexicographic.
+            for slot in p.iter_mut().rev() {
+                let digit = (code % base) as usize;
+                if digit > 0 {
+                    *slot = Loc::Accelerator(digit - 1);
+                }
+                code /= base;
             }
-        }
-        out.push(p);
-    }
-    out
+            p
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -193,11 +215,20 @@ mod tests {
     #[test]
     fn loc_letters_roundtrip() {
         assert_eq!(Loc::Device.letter(), 'D');
-        assert_eq!(Loc::Accelerator.letter(), 'A');
+        assert_eq!(Loc::Accelerator(0).letter(), 'A');
         assert_eq!(Loc::from_letter('d'), Some(Loc::Device));
-        assert_eq!(Loc::from_letter('A'), Some(Loc::Accelerator));
-        assert_eq!(Loc::from_letter('x'), None);
+        assert_eq!(Loc::from_letter('A'), Some(Loc::Accelerator(0)));
+        assert_eq!(Loc::from_letter('x'), Some(Loc::Accelerator(22)));
+        assert_eq!(Loc::from_letter('?'), None);
         assert_eq!(Loc::Device.to_string(), "D");
+        // Accelerator letters skip the device's `D`.
+        assert_eq!(Loc::Accelerator(3).letter(), 'E');
+        assert_eq!(Loc::Accelerator(24).letter(), 'Z');
+        assert_eq!(Loc::Accelerator(25).letter(), '?');
+        for k in 0..Loc::MAX_ACCELERATORS {
+            let loc = Loc::Accelerator(k);
+            assert_eq!(Loc::from_letter(loc.letter()), Some(loc));
+        }
     }
 
     #[test]
@@ -242,15 +273,15 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        let p = vec![Loc::Device, Loc::Accelerator, Loc::Device];
+        let p = vec![Loc::Device, Loc::Accelerator(0), Loc::Device];
         assert_eq!(placement_label(&p), "DAD");
         assert_eq!(parse_placement("DAD"), Some(p));
-        assert_eq!(parse_placement("DXD"), None);
+        assert_eq!(parse_placement("D-D"), None);
     }
 
     #[test]
     fn enumeration_count_and_order() {
-        let all = enumerate_placements(3);
+        let all = enumerate_placements(3, 1);
         assert_eq!(all.len(), 8);
         let labels: Vec<String> = all.iter().map(|p| placement_label(p)).collect();
         assert_eq!(
@@ -261,7 +292,7 @@ mod tests {
 
     #[test]
     fn enumeration_two_tasks_matches_fig1a() {
-        let labels: Vec<String> = enumerate_placements(2)
+        let labels: Vec<String> = enumerate_placements(2, 1)
             .iter()
             .map(|p| placement_label(p))
             .collect();
@@ -270,16 +301,28 @@ mod tests {
 
     #[test]
     fn enumeration_zero_tasks() {
-        let all = enumerate_placements(0);
+        let all = enumerate_placements(0, 1);
         assert_eq!(all.len(), 1);
         assert!(all[0].is_empty());
     }
 
     #[test]
     fn all_placements_unique() {
-        let all = enumerate_placements(4);
+        let all = enumerate_placements(4, 1);
         let set: std::collections::HashSet<String> =
             all.iter().map(|p| placement_label(p)).collect();
         assert_eq!(set.len(), 16);
+    }
+
+    #[test]
+    fn five_accelerator_labels_are_unique_and_parse_back() {
+        let all = enumerate_placements(3, 5);
+        assert_eq!(all.len(), 216);
+        let labels: std::collections::HashSet<String> =
+            all.iter().map(|p| placement_label(p)).collect();
+        assert_eq!(labels.len(), 216);
+        for p in &all {
+            assert_eq!(parse_placement(&placement_label(p)).as_ref(), Some(p));
+        }
     }
 }

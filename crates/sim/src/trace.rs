@@ -48,9 +48,9 @@ pub fn timeline(record: &ExecutionRecord) -> Vec<Segment> {
 pub struct Utilization {
     /// Edge-device busy fraction.
     pub device: f64,
-    /// Accelerator busy fraction.
+    /// Busy fraction of the accelerators together.
     pub accelerator: f64,
-    /// Link busy fraction.
+    /// Busy fraction of the links together.
     pub link: f64,
 }
 
@@ -72,8 +72,8 @@ pub fn utilization(record: &ExecutionRecord) -> Utilization {
 
 /// Renders an ASCII Gantt chart of the record, `width` characters wide.
 ///
-/// Each task is one row; `D`/`A` cells mark compute on the device or
-/// accelerator, `~` marks link time (appended at the task's tail, which is
+/// Each task is one row; compute cells carry the letter of where the task
+/// ran (`D`, `A`, `B`, …), `~` marks link time (appended at the task's tail, which is
 /// a rendering simplification — transfers are interleaved in reality).
 pub fn render_gantt(record: &ExecutionRecord, width: usize) -> String {
     assert!(width >= 10, "gantt needs at least 10 columns");
@@ -88,10 +88,7 @@ pub fn render_gantt(record: &ExecutionRecord, width: usize) -> String {
         let transfer_len =
             ((seg.transfer_s / total * width as f64).round() as usize).min(len);
         let compute_len = len - transfer_len;
-        let fill = match seg.loc {
-            Loc::Device => "D",
-            Loc::Accelerator => "A",
-        };
+        let fill = seg.loc.to_string();
         out.push_str(&format!("{:<6} |", seg.name));
         out.push_str(&" ".repeat(start.min(width)));
         out.push_str(&fill.repeat(compute_len.min(width.saturating_sub(start))));
@@ -139,7 +136,7 @@ mod tests {
                 },
                 TaskRecord {
                     name: "L2".into(),
-                    loc: Loc::Accelerator,
+                    loc: Loc::Accelerator(0),
                     time_s: 0.4,
                     transfer_s: 0.1,
                     flops: 200,
@@ -155,7 +152,7 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].start_s, 0.0);
         assert!((tl[1].start_s - 0.6).abs() < 1e-12);
-        assert_eq!(tl[1].loc, Loc::Accelerator);
+        assert_eq!(tl[1].loc, Loc::Accelerator(0));
     }
 
     #[test]

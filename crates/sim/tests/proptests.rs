@@ -5,7 +5,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_sim::device::{DeviceKind, DeviceSpec};
-use relperf_sim::executor::Platform;
+use relperf_sim::executor::{AcceleratorSlot, Platform};
 use relperf_sim::link::LinkSpec;
 use relperf_sim::noise::NoiseModel;
 use relperf_sim::task::{enumerate_placements, Loc, Task};
@@ -23,27 +23,29 @@ fn quiet_platform() -> Platform {
             cost_per_second: 0.0,
             launch_overhead_s: 0.0,
         },
-        accelerator: DeviceSpec {
-            name: "a".into(),
-            kind: DeviceKind::Gpu,
-            peak_flops: 1e10,
-            mem_capacity_bytes: 1 << 20,
-            mem_pressure_penalty: 3.0,
-            energy_per_flop: 5e-10,
-            idle_power_watts: 2.0,
-            cost_per_second: 0.1,
-            launch_overhead_s: 1e-4,
-        },
-        link: LinkSpec {
-            name: "l".into(),
-            latency_s: 1e-4,
-            bandwidth_bytes_per_s: 1e9,
-            energy_per_byte: 1e-9,
-        },
-        context_switch_s: 1e-3,
         device_noise: NoiseModel::None,
-        accel_noise: NoiseModel::None,
-        transfer_noise: NoiseModel::None,
+        accelerators: vec![AcceleratorSlot {
+            spec: DeviceSpec {
+                name: "a".into(),
+                kind: DeviceKind::Gpu,
+                peak_flops: 1e10,
+                mem_capacity_bytes: 1 << 20,
+                mem_pressure_penalty: 3.0,
+                energy_per_flop: 5e-10,
+                idle_power_watts: 2.0,
+                cost_per_second: 0.1,
+                launch_overhead_s: 1e-4,
+            },
+            link: LinkSpec {
+                name: "l".into(),
+                latency_s: 1e-4,
+                bandwidth_bytes_per_s: 1e9,
+                energy_per_byte: 1e-9,
+            },
+            noise: NoiseModel::None,
+            transfer_noise: NoiseModel::None,
+        }],
+        context_switch_s: 1e-3,
     }
 }
 
@@ -90,7 +92,7 @@ proptest! {
         let platform = quiet_platform();
         let tasks = build_tasks(&specs);
         let mut rng = StdRng::seed_from_u64(seed);
-        for placement in enumerate_placements(tasks.len()) {
+        for placement in enumerate_placements(tasks.len(), 1) {
             let rec = platform.execute(&tasks, &placement, &mut rng);
             prop_assert!(rec.total_time_s > 0.0);
             prop_assert!(rec.device_busy_s >= 0.0 && rec.accel_busy_s >= 0.0);
@@ -120,7 +122,7 @@ proptest! {
             t.flops_per_iter *= scale;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        for placement in enumerate_placements(base.len()) {
+        for placement in enumerate_placements(base.len(), 1) {
             let t_base = platform.execute(&base, &placement, &mut rng).total_time_s;
             let t_scaled = platform.execute(&scaled, &placement, &mut rng).total_time_s;
             prop_assert!(t_scaled > t_base, "scaling flops must slow execution");
@@ -131,7 +133,7 @@ proptest! {
     fn noise_preserves_mean_scale(specs in vec(task_strategy(), 1..3), seed in 0u64..200) {
         let mut platform = quiet_platform();
         platform.device_noise = NoiseModel::Gaussian { std_frac: 0.05 };
-        platform.accel_noise = NoiseModel::Gaussian { std_frac: 0.05 };
+        platform.accelerators[0].noise = NoiseModel::Gaussian { std_frac: 0.05 };
         let tasks = build_tasks(&specs);
         let quiet_time = quiet_platform()
             .execute(&tasks, &vec![Loc::Device; tasks.len()], &mut StdRng::seed_from_u64(0))
@@ -162,7 +164,7 @@ proptest! {
         let none = platform.execute(&tasks, &vec![Loc::Device; n], &mut rng);
         for k in 0..n {
             let mut placement = vec![Loc::Device; n];
-            placement[k] = Loc::Accelerator;
+            placement[k] = Loc::Accelerator(0);
             let one = platform.execute(&tasks, &placement, &mut rng);
             prop_assert!(one.bytes_transferred >= none.bytes_transferred);
             prop_assert!(one.operating_cost > 0.0);
@@ -174,9 +176,9 @@ proptest! {
         let tasks = build_tasks(&specs);
         let placement = vec![Loc::Device; tasks.len()];
         let mut lazy = quiet_platform();
-        lazy.accelerator.idle_power_watts = 0.0;
+        lazy.accelerators[0].spec.idle_power_watts = 0.0;
         let mut hungry = quiet_platform();
-        hungry.accelerator.idle_power_watts = 50.0;
+        hungry.accelerators[0].spec.idle_power_watts = 50.0;
         let mut rng = StdRng::seed_from_u64(seed);
         let e_lazy = lazy.execute(&tasks, &placement, &mut rng).energy.total();
         let e_hungry = hungry.execute(&tasks, &placement, &mut rng).energy.total();

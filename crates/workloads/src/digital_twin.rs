@@ -80,7 +80,7 @@ pub fn placements(config: &MultiScaleConfig) -> Vec<(String, Vec<Loc>)> {
         config.stages <= 16,
         "placement enumeration is exponential; use a subset strategy beyond 16 stages"
     );
-    enumerate_placements(config.stages)
+    enumerate_placements(config.stages, 1)
         .into_iter()
         .map(|p| (placement_label(&p), p))
         .collect()

@@ -72,13 +72,16 @@ impl Experiment {
     pub fn table1_fem(iters: usize) -> Self {
         let mut tasks = crate::scientific_code::tasks(iters);
         tasks.push(crate::fem::FemScenario::table1().simulated_task("L4", iters));
-        Experiment {
-            platform: relperf_sim::presets::table1_fem_platform(),
-            tasks,
-            placements: relperf_sim::enumerate_placements(4)
+        let platform = relperf_sim::presets::table1_fem_platform();
+        let placements =
+            relperf_sim::enumerate_placements(tasks.len(), platform.accelerators.len())
                 .into_iter()
                 .map(|p| (relperf_sim::placement_label(&p), p))
-                .collect(),
+                .collect();
+        Experiment {
+            platform,
+            tasks,
+            placements,
         }
     }
 

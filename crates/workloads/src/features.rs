@@ -30,7 +30,7 @@ pub fn placement_features(tasks: &[Task], placement: &[Loc]) -> Vec<f64> {
         }
         match loc {
             Loc::Device => device_flops += task.total_flops() as f64,
-            Loc::Accelerator => {
+            Loc::Accelerator(_) => {
                 accel_flops += task.total_flops() as f64;
                 bytes += task.total_offload_bytes() as f64;
                 offloaded += 1.0;
@@ -82,7 +82,7 @@ mod tests {
         assert_eq!(f[3], 0.0); // no crossings
         assert_eq!(f[4], 0.0); // nothing offloaded
 
-        let daa = vec![Loc::Device, Loc::Accelerator, Loc::Accelerator];
+        let daa = vec![Loc::Device, Loc::Accelerator(0), Loc::Accelerator(0)];
         let g = placement_features(&tasks, &daa);
         assert!(g[1] > 0.0);
         assert_eq!(g[3], 1.0); // one crossing D→A
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn crossings_count_matches_label_transitions() {
         let tasks = scientific_code::tasks(2);
-        let ada = vec![Loc::Accelerator, Loc::Device, Loc::Accelerator];
+        let ada = vec![Loc::Accelerator(0), Loc::Device, Loc::Accelerator(0)];
         let f = placement_features(&tasks, &ada);
         assert_eq!(f[3], 3.0); // D(start)→A, A→D, D→A
     }

@@ -109,7 +109,7 @@ pub fn tasks(config: &DetectionConfig) -> Vec<Task> {
 
 /// All 8 placements of the three stages.
 pub fn placements() -> Vec<(String, Vec<Loc>)> {
-    enumerate_placements(3)
+    enumerate_placements(3, 1)
         .into_iter()
         .map(|p| (placement_label(&p), p))
         .collect()
@@ -161,7 +161,8 @@ mod tests {
         // On the GPU-class platform, the compute-dense hi-fi stage must
         // gain more from offloading than the transfer-bound preprocessing.
         use rand::prelude::*;
-        use relperf_sim::Loc::{Accelerator as A, Device as D};
+        use relperf_sim::Loc::Device as D;
+        const A: relperf_sim::Loc = relperf_sim::Loc::Accelerator(0);
         let platform = relperf_sim::presets::fig1_platform();
         let ts = tasks(&DetectionConfig::default());
         let mut rng = StdRng::seed_from_u64(191);

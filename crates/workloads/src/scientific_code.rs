@@ -40,7 +40,7 @@ pub fn tasks_custom(sizes: &[usize], iters: usize) -> Vec<Task> {
 
 /// All 8 placements labelled in paper notation, `DDD` first, `AAA` last.
 pub fn placements() -> Vec<(String, Vec<Loc>)> {
-    enumerate_placements(3)
+    enumerate_placements(3, 1)
         .into_iter()
         .map(|p| (placement_label(&p), p))
         .collect()

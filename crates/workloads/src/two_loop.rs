@@ -45,7 +45,7 @@ pub fn tasks() -> Vec<Task> {
 /// The four placements in the paper's order DD, DA, AD, AA.
 pub fn placements() -> Vec<(String, Vec<Loc>)> {
     // enumerate_placements yields DD, DA, AD, AA for two tasks.
-    enumerate_placements(2)
+    enumerate_placements(2, 1)
         .into_iter()
         .map(|p| (placement_label(&p), p))
         .collect()

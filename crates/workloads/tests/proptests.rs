@@ -15,7 +15,7 @@ proptest! {
 
     #[test]
     fn placement_labels_roundtrip(n in 0usize..10) {
-        for p in enumerate_placements(n) {
+        for p in enumerate_placements(n, 1) {
             let label = placement_label(&p);
             prop_assert_eq!(label.len(), n);
             prop_assert_eq!(parse_placement(&label), Some(p));
@@ -24,7 +24,7 @@ proptest! {
 
     #[test]
     fn placement_enumeration_is_a_bijection(n in 0usize..12) {
-        let all = enumerate_placements(n);
+        let all = enumerate_placements(n, 1);
         prop_assert_eq!(all.len(), 1usize << n);
         let labels: std::collections::HashSet<String> =
             all.iter().map(|p| placement_label(p)).collect();
@@ -55,7 +55,7 @@ proptest! {
             // Crossings are bounded by the number of tasks.
             prop_assert!(f[3] <= tasks.len() as f64);
             // Offloaded count matches the placement.
-            let offloaded = placement.iter().filter(|&&l| l == Loc::Accelerator).count();
+            let offloaded = placement.iter().filter(|l| matches!(l, Loc::Accelerator(_))).count();
             prop_assert_eq!(f[4], offloaded as f64);
         }
     }

@@ -5,32 +5,15 @@ use rand::prelude::*;
 use relative_performance::core::search::{tournament_search, SearchConfig};
 use relative_performance::measure::stream_seed;
 use relative_performance::prelude::*;
-use relative_performance::sim::multi::{
-    enumerate_multi_placements, multi_label, AcceleratorSlot, MultiPlatform,
-};
+use relative_performance::sim::{enumerate_placements, placement_label};
 use relative_performance::workloads::scientific_code;
 
-fn two_accel_platform() -> MultiPlatform {
-    let base = presets::table1_platform();
-    MultiPlatform {
-        device: base.device.clone(),
-        device_noise: base.device_noise.clone(),
-        accelerators: vec![
-            AcceleratorSlot {
-                spec: base.accelerator.clone(),
-                link: base.link.clone(),
-                noise: base.accel_noise.clone(),
-                transfer_noise: base.transfer_noise.clone(),
-            },
-            AcceleratorSlot {
-                spec: presets::raspberry_platform().accelerator.clone(),
-                link: presets::raspberry_platform().link.clone(),
-                noise: presets::raspberry_platform().accel_noise.clone(),
-                transfer_noise: presets::raspberry_platform().transfer_noise.clone(),
-            },
-        ],
-        context_switch_s: base.context_switch_s,
-    }
+fn two_accel_platform() -> Platform {
+    let mut platform = presets::table1_platform();
+    platform
+        .accelerators
+        .extend(presets::raspberry_platform().accelerators);
+    platform
 }
 
 #[test]
@@ -38,7 +21,7 @@ fn multi_accelerator_clustering_puts_pi_placements_last() {
     let platform = two_accel_platform();
     platform.validate();
     let tasks = scientific_code::tasks(10);
-    let placements = enumerate_multi_placements(3, 2);
+    let placements = enumerate_placements(3, 2);
     assert_eq!(placements.len(), 27);
 
     let seed = 41;
@@ -47,7 +30,7 @@ fn multi_accelerator_clustering_puts_pi_placements_last() {
         .enumerate()
         .map(|(i, p)| {
             let mut rng = StdRng::seed_from_u64(stream_seed(seed, i as u64));
-            (multi_label(p), platform.measure(&tasks, p, 20, &mut rng).unwrap())
+            (placement_label(p), platform.measure(&tasks, p, 20, &mut rng).unwrap())
         })
         .collect();
 

@@ -972,9 +972,11 @@ mod tests {
         // Stress the early-exit logic: dominance 0 (one quantile win
         // decides a round), dominance 1 (all must win), threshold 0
         // (any lead decides), threshold 1 (nothing ever decides).
+        // Dominances 0.5 and 0.7 make `dominance × 5 quantiles` fractional
+        // (2.5, 3.5), so a vote that rounds its quorum down shows.
         let a = noisy(1.00, 0.10, 25, 31);
         let b = noisy(1.03, 0.10, 25, 32);
-        for dominance in [0.0, 0.4, 1.0] {
+        for dominance in [0.0, 0.4, 0.5, 0.7, 1.0] {
             for threshold in [0.0, 0.5, 1.0] {
                 let cfg = BootstrapConfig {
                     reps: 30,

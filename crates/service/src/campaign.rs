@@ -1,57 +1,46 @@
 //! Adaptive measurement campaigns driven *through* the service.
 //!
-//! A [`ServiceCampaign`] is the hosted counterpart of
-//! [`AdaptiveExperiment`](relperf_workloads::adaptive::AdaptiveExperiment):
-//! it draws measurement waves from the same carried per-placement RNG
-//! streams ([`draw_wave`]), but
-//! ingests and scores them by submitting `Extend`/`Score` ops to a
-//! [`SessionService`] instead of owning a private session — so many
-//! campaigns from many tenants share one scheduler, one comparator, and
-//! one capacity budget.
+//! A [`ServiceCampaign`] runs the same wave loop as
+//! [`AdaptiveExperiment`](relperf_workloads::adaptive::AdaptiveExperiment),
+//! one [`CampaignDriver`], but ingests and scores each wave by submitting
+//! `Extend`/`Score` ops to a [`SessionService`] instead of owning a
+//! private session — so many campaigns from many tenants share one
+//! scheduler, one comparator, and one capacity budget. Admission is the
+//! commit point: the driver keeps the advanced RNG streams and counts
+//! only once [`SessionService::submit_all`] admits the whole wave.
 //!
-//! Determinism carries over unchanged: the measurement draws are a pure
-//! function of the carried RNG states, and the service guarantees
-//! wave-for-wave bit-identity with a private
+//! Determinism carries over unchanged: the draws are a pure function of
+//! the carried RNG states, and the service guarantees wave-for-wave
+//! bit-identity with a private
 //! [`ClusterSession`](relperf_core::session::ClusterSession) — so a
 //! service campaign's tables equal `AdaptiveExperiment`'s for the same
 //! seeds, budgets, and waves (tested in `tests/`).
 //!
 //! # Checkpoint / restore
 //!
-//! [`checkpoint`](ServiceCampaign::checkpoint) asks the service to
-//! snapshot the hosted session, then attaches the campaign's carried
-//! per-placement RNG states to the same [`snapshot`]
-//! container. [`resume`](ServiceCampaign::resume) restores the session
-//! into a service and continues every placement's stream exactly where it
-//! stopped — the resumed campaign's remaining waves are bit-identical to
-//! an uninterrupted run's.
+//! [`checkpoint`](ServiceCampaign::checkpoint) attaches the carried RNG
+//! states to the hosted session's [`snapshot`];
+//! [`resume`](ServiceCampaign::resume) restores the session, reads every
+//! placement's count from its sample, and continues every stream where it
+//! stopped — bit-identical to an uninterrupted run.
 
 use crate::error::ServiceError;
 use crate::service::{OpOutcome, SessionOp, SessionService, SessionSpec, WaveOutcome};
-use crate::snapshot;
-use rand::rngs::StdRng;
-use relperf_core::cluster::{ClusterConfig, Parallelism};
+use crate::snapshot::{self, SnapshotError};
+use relperf_core::cluster::ClusterConfig;
 use relperf_core::session::ConvergenceCriterion;
 use relperf_measure::ScratchThreeWayComparator;
-use relperf_workloads::adaptive::{draw_wave, placement_rngs, WaveSchedule};
+use relperf_workloads::adaptive::{CampaignDriver, WaveSchedule};
 use relperf_workloads::experiment::Experiment;
 
 /// A live hosted campaign (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ServiceCampaign<'a, C: ScratchThreeWayComparator + Send + Sync> {
     service: &'a SessionService<C>,
-    experiment: &'a Experiment,
     tenant: u64,
     session: u64,
-    schedule: WaveSchedule,
-    /// Fan-out of the measurement draws (the clustering parallelism is the
-    /// session's own config).
-    parallelism: Parallelism,
-    /// Placement `i`'s measurement RNG, carried across waves and into
-    /// checkpoints.
-    rngs: Vec<StdRng>,
-    /// Measurements drawn per placement so far.
-    drawn: usize,
+    /// The wave loop (draws fan out per the session config's parallelism).
+    driver: CampaignDriver<'a>,
     /// The last scored wave, if any.
     last: Option<WaveOutcome>,
 }
@@ -78,35 +67,26 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
         measure_seed: u64,
         cluster_seed: u64,
     ) -> Result<Self, ServiceError> {
-        schedule.validate();
-        let p = experiment.placements.len();
+        let driver = CampaignDriver::new(experiment, schedule, config.parallelism, measure_seed);
         service.create_session(
             tenant,
             session,
             SessionSpec {
-                algorithms: p,
+                algorithms: experiment.placements.len(),
                 config,
                 seed: cluster_seed,
                 criterion,
             },
         )?;
-        Ok(ServiceCampaign {
-            service,
-            experiment,
-            tenant,
-            session,
-            schedule,
-            parallelism: config.parallelism,
-            rngs: placement_rngs(measure_seed, p),
-            drawn: 0,
-            last: None,
-        })
+        Ok(ServiceCampaign { service, tenant, session, driver, last: None })
     }
 
     /// Resumes a campaign from checkpoint bytes produced by
     /// [`checkpoint`](ServiceCampaign::checkpoint): restores the hosted
     /// session and continues every placement's measurement stream from its
-    /// carried RNG state.
+    /// carried RNG state. A checkpoint whose placements hold different
+    /// measurement counts does not fit the uniform schedule: it fails with
+    /// [`SnapshotError::Malformed`] and nothing is restored.
     pub fn resume(
         service: &'a SessionService<C>,
         experiment: &'a Experiment,
@@ -115,19 +95,16 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
         schedule: WaveSchedule,
         bytes: &[u8],
     ) -> Result<Self, ServiceError> {
-        schedule.validate();
         let snap = snapshot::decode(bytes)?;
-        let p = experiment.placements.len();
-        if snap.rng_states.len() != p || snap.state.samples.len() != p {
-            return Err(ServiceError::BadSnapshot(
-                crate::snapshot::SnapshotError::Malformed(
-                    "snapshot does not match the experiment's placement count",
-                ),
-            ));
-        }
-        // Uniform waves: every placement has drawn the same number of
-        // measurements.
-        let drawn = snap.state.samples[0].as_ref().map_or(0, |s| s.len());
+        let drawn = snap.state.samples.iter().map(|s| s.as_ref().map_or(0, |s| s.len())).collect();
+        let driver = CampaignDriver::resume(
+            experiment,
+            schedule,
+            snap.config.parallelism,
+            &snap.rng_states,
+            drawn,
+        )
+        .map_err(|what| ServiceError::BadSnapshot(SnapshotError::Malformed(what)))?;
         let last = snap.state.table.as_ref().map(|table| WaveOutcome {
             clustering: table.final_assignment(),
             table: table.clone(),
@@ -135,25 +112,13 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
             waves: snap.state.waves,
             stable_run: snap.state.stable_run,
         });
-        let parallelism = snap.config.parallelism;
-        let rngs = snap.rng_states.iter().map(|&s| StdRng::from_state(s)).collect();
         service.restore_snapshot(tenant, session, snap)?;
-        Ok(ServiceCampaign {
-            service,
-            experiment,
-            tenant,
-            session,
-            schedule,
-            parallelism,
-            rngs,
-            drawn,
-            last,
-        })
+        Ok(ServiceCampaign { service, tenant, session, driver, last })
     }
 
     /// Measurements drawn per placement so far.
     pub fn measurements_per_algorithm(&self) -> usize {
-        self.drawn
+        self.driver.measurements_per_algorithm()
     }
 
     /// `true` once the hosted session's criterion has been met.
@@ -163,7 +128,7 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
 
     /// `true` while the budget allows another wave.
     pub fn budget_remaining(&self) -> bool {
-        self.schedule.next_wave(self.drawn) > 0
+        self.driver.budget_remaining()
     }
 
     /// The last scored wave, if any.
@@ -190,28 +155,20 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
     /// Panics when the budget is exhausted (check
     /// [`budget_remaining`](ServiceCampaign::budget_remaining)).
     pub fn wave(&mut self) -> Result<&WaveOutcome, ServiceError> {
-        let n = self.schedule.next_wave(self.drawn);
-        assert!(n > 0, "measurement budget exhausted");
-        // Draw on a copy of the carried streams; commit only once the
-        // whole wave is admitted, so a rejected wave consumes nothing.
-        let mut rngs = self.rngs.clone();
-        let waves = draw_wave(self.experiment, &mut rngs, n, self.parallelism);
-        let mut ops: Vec<SessionOp> = waves
-            .into_iter()
-            .enumerate()
-            .map(|(alg, values)| SessionOp::Extend { alg, values })
-            .collect();
-        ops.push(SessionOp::Score);
-        let seqs = self.service.submit_all(self.tenant, self.session, ops)?;
-        self.rngs = rngs;
-        self.drawn += n;
+        let seqs = self.driver.wave(|waves| {
+            let mut ops: Vec<SessionOp> = waves
+                .into_iter()
+                .enumerate()
+                .map(|(alg, values)| SessionOp::Extend { alg, values })
+                .collect();
+            ops.push(SessionOp::Score);
+            self.service.submit_all(self.tenant, self.session, ops)
+        })?;
         let score_seq = *seqs.last().expect("ops were non-empty");
-        let outcome = self.expect_outcome(score_seq)?;
-        let OpOutcome::Scored(wave) = outcome else {
+        let OpOutcome::Scored(wave) = self.expect_outcome(score_seq)? else {
             unreachable!("a Score op answers with Scored");
         };
-        self.last = Some(wave);
-        Ok(self.last.as_ref().expect("just stored"))
+        Ok(self.last.insert(wave))
     }
 
     /// Runs waves until the criterion is met or the budget is exhausted;
@@ -234,7 +191,7 @@ impl<'a, C: ScratchThreeWayComparator + Send + Sync> ServiceCampaign<'a, C> {
             unreachable!("a Snapshot op answers with Snapshot");
         };
         let mut snap = snapshot::decode(&bytes)?;
-        snap.rng_states = self.rngs.iter().map(StdRng::state).collect();
+        snap.rng_states = self.driver.rng_states();
         Ok(snapshot::encode(&snap))
     }
 

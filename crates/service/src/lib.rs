@@ -61,7 +61,8 @@
 //!   bit-flip) in `tests/replication.rs`.
 //! * [`campaign`] — adaptive measurement campaigns
 //!   ([`ServiceCampaign`]) driven through the
-//!   service instead of a private session, checkpointable mid-flight.
+//!   service instead of a private session, checkpointable mid-flight —
+//!   the same wave loop as `AdaptiveExperiment`, committed on admission.
 //!
 //! # Quickstart
 //!

@@ -277,3 +277,120 @@ fn campaign_checkpoint_resume_is_bit_identical() {
     resumed.close().unwrap();
     assert_eq!(svc_c.num_sessions(), 0);
 }
+
+/// A wave the service refuses at admission consumes nothing: the campaign
+/// commits its advanced measurement streams and counts only once
+/// `submit_all` admits the whole wave, so the retried wave draws exactly
+/// what the refused one drew and every table equals an uninterrupted
+/// campaign's, bit for bit.
+#[test]
+fn refused_wave_commits_nothing_and_retries_bit_identically() {
+    let exp = Experiment::fig1();
+    let p = exp.placements.len();
+    let cfg = ClusterConfig {
+        repetitions: 20,
+        ..Default::default()
+    };
+    let never = ConvergenceCriterion {
+        stable_waves: usize::MAX,
+        score_tol: 0.0,
+    };
+    let schedule = WaveSchedule {
+        initial: 6,
+        wave: 3,
+        max_per_algorithm: 15,
+    };
+
+    let svc_ref = service(4);
+    let mut uninterrupted =
+        ServiceCampaign::new(&svc_ref, &exp, 1, 1, cfg, never, schedule, 5, 6).unwrap();
+    // A wave is `p` Extends plus one Score: the cap admits one whole wave
+    // and nothing beside it.
+    let svc = SessionService::new(
+        comparator(),
+        4,
+        Parallelism::auto(),
+        ServiceLimits {
+            tenant_in_flight: p + 1,
+            ..ServiceLimits::default()
+        },
+    );
+    let mut campaign = ServiceCampaign::new(&svc, &exp, 1, 1, cfg, never, schedule, 5, 6).unwrap();
+    svc.create_session(1, 2, SessionSpec::new(p, 9)).unwrap();
+
+    let mut waves = 0;
+    while uninterrupted.budget_remaining() {
+        let expect = uninterrupted.wave().unwrap().table.clone();
+        let drawn = campaign.measurements_per_algorithm();
+        // The tenant's second session holds one in-flight slot.
+        svc.submit(1, 2, SessionOp::Push { alg: 0, value: 1.0 }).unwrap();
+        let refused = campaign.wave().err();
+        assert!(
+            matches!(refused, Some(ServiceError::TenantBusy { tenant: 1, .. })),
+            "{refused:?}"
+        );
+        assert_eq!(campaign.measurements_per_algorithm(), drawn);
+        svc.run_batch();
+        let got = campaign.wave().unwrap().table.clone();
+        assert_eq!(got, expect, "retried wave {waves} diverged");
+        waves += 1;
+    }
+    assert_eq!(waves, 4);
+    assert!(!campaign.budget_remaining());
+    assert_eq!(
+        campaign.measurements_per_algorithm(),
+        uninterrupted.measurements_per_algorithm()
+    );
+}
+
+/// `resume` reads every placement's measurement count: a checkpoint whose
+/// placements hold different counts does not fit the uniform wave
+/// schedule, so it is refused typed — whatever the first placement holds
+/// — and nothing is restored.
+#[test]
+fn resume_refuses_unequal_placement_counts() {
+    let exp = Experiment::fig1();
+    let cfg = ClusterConfig {
+        repetitions: 20,
+        ..Default::default()
+    };
+    let schedule = WaveSchedule {
+        initial: 6,
+        wave: 3,
+        max_per_algorithm: 18,
+    };
+    let svc = service(4);
+    let mut campaign = ServiceCampaign::new(
+        &svc,
+        &exp,
+        1,
+        1,
+        cfg,
+        ConvergenceCriterion::default(),
+        schedule,
+        5,
+        6,
+    )
+    .unwrap();
+    campaign.wave().unwrap();
+    let mut snap = relperf_service::snapshot::decode(&campaign.checkpoint().unwrap()).unwrap();
+    snap.state.samples[2]
+        .as_mut()
+        .expect("the wave measured every placement")
+        .push(0.5)
+        .unwrap();
+    snap.state.dirty[2] = true;
+    snap.state.ingested = true;
+    let bytes = relperf_service::snapshot::encode(&snap);
+
+    let fresh = service(4);
+    let err = ServiceCampaign::resume(&fresh, &exp, 1, 1, schedule, &bytes).err();
+    assert!(
+        matches!(
+            err,
+            Some(ServiceError::BadSnapshot(SnapshotError::Malformed(_)))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(fresh.num_sessions(), 0, "a refused resume restores nothing");
+}

@@ -191,6 +191,41 @@ fn every_truncation_recovers_longest_valid_prefix() {
     }
 }
 
+/// A full-length final record whose checksum fails is the power-loss
+/// tail (the frame's bytes were allocated but never all reached the
+/// disk): it scans as torn and keeps every record before it. The same
+/// damage one record earlier has intact bytes after it, so it is real
+/// corruption and must come back typed.
+#[test]
+fn garbled_checksum_is_torn_only_on_the_final_record() {
+    let stream = sample_stream();
+    let golden = sample_records();
+    let full = scan(&stream).unwrap();
+    let last_at = full.records[golden.len() - 1].0;
+
+    let mut last = stream.clone();
+    let n = last.len();
+    last[n - 1] ^= 0x5A;
+    let s = scan(&last).expect("a garbled final checksum is a torn tail");
+    assert!(s.torn);
+    assert_eq!(s.valid_len, last_at);
+    let kept: Vec<JournalRecord> = s.records.into_iter().map(|(_, r)| r).collect();
+    assert_eq!(kept, golden[..golden.len() - 1]);
+
+    // The checksum of the record before: the 8 bytes ending where the
+    // final record starts.
+    let prev_at = full.records[golden.len() - 2].0;
+    let mut earlier = stream.clone();
+    earlier[last_at - 1] ^= 0x5A;
+    assert_eq!(
+        scan(&earlier),
+        Err(JournalError::Corrupt {
+            offset: prev_at,
+            what: "record checksum mismatch",
+        })
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

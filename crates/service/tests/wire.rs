@@ -399,7 +399,8 @@ fn reserved_config_byte_accepts_legacy_one() {
 /// a valid frame (header, payload, checksum) yields a typed error from
 /// `decode_frame` — never a panic, never an accepted frame. Exhaustive,
 /// not sampled: the FNV trailer covers the whole frame, so any flip must
-/// be caught.
+/// be caught — and, since the checksum is checked first, caught as a
+/// checksum mismatch, header flips included.
 #[test]
 fn every_single_bit_flip_is_a_typed_decode_error() {
     let mut frames: Vec<Vec<u8>> = rich_requests()
@@ -420,8 +421,10 @@ fn every_single_bit_flip_is_a_typed_decode_error() {
                 let err = decode_frame(&corrupt)
                     .err()
                     .unwrap_or_else(|| panic!("flip at byte {i} bit {bit} was accepted"));
-                // Any typed error is fine; a panic would have aborted.
-                let _ = err.to_string();
+                assert!(
+                    matches!(err, WireError::ChecksumMismatch { .. }),
+                    "flip at byte {i} bit {bit}: {err}"
+                );
                 cases += 1;
             }
         }

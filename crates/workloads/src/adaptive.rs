@@ -9,6 +9,14 @@
 //! — typically well before a conservative fixed budget would have been
 //! spent.
 //!
+//! The wave loop is one [`CampaignDriver`]: schedule, carried
+//! per-placement RNGs, per-placement counts. It draws each wave on a copy
+//! of the streams and commits the advanced streams and counts only when
+//! the caller's ingest returns `Ok`, so a refused wave consumes nothing.
+//! [`AdaptiveExperiment`] ingests into a private session; the hosted
+//! `ServiceCampaign` (`relperf-service`) submits to a session service,
+//! where admission is the commit point.
+//!
 //! Determinism is preserved end to end:
 //!
 //! * Placement `i` draws from an RNG seeded `stream_seed(measure_seed, i)`
@@ -30,6 +38,7 @@ use rand::SeedableRng;
 use relperf_core::cluster::{ClusterConfig, Clustering, Parallelism, ScoreTable};
 use relperf_core::session::{ClusterSession, ConvergenceCriterion};
 use relperf_measure::{stream_seed, ScratchThreeWayComparator};
+use std::convert::Infallible;
 
 /// How measurements are budgeted across waves, per algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,78 +89,121 @@ impl WaveSchedule {
     }
 }
 
-/// The per-placement measurement RNGs of a campaign under `measure_seed`:
-/// placement `i` draws from a stream seeded `stream_seed(measure_seed, i)`
-/// — exactly the streams
-/// [`measure_all_seeded`](crate::experiment::measure_all_seeded) uses, so
-/// wave-by-wave draws concatenate to the batch measurement bit for bit.
-pub fn placement_rngs(measure_seed: u64, p: usize) -> Vec<StdRng> {
-    (0..p)
-        .map(|i| StdRng::seed_from_u64(stream_seed(measure_seed, i as u64)))
-        .collect()
-}
-
-/// Draws one wave of `n` measurements per placement, advancing each
-/// placement's RNG in place.
-///
-/// Placement `i` continues its own carried RNG: the state is cloned into
-/// the worker, the wave drawn, and the advanced state written back — a
-/// pure function of `(i, carried state)`, so any thread count yields the
-/// same draws ([`Parallelism`]-invariant) and consecutive waves
-/// concatenate to one uninterrupted stream. Shared by
-/// [`AdaptiveExperiment::wave`] and the hosted service campaigns
-/// (`relperf-service`), whose checkpoints carry these RNG states.
-///
-/// # Panics
-/// Panics when `rngs.len()` differs from the experiment's placement count.
-pub fn draw_wave(
-    exp: &Experiment,
-    rngs: &mut [StdRng],
-    n: usize,
+/// The wave loop of a campaign over one [`Experiment`] (see the [module
+/// docs](self)): the schedule, the draw fan-out, every placement's carried
+/// measurement RNG and the measurements each placement has drawn.
+#[derive(Debug)]
+pub struct CampaignDriver<'a> {
+    experiment: &'a Experiment,
+    schedule: WaveSchedule,
+    /// Fan-out of the measurement draws.
     parallelism: Parallelism,
-) -> Vec<Vec<f64>> {
-    assert_eq!(
-        rngs.len(),
-        exp.placements.len(),
-        "one carried RNG per placement"
-    );
-    let shared: &[StdRng] = rngs;
-    let waves: Vec<(Vec<f64>, StdRng)> =
-        relperf_parallel::parallel_map_indexed(exp.placements.len(), parallelism, |i| {
-            let mut rng = shared[i].clone();
-            let (_, placement) = &exp.placements[i];
-            let values: Vec<f64> = (0..n)
-                .map(|_| exp.platform.execute(&exp.tasks, placement, &mut rng).total_time_s)
-                .collect();
-            (values, rng)
-        });
-    waves
-        .into_iter()
-        .zip(rngs.iter_mut())
-        .map(|((values, advanced), slot)| {
-            *slot = advanced;
-            values
-        })
-        .collect()
+    /// Placement `i`'s measurement RNG, carried across waves so the
+    /// concatenated draws equal one batch `measure_all_seeded` stream.
+    rngs: Vec<StdRng>,
+    /// Measurements drawn per placement so far.
+    drawn: Vec<usize>,
 }
 
-/// A live adaptive campaign over one [`Experiment`]: per-placement RNG
-/// streams, the streaming cluster session, and the wave budget.
+impl<'a> CampaignDriver<'a> {
+    /// A fresh campaign, on the streams
+    /// [`measure_all_seeded`](crate::experiment::measure_all_seeded) uses.
+    /// Panics when the schedule is invalid.
+    pub fn new(
+        experiment: &'a Experiment,
+        schedule: WaveSchedule,
+        parallelism: Parallelism,
+        measure_seed: u64,
+    ) -> Self {
+        let seeded = |i| StdRng::seed_from_u64(stream_seed(measure_seed, i)).state();
+        let states: Vec<[u64; 4]> = (0..experiment.placements.len() as u64).map(seeded).collect();
+        let drawn = vec![0; states.len()];
+        Self::resume(experiment, schedule, parallelism, &states, drawn)
+            .expect("a fresh state covers every placement with equal counts")
+    }
+
+    /// Continues a campaign from carried RNG states and per-placement
+    /// counts. Fails when they miss a placement or the counts differ
+    /// (waves are uniform); panics when the schedule is invalid.
+    pub fn resume(
+        experiment: &'a Experiment,
+        schedule: WaveSchedule,
+        parallelism: Parallelism,
+        rng_states: &[[u64; 4]],
+        drawn: Vec<usize>,
+    ) -> Result<Self, &'static str> {
+        schedule.validate();
+        let p = experiment.placements.len();
+        if rng_states.len() != p || drawn.len() != p {
+            return Err("campaign state does not match the experiment's placement count");
+        }
+        if drawn.windows(2).any(|w| w[0] != w[1]) {
+            return Err("placements hold different measurement counts");
+        }
+        Ok(CampaignDriver {
+            experiment,
+            schedule,
+            parallelism,
+            rngs: rng_states.iter().map(|&s| StdRng::from_state(s)).collect(),
+            drawn,
+        })
+    }
+
+    /// Measurements drawn per algorithm so far (the most any placement drew).
+    pub fn measurements_per_algorithm(&self) -> usize {
+        self.drawn.iter().copied().max().unwrap_or(0)
+    }
+
+    /// `true` while the budget allows another wave.
+    pub fn budget_remaining(&self) -> bool {
+        self.schedule.next_wave(self.measurements_per_algorithm()) > 0
+    }
+
+    /// The carried RNG states: what a checkpoint persists so a resumed
+    /// campaign continues every stream (see [`StdRng::from_state`]).
+    pub fn rng_states(&self) -> Vec<[u64; 4]> {
+        self.rngs.iter().map(StdRng::state).collect()
+    }
+
+    /// Draws the next wave (placement `i`'s values in slot `i`) on copies
+    /// of the streams and hands it to `ingest`; the advanced streams and
+    /// counts are committed only when it returns `Ok`. Panics when the
+    /// budget is exhausted.
+    pub fn wave<T, E>(
+        &mut self,
+        ingest: impl FnOnce(Vec<Vec<f64>>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let exp = self.experiment;
+        let n = self.schedule.next_wave(self.measurements_per_algorithm());
+        assert!(n > 0, "measurement budget exhausted");
+        let (waves, advanced): (Vec<Vec<f64>>, Vec<StdRng>) =
+            relperf_parallel::parallel_map_indexed(self.rngs.len(), self.parallelism, |i| {
+                let mut rng = self.rngs[i].clone();
+                let (_, placement) = &exp.placements[i];
+                let values = (0..n)
+                    .map(|_| exp.platform.execute(&exp.tasks, placement, &mut rng).total_time_s)
+                    .collect();
+                (values, rng)
+            })
+            .into_iter()
+            .unzip();
+        let ingested = ingest(waves)?;
+        self.rngs = advanced;
+        self.drawn.iter_mut().for_each(|d| *d += n);
+        Ok(ingested)
+    }
+}
+
+/// A live adaptive campaign over one [`Experiment`]: the [`CampaignDriver`]
+/// and the streaming cluster session its waves feed.
 ///
 /// Drive it with [`wave`](AdaptiveExperiment::wave) /
 /// [`run_to_convergence`](AdaptiveExperiment::run_to_convergence), or use
 /// the one-shot [`measure_until_converged_seeded`].
 #[derive(Debug)]
 pub struct AdaptiveExperiment<'a, C: ScratchThreeWayComparator + Sync> {
-    experiment: &'a Experiment,
+    driver: CampaignDriver<'a>,
     session: ClusterSession<&'a C>,
-    schedule: WaveSchedule,
-    parallelism: Parallelism,
-    /// Placement `i`'s measurement RNG, carried across waves so the
-    /// concatenated draws equal one batch `measure_all_seeded` stream.
-    rngs: Vec<StdRng>,
-    /// Measurements drawn per algorithm so far (waves are uniform).
-    drawn: usize,
 }
 
 impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
@@ -173,18 +225,10 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
         measure_seed: u64,
         cluster_seed: u64,
     ) -> Self {
-        schedule.validate();
         let p = experiment.placements.len();
-        let session =
-            ClusterSession::with_criterion(p, comparator, config, cluster_seed, criterion);
-        let rngs = placement_rngs(measure_seed, p);
         AdaptiveExperiment {
-            experiment,
-            session,
-            schedule,
-            parallelism: config.parallelism,
-            rngs,
-            drawn: 0,
+            driver: CampaignDriver::new(experiment, schedule, config.parallelism, measure_seed),
+            session: ClusterSession::with_criterion(p, comparator, config, cluster_seed, criterion),
         }
     }
 
@@ -196,20 +240,17 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
 
     /// Measurements drawn per algorithm so far.
     pub fn measurements_per_algorithm(&self) -> usize {
-        self.drawn
+        self.driver.measurements_per_algorithm()
     }
 
-    /// The carried per-placement measurement RNG states — what a campaign
-    /// checkpoint must persist so a resumed campaign draws the exact
-    /// continuation of every placement's stream (see
-    /// [`rand::rngs::StdRng::from_state`]).
+    /// The carried measurement RNG states ([`CampaignDriver::rng_states`]).
     pub fn rng_states(&self) -> Vec<[u64; 4]> {
-        self.rngs.iter().map(StdRng::state).collect()
+        self.driver.rng_states()
     }
 
     /// Measurements drawn across all algorithms so far.
     pub fn total_measurements(&self) -> usize {
-        self.drawn * self.experiment.placements.len()
+        self.driver.drawn.iter().sum()
     }
 
     /// `true` once the session's criterion has been met.
@@ -219,7 +260,7 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
 
     /// `true` while the budget allows another wave.
     pub fn budget_remaining(&self) -> bool {
-        self.schedule.next_wave(self.drawn) > 0
+        self.driver.budget_remaining()
     }
 
     /// Draws the next wave of measurements for every placement (fanned
@@ -230,16 +271,14 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
     /// Panics when the budget is already exhausted (check
     /// [`budget_remaining`](AdaptiveExperiment::budget_remaining)).
     pub fn wave(&mut self) -> &ScoreTable {
-        let n = self.schedule.next_wave(self.drawn);
-        assert!(n > 0, "measurement budget exhausted");
-        let waves = draw_wave(self.experiment, &mut self.rngs, n, self.parallelism);
-        for (i, values) in waves.iter().enumerate() {
-            self.session
-                .extend(i, values)
-                .expect("simulated times are finite");
-        }
-        self.drawn += n;
-        self.session.score()
+        let session = &mut self.session;
+        let Ok(table) = self.driver.wave::<_, Infallible>(|waves| {
+            for (i, values) in waves.iter().enumerate() {
+                session.extend(i, values).expect("simulated times are finite");
+            }
+            Ok(session.score())
+        });
+        table
     }
 
     /// Runs waves until the criterion is met or the budget is exhausted;
@@ -255,8 +294,8 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
     /// far plus the noiseless accounting records, ready for
     /// [`profiles`](crate::experiment::profiles).
     pub fn measured(&self) -> Vec<MeasuredAlgorithm> {
-        self.experiment
-            .placements
+        let exp = self.driver.experiment;
+        exp.placements
             .iter()
             .enumerate()
             .map(|(i, (label, placement))| MeasuredAlgorithm {
@@ -267,7 +306,7 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
                     .sample(i)
                     .expect("wave() measured every placement")
                     .clone(),
-                record: self.experiment.platform.execute_noiseless(&self.experiment.tasks, placement),
+                record: exp.platform.execute_noiseless(&exp.tasks, placement),
             })
             .collect()
     }

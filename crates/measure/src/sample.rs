@@ -9,7 +9,18 @@
 //!
 //! A sample keeps its measurements in **two orders at once**: insertion
 //! order (`values`) and ascending order (the *sorted index*). The sorted
-//! index has two tiers:
+//! index is **built on first use**: [`Sample::new`] only validates the
+//! values and folds their moments, and the first read of the order
+//! ([`sorted`](Sample::sorted), [`sorted_runs`](Sample::sorted_runs),
+//! [`order_stat`](Sample::order_stat), [`min`](Sample::min),
+//! [`max`](Sample::max), [`ingest_stats`](Sample::ingest_stats), `==`)
+//! or the first write ([`push`](Sample::push),
+//! [`extend_from_slice`](Sample::extend_from_slice),
+//! [`try_extend_all`](Sample::try_extend_all)) builds it by one stable
+//! argsort. The index is a pure function of the values, so when it is
+//! built never changes a bit of any output; a sample that is only
+//! decoded and counted (a checkpoint read for its sizes) never sorts.
+//! The sorted index has two tiers:
 //!
 //! * **Flat** (`n ≤` [`Sample::TIER_THRESHOLD`]): one contiguous sorted
 //!   array plus the argsort (`ids[r]` = insertion index of the `r`-th
@@ -54,6 +65,7 @@ use std::sync::OnceLock;
 /// * every measurement is finite,
 /// * an internally maintained sorted index (flat or tiered, see the
 ///   [module docs](self)) for O(1)–O(log n) order-statistic queries,
+///   built on first use,
 /// * running first and second moments in insertion order, making
 ///   [`mean`](Sample::mean) and [`variance`](Sample::variance) O(1),
 /// * a lazily materialized ascending copy ([`sorted`](Sample::sorted)).
@@ -96,7 +108,9 @@ pub struct Sample {
     w_mean: f64,
     /// Welford running Σ(v−μ)² (see [`variance`](Sample::variance)).
     m2: f64,
-    index: SortedIndex,
+    /// The sorted index, built from `values` on first use (see the
+    /// [module docs](self)) and maintained incrementally from then on.
+    index: OnceLock<SortedIndex>,
     /// Lazily materialized flat ascending copy (tiered index only — the
     /// flat index *is* its own sorted view). Invalidated on every write.
     flat: OnceLock<Vec<f64>>,
@@ -121,6 +135,39 @@ enum SortedIndex {
         ids: Vec<u32>,
     },
     Tiered(TieredIndex),
+}
+
+impl SortedIndex {
+    /// The index of `values`: their stable argsort (ties order by
+    /// insertion index) with the sorted copy derived from it, promoted to
+    /// the tiered form past [`Sample::TIER_THRESHOLD`].
+    fn build(values: &[f64]) -> SortedIndex {
+        let mut ids: Vec<u32> = (0..values.len() as u32).collect();
+        ids.sort_by(|&i, &j| {
+            values[i as usize]
+                .partial_cmp(&values[j as usize])
+                .expect("finite by construction")
+        });
+        let sorted: Vec<f64> = ids.iter().map(|&i| values[i as usize]).collect();
+        let mut index = SortedIndex::Flat { sorted, ids };
+        index.maybe_promote();
+        index
+    }
+
+    /// Switches a flat index that outgrew
+    /// [`TIER_THRESHOLD`](Sample::TIER_THRESHOLD) to the tiered form.
+    fn maybe_promote(&mut self) {
+        if let SortedIndex::Flat { sorted, ids } = self {
+            if sorted.len() > Sample::TIER_THRESHOLD {
+                let index = TieredIndex::from_flat(
+                    std::mem::take(sorted),
+                    std::mem::take(ids),
+                    Sample::LEAF_TARGET,
+                );
+                *self = SortedIndex::Tiered(index);
+            }
+        }
+    }
 }
 
 /// Two-level node/leaf ordered index: sorted leaf runs under a directory
@@ -432,6 +479,10 @@ impl Sample {
     ///
     /// Returns [`SampleError::Empty`] for an empty vector and
     /// [`SampleError::NonFinite`] when any value is NaN or infinite.
+    ///
+    /// Cost: `O(n)` — validation and the running moments. The sorted
+    /// index is built on first use (the first order read or write, see
+    /// the [module docs](self)), not here.
     pub fn new(values: Vec<f64>) -> Result<Self, SampleError> {
         if values.is_empty() {
             return Err(SampleError::Empty);
@@ -443,52 +494,39 @@ impl Sample {
             values.len() <= u32::MAX as usize,
             "sample exceeds the u32 insertion-id capacity"
         );
-        // Stable argsort once; the sorted copy derives from it, so ties
-        // order by insertion index.
-        let mut ids: Vec<u32> = (0..values.len() as u32).collect();
-        ids.sort_by(|&i, &j| {
-            values[i as usize]
-                .partial_cmp(&values[j as usize])
-                .expect("finite by construction")
-        });
-        let sorted: Vec<f64> = ids.iter().map(|&i| values[i as usize]).collect();
         let (mut sum, mut w_mean, mut m2) = (0.0f64, 0.0f64, 0.0f64);
         for (i, &v) in values.iter().enumerate() {
             fold_moment(&mut sum, &mut w_mean, &mut m2, v, i + 1);
         }
-        let mut sample = Sample {
+        Ok(Sample {
             values,
             sum,
             w_mean,
             m2,
-            index: SortedIndex::Flat { sorted, ids },
+            index: OnceLock::new(),
             flat: OnceLock::new(),
             materializations: AtomicU64::new(0),
             bulk_merges: 0,
             compactions: 0,
-        };
-        sample.maybe_promote();
-        Ok(sample)
+        })
+    }
+
+    /// The sorted index, built on the first call.
+    fn index(&self) -> &SortedIndex {
+        self.index.get_or_init(|| SortedIndex::build(&self.values))
+    }
+
+    /// The sorted index for a write, built first if no read built it —
+    /// from the values before the write, which then updates it
+    /// incrementally.
+    fn index_mut(&mut self) -> &mut SortedIndex {
+        self.index();
+        self.index.get_mut().expect("built by index()")
     }
 
     /// Drops the lazy flat view (called by every write).
     fn invalidate(&mut self) {
         self.flat = OnceLock::new();
-    }
-
-    /// Switches a flat index that outgrew [`TIER_THRESHOLD`](Sample::TIER_THRESHOLD)
-    /// to the tiered form.
-    fn maybe_promote(&mut self) {
-        if let SortedIndex::Flat { sorted, ids } = &mut self.index {
-            if sorted.len() > Self::TIER_THRESHOLD {
-                let index = TieredIndex::from_flat(
-                    std::mem::take(sorted),
-                    std::mem::take(ids),
-                    Self::LEAF_TARGET,
-                );
-                self.index = SortedIndex::Tiered(index);
-            }
-        }
     }
 
     /// Rebuilds a tiered index that a write left **fragmented** — more
@@ -506,7 +544,7 @@ impl Sample {
     /// write at `O(n)`, which the doubling threshold amortizes against
     /// the writes that built the fragmentation up.
     fn maybe_compact(&mut self) {
-        let SortedIndex::Tiered(t) = &mut self.index else {
+        let Some(SortedIndex::Tiered(t)) = self.index.get_mut() else {
             return;
         };
         let bound = 2 * self.values.len().div_ceil(t.leaf_target) + 1;
@@ -532,7 +570,8 @@ impl Sample {
     /// view, insertion ids) to one constructed from the final vector in one
     /// shot. Cost: two O(n) memmoves in the flat tier, one O(leaf)
     /// memmove plus an O(log #leaves) directory search in the tiered
-    /// tier. Streams of measurements should prefer
+    /// tier, after the one-time index build if nothing has read the
+    /// sample since [`Sample::new`]. Streams of measurements should prefer
     /// [`extend_from_slice`](Sample::extend_from_slice), which merges a
     /// whole batch in one pass.
     ///
@@ -558,7 +597,7 @@ impl Sample {
             "sample exceeds the u32 insertion-id capacity"
         );
         let id = self.values.len() as u32;
-        match &mut self.index {
+        match self.index_mut() {
             SortedIndex::Flat { sorted, ids } => {
                 // Upper bound: ties sort stably by insertion order, and
                 // this value is the latest insertion, so it lands after
@@ -578,7 +617,7 @@ impl Sample {
             self.values.len(),
         );
         self.invalidate();
-        self.maybe_promote();
+        self.index_mut().maybe_promote();
         self.maybe_compact();
         Ok(())
     }
@@ -610,7 +649,7 @@ impl Sample {
         // merged tie groups order by insertion index exactly as a chain
         // of upper-bound inserts would.
         batch.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite by caller"));
-        match &mut self.index {
+        match self.index_mut() {
             SortedIndex::Flat { sorted, ids } => flat_bulk_merge(sorted, ids, &batch),
             SortedIndex::Tiered(t) => t.bulk_merge(&batch),
         }
@@ -622,7 +661,7 @@ impl Sample {
         }
         self.bulk_merges += 1;
         self.invalidate();
-        self.maybe_promote();
+        self.index_mut().maybe_promote();
         self.maybe_compact();
     }
 
@@ -708,7 +747,7 @@ impl Sample {
     /// [`sorted_chunks`](Sample::sorted_chunks) instead, which never
     /// materialize.
     pub fn sorted(&self) -> &[f64] {
-        match &self.index {
+        match self.index() {
             SortedIndex::Flat { sorted, .. } => sorted,
             SortedIndex::Tiered(t) => self.flat.get_or_init(|| {
                 self.materializations.fetch_add(1, Ordering::Relaxed);
@@ -728,7 +767,7 @@ impl Sample {
     /// nothing: no flat view is materialized.
     pub fn sorted_runs(&self) -> SortedRuns<'_> {
         SortedRuns {
-            inner: match &self.index {
+            inner: match self.index() {
                 SortedIndex::Flat { sorted, ids } => RunsInner::Flat(Some(SortedRun {
                     values: sorted,
                     ids,
@@ -749,7 +788,7 @@ impl Sample {
     /// without materializing the flat view — O(1) in the flat tier,
     /// O(#leaves) in the tiered tier.
     pub fn order_stat(&self, k: usize) -> f64 {
-        match &self.index {
+        match self.index() {
             SortedIndex::Flat { sorted, .. } => sorted[k],
             SortedIndex::Tiered(t) => {
                 let mut rem = k;
@@ -774,7 +813,7 @@ impl Sample {
     /// immediate compaction rebuild (counted in
     /// [`IngestStats::compactions`]).
     pub fn ingest_stats(&self) -> IngestStats {
-        let (tiered, leaves) = match &self.index {
+        let (tiered, leaves) = match self.index() {
             SortedIndex::Flat { .. } => (false, 1),
             SortedIndex::Tiered(t) => (true, t.leaves.len()),
         };
@@ -800,7 +839,7 @@ impl Sample {
             sorted.extend_from_slice(run.values);
             ids.extend_from_slice(run.ids);
         }
-        self.index = SortedIndex::Tiered(TieredIndex::from_flat(sorted, ids, leaf_target));
+        *self.index_mut() = SortedIndex::Tiered(TieredIndex::from_flat(sorted, ids, leaf_target));
         self.invalidate();
     }
 
@@ -820,13 +859,13 @@ impl Sample {
         }
         let mut t = TieredIndex::from_flat(sorted, ids, run_len);
         t.leaf_target = leaf_target;
-        self.index = SortedIndex::Tiered(t);
+        *self.index_mut() = SortedIndex::Tiered(t);
         self.invalidate();
     }
 
     /// Smallest measurement.
     pub fn min(&self) -> f64 {
-        match &self.index {
+        match self.index() {
             SortedIndex::Flat { sorted, .. } => sorted[0],
             SortedIndex::Tiered(t) => t.mins[0],
         }
@@ -834,7 +873,7 @@ impl Sample {
 
     /// Largest measurement.
     pub fn max(&self) -> f64 {
-        match &self.index {
+        match self.index() {
             SortedIndex::Flat { sorted, .. } => *sorted.last().expect("non-empty"),
             SortedIndex::Tiered(t) => *t
                 .leaves
@@ -965,9 +1004,9 @@ fn fold_moment(sum: &mut f64, w_mean: &mut f64, m2: &mut f64, v: f64, n: usize) 
 }
 
 impl Clone for Sample {
-    /// Clones the measurements and the sorted index; the lazy flat view
-    /// and observability counters start fresh (they are caches, not
-    /// state — the clone compares equal to the original).
+    /// Clones the measurements and the sorted index (built or not); the
+    /// lazy flat view and observability counters start fresh (they are
+    /// caches, not state — the clone compares equal to the original).
     fn clone(&self) -> Self {
         Sample {
             values: self.values.clone(),

@@ -226,11 +226,6 @@ impl QuantileSketch {
         weighted.last().expect("non-empty").0
     }
 
-    /// Evaluates several quantiles at once.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
-    }
-
     /// Merges another sketch into this one (`other` is consumed by value —
     /// its retained survivors are re-inserted level by level at their
     /// weight, so the merged sketch stays within its own memory bound).

@@ -36,6 +36,18 @@ fn tie_prone_value() -> impl Strategy<Value = f64> {
     })
 }
 
+/// One measurement drawn to collide: `0.0`, `-0.0` (equal to `0.0` but
+/// not bit-identical, so only the stable tie order tells them apart), one
+/// of six discrete levels on both sides of zero, or a continuous draw.
+fn signed_tie_value() -> impl Strategy<Value = f64> {
+    (0u8..4, -1_000.0f64..1_000.0, 0u8..6).prop_map(|(kind, cont, level)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => level as f64 * 0.5 - 1.5,
+        _ => cont,
+    })
+}
+
 /// The largest sample `QuantilePlan::extract_sample_into` reads by its
 /// rank pass (the private `RANK_PASS_MAX` of `relperf_measure::bootstrap`,
 /// whose unit tests pin it to this value).
@@ -312,6 +324,45 @@ proptest! {
             prop_assert_eq!(bulk.mean(), pushed.mean());
             prop_assert_eq!(bulk.variance(), pushed.variance());
         }
+    }
+
+    #[test]
+    fn write_before_first_read_equals_batch_construction(
+        base in vec(signed_tie_value(), 1..64),
+        size in 0u8..3,
+        more in vec(signed_tie_value(), 1..40),
+        write in 0u8..3,
+    ) {
+        // `Sample::new` defers the sorted index, so the first write builds
+        // it from the values before the write and then updates it. That
+        // must land on the same bits as building the concatenation in one
+        // go: below the tier threshold, at it (the write promotes), and
+        // past it (the build promotes).
+        let n = match size {
+            0 => base.len(),
+            1 => Sample::TIER_THRESHOLD - base.len() % 8,
+            _ => Sample::TIER_THRESHOLD + base.len(),
+        };
+        // Cycling scaled copies keeps ±0.0 and the discrete levels tied.
+        let a: Vec<f64> =
+            (0..n).map(|i| base[i % base.len()] * (1 + i / base.len()) as f64).collect();
+        let mut grown = Sample::new(a.clone()).unwrap();
+        match write {
+            0 => {
+                for &v in &more {
+                    grown.push(v).unwrap();
+                }
+            }
+            1 => grown.extend_from_slice(&more).unwrap(),
+            _ => grown.try_extend_all(&more).unwrap(),
+        }
+        let rebuilt = Sample::new(a.iter().chain(&more).copied().collect()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(grown.values()), bits(rebuilt.values()));
+        prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
+        prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
+        prop_assert_eq!(grown.ingest_stats().tiered, rebuilt.ingest_stats().tiered);
+        prop_assert!(grown == rebuilt);
     }
 
     #[test]

@@ -10,16 +10,22 @@
 //!
 //! # Stream format
 //!
-//! The journal reuses the snapshot codec's little-endian/FNV-1a framing.
-//! Each durable artifact (the *base* checkpoint and the *journal* proper)
-//! is one byte stream:
+//! The journal reuses the snapshot codec's little-endian framing and its
+//! word-wise FNV-1a checksum. Each durable artifact (the *base*
+//! checkpoint and the *journal* proper) is one byte stream:
 //!
 //! ```text
 //! "RPJL" (4 bytes)  version u16  then records:
 //!   ┌──────────┬─────────────┬───────────────────────────────┐
-//!   │ len: u32 │ payload     │ fnv1a64(len_bytes ∥ payload)  │
+//!   │ len: u32 │ payload     │ checksum(len_bytes ∥ payload) │
 //!   └──────────┴─────────────┴───────────────────────────────┘
 //! ```
+//!
+//! The checksum is FNV-1a 64 over the little-endian `u64` words of
+//! `len_bytes ∥ payload`, then its 0–7 tail bytes. Version 1 streams
+//! sealed their records with byte-serial FNV-1a; the header is outside
+//! every record checksum, so [`scan`] refuses such a stream as
+//! [`JournalError::UnsupportedVersion`] before reading a record.
 //!
 //! Record payloads are tagged [`JournalRecord`] values. A shard's durable
 //! state is two artifacts managed by a [`JournalStore`]:
@@ -50,7 +56,7 @@
 //! write-temp + fsync + rename.
 
 use crate::service::{SessionOp, SessionSpec};
-use crate::snapshot::{fnv1a64, Reader, SnapshotError, Writer};
+use crate::snapshot::{fnv1a64_words, Reader, SnapshotError, Writer, FNV_OFFSET};
 use crate::wire::{dec_bytes, dec_op, dec_spec, enc_bytes, enc_op, enc_spec};
 use std::fmt;
 use std::fs;
@@ -61,7 +67,7 @@ use std::sync::{Arc, Mutex};
 /// Journal stream magic: `RPJL`.
 pub const MAGIC: [u8; 4] = *b"RPJL";
 /// Current journal stream version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Stream header length: magic plus version.
 const HEADER_LEN: usize = 6;
 /// Frame overhead per record: `u32` length plus `u64` checksum.
@@ -173,7 +179,7 @@ pub struct DigestSession {
     pub session: u64,
     /// Highest op seq applied to the session when the digest was taken.
     pub last_applied: Option<u64>,
-    /// FNV-1a 64 checksum of the session's canonical snapshot-codec
+    /// Word-wise FNV-1a 64 checksum of the session's canonical snapshot-codec
     /// export (RNG streams excluded) — bit-exact across replicas by the
     /// codec's determinism.
     pub checksum: u64,
@@ -184,11 +190,12 @@ pub struct DigestSession {
 pub enum JournalError {
     /// The stream does not start with `RPJL`.
     BadMagic,
-    /// The stream was written by an unknown (future) format version.
+    /// The stream was written in a format version this build does not
+    /// read — an older one or a future one.
     UnsupportedVersion {
         /// Version found in the stream header.
         found: u16,
-        /// Highest version this build understands.
+        /// The version this build reads and writes.
         supported: u16,
     },
     /// A record before the tail failed its checksum or did not decode.
@@ -206,7 +213,7 @@ impl fmt::Display for JournalError {
             JournalError::BadMagic => write!(f, "journal bytes do not start with the RPJL magic"),
             JournalError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "journal version {found} is newer than supported version {supported}"
+                "journal version {found} is not supported (this build reads version {supported})"
             ),
             JournalError::Corrupt { offset, what } => {
                 write!(f, "journal corrupt at offset {offset}: {what}")
@@ -334,7 +341,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(payload.len() + FRAME_LEN);
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(payload);
-    let sum = fnv1a64(&bytes);
+    let sum = fnv1a64_words(FNV_OFFSET, &bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
@@ -551,7 +558,7 @@ pub fn scan(bytes: &[u8]) -> Result<JournalScan, JournalError> {
         }
         let sum_at = pos + 4 + len;
         let expect = u64::from_le_bytes(bytes[sum_at..end].try_into().expect("8 bytes"));
-        if fnv1a64(&bytes[pos..sum_at]) != expect {
+        if fnv1a64_words(FNV_OFFSET, &bytes[pos..sum_at]) != expect {
             if end == bytes.len() {
                 // Checksum failure on the very last record: partial write.
                 return Ok(JournalScan { records, valid_len: pos, torn: true });

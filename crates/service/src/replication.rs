@@ -8,7 +8,7 @@
 //! shipping: a [`JournalShipper`] on the leader taps the same record
 //! bytes the journal makes durable, cuts them into `SHIP` segments (one
 //! envelope per shard lane carrying a segment sequence number and a
-//! cumulative FNV-1a digest of the whole shipped stream), and delivers
+//! cumulative digest chained over the lane's segments), and delivers
 //! them through a [`SegmentTransport`]. A [`Follower`] applies the
 //! records into a warm standby session set through the one record
 //! applier crash recovery uses, and acks the highest contiguously applied
@@ -20,20 +20,25 @@
 //! already holds fails it typed rather than being skipped, and digest
 //! records are verified rather than skipped.
 //!
-//! # Envelope layout
+//! # Envelope layout (version 2)
 //!
 //! ```text
 //! "SHIP" (4)  version u16  shard u32  seq u64  cum_digest u64
 //! payload_len u32  payload (raw RPJL record bytes, any cut point)
-//! fnv1a64(everything preceding) u64
+//! checksum(everything preceding) u64
 //! ```
 //!
-//! The trailing checksum covers the entire envelope, so any bit flip or
-//! truncation is caught before a single field is trusted. `cum_digest`
-//! is the FNV-1a digest chained over every payload byte shipped on the
-//! lane **including this segment** — two replicas that applied the same
-//! watermark agree on it, so a mismatch means the streams diverged even
-//! though each segment was individually intact. Segments may cut the
+//! The checksum is the word-wise FNV-1a 64 every framed format shares
+//! (little-endian `u64` words, then the 0–7 tail bytes). It covers the
+//! entire envelope, so any bit flip or truncation is caught before a
+//! single field is trusted; a version-1 envelope (byte-serial FNV-1a)
+//! therefore fails as a checksum mismatch, and a version-1 header under a
+//! valid checksum as [`ReplicationError::UnsupportedVersion`].
+//! `cum_digest` is that checksum chained per segment over every payload
+//! shipped on the lane **including this segment** — the shipper and the
+//! follower chain the same segments, so two replicas that applied the
+//! same watermark agree on it, and a mismatch means the streams diverged
+//! even though each segment was individually intact. Segments may cut the
 //! record stream anywhere (mid-record included); the follower buffers
 //! the torn tail until the next segment completes it.
 //!
@@ -65,7 +70,7 @@ use crate::journal::{
 use crate::service::{
     session_checksum, shard_for, Replay, ServiceLimits, SessionKey, SessionService,
 };
-use crate::snapshot::{fnv1a64, fnv1a64_from, FNV_OFFSET};
+use crate::snapshot::{fnv1a64_words, FNV_OFFSET};
 use relperf_core::cluster::Parallelism;
 use relperf_measure::ScratchThreeWayComparator;
 use std::collections::{BTreeMap, VecDeque};
@@ -75,7 +80,7 @@ use std::sync::{Arc, Mutex};
 /// Ship envelope magic: `SHIP`.
 pub const SHIP_MAGIC: [u8; 4] = *b"SHIP";
 /// Current ship envelope version.
-pub const SHIP_VERSION: u16 = 1;
+pub const SHIP_VERSION: u16 = 2;
 /// Fixed envelope bytes around the payload: magic + version + shard +
 /// seq + cum_digest + payload_len + trailing checksum.
 const ENVELOPE_OVERHEAD: usize = 4 + 2 + 4 + 8 + 8 + 4 + 8;
@@ -86,10 +91,18 @@ const REORDER_WINDOW: u64 = 64;
 /// Why a shipped segment (or a replication-layer request) was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicationError {
-    /// The envelope did not parse (bad magic, unsupported version, short
-    /// buffer, payload length mismatch). The message is advisory and not
-    /// preserved across the wire.
+    /// The envelope did not parse (bad magic, short buffer, payload
+    /// length mismatch). The message is advisory and not preserved across
+    /// the wire.
     Envelope(&'static str),
+    /// A checksum-valid envelope named a version this build does not
+    /// read — an older one or a future one.
+    UnsupportedVersion {
+        /// Version found in the envelope header.
+        found: u16,
+        /// The version this build reads and writes ([`SHIP_VERSION`]).
+        supported: u16,
+    },
     /// The envelope's trailing checksum did not match its bytes — a bit
     /// flip or truncation in transit. Retransmission recovers.
     ChecksumMismatch {
@@ -177,6 +190,10 @@ impl fmt::Display for ReplicationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplicationError::Envelope(what) => write!(f, "ship envelope rejected: {what}"),
+            ReplicationError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "ship envelope version {found} is not supported (this build reads version {supported})"
+            ),
             ReplicationError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "ship envelope checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
@@ -226,8 +243,9 @@ pub struct ShipSegment {
     pub shard: u32,
     /// Per-lane segment sequence number, starting at 1.
     pub seq: u64,
-    /// Cumulative FNV-1a digest over every payload byte shipped on the
-    /// lane, this segment included.
+    /// Cumulative digest of the lane: the envelope checksum chained per
+    /// segment over every payload shipped on it, this segment included
+    /// (see the [module docs](self)).
     pub cum_digest: u64,
     /// Raw `RPJL` record bytes (any cut point — a record may straddle
     /// segments).
@@ -245,12 +263,12 @@ pub fn encode_segment(shard: u32, seq: u64, cum_digest: u64, payload: &[u8]) -> 
     bytes.extend_from_slice(&cum_digest.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(payload);
-    let sum = fnv1a64(&bytes);
+    let sum = fnv1a64_words(FNV_OFFSET, &bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
 
-/// Decodes a `SHIP` envelope, checksum first: the trailing FNV covers
+/// Decodes a `SHIP` envelope, checksum first: the trailing checksum covers
 /// every preceding byte, so a truncated or bit-flipped envelope is
 /// rejected typed before any field is trusted — never a panic.
 pub fn decode_segment(bytes: &[u8]) -> Result<ShipSegment, ReplicationError> {
@@ -259,7 +277,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ShipSegment, ReplicationError> {
     }
     let body = &bytes[..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(body);
+    let computed = fnv1a64_words(FNV_OFFSET, body);
     if stored != computed {
         return Err(ReplicationError::ChecksumMismatch { stored, computed });
     }
@@ -268,7 +286,10 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ShipSegment, ReplicationError> {
     }
     let version = u16::from_le_bytes([body[4], body[5]]);
     if version != SHIP_VERSION {
-        return Err(ReplicationError::Envelope("unsupported envelope version"));
+        return Err(ReplicationError::UnsupportedVersion {
+            found: version,
+            supported: SHIP_VERSION,
+        });
     }
     let shard = u32::from_le_bytes(body[6..10].try_into().expect("4 bytes"));
     let seq = u64::from_le_bytes(body[10..18].try_into().expect("8 bytes"));
@@ -368,7 +389,7 @@ impl Default for ShipperConfig {
 struct ShipLane {
     /// Sequence the next cut segment gets (first segment is 1).
     next_seq: u64,
-    /// Cumulative digest over every payload byte cut so far.
+    /// Cumulative digest, chained per segment over every payload cut so far.
     cum_digest: u64,
     /// Cut but not yet acknowledged segments, oldest first; retransmitted
     /// until the follower's watermark covers them.
@@ -454,7 +475,7 @@ impl JournalShipper {
             for payload in ready.chunks(chunk.max(1)) {
                 let seq = lane.next_seq;
                 lane.next_seq += 1;
-                lane.cum_digest = fnv1a64_from(lane.cum_digest, payload);
+                lane.cum_digest = fnv1a64_words(lane.cum_digest, payload);
                 let envelope = encode_segment(idx as u32, seq, lane.cum_digest, payload);
                 lane.unacked.push_back((seq, envelope));
                 cut += 1;
@@ -559,7 +580,7 @@ pub enum ReplicaState {
 struct FollowerLane {
     /// The segment seq the lane applies next (first segment is 1).
     expected: u64,
-    /// Cumulative digest over every payload byte applied so far.
+    /// Cumulative digest, chained per segment over every payload applied so far.
     digest: u64,
     /// Record bytes received but not yet forming a complete record (a
     /// record cut across segments).
@@ -756,7 +777,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Follower<C> {
         payload: Vec<u8>,
     ) -> Result<(), ReplicationError> {
         let seq = self.lanes[shard].expected;
-        let chained = fnv1a64_from(self.lanes[shard].digest, &payload);
+        let chained = fnv1a64_words(self.lanes[shard].digest, &payload);
         if chained != cum {
             let e = ReplicationError::DigestMismatch {
                 shard: shard as u32,

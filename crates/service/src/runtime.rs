@@ -195,25 +195,20 @@ fn missing_count(
     }
 }
 
-/// Removes exactly `seqs` from the tenant's mailbox (all known present),
-/// returning them sorted by seq; unrelated responses stay queued.
+/// Moves exactly `seqs` out of the tenant's mailbox (all known present),
+/// returning them sorted by seq; unrelated responses stay queued in
+/// order. Nothing is cloned, so a large payload (a `Snapshot`'s bytes)
+/// changes hands once.
 fn extract(
     boxes: &mut HashMap<u64, VecDeque<OpResponse>>,
     tenant: u64,
     seqs: &[u64],
 ) -> Vec<OpResponse> {
-    let mailbox = boxes.get_mut(&tenant).expect("caller verified presence");
-    let mut out: Vec<OpResponse> = Vec::with_capacity(seqs.len());
-    mailbox.retain(|r| {
-        if seqs.contains(&r.seq) {
-            out.push(r.clone());
-            false
-        } else {
-            true
-        }
-    });
-    if mailbox.is_empty() {
-        boxes.remove(&tenant);
+    let queued = boxes.remove(&tenant).expect("caller verified presence");
+    let (mut out, kept): (Vec<OpResponse>, Vec<OpResponse>) =
+        queued.into_iter().partition(|r| seqs.contains(&r.seq));
+    if !kept.is_empty() {
+        boxes.insert(tenant, kept.into());
     }
     out.sort_by_key(|r| r.seq);
     out

@@ -75,7 +75,7 @@ use crate::journal::{
     self, CheckpointSession, DigestSession, JournalConfig, JournalIoError, JournalRecord,
     JournalStore,
 };
-use crate::snapshot::{self, fnv1a64, SessionSnapshot, SnapshotError};
+use crate::snapshot::{self, fnv1a64_words, SessionSnapshot, SnapshotError, FNV_OFFSET};
 use crate::stats::{ServiceStats, StatCounters};
 use relperf_core::cache::ComparisonCache;
 use relperf_core::cluster::{ClusterConfig, Clustering, Parallelism, ScoreTable};
@@ -1255,7 +1255,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// checksums, so the digest pins the whole replicated prefix;
     /// busy or sealed shards are skipped (the next quiesce catches up).
     ///
-    /// The per-session checksum is FNV-1a 64 over the session's
+    /// The per-session checksum is word-wise FNV-1a 64 over the session's
     /// canonical snapshot-codec export with RNG streams excluded — the
     /// same bytes a spill or checkpoint would write, so resident and
     /// spilled sessions digest identically.
@@ -1289,7 +1289,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                     tenant: key.tenant,
                     session: key.session,
                     last_applied: spilled.last_applied,
-                    checksum: fnv1a64(&spilled.bytes),
+                    checksum: fnv1a64_words(FNV_OFFSET, &spilled.bytes),
                 });
             }
             sessions.sort_by_key(|s| (s.tenant, s.session));
@@ -1789,14 +1789,15 @@ fn export_session<C: ScratchThreeWayComparator + Send + Sync>(
     })
 }
 
-/// The divergence-detection checksum of a live session: FNV-1a 64 over
+/// The divergence-detection checksum of a live session: word-wise FNV-1a
+/// 64 (the frame checksum) over
 /// its [`export_session`] bytes — exactly what a spill or checkpoint
 /// writes, so the checksum is bit-exact across replicas, residency
 /// states, and processes.
 pub(crate) fn session_checksum<C: ScratchThreeWayComparator + Send + Sync>(
     session: &ClusterSession<SharedComparator<C>>,
 ) -> u64 {
-    fnv1a64(&export_session(session))
+    fnv1a64_words(FNV_OFFSET, &export_session(session))
 }
 
 /// Decodes [`export_session`] (or any checkpoint/restore) bytes back into

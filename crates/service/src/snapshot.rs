@@ -3,19 +3,27 @@
 //! The workspace has no serde (offline constraint), so the codec is
 //! hand-rolled: fixed-width little-endian fields, `f64`s stored as raw IEEE
 //! bits (the round trip must be **bit-exact** — a restored session has to
-//! continue wave-for-wave identically), and a trailing FNV-1a checksum over
-//! everything before it. Decoding is total: any truncation, bad magic,
-//! unknown version, checksum mismatch, or inconsistent field combination
-//! comes back as a typed [`SnapshotError`], never a panic.
+//! continue wave-for-wave identically), and a trailing word-wise FNV-1a
+//! checksum over everything before it. Decoding is total: any truncation,
+//! bad magic, unknown version, checksum mismatch, or inconsistent field
+//! combination comes back as a typed [`SnapshotError`], never a panic.
+//! The checksum is verified first, so a snapshot sealed by a version-1
+//! build (byte-serial FNV-1a) fails as a checksum mismatch, and a
+//! version-1 header under a valid checksum as
+//! [`UnsupportedVersion`](SnapshotError::UnsupportedVersion).
 //!
-//! # Layout (version 1)
+//! Decoding is `O(bytes)`: each sample is rebuilt with [`Sample::new`],
+//! which defers its sorted index to first use, so a snapshot read only
+//! for its counts never sorts.
+//!
+//! # Layout (version 2)
 //!
 //! All integers little-endian; `f64` as `to_bits()` little-endian.
 //!
 //! | field | type | notes |
 //! |---|---|---|
 //! | magic | 4 bytes | `b"RPSN"` |
-//! | version | `u16` | currently 1 |
+//! | version | `u16` | currently 2 (1 sealed with byte-serial FNV-1a) |
 //! | `p` | `u64` | algorithm count |
 //! | `config.repetitions` | `u64` | |
 //! | `config.parallelism.threads` | `u64` | stored, advisory: results never depend on it; the service decides a hosted `Score`'s threads |
@@ -33,7 +41,7 @@
 //! | `stable_run` | `u64` | |
 //! | `converged` | `u8` | 0/1 |
 //! | RNG states | `u64` count + `count × 4 × u64` | per-placement xoshiro256++ words (campaigns; empty for bare sessions) |
-//! | checksum | `u64` | FNV-1a 64 over all preceding bytes |
+//! | checksum | `u64` | word-wise FNV-1a 64 over all preceding bytes |
 //!
 //! The comparator is deliberately **not** serialized: it is code, not
 //! data. A restore pairs the decoded state with the comparator the service
@@ -50,8 +58,8 @@ use std::fmt;
 /// The 4-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 4] = *b"RPSN";
 
-/// The current (and only) format version.
-pub const VERSION: u16 = 1;
+/// The current format version (version 1 sealed with byte-serial FNV-1a).
+pub const VERSION: u16 = 2;
 
 /// Everything a checkpoint carries: the session's data state plus the
 /// configuration needed to rebuild it, plus the carried measurement RNG
@@ -81,12 +89,12 @@ pub enum SnapshotError {
     },
     /// The magic prefix was not [`MAGIC`].
     BadMagic,
-    /// The version field named a (future) format this build does not
-    /// know — the bytes are likely fine, the reader is just too old.
+    /// The version field named a format this build does not read — an
+    /// older one or a future one; the bytes are likely fine.
     UnsupportedVersion {
         /// Version found in the snapshot header.
         found: u16,
-        /// Highest version this build understands.
+        /// The version this build reads and writes.
         supported: u16,
     },
     /// The trailing checksum did not match the content.
@@ -115,7 +123,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a session snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot version {found} is newer than supported version {supported}"
+                "snapshot version {found} is not supported (this build reads version {supported})"
             ),
             SnapshotError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -131,31 +139,43 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64 offset basis: the hash of the empty input.
+/// FNV-1a 64 offset basis: the checksum of the empty input, and the
+/// starting `hash` of every fresh [`fnv1a64_words`].
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a 64 continued from a running `hash`: hashing `x` then `y` this
-/// way equals hashing `x ∥ y` in one pass, which is how replication keeps
-/// one digest over a whole stream of shipped segments.
-pub(crate) fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The one checksum of every framed format (wire `RPWP`, journal `RPJL`,
+/// snapshot `RPSN`, replication `SHIP`): FNV-1a 64 continued from `hash`
+/// over the little-endian `u64` words of `bytes`, then over the 0–7 tail
+/// bytes one at a time. Small, allocation-free, and plenty for integrity
+/// checking of checkpoints and frames (this is corruption detection, not
+/// cryptographic authentication).
+///
+/// Each step `h ↦ (h ^ w)·P` is a bijection (`P` is odd), both of `h`
+/// for a fixed word `w` and of `w` for a fixed `h`, so a single-bit change
+/// anywhere in `bytes` always changes the result. Taking a word per step
+/// keeps the serial xor-multiply chain to one link per 8 bytes.
+///
+/// It is **not** byte-streamable: `f(f(s, x), y) == f(s, x ∥ y)` holds
+/// only when `x.len() % 8 == 0`. Replication's cumulative digest chains
+/// it per segment — on the shipper and the follower alike — so both ends
+/// agree segment by segment.
+pub(crate) fn fnv1a64_words(mut hash: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        hash = hash.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(PRIME);
     }
     hash
 }
 
-/// FNV-1a 64-bit hash — small, allocation-free, and plenty for integrity
-/// checking of local checkpoints and wire frames (this is corruption
-/// detection, not cryptographic authentication). Shared with the wire
-/// protocol (`crate::wire`), which reuses the same framing discipline.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(FNV_OFFSET, bytes)
-}
-
 /// The little-endian byte sink shared by the snapshot codec and the wire
 /// protocol — both speak the same framing dialect (LE integers, `f64` as
-/// raw bits, FNV-1a 64 trailer).
+/// raw bits, a [`fnv1a64_words`] trailer).
 pub(crate) struct Writer {
     pub(crate) buf: Vec<u8>,
 }
@@ -312,7 +332,7 @@ pub fn encode(snapshot: &SessionSnapshot) -> Vec<u8> {
             w.u64(word);
         }
     }
-    let checksum = fnv1a64(&w.buf);
+    let checksum = fnv1a64_words(FNV_OFFSET, &w.buf);
     w.u64(checksum);
     w.buf
 }
@@ -328,7 +348,7 @@ pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
     // Checksum first: everything after it is garbage-in detection.
     let body_len = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..body_len]);
+    let computed = fnv1a64_words(FNV_OFFSET, &bytes[..body_len]);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
@@ -381,9 +401,10 @@ pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         for _ in 0..len {
             values.push(r.f64()?);
         }
-        // Rebuilding through `Sample::new` re-derives the sorted index
-        // (view and insertion ids), so the restored sample is bit-identical
-        // to the exported one (the `Sample` growth invariant).
+        // `Sample::new` validates the values and defers the sorted index
+        // to first use; the index is a pure function of the values, so the
+        // restored sample is bit-identical to the exported one (the
+        // `Sample` growth contract) and decoding stays O(bytes).
         let sample =
             Sample::new(values).map_err(|_| SnapshotError::Malformed("non-finite sample value"))?;
         samples.push(Some(sample));
@@ -545,7 +566,7 @@ mod tests {
         let mut bytes = encode(&snapshot());
         bytes[at] = value;
         let n = bytes.len() - 8;
-        let sum = super::fnv1a64(&bytes[..n]);
+        let sum = fnv1a64_words(FNV_OFFSET, &bytes[..n]);
         bytes[n..].copy_from_slice(&sum.to_le_bytes());
         decode(&bytes)
     }
@@ -559,6 +580,49 @@ mod tests {
                 found: 99,
                 supported: super::VERSION
             }
+        );
+    }
+
+    /// A version-1 header under a valid checksum is refused as a typed
+    /// `UnsupportedVersion`, never as a checksum mismatch.
+    #[test]
+    fn version_one_snapshot_is_refused_typed() {
+        assert_eq!(
+            decode_patched(4, 1).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        );
+    }
+
+    /// The frame checksum's contract: a single-bit flip anywhere in a
+    /// buffer changes it, at every length 0..=40 — so the word body, the
+    /// byte tail and the boundary between them are all covered.
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        for len in 0..=40usize {
+            let buf: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(151) ^ 0x3C)
+                .collect();
+            let sum = fnv1a64_words(FNV_OFFSET, &buf);
+            for bit in 0..len * 8 {
+                let mut flipped = buf.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(
+                    fnv1a64_words(FNV_OFFSET, &flipped),
+                    sum,
+                    "length {len}: flipping bit {bit} kept the checksum"
+                );
+            }
+        }
+        assert_eq!(fnv1a64_words(FNV_OFFSET, &[]), FNV_OFFSET);
+        // Chaining equals one pass only across a word boundary.
+        let (x, y) = ([7u8; 16], [9u8; 5]);
+        let whole: Vec<u8> = x.iter().chain(&y).copied().collect();
+        assert_eq!(
+            fnv1a64_words(fnv1a64_words(FNV_OFFSET, &x), &y),
+            fnv1a64_words(FNV_OFFSET, &whole)
         );
     }
 

@@ -1,18 +1,22 @@
 //! Length-prefixed binary wire protocol for the service runtime.
 //!
 //! The wire format speaks the same dialect as the [`crate::snapshot`]
-//! codec — little-endian integers, `f64` as raw bits, an FNV-1a 64
-//! trailer — and literally shares its `Writer`/`Reader` plumbing, so the
-//! two formats cannot drift apart in framing discipline. One **frame**
-//! is:
+//! codec — little-endian integers, `f64` as raw bits, a word-wise FNV-1a
+//! 64 trailer — and literally shares its `Writer`/`Reader` plumbing, so
+//! the two formats cannot drift apart in framing discipline. One
+//! **frame** (version 2) is:
 //!
 //! ```text
-//! magic "RPWP" | version u16 | payload_len u32 | payload … | fnv1a64
+//! magic "RPWP" | version u16 | payload_len u32 | payload … | checksum u64
 //! ```
 //!
-//! with the checksum computed over everything preceding it (magic,
-//! version, and length included — a flipped bit *anywhere* in the frame
-//! is caught). The payload is one [`Request`] or [`Response`] message.
+//! with the checksum — FNV-1a 64 over the little-endian `u64` words of
+//! everything preceding it, then its 0–7 tail bytes — computed over
+//! magic, version, and length too, so a flipped bit *anywhere* in the
+//! frame is caught. Version 1 frames carried a byte-serial FNV-1a
+//! trailer; [`read_frame`] refuses their header as
+//! [`WireError::UnsupportedVersion`] before reading the payload. The
+//! payload is one [`Request`] or [`Response`] message.
 //!
 //! # Totality
 //!
@@ -44,7 +48,9 @@ use crate::runtime::{RuntimeError, RuntimeHandle};
 use crate::service::{
     OpOutcome, OpResponse, SessionKey, SessionOp, SessionSpec, SessionStatus, WaveOutcome,
 };
-use crate::snapshot::{dec_config, enc_config, fnv1a64, Reader, SnapshotError, Writer};
+use crate::snapshot::{
+    dec_config, enc_config, fnv1a64_words, Reader, SnapshotError, Writer, FNV_OFFSET,
+};
 use crate::stats::{RecoveryHealth, ServiceStats};
 use std::sync::{Arc, Mutex};
 use relperf_core::cluster::ScoreTable;
@@ -58,7 +64,7 @@ use std::time::Duration;
 /// Frame magic: **R**el**P**erf **W**ire **P**rotocol.
 pub const MAGIC: [u8; 4] = *b"RPWP";
 /// Wire format version this build speaks.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Frame header length: magic + version + payload length.
 const HEADER_LEN: usize = 4 + 2 + 4;
 /// Checksum trailer length.
@@ -78,12 +84,12 @@ pub enum WireError {
     },
     /// The frame does not start with [`MAGIC`].
     BadMagic,
-    /// The frame names a (future) protocol version this build does not
-    /// speak.
+    /// The frame names a protocol version this build does not speak —
+    /// an older one or a future one.
     UnsupportedVersion {
         /// Version found in the frame header.
         found: u16,
-        /// Highest version this build understands.
+        /// The version this build reads and writes.
         supported: u16,
     },
     /// The frame checksum does not match its content.
@@ -130,7 +136,7 @@ impl fmt::Display for WireError {
             WireError::BadMagic => write!(f, "not a wire frame (bad magic)"),
             WireError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "wire version {found} is newer than supported version {supported}"
+                "wire version {found} is not supported (this build speaks version {supported})"
             ),
             WireError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -197,7 +203,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     w.u16(VERSION);
     w.u32(payload.len() as u32);
     w.buf.extend_from_slice(payload);
-    let checksum = fnv1a64(&w.buf);
+    let checksum = fnv1a64_words(FNV_OFFSET, &w.buf);
     w.u64(checksum);
     w.buf
 }
@@ -215,7 +221,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&[u8], WireError> {
     // magic/version/length is caught here with certainty.
     let body_len = bytes.len() - TRAILER_LEN;
     let stored = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..body_len]);
+    let computed = fnv1a64_words(FNV_OFFSET, &bytes[..body_len]);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -286,7 +292,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Vec<u8>, Wir
     let mut body = Vec::with_capacity(HEADER_LEN + stated);
     body.extend_from_slice(&header);
     body.extend_from_slice(&rest[..stated]);
-    let computed = fnv1a64(&body);
+    let computed = fnv1a64_words(FNV_OFFSET, &body);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -788,6 +794,11 @@ fn enc_replication_error(w: &mut Writer, e: &ReplicationError) {
         }
         ReplicationError::Sealed => w.u8(8),
         ReplicationError::WrongRole => w.u8(9),
+        ReplicationError::UnsupportedVersion { found, supported } => {
+            w.u8(10);
+            w.u16(*found);
+            w.u16(*supported);
+        }
     }
 }
 
@@ -842,6 +853,10 @@ fn dec_replication_error(r: &mut Reader) -> Result<ReplicationError, SnapshotErr
         },
         8 => ReplicationError::Sealed,
         9 => ReplicationError::WrongRole,
+        10 => ReplicationError::UnsupportedVersion {
+            found: r.u16()?,
+            supported: r.u16()?,
+        },
         _ => return Err(SnapshotError::Malformed("unknown replication error tag")),
     })
 }

@@ -122,6 +122,30 @@ fn wrong_magic_and_future_version_are_typed() {
     );
 }
 
+/// A version-1 stream is refused at its header as `UnsupportedVersion`,
+/// never read as corruption: the header sits outside every record
+/// checksum, so records sealed by the version-1 checksum (here: trailers
+/// that fail the current one) are never looked at.
+#[test]
+fn version_one_stream_is_refused_typed() {
+    let mut old = stream_header();
+    assert_eq!(old[4..6], journal::VERSION.to_le_bytes());
+    old[4..6].copy_from_slice(&1u16.to_le_bytes());
+    for record in sample_records() {
+        let mut framed = encode_record(&record);
+        let n = framed.len();
+        framed[n - 8..].iter_mut().for_each(|b| *b ^= 0x5A);
+        old.extend_from_slice(&framed);
+    }
+    assert_eq!(
+        scan(&old),
+        Err(JournalError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
+}
+
 /// Every single-bit flip anywhere in a multi-record stream yields a typed
 /// error or a clean torn-tail truncation to a strict prefix of the
 /// original records — never a panic, never a silently altered record.

@@ -391,11 +391,19 @@ impl ScratchThreeWayComparator for ThreadLog {
     }
 }
 
-/// FNV-1a 64, the hash behind a leader digest's session checksum.
+/// Word-wise FNV-1a 64 (little-endian `u64` words, then the 0–7 tail
+/// bytes), the hash behind a leader digest's session checksum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    for &b in words.remainder() {
+        h = step(h, u64::from(b));
+    }
+    h
 }
 
 /// What one hosted campaign shows a tenant: every scored table, the

@@ -32,8 +32,16 @@ const SWEEP_SEGMENT: usize = 48;
 /// the tests can forge and verify envelopes independently of the crate.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The envelope checksum continued from `hash` (FNV-1a 64 over the
+/// little-endian `u64` words, then the 0–7 tail bytes); the lane digest
+/// chains it once per segment.
 fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_le_bytes(word.try_into().unwrap());
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    for &b in words.remainder() {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
@@ -819,6 +827,30 @@ fn ship_codec_rejects_every_bit_flip_and_truncation() {
         tampered[bit / 8] ^= 1 << (bit % 8);
         assert!(decode_segment(&tampered).is_err(), "bit flip {bit} decoded");
     }
+}
+
+/// A version-1 envelope under a valid checksum is refused as a typed
+/// `UnsupportedVersion`, never as a checksum mismatch or a bare envelope
+/// error.
+#[test]
+fn version_one_envelope_is_refused_typed() {
+    let payload: Vec<u8> = (0..21u8).collect();
+    let mut envelope = encode_segment(0, 1, fnv(FNV_OFFSET, &payload), &payload);
+    assert_eq!(
+        envelope[4..6],
+        relperf_service::replication::SHIP_VERSION.to_le_bytes()
+    );
+    envelope[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let body_len = envelope.len() - 8;
+    let sum = fnv(FNV_OFFSET, &envelope[..body_len]);
+    envelope[body_len..].copy_from_slice(&sum.to_le_bytes());
+    assert_eq!(
+        decode_segment(&envelope),
+        Err(ReplicationError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
 }
 
 /// Satellite: follower replay is bit-identical under arbitrary segment

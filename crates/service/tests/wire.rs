@@ -18,6 +18,22 @@ use relperf_service::wire::{
 };
 use std::time::Duration;
 
+/// The frame checksum, re-implemented here so the tests can seal frames
+/// independently of the crate: FNV-1a 64 over the little-endian `u64`
+/// words, then over the 0–7 tail bytes.
+fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
 fn table() -> ScoreTable {
     ScoreTable::from_rows(vec![vec![0.7, 0.2, 0.1], vec![0.1, 0.6, 0.3]], 2)
 }
@@ -132,7 +148,7 @@ fn all_service_errors() -> Vec<ServiceError> {
         ServiceError::BadSnapshot(SnapshotError::BadMagic),
         ServiceError::BadSnapshot(SnapshotError::UnsupportedVersion {
             found: 21,
-            supported: 1,
+            supported: 2,
         }),
         ServiceError::BadSnapshot(SnapshotError::ChecksumMismatch {
             stored: 22,
@@ -170,7 +186,10 @@ fn all_service_errors() -> Vec<ServiceError> {
         ServiceError::Replication(ReplicationError::Records {
             shard: 38,
             seq: 39,
-            error: JournalError::UnsupportedVersion { found: 40, supported: 1 },
+            error: JournalError::UnsupportedVersion {
+                found: 40,
+                supported: 2,
+            },
         }),
         ServiceError::Replication(ReplicationError::Records {
             shard: 41,
@@ -193,6 +212,10 @@ fn all_service_errors() -> Vec<ServiceError> {
         }),
         ServiceError::Replication(ReplicationError::Sealed),
         ServiceError::Replication(ReplicationError::WrongRole),
+        ServiceError::Replication(ReplicationError::UnsupportedVersion {
+            found: 50,
+            supported: 2,
+        }),
     ]
 }
 
@@ -432,6 +455,34 @@ fn every_single_bit_flip_is_a_typed_decode_error() {
     assert!(cases > 10_000, "swept {cases} single-bit corruptions");
 }
 
+/// A version-1 frame is refused as `UnsupportedVersion`, never as a
+/// checksum mismatch: `decode_frame` checks the version right after the
+/// checksum passes, and `read_frame` refuses the header before it reads
+/// the payload, whatever trailer follows.
+#[test]
+fn version_one_frame_is_refused_typed() {
+    let mut frame = encode_frame(&encode_request(&rich_requests()[2]));
+    assert_eq!(frame[4..6], wire::VERSION.to_le_bytes());
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let body_len = frame.len() - 8;
+    let sum = checksum(&frame[..body_len]);
+    frame[body_len..].copy_from_slice(&sum.to_le_bytes());
+    let refused = WireError::UnsupportedVersion {
+        found: 1,
+        supported: 2,
+    };
+    assert_eq!(decode_frame(&frame), Err(refused.clone()));
+    assert_eq!(
+        wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
+        Err(refused.clone())
+    );
+    frame[body_len..].fill(0);
+    assert_eq!(
+        wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
+        Err(refused)
+    );
+}
+
 /// Every strict prefix of a valid frame is a typed error (truncation
 /// sweep, exhaustive over all cut points of every rich message).
 #[test]
@@ -472,19 +523,8 @@ fn every_length_prefix_lie_is_a_typed_decode_error() {
         // Recompute the trailer so the checksum is consistent with the
         // lie — isolating the length check itself.
         let body_len = lied.len() - 8;
-        let checksum = {
-            // fnv1a64 is crate-private; reframe through encode_frame's
-            // public invariant instead: splice the lied header+payload
-            // into a fresh checksum via a reference frame.
-            let mut tmp = lied[..body_len].to_vec();
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in tmp.drain(..) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
-        lied[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&lied[..body_len]);
+        lied[body_len..].copy_from_slice(&sum.to_le_bytes());
         match decode_frame(&lied) {
             Err(WireError::LengthMismatch { stated, actual: got }) => {
                 assert_eq!(stated, lie);

@@ -243,11 +243,6 @@ impl<'a, C: ScratchThreeWayComparator + Sync> AdaptiveExperiment<'a, C> {
         self.driver.measurements_per_algorithm()
     }
 
-    /// The carried measurement RNG states ([`CampaignDriver::rng_states`]).
-    pub fn rng_states(&self) -> Vec<[u64; 4]> {
-        self.driver.rng_states()
-    }
-
     /// Measurements drawn across all algorithms so far.
     pub fn total_measurements(&self) -> usize {
         self.driver.drawn.iter().sum()

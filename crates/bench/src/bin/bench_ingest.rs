@@ -6,6 +6,13 @@
 //! ingesting waves of 1 000 measurements at a time, and writes the
 //! medians to `BENCH_ingest.json`.
 //!
+//! A sample builds its sorted index on the first order read, and a wave
+//! into an unread sample only appends. So the bulk path reads one order
+//! statistic after every wave, as a session that scores each wave does,
+//! and every wave after the first merges into a built index. A separate
+//! `write_only` row times the same waves with no read between them: the
+//! append-only path, then one index build by the final read.
+//!
 //! Before any timing, the harness asserts the growth contract: bulk
 //! extend, the baseline push loop, and `Sample::new` over the
 //! concatenated waves must agree **bit for bit** on values, sorted view,
@@ -93,12 +100,20 @@ fn measurements(n: usize, seed: u64) -> Vec<f64> {
 
 const WAVE: usize = 1_000;
 
-fn ingest_bulk(values: &[f64]) -> Sample {
+/// Ingests `values` in waves of [`WAVE`], reading the median order
+/// statistic after each wave when `read_each_wave` (which keeps the
+/// sorted index built, so every later wave gallop-merges into it) and
+/// only once at the end otherwise.
+fn ingest_waves(values: &[f64], read_each_wave: bool) -> Sample {
     let mut it = values.chunks(WAVE);
     let mut s = Sample::new(it.next().expect("non-empty").to_vec()).expect("finite");
     for wave in it {
+        if read_each_wave {
+            black_box(s.order_stat(s.len() / 2));
+        }
         s.extend_from_slice(wave).expect("finite");
     }
+    black_box(s.order_stat(s.len() / 2));
     s
 }
 
@@ -110,10 +125,11 @@ fn ingest_baseline(values: &[f64]) -> BaselineSample {
     s
 }
 
-/// The growth contract, checked before anything is timed: bulk extend ≡
-/// seed push loop ≡ batch construction, bit for bit, on all three views.
+/// The growth contract, checked before anything is timed: bulk extend
+/// (read each wave or write-only) ≡ seed push loop ≡ batch construction,
+/// bit for bit, on all three views.
 fn assert_bit_identity(values: &[f64]) {
-    let bulk = ingest_bulk(values);
+    let bulk = ingest_waves(values, true);
     let base = ingest_baseline(values);
     let batch = Sample::new(values.to_vec()).expect("finite");
     assert_eq!(bulk.values(), base.values.as_slice());
@@ -122,6 +138,7 @@ fn assert_bit_identity(values: &[f64]) {
     assert_eq!(batch.values(), bulk.values());
     assert_eq!(batch.sorted(), bulk.sorted());
     assert_eq!(sorted_ids(&batch), sorted_ids(&bulk));
+    assert_eq!(ingest_waves(values, false), bulk);
 }
 
 /// Exact-vs-sketch agreement, checked before the sketch is timed: every
@@ -168,11 +185,12 @@ fn main() {
     // At 1e6 the baseline is infeasible; batch construction is the oracle.
     {
         let big = measurements(1_000_000, 13);
-        let bulk = ingest_bulk(&big);
+        let bulk = ingest_waves(&big, true);
         let batch = Sample::new(big.clone()).expect("finite");
         assert_eq!(bulk.sorted(), batch.sorted());
         assert_eq!(sorted_ids(&bulk), sorted_ids(&batch));
         assert!(bulk.ingest_stats().tiered, "1e6 sample should be tiered");
+        assert_eq!(ingest_waves(&big, false), bulk);
         assert_sketch_agreement(&bulk, 256);
     }
     println!("bit-identity and sketch-agreement gates passed\n");
@@ -197,14 +215,28 @@ fn main() {
             (baseline_1e5 * scale, true)
         };
         let after_s = median_secs(runs.max(3), || {
-            black_box(ingest_bulk(black_box(&values)));
+            black_box(ingest_waves(black_box(&values), true));
         });
-        let tiered = ingest_bulk(&values).ingest_stats().tiered;
+        let tiered = ingest_waves(&values, true).ingest_stats().tiered;
         let name = format!("ingest/n{n}_wave{WAVE}");
         entries.push(entry(name, (before_s, after_s), extrapolated, tiered));
         if n == 1_000 * WAVE {
             million = (before_s, after_s);
         }
+    }
+
+    // ---- write-only ingest at 1e6 -------------------------------------
+    // Same wave stream with no read between waves: every wave only
+    // appends, and the final read builds the index once. Before = bulk
+    // ingest read after each wave at the same N.
+    {
+        let values = measurements(1_000 * WAVE, 17);
+        let write_only_s = median_secs(3, || {
+            black_box(ingest_waves(black_box(&values), false));
+        });
+        let tiered = ingest_waves(&values, false).ingest_stats().tiered;
+        let name = format!("write_only/n{}_wave{WAVE}", 1_000 * WAVE);
+        entries.push(entry(name, (million.1, write_only_s), false, tiered));
     }
 
     // ---- bounded-memory sketch ingest at 1e6 ---------------------------

@@ -28,7 +28,13 @@
 //!    shard installs (four fsyncs each). The shards install concurrently;
 //!    the `compact_serial` row runs the same 16 installs one shard after
 //!    another (interleaved with `compact_all` on the same service) as the
-//!    reference. Each row reports the quartiles of its runs.
+//!    reference. Each row reports the quartiles of its runs. Each
+//!    `with_journal` start is interleaved the same way with one
+//!    `compact_all` call, and the `setup_ratio` table reports the
+//!    quartiles of both per-run ratios, `with_journal / compact_all` and
+//!    `compact_serial / compact_all`: runs in one loop iteration share the
+//!    host's phase, so their ratio holds still where separately taken
+//!    quartiles drift apart.
 //!
 //! The first two sweeps use one shard, so their installs run inline.
 //!
@@ -180,38 +186,75 @@ fn populate(service: &SessionService<BootstrapComparator>) {
     service.flush_journals().expect("flush");
 }
 
+/// The first quartile, median and third quartile of `xs`.
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| xs[(xs.len() - 1) * q / 4])
+}
+
 /// The quartiles of `times_s` as a set-up row, in milliseconds.
-fn setup_row(op: &str, mut times_s: Vec<f64>, replayed_ops: usize) -> Row {
-    times_s.sort_by(f64::total_cmp);
-    let ms = |q: usize| times_s[(times_s.len() - 1) * q / 4] * 1e3;
+fn setup_row(op: &str, times_s: &[f64], replayed_ops: usize) -> Row {
+    let [p25, median, p75] = quartiles(times_s.to_vec()).map(|s| s * 1e3);
     row![
         "op" => op,
         "shards" => SETUP_SHARDS,
         "replayed_ops" => replayed_ops,
         "runs" => times_s.len(),
-        "p25_ms" => ms(1),
-        "median_ms" => ms(2),
-        "p75_ms" => ms(3),
+        "p25_ms" => p25,
+        "median_ms" => median,
+        "p75_ms" => p75,
     ]
 }
 
-fn bench_setup(root: &Path) -> Vec<Row> {
+/// The quartiles of the per-run ratio `num[r] / den[r]` of two
+/// interleaved set-up timings.
+fn ratio_row(ratio: &str, num: &[f64], den: &[f64]) -> Row {
+    let [p25, median, p75] = quartiles(num.iter().zip(den).map(|(n, d)| n / d).collect());
+    row![
+        "ratio" => ratio,
+        "runs" => num.len(),
+        "p25" => p25,
+        "median" => median,
+        "p75" => p75,
+    ]
+}
+
+/// The `setup` table (quartiles per operation) and the `setup_ratio`
+/// table (quartiles of the interleaved per-run ratios).
+fn bench_setup(root: &Path) -> (Vec<Row>, Vec<Row>) {
     let fresh = |name: String| {
         let dir = root.join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    // A fresh start: every shard installs an empty checkpoint.
-    let starts: Vec<f64> = (0..=SETUP_RUNS)
+    // The installs alone, one shard after another vs all at once, on one
+    // populated service.
+    let service = journaled(file_stores(&fresh("compact".to_string())));
+    populate(&service);
+    let serial = || {
+        for idx in 0..SETUP_SHARDS {
+            assert!(service.compact_shard(idx).expect("install"));
+        }
+    };
+    let fan_out = || assert_eq!(service.compact_all().expect("install"), SETUP_SHARDS);
+    let time = |f: &dyn Fn()| {
+        let started = Instant::now();
+        f();
+        started.elapsed().as_secs_f64()
+    };
+
+    // A fresh start: every shard installs an empty checkpoint. Each start
+    // runs next to one `compact_all`, so the two share the host's phase.
+    let (starts, start_fan_outs): (Vec<f64>, Vec<f64>) = (0..=SETUP_RUNS)
         .map(|r| {
             let stores = file_stores(&fresh(format!("start-{r}")));
             let started = Instant::now();
-            let service = journaled(stores);
+            let started_service = journaled(stores);
             let elapsed = started.elapsed().as_secs_f64();
-            assert_eq!(service.stats().journal_compactions, SETUP_SHARDS as u64);
-            elapsed
+            assert_eq!(started_service.stats().journal_compactions, SETUP_SHARDS as u64);
+            (elapsed, time(&fan_out))
         })
-        .collect();
+        .unzip();
 
     // A crash restart: load, replay and re-checkpoint every shard.
     let mut replayed_ops = 0;
@@ -230,32 +273,22 @@ fn bench_setup(root: &Path) -> Vec<Row> {
         })
         .collect();
 
-    // The same installs, one shard after another vs all at once, on one
-    // populated service.
-    let service = journaled(file_stores(&fresh("compact".to_string())));
-    populate(&service);
-    let serial = || {
-        for idx in 0..SETUP_SHARDS {
-            assert!(service.compact_shard(idx).expect("install"));
-        }
-    };
-    let fan_out = || assert_eq!(service.compact_all().expect("install"), SETUP_SHARDS);
-    let time = |f: &dyn Fn()| {
-        let started = Instant::now();
-        f();
-        started.elapsed().as_secs_f64()
-    };
     let (serials, fan_outs): (Vec<f64>, Vec<f64>) =
         (0..=SETUP_RUNS).map(|_| (time(&serial), time(&fan_out))).unzip();
     let _ = std::fs::remove_dir_all(root);
 
     // Each list's first run is the warmup.
-    vec![
-        setup_row("with_journal", starts[1..].to_vec(), 0),
-        setup_row("recover", restarts[1..].to_vec(), replayed_ops),
-        setup_row("compact_serial", serials[1..].to_vec(), 0),
-        setup_row("compact_all", fan_outs[1..].to_vec(), 0),
-    ]
+    let setup = vec![
+        setup_row("with_journal", &starts[1..], 0),
+        setup_row("recover", &restarts[1..], replayed_ops),
+        setup_row("compact_serial", &serials[1..], 0),
+        setup_row("compact_all", &fan_outs[1..], 0),
+    ];
+    let ratios = vec![
+        ratio_row("with_journal/compact_all", &starts[1..], &start_fan_outs[1..]),
+        ratio_row("compact_serial/compact_all", &serials[1..], &fan_outs[1..]),
+    ];
+    (setup, ratios)
 }
 
 fn main() {
@@ -269,12 +302,13 @@ fn main() {
 
     let recoveries: Vec<Row> = REPLAY_SIZES.iter().map(|&n| bench_recovery(n)).collect();
 
-    let setup = bench_setup(&root);
+    let (setup, setup_ratio) = bench_setup(&root);
 
     let units = row![
         "append_throughput" => "admissions/s (file-backed, fdatasync every group_commit ops)",
         "recovery" => "ms to rebuild all sessions from checkpoint + replay (in-memory stores)",
         "setup" => "ms per call over 16 file-backed shards (quartiles of the runs)",
+        "setup_ratio" => "per-run time ratio of two interleaved set-up calls (quartiles of the runs)",
     ];
     Report::new(
         "recovery",
@@ -286,5 +320,6 @@ fn main() {
     .table("append", appends)
     .table("recovery", recoveries)
     .table("setup", setup)
+    .table("setup_ratio", setup_ratio)
     .write();
 }

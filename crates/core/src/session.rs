@@ -346,10 +346,12 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     }
 
     /// Ingests a wave of measurements for algorithm `alg` through the
-    /// sample's **bulk path** ([`Sample::extend_from_slice`]): the wave is
-    /// sorted once and gallop-merged into the sorted index in a single
-    /// pass, bit-identical to (and far cheaper than) pushing each value
-    /// individually. Streaming error semantics: on the first non-finite
+    /// sample's **bulk path** ([`Sample::extend_from_slice`]): once a
+    /// score has read the sample, the wave is sorted once and
+    /// gallop-merged into its sorted index in a single pass; before that,
+    /// it is only appended, and the first score builds the index. Either
+    /// way the result is bit-identical to (and far cheaper than) pushing
+    /// each value individually. Streaming error semantics: on the first non-finite
     /// value everything before it is ingested, the error is returned, and
     /// the remaining values are not — exactly as the per-element loop
     /// behaved. See [`try_extend_all`](ClusterSession::try_extend_all)
@@ -382,7 +384,8 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     /// [`SampleError::NonFinite`] carries the offender's index **within
     /// `values`**. The transactional contract service callers want; the
     /// streaming [`extend`](ClusterSession::extend) keeps the
-    /// partial-prefix semantics.
+    /// partial-prefix semantics. Like `extend`, a wave into a sample no
+    /// score has read yet only appends.
     ///
     /// An empty wave is a no-op `Ok(())` — it ingests nothing and does
     /// not mark the session dirty.

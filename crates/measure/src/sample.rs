@@ -9,17 +9,20 @@
 //!
 //! A sample keeps its measurements in **two orders at once**: insertion
 //! order (`values`) and ascending order (the *sorted index*). The sorted
-//! index is **built on first use**: [`Sample::new`] only validates the
+//! index is **built on first read**: [`Sample::new`] only validates the
 //! values and folds their moments, and the first read of the order
 //! ([`sorted`](Sample::sorted), [`sorted_runs`](Sample::sorted_runs),
 //! [`order_stat`](Sample::order_stat), [`min`](Sample::min),
 //! [`max`](Sample::max), [`ingest_stats`](Sample::ingest_stats), `==`)
-//! or the first write ([`push`](Sample::push),
+//! builds it by one stable argsort. Until then a write
+//! ([`push`](Sample::push),
 //! [`extend_from_slice`](Sample::extend_from_slice),
-//! [`try_extend_all`](Sample::try_extend_all)) builds it by one stable
-//! argsort. The index is a pure function of the values, so when it is
-//! built never changes a bit of any output; a sample that is only
-//! decoded and counted (a checkpoint read for its sizes) never sorts.
+//! [`try_extend_all`](Sample::try_extend_all)) only appends to the
+//! values and folds the moments; once the index exists, every write
+//! updates it incrementally. The index is a pure function of the values,
+//! so when it is built never changes a bit of any output: a sample that
+//! is only streamed into, decoded and counted (a session nobody scores, a
+//! checkpoint read for its sizes) never sorts.
 //! The sorted index has two tiers:
 //!
 //! * **Flat** (`n ≤` [`Sample::TIER_THRESHOLD`]): one contiguous sorted
@@ -34,8 +37,8 @@
 //!   touch only the leaves the batch lands in.
 //!
 //! [`extend_from_slice`](Sample::extend_from_slice) is the **bulk path**:
-//! it sorts the incoming batch once and gallop-merges it into the sorted
-//! index in a single pass — `O(n + k log n)` for a batch of `k` into a
+//! into a built index, it sorts the incoming batch once and gallop-merges
+//! it in a single pass — `O(n + k log n)` for a batch of `k` into a
 //! flat sample, `O(k log k + touched leaves)` into a tiered one — instead
 //! of `k` binary inserts. The result is **bit-identical** (values, sorted
 //! view, insertion ids of the sorted order) to pushing the same values
@@ -65,7 +68,7 @@ use std::sync::OnceLock;
 /// * every measurement is finite,
 /// * an internally maintained sorted index (flat or tiered, see the
 ///   [module docs](self)) for O(1)–O(log n) order-statistic queries,
-///   built on first use,
+///   built on the first order read,
 /// * running first and second moments in insertion order, making
 ///   [`mean`](Sample::mean) and [`variance`](Sample::variance) O(1),
 /// * a lazily materialized ascending copy ([`sorted`](Sample::sorted)).
@@ -108,8 +111,9 @@ pub struct Sample {
     w_mean: f64,
     /// Welford running Σ(v−μ)² (see [`variance`](Sample::variance)).
     m2: f64,
-    /// The sorted index, built from `values` on first use (see the
-    /// [module docs](self)) and maintained incrementally from then on.
+    /// The sorted index, built from `values` on the first order read (see
+    /// the [module docs](self)) and maintained incrementally by every
+    /// write from then on.
     index: OnceLock<SortedIndex>,
     /// Lazily materialized flat ascending copy (tiered index only — the
     /// flat index *is* its own sorted view). Invalidated on every write.
@@ -117,7 +121,7 @@ pub struct Sample {
     /// Times a lazy flat view was (re)built — see
     /// [`ingest_stats`](Sample::ingest_stats).
     materializations: AtomicU64,
-    /// Bulk gallop-merges performed.
+    /// Bulk gallop-merges into a built index performed.
     bulk_merges: u64,
     /// Leaf-run compactions performed — see
     /// [`ingest_stats`](Sample::ingest_stats).
@@ -430,8 +434,10 @@ pub struct IngestStats {
     /// Times the lazily cached flat view ([`Sample::sorted`]) was
     /// (re)built since construction.
     pub materializations: u64,
-    /// Bulk gallop-merges performed by
-    /// [`Sample::extend_from_slice`] / [`Sample::try_extend_all`].
+    /// Bulk gallop-merges into a built sorted index performed by
+    /// [`Sample::extend_from_slice`] / [`Sample::try_extend_all`]. A wave
+    /// into a sample no read has indexed yet only appends and is not
+    /// counted.
     pub bulk_merges: u64,
     /// Times the tiered index was rebuilt into dense leaf runs because a
     /// write left it past the fragmentation bound (see the compaction
@@ -481,8 +487,8 @@ impl Sample {
     /// [`SampleError::NonFinite`] when any value is NaN or infinite.
     ///
     /// Cost: `O(n)` — validation and the running moments. The sorted
-    /// index is built on first use (the first order read or write, see
-    /// the [module docs](self)), not here.
+    /// index is built on the first order read (see the [module
+    /// docs](self)), not here.
     pub fn new(values: Vec<f64>) -> Result<Self, SampleError> {
         if values.is_empty() {
             return Err(SampleError::Empty);
@@ -516,15 +522,36 @@ impl Sample {
         self.index.get_or_init(|| SortedIndex::build(&self.values))
     }
 
-    /// The sorted index for a write, built first if no read built it —
-    /// from the values before the write, which then updates it
-    /// incrementally.
-    fn index_mut(&mut self) -> &mut SortedIndex {
-        self.index();
-        self.index.get_mut().expect("built by index()")
+    /// Appends `batch` to the insertion order and folds its moments, then
+    /// hands back the sorted index the write must update — or `None`
+    /// while no read has built it. An unbuilt index is later built from
+    /// `values` alone, so a write before the first read only appends.
+    fn append(&mut self, batch: &[f64]) -> Option<&mut SortedIndex> {
+        let mut n = self.values.len();
+        self.values.extend_from_slice(batch);
+        for &v in batch {
+            n += 1;
+            fold_moment(&mut self.sum, &mut self.w_mean, &mut self.m2, v, n);
+        }
+        // Unread: nothing to update, since the first read builds the
+        // index from `values` alone.
+        self.index.get()?;
+        self.invalidate();
+        self.index.get_mut()
     }
 
-    /// Drops the lazy flat view (called by every write).
+    /// Finishes a write into a built index: promotes a flat index that
+    /// outgrew [`TIER_THRESHOLD`](Sample::TIER_THRESHOLD) and repairs a
+    /// fragmented tiered one.
+    fn settle_index(&mut self) {
+        if let Some(built) = self.index.get_mut() {
+            built.maybe_promote();
+        }
+        self.maybe_compact();
+    }
+
+    /// Drops the lazy flat view (called by every write into a built
+    /// index; an unbuilt index has no view to drop).
     fn invalidate(&mut self) {
         self.flat = OnceLock::new();
     }
@@ -562,18 +589,19 @@ impl Sample {
     }
 
     /// Appends one measurement, maintaining the sorted index
-    /// incrementally.
+    /// incrementally once a read has built it.
     ///
-    /// The new value is inserted *after* any existing equal values,
-    /// exactly where the stable argsort of [`Sample::new`] would place it —
-    /// so a sample grown by `push` is **bit-identical** (values, sorted
-    /// view, insertion ids) to one constructed from the final vector in one
-    /// shot. Cost: two O(n) memmoves in the flat tier, one O(leaf)
-    /// memmove plus an O(log #leaves) directory search in the tiered
-    /// tier, after the one-time index build if nothing has read the
-    /// sample since [`Sample::new`]. Streams of measurements should prefer
-    /// [`extend_from_slice`](Sample::extend_from_slice), which merges a
-    /// whole batch in one pass.
+    /// Into a built index the new value is inserted *after* any existing
+    /// equal values, exactly where the stable argsort of [`Sample::new`]
+    /// would place it — so a sample grown by `push` is **bit-identical**
+    /// (values, sorted view, insertion ids) to one constructed from the
+    /// final vector in one shot. Cost: `O(1)` amortized while no read has
+    /// built the index (the value is only appended); after that, two O(n)
+    /// memmoves in the flat tier, one O(leaf) memmove plus an
+    /// O(log #leaves) directory search in the tiered tier. Streams of
+    /// measurements into a sample that is read between waves should
+    /// prefer [`extend_from_slice`](Sample::extend_from_slice), which
+    /// merges a whole batch in one pass.
     ///
     /// Returns [`SampleError::NonFinite`] (with the would-be insertion
     /// index) and leaves the sample untouched when `value` is NaN or
@@ -597,7 +625,10 @@ impl Sample {
             "sample exceeds the u32 insertion-id capacity"
         );
         let id = self.values.len() as u32;
-        match self.index_mut() {
+        let Some(index) = self.append(&[value]) else {
+            return Ok(());
+        };
+        match index {
             SortedIndex::Flat { sorted, ids } => {
                 // Upper bound: ties sort stably by insertion order, and
                 // this value is the latest insertion, so it lands after
@@ -608,22 +639,13 @@ impl Sample {
             }
             SortedIndex::Tiered(t) => t.insert(value, id),
         }
-        self.values.push(value);
-        fold_moment(
-            &mut self.sum,
-            &mut self.w_mean,
-            &mut self.m2,
-            value,
-            self.values.len(),
-        );
-        self.invalidate();
-        self.index_mut().maybe_promote();
-        self.maybe_compact();
+        self.settle_index();
         Ok(())
     }
 
-    /// Ingests a batch of known-finite values through the bulk path (or
-    /// the per-element path below [`BULK_CUTOFF`](Self::BULK_CUTOFF)).
+    /// Ingests a batch of known-finite values: appended only while the
+    /// index is unbuilt, else through the bulk path (or the per-element
+    /// path below [`BULK_CUTOFF`](Self::BULK_CUTOFF)).
     fn ingest_finite_batch(&mut self, batch_values: &[f64]) {
         if batch_values.is_empty() {
             return;
@@ -640,6 +662,9 @@ impl Sample {
             "sample exceeds the u32 insertion-id capacity"
         );
         let id0 = self.values.len() as u32;
+        let Some(index) = self.append(batch_values) else {
+            return;
+        };
         let mut batch: Vec<(f64, u32)> = batch_values
             .iter()
             .enumerate()
@@ -649,27 +674,21 @@ impl Sample {
         // merged tie groups order by insertion index exactly as a chain
         // of upper-bound inserts would.
         batch.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite by caller"));
-        match self.index_mut() {
+        match index {
             SortedIndex::Flat { sorted, ids } => flat_bulk_merge(sorted, ids, &batch),
             SortedIndex::Tiered(t) => t.bulk_merge(&batch),
         }
-        let mut n = self.values.len();
-        self.values.extend_from_slice(batch_values);
-        for &v in batch_values {
-            n += 1;
-            fold_moment(&mut self.sum, &mut self.w_mean, &mut self.m2, v, n);
-        }
         self.bulk_merges += 1;
-        self.invalidate();
-        self.index_mut().maybe_promote();
-        self.maybe_compact();
+        self.settle_index();
     }
 
-    /// Ingests a wave of measurements through the **bulk path**: the
-    /// longest finite prefix is sorted once and gallop-merged into the
-    /// sorted index in a single pass — bit-identical (values, sorted
-    /// view, insertion ids) to [`push`](Sample::push)ing the same values
-    /// one at a time, at a fraction of the cost.
+    /// Ingests a wave of measurements. While no read has built the sorted
+    /// index, the longest finite prefix is only appended; once one has,
+    /// it goes through the **bulk path** — sorted once and gallop-merged
+    /// into the index in a single pass. Either way the result is
+    /// bit-identical (values, sorted view, insertion ids) to
+    /// [`push`](Sample::push)ing the same values one at a time, at a
+    /// fraction of the cost.
     ///
     /// Error semantics are the streaming ones: on the first non-finite
     /// value, everything before it **is** ingested, the offender and the
@@ -687,8 +706,10 @@ impl Sample {
     }
 
     /// All-or-nothing bulk ingest: pre-validates the whole batch and only
-    /// then gallop-merges it, so a non-finite value anywhere leaves the
-    /// sample **completely untouched** — the transactional contract a
+    /// then ingests it as [`extend_from_slice`](Sample::extend_from_slice)
+    /// does (appended while the index is unbuilt, gallop-merged into a
+    /// built one), so a non-finite value anywhere leaves the sample
+    /// **completely untouched** — the transactional contract a
     /// hosted service wants for a tenant wave, where
     /// [`extend_from_slice`](Sample::extend_from_slice)'s
     /// partial-prefix-ingested streaming semantics would leave the
@@ -839,7 +860,11 @@ impl Sample {
             sorted.extend_from_slice(run.values);
             ids.extend_from_slice(run.ids);
         }
-        *self.index_mut() = SortedIndex::Tiered(TieredIndex::from_flat(sorted, ids, leaf_target));
+        self.index = OnceLock::from(SortedIndex::Tiered(TieredIndex::from_flat(
+            sorted,
+            ids,
+            leaf_target,
+        )));
         self.invalidate();
     }
 
@@ -859,7 +884,7 @@ impl Sample {
         }
         let mut t = TieredIndex::from_flat(sorted, ids, run_len);
         t.leaf_target = leaf_target;
-        *self.index_mut() = SortedIndex::Tiered(t);
+        self.index = OnceLock::from(SortedIndex::Tiered(t));
         self.invalidate();
     }
 
@@ -1254,15 +1279,23 @@ mod tests {
         assert_eq!(x, s(&[1.0, 2.0, 3.0]));
     }
 
-    #[test]
-    fn bulk_extend_matches_per_element_push() {
-        // Above BULK_CUTOFF so the gallop-merge path runs; duplicate-heavy
-        // so the stable tie order is genuinely exercised.
+    /// One sample grown by a bulk wave and one grown by pushing the same
+    /// values, each read first when `read_first` (so the wave updates a
+    /// built index rather than only appending), checked against each other
+    /// and against `Sample::new` of the concatenation. Returns the bulk
+    /// sample's merge count.
+    fn bulk_wave_vs_push(read_first: bool) -> u64 {
+        // Above BULK_CUTOFF so a wave into a built index gallop-merges;
+        // duplicate-heavy so the stable tie order is genuinely exercised.
         let base = [5.0, 1.0, 3.0];
         let wave = [2.0, 3.0, 1.0, 3.0, 9.0, 0.5, 3.0, 3.0, 2.0, 7.0, 1.0, 5.0];
         let mut bulk = s(&base);
-        bulk.extend_from_slice(&wave).unwrap();
         let mut pushed = s(&base);
+        if read_first {
+            assert_eq!(bulk.min(), 1.0);
+            assert_eq!(pushed.min(), 1.0);
+        }
+        bulk.extend_from_slice(&wave).unwrap();
         for &v in &wave {
             pushed.push(v).unwrap();
         }
@@ -1272,7 +1305,21 @@ mod tests {
         assert_eq!(bulk.sorted(), pushed.sorted());
         assert_eq!(sorted_ids(&bulk), sorted_ids(&pushed));
         assert_eq!(bulk, rebuilt);
-        assert_eq!(bulk.ingest_stats().bulk_merges, 1);
+        bulk.ingest_stats().bulk_merges
+    }
+
+    #[test]
+    fn bulk_extend_matches_per_element_push() {
+        // The sample was read before its wave, so the wave gallop-merges
+        // into the built index.
+        assert_eq!(bulk_wave_vs_push(true), 1);
+    }
+
+    #[test]
+    fn unread_bulk_extend_only_appends_and_matches_push() {
+        // Nothing read the sample before its wave: the wave only appends,
+        // and the first read builds the same index from the values.
+        assert_eq!(bulk_wave_vs_push(false), 0);
     }
 
     #[test]

@@ -332,11 +332,14 @@ proptest! {
         size in 0u8..3,
         more in vec(signed_tie_value(), 1..40),
         write in 0u8..3,
+        read_first in proptest::bool::ANY,
     ) {
-        // `Sample::new` defers the sorted index, so the first write builds
-        // it from the values before the write and then updates it. That
-        // must land on the same bits as building the concatenation in one
-        // go: below the tier threshold, at it (the write promotes), and
+        // `Sample::new` defers the sorted index. Unread, the write only
+        // appends and the first read builds the index from every value;
+        // read first (`read_first`), the read builds it from the values
+        // before the write, which then updates it. Both must land on the
+        // same bits as building the concatenation in one go: below the
+        // tier threshold, at it (the write or the build promotes), and
         // past it (the build promotes).
         let n = match size {
             0 => base.len(),
@@ -347,6 +350,9 @@ proptest! {
         let a: Vec<f64> =
             (0..n).map(|i| base[i % base.len()] * (1 + i / base.len()) as f64).collect();
         let mut grown = Sample::new(a.clone()).unwrap();
+        if read_first {
+            let _ = grown.min(); // builds the index from `a`
+        }
         match write {
             0 => {
                 for &v in &more {
@@ -362,6 +368,56 @@ proptest! {
         prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
         prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
         prop_assert_eq!(grown.ingest_stats().tiered, rebuilt.ingest_stats().tiered);
+        prop_assert!(grown == rebuilt);
+    }
+
+    #[test]
+    fn interleaved_reads_and_writes_equal_batch_construction(
+        base in vec(signed_tie_value(), 1..64),
+        near_threshold in proptest::bool::ANY,
+        steps in vec((0u8..4, vec(signed_tie_value(), 0..48)), 1..12),
+    ) {
+        // A random schedule of writes (push, bulk extend, all-or-nothing
+        // extend) and reads. Writes before the first read only append,
+        // writes after it update the built index, and a tier promotion can
+        // fall on either: starting just under the threshold, the
+        // schedule crosses it. After every read the sample must equal
+        // `Sample::new` of everything written so far, bit for bit.
+        let n = if near_threshold {
+            Sample::TIER_THRESHOLD - base.len() % 32
+        } else {
+            base.len()
+        };
+        let mut all: Vec<f64> =
+            (0..n).map(|i| base[i % base.len()] * (1 + i / base.len()) as f64).collect();
+        let mut grown = Sample::new(all.clone()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (op, vals) in &steps {
+            match op {
+                0 => {
+                    for &v in vals {
+                        grown.push(v).unwrap();
+                    }
+                }
+                1 => grown.extend_from_slice(vals).unwrap(),
+                2 => grown.try_extend_all(vals).unwrap(),
+                _ => {
+                    let rebuilt = Sample::new(all.clone()).unwrap();
+                    prop_assert_eq!(bits(grown.values()), bits(rebuilt.values()));
+                    prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
+                    prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
+                    let mid = all.len() / 2;
+                    let mid_bits = rebuilt.sorted()[mid].to_bits();
+                    prop_assert_eq!(grown.order_stat(mid).to_bits(), mid_bits);
+                    prop_assert_eq!(grown.mean().to_bits(), rebuilt.mean().to_bits());
+                    continue;
+                }
+            }
+            all.extend_from_slice(vals);
+        }
+        let rebuilt = Sample::new(all).unwrap();
+        prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
+        prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
         prop_assert!(grown == rebuilt);
     }
 

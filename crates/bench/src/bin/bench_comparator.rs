@@ -10,7 +10,7 @@
 //!   the recorded comparisons of `solo_campaign`-shaped session waves
 //!   (the meta counts them, `solo_wave_jobs`, and how many of them the
 //!   range certificate decides without a round, `solo_wave_certified`) and
-//!   on a tiered pair, and the clustering repetition loop on one thread
+//!   on an n = 5000 pair, and the clustering repetition loop on one thread
 //!   against all cores (asserted bit-identical before timing);
 //! * `timings` — single medians of the layers the pipeline is built from:
 //!   the per-round split of the replay's overlapping comparisons (the
@@ -465,28 +465,26 @@ fn main() {
         }),
     ));
 
-    // A tiered pair (n > Sample::TIER_THRESHOLD): the walk rides the leaf
-    // runs.
+    // A large pair (n = 5000): the rounds take the cumulative walk.
     let (a, b) = (noisy_sample(1.00, 5000, 4), noisy_sample(1.05, 5000, 5));
-    assert!(a.ingest_stats().tiered && b.ingest_stats().tiered);
-    let tiered_streams = 8u64;
+    let large_streams = 8u64;
     let mut scratch = Scratch::new();
     let (before_s, after_s) = median_pair(
         5,
         || {
-            for s in 0..tiered_streams {
+            for s in 0..large_streams {
                 black_box(comparator.compare_seeded_reference(&a, &b, s));
             }
         },
         || {
-            for s in 0..tiered_streams {
+            for s in 0..large_streams {
                 black_box(comparator.compare_seeded_scratch(&mut scratch, &a, &b, s));
             }
         },
     );
-    let per_stream = |t: f64| t / tiered_streams as f64;
+    let per_stream = |t: f64| t / large_streams as f64;
     entries.push(pair(
-        "compare/n5000_tiered_reps30".to_string(),
+        "compare/n5000_reps30".to_string(),
         (per_stream(before_s), per_stream(after_s)),
     ));
 

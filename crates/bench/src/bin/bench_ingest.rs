@@ -1,10 +1,10 @@
 //! Machine-readable before/after benchmark of the measurement ingest
 //! engine: times the seed's per-element push loop (replicated in-bin as
 //! [`BaselineSample`] — `Vec::insert` into the sorted view plus an O(n)
-//! position fixup per element) against the gallop-merge bulk extend path
-//! (flat below [`Sample::TIER_THRESHOLD`], tiered leaf runs above it),
-//! ingesting waves of 1 000 measurements at a time, and writes the
-//! medians to `BENCH_ingest.json`.
+//! position fixup per element) against the bulk extend path
+//! ([`Sample::try_extend_all`], one in-place merge per wave), ingesting
+//! waves of 1 000 measurements at a time, and writes the medians to
+//! `BENCH_ingest.json`.
 //!
 //! A sample builds its sorted index on the first order read, and a wave
 //! into an unread sample only appends. So the bulk path reads one order
@@ -81,11 +81,6 @@ impl BaselineSample {
     }
 }
 
-/// The insertion ids of a sample's sorted order, read through its runs.
-fn sorted_ids(s: &Sample) -> Vec<u32> {
-    s.sorted_runs().flat_map(|r| r.ids.iter().copied()).collect()
-}
-
 /// Noisy timing-like measurements with deliberate ties (quantised to a
 /// tick) so the stable-tie ordering contract is actually exercised.
 fn measurements(n: usize, seed: u64) -> Vec<f64> {
@@ -102,7 +97,7 @@ const WAVE: usize = 1_000;
 
 /// Ingests `values` in waves of [`WAVE`], reading the median order
 /// statistic after each wave when `read_each_wave` (which keeps the
-/// sorted index built, so every later wave gallop-merges into it) and
+/// sorted index built, so every later wave merges into it) and
 /// only once at the end otherwise.
 fn ingest_waves(values: &[f64], read_each_wave: bool) -> Sample {
     let mut it = values.chunks(WAVE);
@@ -111,7 +106,7 @@ fn ingest_waves(values: &[f64], read_each_wave: bool) -> Sample {
         if read_each_wave {
             black_box(s.order_stat(s.len() / 2));
         }
-        s.extend_from_slice(wave).expect("finite");
+        s.try_extend_all(wave).expect("finite");
     }
     black_box(s.order_stat(s.len() / 2));
     s
@@ -134,10 +129,10 @@ fn assert_bit_identity(values: &[f64]) {
     let batch = Sample::new(values.to_vec()).expect("finite");
     assert_eq!(bulk.values(), base.values.as_slice());
     assert_eq!(bulk.sorted(), base.sorted.as_slice());
-    assert_eq!(sorted_ids(&bulk), base.sorted_ids());
+    assert_eq!(bulk.sorted_ids(), base.sorted_ids());
     assert_eq!(batch.values(), bulk.values());
     assert_eq!(batch.sorted(), bulk.sorted());
-    assert_eq!(sorted_ids(&batch), sorted_ids(&bulk));
+    assert_eq!(batch.sorted_ids(), bulk.sorted_ids());
     assert_eq!(ingest_waves(values, false), bulk);
 }
 
@@ -164,14 +159,13 @@ fn assert_sketch_agreement(sample: &Sample, capacity: usize) {
     }
 }
 
-fn entry(name: String, (before_s, after_s): (f64, f64), extrapolated: bool, tiered: bool) -> Row {
+fn entry(name: String, (before_s, after_s): (f64, f64), extrapolated: bool) -> Row {
     row![
         "name" => name,
         "before_median_s" => before_s,
         "after_median_s" => after_s,
         "speedup" => before_s / after_s,
         "baseline_extrapolated" => extrapolated,
-        "tiered" => tiered,
     ]
 }
 
@@ -188,8 +182,7 @@ fn main() {
         let bulk = ingest_waves(&big, true);
         let batch = Sample::new(big.clone()).expect("finite");
         assert_eq!(bulk.sorted(), batch.sorted());
-        assert_eq!(sorted_ids(&bulk), sorted_ids(&batch));
-        assert!(bulk.ingest_stats().tiered, "1e6 sample should be tiered");
+        assert_eq!(bulk.sorted_ids(), batch.sorted_ids());
         assert_eq!(ingest_waves(&big, false), bulk);
         assert_sketch_agreement(&bulk, 256);
     }
@@ -217,9 +210,8 @@ fn main() {
         let after_s = median_secs(runs.max(3), || {
             black_box(ingest_waves(black_box(&values), true));
         });
-        let tiered = ingest_waves(&values, true).ingest_stats().tiered;
         let name = format!("ingest/n{n}_wave{WAVE}");
-        entries.push(entry(name, (before_s, after_s), extrapolated, tiered));
+        entries.push(entry(name, (before_s, after_s), extrapolated));
         if n == 1_000 * WAVE {
             million = (before_s, after_s);
         }
@@ -234,9 +226,8 @@ fn main() {
         let write_only_s = median_secs(3, || {
             black_box(ingest_waves(black_box(&values), false));
         });
-        let tiered = ingest_waves(&values, false).ingest_stats().tiered;
         let name = format!("write_only/n{}_wave{WAVE}", 1_000 * WAVE);
-        entries.push(entry(name, (million.1, write_only_s), false, tiered));
+        entries.push(entry(name, (million.1, write_only_s), false));
     }
 
     // ---- bounded-memory sketch ingest at 1e6 ---------------------------
@@ -253,7 +244,7 @@ fn main() {
             black_box(sk.quantile(0.5));
         });
         let name = format!("sketch/n{}_wave{WAVE}_k256", 1_000 * WAVE);
-        entries.push(entry(name, (exact_s, sketch_s), false, false));
+        entries.push(entry(name, (exact_s, sketch_s), false));
     }
 
     Report::new("ingest", row!["units" => "seconds", "wave" => WAVE])

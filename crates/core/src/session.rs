@@ -346,12 +346,12 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
     }
 
     /// Ingests a wave of measurements for algorithm `alg` through the
-    /// sample's **bulk path** ([`Sample::extend_from_slice`]): once a
-    /// score has read the sample, the wave is sorted once and
-    /// gallop-merged into its sorted index in a single pass; before that,
-    /// it is only appended, and the first score builds the index. Either
-    /// way the result is bit-identical to (and far cheaper than) pushing
-    /// each value individually. Streaming error semantics: on the first non-finite
+    /// sample's bulk path ([`Sample::try_extend_all`]): once a score has
+    /// read the sample, the wave is sorted once and merged into its sorted
+    /// index in a single pass; before that, it is only appended, and the
+    /// first score builds the index. Either way the result is
+    /// bit-identical to (and far cheaper than) pushing each value
+    /// individually. Streaming error semantics: on the first non-finite
     /// value everything before it is ingested, the error is returned, and
     /// the remaining values are not — exactly as the per-element loop
     /// behaved. See [`try_extend_all`](ClusterSession::try_extend_all)
@@ -364,9 +364,7 @@ impl<C: ScratchThreeWayComparator + Sync> ClusterSession<C> {
         let prefix = &values[..bad.unwrap_or(values.len())];
         if !prefix.is_empty() {
             match &mut self.samples[alg] {
-                Some(sample) => sample
-                    .extend_from_slice(prefix)
-                    .expect("prefix is all-finite"),
+                Some(sample) => sample.try_extend_all(prefix).expect("prefix is all-finite"),
                 slot @ None => *slot = Some(Sample::new(prefix.to_vec()).expect("all-finite")),
             }
             self.dirty[alg] = true;
@@ -837,9 +835,9 @@ mod tests {
 
     #[test]
     fn comparator_caches_stay_warm_across_bulk_waves() {
-        // Waves of 32 are far above the bulk cutoff, so every extend runs
-        // the gallop-merge path; the cache discipline must be unchanged —
-        // a bulk wave dirties exactly the algorithms it touched.
+        // Every extend after the first score merges its wave into a built
+        // index; the cache discipline must be unchanged — a bulk wave
+        // dirties exactly the algorithms it touched.
         let log = Logging::default();
         let mut session = logging_session(&log);
         let mut clean = HashSet::new();

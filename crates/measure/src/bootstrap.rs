@@ -36,9 +36,9 @@ pub fn resample<R: Rng + ?Sized>(rng: &mut R, sample: &Sample) -> Vec<f64> {
 /// tally is indexed by the draw itself, with no permutation applied), so
 /// a seeded resample and its tally describe the identical multiset. Pair
 /// it with [`QuantilePlan::extract_sample_into`], which reads the tallies
-/// through the sample's sorted runs, so on a tiered sample a round forces
-/// **no lazy materialization** and never sorts (an allocation-free O(n)
-/// round, see [`QuantilePlan`]). This is the comparator's hot-path form.
+/// through the sample's sorted ids, so a round never sorts (an
+/// allocation-free O(n) round, see [`QuantilePlan`]). This is the
+/// comparator's hot-path form.
 pub fn resample_id_counts_into<R: Rng + ?Sized>(
     rng: &mut R,
     sample: &Sample,
@@ -188,7 +188,7 @@ pub(crate) fn interp_value(vlo: f64, vhi: f64, lo: usize, hi: usize, frac: f64) 
 /// once per `(quantiles, n)` pair ([`prepare`](Self::prepare));
 /// [`extract_sample_into`](Self::extract_sample_into) then reads every
 /// one of them from a [`resample_id_counts_into`] tally in a single pass
-/// over the sample's sorted runs — O(n + q) per bootstrap round, no
+/// over the sample's sorted ids — O(n + q) per bootstrap round, no
 /// allocation, no sort, and **bit-identical** to sorting the resample and
 /// calling [`quantile_sorted`] (the interpolation arithmetic is
 /// replicated exactly; the tally describes the same sorted multiset).
@@ -246,7 +246,7 @@ const RANK_PASS_MAX: usize = 256;
 /// and `hi` of 8 quantiles.
 const LANES: usize = 16;
 
-/// The rank pass over one sorted run: for every lane `j`, the number of
+/// The rank pass over the sorted ids: for every lane `j`, the number of
 /// elements whose running resample count (inclusive) is `≤ targets[j]` —
 /// exactly the index where the cumulative walk stops for that target,
 /// since the running count never decreases. Branch-free: one fixed-width
@@ -315,21 +315,19 @@ impl QuantilePlan {
     /// and refilled, never reallocated at steady state.
     ///
     /// It reads each element's multiplicity via its insertion id while
-    /// walking [`Sample::sorted_runs`], so it never needs the flat sorted
-    /// view: on a tiered sample the hot comparator path forces no lazy
-    /// materialization. Two strategies, one result:
+    /// walking [`Sample::sorted_ids`] alongside [`Sample::sorted`]. Two
+    /// strategies, one result:
     ///
-    /// * **Rank pass** — a sample held as one sorted run (every flat
-    ///   sample) with `n ≤ 256`: one pass over the run adds up the running
-    ///   resample count and, at every element, advances all planned
-    ///   positions at once by a branch-free compare (16 at a time; plans
-    ///   of more than 8 quantiles take one pass per 16). Each position
-    ///   ends on the index the walk would stop at.
-    /// * **Cumulative walk** — every other sample, tiered ones included:
-    ///   one persistent cursor through [`Sample::sorted_runs`], stopping
-    ///   at each position in ascending order. It stops at the last
-    ///   target, so it wins once `n` is large enough that touching every
-    ///   element costs more than the walk's mispredicted exits.
+    /// * **Rank pass** — samples and resamples of `n ≤ 256`: one pass over
+    ///   the ids adds up the running resample count and, at every element,
+    ///   advances all planned positions at once by a branch-free compare
+    ///   (16 at a time; plans of more than 8 quantiles take one pass per
+    ///   16). Each position ends on the index the walk would stop at.
+    /// * **Cumulative walk** — every larger sample: one cursor through
+    ///   the ids, stopping at each position in ascending order. It stops
+    ///   at the last target, so it wins once `n` is large enough that
+    ///   touching every element costs more than the walk's mispredicted
+    ///   exits.
     ///
     /// Both are bit-identical to expanding the counts and calling
     /// [`quantile_sorted`] (same sorted multiset, same order statistics,
@@ -351,14 +349,12 @@ impl QuantilePlan {
             "counts must describe a resample of the planned size"
         );
         out.clear();
-        let mut runs = sample.sorted_runs();
-        let mut run = runs.next().expect("samples are non-empty");
-        let one_run = run.ids.len() == sample.len();
-        if one_run && sample.len().max(self.n) <= RANK_PASS_MAX {
+        let (values, ids) = (sample.sorted(), sample.sorted_ids());
+        if sample.len().max(self.n) <= RANK_PASS_MAX {
             for (targets, interp) in self.lanes.iter().zip(self.interp.chunks(LANES / 2)) {
-                let ranks = rank_pass(run.ids, counts_by_id, targets);
+                let ranks = rank_pass(ids, counts_by_id, targets);
                 for (k, &(lo, hi, frac)) in ranks.chunks_exact(2).zip(interp) {
-                    let (vlo, vhi) = (run.values[k[0] as usize], run.values[k[1] as usize]);
+                    let (vlo, vhi) = (values[k[0] as usize], values[k[1] as usize]);
                     out.push(interp_value(vlo, vhi, lo, hi, frac));
                 }
             }
@@ -370,11 +366,7 @@ impl QuantilePlan {
         let mut cum = 0usize;
         for &(target, slot) in &self.walk {
             loop {
-                while k >= run.values.len() {
-                    run = runs.next().expect("targets lie within the resample");
-                    k = 0;
-                }
-                let c = counts_by_id[run.ids[k] as usize] as usize;
+                let c = counts_by_id[ids[k] as usize] as usize;
                 if cum + c <= target {
                     cum += c;
                     k += 1;
@@ -382,7 +374,7 @@ impl QuantilePlan {
                     break;
                 }
             }
-            stats[slot] = run.values[k];
+            stats[slot] = values[k];
         }
         for (i, &(lo, hi, frac)) in self.interp.iter().enumerate() {
             out.push(interp_value(stats[2 * i], stats[2 * i + 1], lo, hi, frac));
@@ -470,23 +462,14 @@ mod tests {
     fn counted_resample_matches_sorted_buffer_resample() {
         // Same seed → the insertion-id tally must describe exactly the
         // multiset resample_into draws, and the quantiles read from it
-        // must be bit-identical to sorting the buffer: for a flat and a
-        // tiered sample (rank pass vs cumulative walk), and for flat
-        // samples on both sides of the rank-pass cutoff, where plan and
-        // read must agree on which strategy runs.
+        // must be bit-identical to sorting the buffer: on both sides of
+        // the rank-pass cutoff, where plan and read must agree on which
+        // strategy runs.
         let qs = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
         let mut plan = QuantilePlan::default();
-        for (n, tiered) in [
-            (60, false),
-            (60, true),
-            (RANK_PASS_MAX, false),
-            (RANK_PASS_MAX + 1, false),
-        ] {
+        for n in [60, RANK_PASS_MAX, RANK_PASS_MAX + 1] {
             let vals: Vec<f64> = (0..n).map(|i| ((i * 31) % 13) as f64 * 0.25).collect();
-            let mut x = s(&vals);
-            if tiered {
-                x.force_tiered_for_test(7);
-            }
+            let x = s(&vals);
             plan.prepare(&qs, n);
             for seed in 0..20u64 {
                 let mut buf = Vec::new();
@@ -496,52 +479,61 @@ mod tests {
                 let mut counts = Vec::new();
                 resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &x, &mut counts);
                 let expanded: Vec<f64> = x
-                    .sorted_runs()
-                    .flat_map(|run| run.ids.iter())
+                    .sorted_ids()
+                    .iter()
                     .flat_map(|&id| {
                         std::iter::repeat_n(x.values()[id as usize], counts[id as usize] as usize)
                     })
                     .collect();
-                assert_eq!(expanded, buf, "n {n} tiered {tiered} seed {seed}");
+                assert_eq!(expanded, buf, "n {n} seed {seed}");
 
                 let (mut stats, mut out) = (Vec::new(), Vec::new());
                 plan.extract_sample_into(&x, &counts, &mut stats, &mut out);
                 let want: Vec<f64> = qs.iter().map(|&q| quantile_sorted(&buf, q)).collect();
-                assert_eq!(out, want, "n {n} tiered {tiered} seed {seed}");
+                assert_eq!(out, want, "n {n} seed {seed}");
             }
         }
     }
 
     #[test]
     fn id_counts_walk_matches_sorted_counts_walk() {
-        // The insertion-indexed tally does not depend on how the sample is
-        // held, and reading it through the tiered sample's sorted-runs walk
-        // must be bit-identical to reading it through the flat sample (the
-        // rank pass at n ≤ RANK_PASS_MAX, the single-run walk above it).
+        // The insertion-indexed tally does not depend on how the sample
+        // was grown, and reading it through an index merged into wave by
+        // wave must be bit-identical to reading it through the index one
+        // argsort built (the rank pass at n ≤ RANK_PASS_MAX, the walk
+        // above it).
         let qs = [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0];
         let mut plan = QuantilePlan::default();
         for n in [60, RANK_PASS_MAX + 1] {
             let vals: Vec<f64> = (0..n).map(|i| ((i * 31) % 13) as f64 * 0.25).collect();
-            let flat = s(&vals);
-            let mut tiered = s(&vals);
-            tiered.force_tiered_for_test(7);
+            let built = s(&vals);
+            // Read before every wave, so each wave merges into the index.
+            let mut grown = s(&vals[..1]);
+            for wave in vals[1..].chunks(7) {
+                let _ = grown.min();
+                grown.try_extend_all(wave).unwrap();
+            }
             plan.prepare(&qs, n);
             for seed in 0..20u64 {
-                let mut flat_counts = Vec::new();
-                resample_id_counts_into(&mut StdRng::seed_from_u64(seed), &flat, &mut flat_counts);
-                let mut tiered_counts = Vec::new();
+                let mut built_counts = Vec::new();
                 resample_id_counts_into(
                     &mut StdRng::seed_from_u64(seed),
-                    &tiered,
-                    &mut tiered_counts,
+                    &built,
+                    &mut built_counts,
                 );
-                assert_eq!(tiered_counts, flat_counts, "n {n} seed {seed}");
+                let mut grown_counts = Vec::new();
+                resample_id_counts_into(
+                    &mut StdRng::seed_from_u64(seed),
+                    &grown,
+                    &mut grown_counts,
+                );
+                assert_eq!(grown_counts, built_counts, "n {n} seed {seed}");
 
-                let (mut stats, mut flat_out) = (Vec::new(), Vec::new());
-                plan.extract_sample_into(&flat, &flat_counts, &mut stats, &mut flat_out);
-                let mut runs_out = Vec::new();
-                plan.extract_sample_into(&tiered, &tiered_counts, &mut stats, &mut runs_out);
-                assert_eq!(runs_out, flat_out, "n {n} seed {seed}");
+                let (mut stats, mut built_out) = (Vec::new(), Vec::new());
+                plan.extract_sample_into(&built, &built_counts, &mut stats, &mut built_out);
+                let mut grown_out = Vec::new();
+                plan.extract_sample_into(&grown, &grown_counts, &mut stats, &mut grown_out);
+                assert_eq!(grown_out, built_out, "n {n} seed {seed}");
             }
         }
     }

@@ -277,10 +277,8 @@ impl BootstrapConfig {
 /// allocations at steady state, given a reused [`Scratch`]. Samples of up
 /// to 256 measurements are read by a branch-free rank pass, since the
 /// cumulative walk's data-dependent stops mispredict often enough to
-/// dominate a round; larger and tiered samples keep the walk, which
-/// rides the leaf runs directly, so comparison forces no lazy flat-view
-/// materialization. The dominance vote and the repetition loop both exit
-/// as soon as the outcome is decided.
+/// dominate a round; larger samples keep the walk. The dominance vote and
+/// the repetition loop both exit as soon as the outcome is decided.
 ///
 /// # Examples
 ///

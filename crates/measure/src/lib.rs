@@ -13,8 +13,8 @@
 //! Modules:
 //!
 //! * [`sample`] — the `Sample` type with quantiles, moments, histograms,
-//!   and the tiered sorted index (gallop-merge bulk ingest, lazy flat
-//!   views) the comparator fast path rides on.
+//!   and the sorted index (built on first read, merged into in place by
+//!   every later write) the comparator fast path rides on.
 //! * [`bootstrap`] — resampling engine (buffer- and count-vector forms),
 //!   percentile confidence intervals, and the [`bootstrap::QuantilePlan`]
 //!   one-pass quantile reader.
@@ -25,8 +25,8 @@
 //!   through the allocation-free O(n) bootstrap round
 //!   ([`compare::ScratchThreeWayComparator`]), and [`compare::stream_seed`],
 //!   the workspace's per-index seed derivation.
-//! * [`merge`] — the sorted-merge cursor the Mann–Whitney rank statistic
-//!   walks two samples' sorted runs with.
+//! * [`merge`] — the sorted-merge walk the Mann–Whitney rank statistic
+//!   runs over two samples' sorted views.
 //! * [`ranksum`] — the Mann–Whitney U comparator for ablations.
 //! * [`sketch`] — bounded-memory quantile sketching
 //!   ([`QuantileSketch`]) for streams too large to retain; rank-approximate
@@ -47,5 +47,5 @@ pub use compare::{
     stream_seed, BootstrapComparator, Outcome, Scratch, ScratchThreeWayComparator,
     SeededThreeWayComparator, ThreeWayComparator,
 };
-pub use sample::{IngestStats, Sample};
+pub use sample::Sample;
 pub use sketch::QuantileSketch;

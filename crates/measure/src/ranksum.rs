@@ -45,13 +45,12 @@ impl MannWhitneyComparator {
 pub fn mann_whitney_u(a: &Sample, b: &Sample) -> (f64, usize, usize, f64) {
     let na = a.len();
     let nb = b.len();
-    // One pass over the two sorted-run sequences via the chunked merge
-    // cursor — O(na + nb), no pooled copy and no flat-view
-    // materialization on tiered samples; tie groups carry their average
-    // pooled rank, so the order within ties is irrelevant.
+    // One merged pass over the two sorted views — O(na + nb), no pooled
+    // copy; tie groups carry their average pooled rank, so the order
+    // within ties is irrelevant.
     let mut rank_sum_a = 0.0;
     let mut tie_term = 0.0;
-    crate::merge::merge_tie_groups(a.sorted_chunks(), b.sorted_chunks(), |g| {
+    crate::merge::merge_tie_groups(a.sorted(), b.sorted(), |g| {
         rank_sum_a += g.average_rank() * g.count_a as f64;
         let count = g.count() as f64;
         tie_term += count * count * count - count;

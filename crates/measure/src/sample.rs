@@ -12,17 +12,16 @@
 //! copy [`sorted`](Sample::sorted) plus its argsort
 //! [`sorted_ids`](Sample::sorted_ids), `ids[r]` = insertion index of the
 //! `r`-th smallest value). The sorted index is **built on first read**:
-//! [`Sample::new`] only validates the values and folds their moments, and
-//! the first read of the order ([`sorted`](Sample::sorted),
-//! [`sorted_ids`](Sample::sorted_ids), [`order_stat`](Sample::order_stat),
-//! [`min`](Sample::min), [`max`](Sample::max), `==`) builds it by one
-//! stable argsort. Until then a write ([`push`](Sample::push),
-//! [`try_extend_all`](Sample::try_extend_all)) only appends to the values
-//! and folds the moments; once the index exists, every write merges into
-//! it. The index is a pure function of the values, so when it is built
-//! never changes a bit of any output: a sample that is only streamed into,
-//! decoded and counted (a session nobody scores, a checkpoint read for its
-//! sizes) never sorts.
+//! [`Sample::new`] only validates the values, and the first read of the
+//! order ([`sorted`](Sample::sorted), [`sorted_ids`](Sample::sorted_ids),
+//! [`order_stat`](Sample::order_stat), [`min`](Sample::min),
+//! [`max`](Sample::max), `==`) builds it by one stable argsort. Until then
+//! a write ([`push`](Sample::push),
+//! [`try_extend_all`](Sample::try_extend_all)) only appends to the values;
+//! once the index exists, every write merges into it. The index is a pure
+//! function of the values, so when it is built never changes a bit of any
+//! output: a sample that is only streamed into, decoded and counted (a
+//! session nobody scores, a checkpoint read for its sizes) never sorts.
 //!
 //! Every write into a built index goes through one **in-place merge**: the
 //! batch is stably sorted by value, both index vectors grow by its length
@@ -50,8 +49,9 @@ use std::sync::OnceLock;
 /// * every measurement is finite,
 /// * a sorted index (see the [module docs](self)) for O(1) order-statistic
 ///   queries, built on the first order read,
-/// * running first and second moments in insertion order, making
-///   [`mean`](Sample::mean) and [`variance`](Sample::variance) O(1).
+/// * insertion order kept on every growth path, which
+///   [`mean`](Sample::mean) and [`variance`](Sample::variance) fold on
+///   read (O(n)), so a write pays nothing for them.
 ///
 /// # Growth contract
 ///
@@ -81,15 +81,6 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone)]
 pub struct Sample {
     values: Vec<f64>,
-    /// Running Σv in insertion order — the exact fold
-    /// `values.iter().sum::<f64>()` performs, so [`mean`](Sample::mean)
-    /// is bit-identical to the O(n) definition.
-    sum: f64,
-    /// Welford running mean, updated per value in insertion order on
-    /// every growth path (see [`variance`](Sample::variance)).
-    w_mean: f64,
-    /// Welford running Σ(v−μ)² (see [`variance`](Sample::variance)).
-    m2: f64,
     /// The sorted index, built from `values` on the first order read (see
     /// the [module docs](self)) and merged into by every write from then
     /// on.
@@ -186,9 +177,8 @@ impl Sample {
     /// Returns [`SampleError::Empty`] for an empty vector and
     /// [`SampleError::NonFinite`] when any value is NaN or infinite.
     ///
-    /// Cost: `O(n)` — validation and the running moments. The sorted
-    /// index is built on the first order read (see the [module
-    /// docs](self)), not here.
+    /// Cost: `O(n)` — validation only. The sorted index is built on the
+    /// first order read (see the [module docs](self)), not here.
     pub fn new(values: Vec<f64>) -> Result<Self, SampleError> {
         if values.is_empty() {
             return Err(SampleError::Empty);
@@ -200,15 +190,8 @@ impl Sample {
             values.len() <= u32::MAX as usize,
             "sample exceeds the u32 insertion-id capacity"
         );
-        let (mut sum, mut w_mean, mut m2) = (0.0f64, 0.0f64, 0.0f64);
-        for (i, &v) in values.iter().enumerate() {
-            fold_moment(&mut sum, &mut w_mean, &mut m2, v, i + 1);
-        }
         Ok(Sample {
             values,
-            sum,
-            w_mean,
-            m2,
             index: OnceLock::new(),
         })
     }
@@ -218,21 +201,15 @@ impl Sample {
         self.index.get_or_init(|| SortedIndex::build(&self.values))
     }
 
-    /// Appends `batch` to the insertion order and folds its moments, then
-    /// hands back the sorted index the write must merge into — or `None`
+    /// Appends `batch` to the insertion order, then hands back the sorted index the write must merge into — or `None`
     /// while no read has built it. An unbuilt index is later built from
     /// `values` alone, so a write before the first read only appends.
     fn append(&mut self, batch: &[f64]) -> Option<&mut SortedIndex> {
-        let mut n = self.values.len();
         assert!(
-            n + batch.len() <= u32::MAX as usize,
+            self.values.len() + batch.len() <= u32::MAX as usize,
             "sample exceeds the u32 insertion-id capacity"
         );
         self.values.extend_from_slice(batch);
-        for &v in batch {
-            n += 1;
-            fold_moment(&mut self.sum, &mut self.w_mean, &mut self.m2, v, n);
-        }
         self.index.get_mut()
     }
 
@@ -365,27 +342,37 @@ impl Sample {
         *self.sorted().last().expect("non-empty")
     }
 
-    /// Arithmetic mean — O(1) from the running sum, which is maintained
-    /// in insertion order and therefore **bit-identical** to
-    /// `values.iter().sum::<f64>() / n` (same fold, same rounding).
+    /// Arithmetic mean — O(n): the plain left fold of the values in
+    /// insertion order, so it is **bit-identical** to
+    /// `values.iter().sum::<f64>() / n` (same fold, same rounding) however
+    /// the sample was grown.
     pub fn mean(&self) -> f64 {
-        self.sum / self.len() as f64
+        self.moments().0 / self.len() as f64
     }
 
-    /// Unbiased sample variance (0 for a single measurement) — O(1) from
-    /// the Welford running moments, folded per value in insertion order
-    /// on every growth path (so push, bulk extend, and batch construction
-    /// agree bit for bit). Welford is exact on constant samples (a
-    /// naive `Σv² − (Σv)²/n` would cancel catastrophically there) and
-    /// agrees with the two-pass `Σ(v−μ)²/(n−1)` definition up to the last
-    /// few bits (this is a diagnostic readout — comparison outcomes never
-    /// consume it).
+    /// Unbiased sample variance (0 for a single measurement) — O(n): the
+    /// Welford moments, folded per value in insertion order (so push,
+    /// bulk extend, and batch construction agree bit for bit). Welford is
+    /// exact on constant samples (a naive `Σv² − (Σv)²/n` would cancel
+    /// catastrophically there) and agrees with the two-pass
+    /// `Σ(v−μ)²/(n−1)` definition up to the last few bits (this is a
+    /// diagnostic readout — comparison outcomes never consume it).
     pub fn variance(&self) -> f64 {
         let n = self.len();
         if n < 2 {
             return 0.0;
         }
-        self.m2 / (n as f64 - 1.0)
+        self.moments().1 / (n as f64 - 1.0)
+    }
+
+    /// `(Σv, Σ(v−μ)²)` folded over the values in insertion order by
+    /// [`fold_moment`].
+    fn moments(&self) -> (f64, f64) {
+        let (mut sum, mut w_mean, mut m2) = (0.0f64, 0.0f64, 0.0f64);
+        for (i, &v) in self.values.iter().enumerate() {
+            fold_moment(&mut sum, &mut w_mean, &mut m2, v, i + 1);
+        }
+        (sum, m2)
     }
 
     /// Sample standard deviation.
@@ -471,10 +458,10 @@ impl Sample {
 }
 
 /// One Welford step: folds `v` into the running moments, where `n` is
-/// the count *including* `v`. Every growth path (batch construction,
-/// per-element push, bulk extend) applies this same update per value in
-/// insertion order, so the moments are bit-identical across them; `sum`
-/// rides along as the plain left fold so [`Sample::mean`] matches
+/// the count *including* `v`. [`Sample::mean`] and [`Sample::variance`]
+/// apply it per value in insertion order, which every growth path keeps,
+/// so the moments are bit-identical across them; `sum` rides along as the
+/// plain left fold so [`Sample::mean`] matches
 /// `values.iter().sum::<f64>() / n` exactly.
 fn fold_moment(sum: &mut f64, w_mean: &mut f64, m2: &mut f64, v: f64, n: usize) {
     *sum += v;

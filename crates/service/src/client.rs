@@ -3,7 +3,12 @@
 //! [`WireClient`] drives the [`crate::wire`] protocol over any
 //! `Read + Write` stream — a [`DuplexPipe`] end for in-process use, a
 //! `UnixStream` for a socket server (see [`crate::wire::serve_unix`]).
-//! Every method is a strict request/response round trip; service-side
+//! Every method is a strict request/response round trip, except that
+//! [`await_responses`](WireClient::await_responses) answers from the
+//! client's **stash** when it can: the responses a
+//! [`Submitted`](crate::wire::Response::Submitted) carried back because
+//! the runtime ran the group to completion while admitting it. An ingest
+//! request on a threaded runtime so costs one round trip. Service-side
 //! rejections come back as typed
 //! [`ClientError::Service`] values, so a remote caller
 //! sheds load (`TenantBusy`, `QueueFull`, `Overloaded`) exactly like an
@@ -16,14 +21,14 @@
 //! fault-injection tests hermetic and deterministic.
 
 use crate::error::ServiceError;
-use crate::runtime::{RuntimeError, RuntimeHandle};
+use crate::runtime::{RuntimeError, RuntimeHandle, DEFAULT_MAILBOX_CAP};
 use crate::service::{OpResponse, SessionOp, SessionSpec, SessionStatus};
 use crate::stats::{RecoveryHealth, ServiceStats};
 use crate::wire::{
     self, decode_response, encode_request, read_frame, write_frame, Request, Response, WireError,
 };
 use relperf_measure::ScratchThreeWayComparator;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
@@ -321,6 +326,10 @@ pub struct SubmitOutcome {
 pub struct WireClient<S> {
     stream: S,
     retry_stats: RetryStats,
+    /// Per-tenant responses that arrived with a `Submitted` and no await
+    /// or collect has returned yet, sorted by seq. Each response is in
+    /// the stash or in the server's mailbox, never both.
+    stash: HashMap<u64, Vec<OpResponse>>,
 }
 
 impl<S: Read + Write> WireClient<S> {
@@ -329,7 +338,24 @@ impl<S: Read + Write> WireClient<S> {
         WireClient {
             stream,
             retry_stats: RetryStats::default(),
+            stash: HashMap::new(),
         }
+    }
+
+    /// Puts responses back into the tenant's stash, keeping it sorted and
+    /// bounded like a default runtime's mailbox: beyond the default
+    /// [`mailbox_cap`](crate::runtime::RuntimeConfig::mailbox_cap) the
+    /// oldest (lowest seq) are dropped, so a client that never awaits or
+    /// collects holds no more than the server would.
+    fn stash(&mut self, tenant: u64, responses: Vec<OpResponse>) {
+        if responses.is_empty() {
+            return;
+        }
+        let stash = self.stash.entry(tenant).or_default();
+        stash.extend(responses);
+        stash.sort_by_key(|r| r.seq);
+        let over = stash.len().saturating_sub(DEFAULT_MAILBOX_CAP);
+        stash.drain(..over);
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
@@ -375,6 +401,9 @@ impl<S: Read + Write> WireClient<S> {
     }
 
     /// Atomically submits an op group, returning the admission tickets.
+    /// Responses that came back with the tickets go to the stash, where
+    /// [`await_responses`](WireClient::await_responses) and
+    /// [`collect_ready`](WireClient::collect_ready) find them.
     /// Backpressure and shedding come back as
     /// [`ClientError::Service`] with the same typed errors
     /// (`TenantBusy`, `QueueFull`, `Overloaded`) an in-process caller
@@ -390,7 +419,10 @@ impl<S: Read + Write> WireClient<S> {
             session,
             ops,
         })? {
-            Response::Submitted { seqs } => Ok(seqs),
+            Response::Submitted { seqs, ready } => {
+                self.stash(tenant, ready);
+                Ok(seqs)
+            }
             Response::Error { error } => Err(ClientError::Service(error)),
             _ => Err(ClientError::Protocol("unexpected response to Submit")),
         }
@@ -458,30 +490,68 @@ impl<S: Read + Write> WireClient<S> {
     }
 
     /// Blocks until the named tickets have responses, then returns them
-    /// sorted by seq.
+    /// sorted by seq. Tickets the stash answers cost no round trip; an
+    /// `Await` is sent only for the rest. On failure the stashed ones
+    /// stay stashed.
     pub fn await_responses(
         &mut self,
         tenant: u64,
         seqs: &[u64],
         timeout: Duration,
     ) -> Result<Vec<OpResponse>, ClientError> {
-        match self.call(&Request::Await {
-            tenant,
-            seqs: seqs.to_vec(),
-            timeout_ms: timeout.as_millis().min(u64::MAX as u128) as u64,
-        })? {
-            Response::Responses { responses } => Ok(responses),
-            Response::WaitError { error } => Err(ClientError::Wait(error)),
-            Response::Error { error } => Err(ClientError::Service(error)),
-            _ => Err(ClientError::Protocol("unexpected response to Await")),
+        let (mut got, kept): (Vec<OpResponse>, Vec<OpResponse>) = self
+            .stash
+            .remove(&tenant)
+            .unwrap_or_default()
+            .into_iter()
+            .partition(|r| seqs.contains(&r.seq));
+        self.stash(tenant, kept);
+        let rest: Vec<u64> = seqs
+            .iter()
+            .copied()
+            .filter(|&s| !got.iter().any(|r| r.seq == s))
+            .collect();
+        if rest.is_empty() {
+            return Ok(got);
         }
+        let reply = self.call(&Request::Await {
+            tenant,
+            seqs: rest,
+            timeout_ms: timeout.as_millis().min(u64::MAX as u128) as u64,
+        });
+        let responses = match reply {
+            Ok(Response::Responses { responses }) => responses,
+            failed => {
+                self.stash(tenant, got);
+                return Err(match failed {
+                    Ok(Response::WaitError { error }) => ClientError::Wait(error),
+                    Ok(Response::Error { error }) => ClientError::Service(error),
+                    Ok(_) => ClientError::Protocol("unexpected response to Await"),
+                    Err(e) => e,
+                });
+            }
+        };
+        got.extend(responses);
+        got.sort_by_key(|r| r.seq);
+        Ok(got)
     }
 
-    /// Drains whatever responses are already delivered for the tenant.
+    /// Drains whatever responses are already delivered for the tenant:
+    /// the stash first, then what a `Collect` returns.
     pub fn collect_ready(&mut self, tenant: u64) -> Result<Vec<OpResponse>, ClientError> {
-        match self.call(&Request::Collect { tenant })? {
-            Response::Responses { responses } => Ok(responses),
-            _ => Err(ClientError::Protocol("unexpected response to Collect")),
+        let mut ready = self.stash.remove(&tenant).unwrap_or_default();
+        match self.call(&Request::Collect { tenant }) {
+            Ok(Response::Responses { responses }) => {
+                ready.extend(responses);
+                Ok(ready)
+            }
+            failed => {
+                self.stash(tenant, ready);
+                Err(match failed {
+                    Ok(_) => ClientError::Protocol("unexpected response to Collect"),
+                    Err(e) => e,
+                })
+            }
         }
     }
 

@@ -13,6 +13,30 @@
 //! cadence. A slow session now delays its own shard's batch — tenants
 //! hashed to other shards keep their latency regardless.
 //!
+//! # Run to completion
+//!
+//! A group whose shard queue holds no `Score` does not wait for a
+//! scheduler thread: [`submit_all`](RuntimeHandle::submit_all) runs the
+//! shard's batch on the submitting thread and delivers it before it
+//! returns, so an ingest request costs no thread handoff (no kick, no
+//! condvar wake). It is the same batch a scheduler thread would run, so
+//! checkout and push-back keep each session's `(tenant, seq)` order. It
+//! holds no `Score`, so it needs no thread grant, and it does not count
+//! toward the executing batches that size other batches' grants: a
+//! `Score` batch keeps the grant it starts with for milliseconds, and an
+//! ingest batch beside it ends within microseconds.
+//!
+//! A `Score` never runs on a submitting thread: the Score-free check and
+//! the drain happen under one shard lock, and a queue holding a `Score`
+//! is left to its scheduler thread, as is anything a batch had to push
+//! back because another batch held its session. Every drainer checks the
+//! drained sessions out under that same lock, so no op is ever out of the
+//! queue without its session held: a session's pipelined groups run in
+//! seq order whichever threads drain them, and a compaction never misses
+//! a drained op. Synchronous mode is untouched. The wire `Submit` handler
+//! then hands back the group's responses with its tickets (see
+//! [`crate::wire::Response::Submitted`]).
+//!
 //! # Mailboxes
 //!
 //! Batch responses are routed into a per-tenant **mailbox** instead of
@@ -36,7 +60,8 @@
 //! # Score threads
 //!
 //! Each batch a scheduler thread runs is granted the hardware threads
-//! minus one per other batch executing when it starts
+//! minus one per other scheduler (or synchronous) batch executing when
+//! it starts
 //! ([`run_shard_batch`](SessionService::run_shard_batch)): when one
 //! tenant is live, its `Score` spreads its repetitions over every core
 //! (the scheduler thread works too, joined by spawned helpers); when
@@ -78,20 +103,26 @@ pub struct RuntimeConfig {
     /// inline in `await_responses` / `collect_ready`).
     pub scheduler_threads: usize,
     /// How long an idle scheduler thread sleeps between queue polls.
-    /// Submissions unpark the owning thread immediately, so the cadence
-    /// bounds wake-up latency only when the unpark signal is missed.
+    /// A submission that leaves work for the scheduler unparks the owning
+    /// thread immediately, so the cadence bounds wake-up latency only when
+    /// the unpark signal is missed.
     pub cadence: Duration,
     /// Responses kept per tenant mailbox; beyond this the oldest are
     /// dropped (the runtime never blocks a worker on a lazy client).
     pub mailbox_cap: usize,
 }
 
+/// [`RuntimeConfig::mailbox_cap`]'s default. It also bounds each
+/// tenant's [`WireClient`](crate::client::WireClient) stash, which cannot
+/// see the server's setting.
+pub(crate) const DEFAULT_MAILBOX_CAP: usize = 16384;
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             scheduler_threads: 2,
             cadence: Duration::from_millis(1),
-            mailbox_cap: 16384,
+            mailbox_cap: DEFAULT_MAILBOX_CAP,
         }
     }
 }
@@ -253,9 +284,13 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
             let join = thread::Builder::new()
                 .name(format!("relperf-sched-{t}"))
                 .spawn(move || {
-                    // Thread t drains shards t, t+n, t+2n, … — a fixed
-                    // partition, so no two threads ever race on a shard's
-                    // queue and a slow shard only delays its own owner.
+                    // Thread t polls shards t, t+n, t+2n, … — a fixed
+                    // partition, so a slow shard only delays its own
+                    // owner. Submitting threads drain Score-free queues
+                    // too (see "Run to completion"); a shard's queue is
+                    // drained and its sessions checked out under one
+                    // shard lock, so racing drainers keep each session's
+                    // ops in order.
                     let owned: Vec<usize> = (t..shard_count).step_by(n).collect();
                     while !worker.stop.load(Ordering::Acquire) {
                         let responses = worker.service.run_shard_batch(owned.iter().copied());
@@ -403,15 +438,18 @@ impl<C: ScratchThreeWayComparator + Send + Sync> RuntimeHandle<C> {
         self.0.service.restore_session(tenant, session, bytes)
     }
 
-    /// Enqueues one op and wakes the owning scheduler thread. The
+    /// Enqueues one op like [`submit_all`](Self::submit_all). The
     /// response lands in the tenant's mailbox.
     pub fn submit(&self, tenant: u64, session: u64, op: SessionOp) -> Result<u64, ServiceError> {
         let seqs = self.submit_all(tenant, session, vec![op])?;
         Ok(seqs[0])
     }
 
-    /// Atomic group enqueue ([`SessionService::submit_all`]) plus a wake
-    /// of the owning scheduler thread.
+    /// Atomic group enqueue ([`SessionService::submit_all`]), then, in
+    /// threaded mode, the shard's batch: run here and delivered before
+    /// this returns when the shard queue holds no `Score` (see [Run to
+    /// completion](self#run-to-completion)), otherwise left to the owning
+    /// scheduler thread, which is woken. Synchronous mode only enqueues.
     pub fn submit_all(
         &self,
         tenant: u64,
@@ -420,9 +458,28 @@ impl<C: ScratchThreeWayComparator + Send + Sync> RuntimeHandle<C> {
     ) -> Result<Vec<u64>, ServiceError> {
         let seqs = self.0.service.submit_all(tenant, session, ops)?;
         if !seqs.is_empty() && !self.0.sync_mode() {
-            self.0.kick(self.0.service.shard_index(tenant, session));
+            let shard = self.0.service.shard_index(tenant, session);
+            if let Some((responses, queued)) = self.0.service.run_score_free_batch(shard) {
+                self.0.deliver(responses);
+                if !queued {
+                    return Ok(seqs);
+                }
+            }
+            self.0.kick(shard);
         }
         Ok(seqs)
+    }
+
+    /// Moves the responses to `seqs` out of the tenant's mailbox, sorted
+    /// by seq, when every one of them is already there; otherwise takes
+    /// nothing and returns an empty list. The wire `Submit` handler sends
+    /// what this returns with the tickets.
+    pub(crate) fn take_ready(&self, tenant: u64, seqs: &[u64]) -> Vec<OpResponse> {
+        let mut boxes = self.0.mailboxes.lock().expect("mailboxes poisoned");
+        if seqs.is_empty() || missing_count(&boxes, tenant, seqs) > 0 {
+            return Vec::new();
+        }
+        extract(&mut boxes, tenant, seqs)
     }
 
     /// Non-blocking drain of the tenant's whole mailbox (synchronous mode

@@ -483,7 +483,9 @@ pub struct SessionService<C: ScratchThreeWayComparator + Send + Sync> {
     scheduler: Parallelism,
     /// Non-empty batches executing right now, across every caller of
     /// [`run_shard_batch`](Self::run_shard_batch) — what sizes each
-    /// batch's `Score` grant (see [`score_grant`]).
+    /// batch's `Score` grant (see [`score_grant`]). Inline Score-free
+    /// batches ([`run_score_free_batch`](Self::run_score_free_batch)) do
+    /// not count.
     executing: AtomicUsize,
     /// Queued ops per tenant (the in-flight admission counter).
     tenants: Mutex<HashMap<u64, usize>>,
@@ -990,7 +992,9 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// An all-empty subset returns immediately without counting a batch,
     /// so a polling scheduler does not inflate `batches` while idle.
     ///
-    /// Thread grant: a batch that starts while `k` other batches execute
+    /// Thread grant: a batch that starts while `k` other such batches
+    /// execute (inline Score-free batches do not count, see
+    /// [`RuntimeHandle::submit_all`](crate::runtime::RuntimeHandle::submit_all))
     /// may use `hardware_threads() − k` threads (at least 1), split
     /// evenly over the scheduler workers its jobs fan across; every
     /// `Score` in it runs on that share, whatever the session's
@@ -1003,21 +1007,54 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// (`>= `[`num_shards`](Self::num_shards)).
     pub fn run_shard_batch(&self, shards: impl IntoIterator<Item = usize>) -> Vec<OpResponse> {
         let shard_indices: Vec<usize> = shards.into_iter().collect();
-        let mut entries: Vec<QueuedOp> = Vec::new();
+        let mut jobs: Vec<Mutex<Job<C>>> = Vec::new();
+        let mut drained = false;
         for &idx in &shard_indices {
+            drained |= Self::check_out_queue(&mut self.shard(idx), &mut jobs);
+        }
+        self.execute(&shard_indices, drained, jobs, true).0
+    }
+
+    /// [`run_shard_batch`](Self::run_shard_batch) over shard `idx` alone,
+    /// but only when its queue holds no `Score`: the check, the drain and
+    /// the checkout happen under one shard lock, so a `Score` queued
+    /// meanwhile stays for the scheduler. `None` when a `Score` is queued
+    /// (nothing is drained); otherwise the batch's responses and whether
+    /// the shard queue held ops once the batch was done — ops it pushed
+    /// back, or ops pushed back or enqueued while it ran. This is how a
+    /// submitting thread runs an ingest group to completion itself (see
+    /// the runtime's module docs). Holding no `Score`, the batch needs no
+    /// grant, and it does not count toward the executing batches that
+    /// size other batches' grants: it ends within microseconds, and a
+    /// `Score` batch keeps the grant it starts with to its end.
+    pub(crate) fn run_score_free_batch(&self, idx: usize) -> Option<(Vec<OpResponse>, bool)> {
+        let mut jobs: Vec<Mutex<Job<C>>> = Vec::new();
+        let drained = {
             let mut shard = self.shard(idx);
-            if !shard.queue.is_empty() {
-                entries.append(&mut shard.queue);
+            if shard.queue.iter().any(|e| matches!(e.op, SessionOp::Score)) {
+                return None;
             }
+            Self::check_out_queue(&mut shard, &mut jobs)
+        };
+        Some(self.execute(&[idx], drained, jobs, false))
+    }
+
+    /// Drains `shard`'s queue into per-session jobs and checks each
+    /// session out, all under the caller's one hold of the shard lock
+    /// (a session lives in the shard whose queue holds its ops). So no op
+    /// is ever drained without its session held: a racing batch that
+    /// finds the session checked out pushes its ops back behind the ones
+    /// being run, and a compaction, which skips a shard with checkouts,
+    /// never misses a drained op. Returns whether the queue held ops.
+    fn check_out_queue(shard: &mut Shard<C>, jobs: &mut Vec<Mutex<Job<C>>>) -> bool {
+        if shard.queue.is_empty() {
+            return false;
         }
-        if entries.is_empty() {
-            return Vec::new();
-        }
-        StatCounters::bump(&self.stats.batches);
+        let mut entries = std::mem::take(&mut shard.queue);
         entries.sort_by_key(|e| (e.key.tenant, e.seq));
 
-        // Group per session, preserving the global (tenant, seq) order
-        // within each group.
+        // Group per session, preserving the (tenant, seq) order within
+        // each group.
         let mut group_of: HashMap<SessionKey, usize> = HashMap::new();
         let mut groups: Vec<(SessionKey, Vec<(u64, SessionOp)>)> = Vec::new();
         for e in entries {
@@ -1028,14 +1065,12 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             groups[gi].1.push((e.seq, e.op));
         }
 
-        // Check each involved session out of its shard (the entry stays,
-        // marked checked-out). A missing entry means the session was
-        // evicted since submit — its ops fail typed. An entry already
-        // checked out by a concurrently running batch gets its ops pushed
-        // back for the next batch.
-        let mut jobs: Vec<Mutex<Job<C>>> = Vec::new();
+        // Check each involved session out (the entry stays, marked
+        // checked-out). A missing entry means the session was evicted
+        // since submit — its ops fail typed. An entry already checked
+        // out by a concurrently running batch gets its ops pushed back
+        // for the next batch.
         for (key, ops) in groups {
-            let mut shard = self.shard(self.shard_of(key));
             match shard.sessions.get_mut(&key) {
                 Some(hosted) => match hosted.session.take() {
                     Some(session) => jobs.push(Mutex::new(Job {
@@ -1056,15 +1091,35 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                 })),
             }
         }
+        true
+    }
+
+    /// Executes the jobs checked out of `shard_indices` as one batch (see
+    /// [`run_shard_batch`](Self::run_shard_batch)); `drained` says whether
+    /// any queue held ops, and `counted` whether the batch counts toward
+    /// the executing batches that size `Score` grants. Returns the
+    /// responses and whether any of the shard queues held ops once the
+    /// batch was done.
+    fn execute(
+        &self,
+        shard_indices: &[usize],
+        drained: bool,
+        jobs: Vec<Mutex<Job<C>>>,
+        counted: bool,
+    ) -> (Vec<OpResponse>, bool) {
+        if !drained {
+            return (Vec::new(), false);
+        }
+        StatCounters::bump(&self.stats.batches);
 
         // Fan independent sessions across workers. Each job is locked by
         // exactly one worker (uncontended — the Mutex only converts the
         // shared borrow into the mutable one the session needs).
         let stats = &self.stats;
-        let executing = ExecutingBatch::enter(&self.executing);
+        let executing = counted.then(|| ExecutingBatch::enter(&self.executing));
         let grant = score_grant(
             relperf_parallel::hardware_threads(),
-            executing.others,
+            executing.as_ref().map_or(0, |e| e.others),
             self.scheduler,
             jobs.len(),
         );
@@ -1128,17 +1183,19 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             .fetch_add(responses.len() as u64, Ordering::Relaxed);
         // Auto-compaction rides on the batch that crossed the threshold:
         // the journal suffix a recovery would replay stays bounded.
-        for &idx in &shard_indices {
-            self.maybe_compact(idx);
+        let mut queued = false;
+        for &idx in shard_indices {
+            queued |= self.maybe_compact(idx);
         }
         responses.sort_by_key(|r| (r.key.tenant, r.seq));
-        responses
+        (responses, queued)
     }
 
     /// Compacts `idx` if its journal crossed the auto-compaction
-    /// threshold. Best-effort: a failed install seals the shard journal
-    /// and surfaces on the next journaled admission.
-    fn maybe_compact(&self, idx: usize) {
+    /// threshold, and reports whether its queue holds ops. Best-effort: a
+    /// failed install seals the shard journal and surfaces on the next
+    /// journaled admission.
+    fn maybe_compact(&self, idx: usize) -> bool {
         let mut guard = self.shard(idx);
         let due = guard.journal.as_ref().is_some_and(|j| {
             !j.sealed && j.config.compact_every > 0 && j.since_checkpoint >= j.config.compact_every
@@ -1146,6 +1203,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         if due {
             let _ = self.compact_locked(&mut guard);
         }
+        !guard.queue.is_empty()
     }
 
     /// A cheap status read of one hosted session (served from the cached

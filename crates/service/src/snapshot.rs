@@ -196,6 +196,14 @@ impl Writer {
     pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+    /// A `u64` length, then each value as [`f64`](Writer::f64) writes it.
+    pub(crate) fn f64s(&mut self, values: &[f64]) {
+        self.u64(values.len() as u64);
+        self.buf.reserve(values.len() * 8);
+        for &v in values {
+            self.f64(v);
+        }
+    }
     pub(crate) fn flag(&mut self, v: bool) {
         self.u8(v as u8);
     }
@@ -232,6 +240,16 @@ impl<'a> Reader<'a> {
     }
     pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+    /// What [`Writer::f64s`] wrote: one length check covers every value,
+    /// which then decode straight from the byte slice.
+    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
+        let len = self.len(8)?;
+        let bytes = self.take(len * 8)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+            .collect())
     }
     pub(crate) fn flag(&mut self, what: &'static str) -> Result<bool, SnapshotError> {
         match self.u8()? {
@@ -302,10 +320,7 @@ pub fn encode(snapshot: &SessionSnapshot) -> Vec<u8> {
             None => w.flag(false),
             Some(s) => {
                 w.flag(true);
-                w.u64(s.len() as u64);
-                for &v in s.values() {
-                    w.f64(v);
-                }
+                w.f64s(s.values());
             }
         }
     }
@@ -393,13 +408,9 @@ pub fn decode(bytes: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
             samples.push(None);
             continue;
         }
-        let len = r.len(8)?;
-        if len == 0 {
+        let values = r.f64s()?;
+        if values.is_empty() {
             return Err(SnapshotError::Malformed("empty sample"));
-        }
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(r.f64()?);
         }
         // `Sample::new` validates the values and defers the sorted index
         // to first use; the index is a pure function of the values, so the

@@ -4,7 +4,7 @@
 //! codec — little-endian integers, `f64` as raw bits, a word-wise FNV-1a
 //! 64 trailer — and literally shares its `Writer`/`Reader` plumbing, so
 //! the two formats cannot drift apart in framing discipline. One
-//! **frame** (version 2) is:
+//! **frame** (version 3) is:
 //!
 //! ```text
 //! magic "RPWP" | version u16 | payload_len u32 | payload … | checksum u64
@@ -14,7 +14,8 @@
 //! everything preceding it, then its 0–7 tail bytes — computed over
 //! magic, version, and length too, so a flipped bit *anywhere* in the
 //! frame is caught. Version 1 frames carried a byte-serial FNV-1a
-//! trailer; [`read_frame`] refuses their header as
+//! trailer, and version 2 a [`Response::Submitted`] without the group's
+//! ready responses; [`read_frame`] refuses either header as
 //! [`WireError::UnsupportedVersion`] before reading the payload. The
 //! payload is one [`Request`] or [`Response`] message.
 //!
@@ -64,7 +65,7 @@ use std::time::Duration;
 /// Frame magic: **R**el**P**erf **W**ire **P**rotocol.
 pub const MAGIC: [u8; 4] = *b"RPWP";
 /// Wire format version this build speaks.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Frame header length: magic + version + payload length.
 const HEADER_LEN: usize = 4 + 2 + 4;
 /// Checksum trailer length.
@@ -380,6 +381,11 @@ pub enum Response {
     Submitted {
         /// The admission tickets.
         seqs: Vec<u64>,
+        /// The group's responses, sorted by seq, when the runtime ran the
+        /// group to completion while admitting it (an ingest group on a
+        /// threaded runtime); empty otherwise. They were moved out of the
+        /// mailbox, so no `Await` or `Collect` returns them again.
+        ready: Vec<OpResponse>,
     },
     /// `Await` / `Collect` delivered these responses.
     Responses {
@@ -479,10 +485,7 @@ pub(crate) fn enc_op(w: &mut Writer, op: &SessionOp) {
         SessionOp::Extend { alg, values } => {
             w.u8(1);
             w.u64(*alg as u64);
-            w.u64(values.len() as u64);
-            for &v in values {
-                w.f64(v);
-            }
+            w.f64s(values);
         }
         SessionOp::Score => w.u8(2),
         SessionOp::Snapshot => w.u8(3),
@@ -490,10 +493,7 @@ pub(crate) fn enc_op(w: &mut Writer, op: &SessionOp) {
         SessionOp::ExtendAll { alg, values } => {
             w.u8(5);
             w.u64(*alg as u64);
-            w.u64(values.len() as u64);
-            for &v in values {
-                w.f64(v);
-            }
+            w.f64s(values);
         }
     }
 }
@@ -506,23 +506,19 @@ pub(crate) fn dec_op(r: &mut Reader) -> Result<SessionOp, SnapshotError> {
             // typed (`BadSample`) at execution, same as in-proc callers.
             value: r.f64()?,
         },
-        1 => {
-            let alg = r.u64()? as usize;
-            let len = r.len(8)?;
-            let values = (0..len).map(|_| r.f64()).collect::<Result<_, _>>()?;
-            SessionOp::Extend { alg, values }
-        }
+        1 => SessionOp::Extend {
+            alg: r.u64()? as usize,
+            values: r.f64s()?,
+        },
         2 => SessionOp::Score,
         3 => SessionOp::Snapshot,
         4 => SessionOp::Close,
-        5 => {
-            // Same payload as Extend; the tag alone carries the
-            // all-or-nothing semantics (journal replay included).
-            let alg = r.u64()? as usize;
-            let len = r.len(8)?;
-            let values = (0..len).map(|_| r.f64()).collect::<Result<_, _>>()?;
-            SessionOp::ExtendAll { alg, values }
-        }
+        // Same payload as Extend; the tag alone carries the all-or-nothing
+        // semantics (journal replay included).
+        5 => SessionOp::ExtendAll {
+            alg: r.u64()? as usize,
+            values: r.f64s()?,
+        },
         _ => return Err(SnapshotError::Malformed("unknown session op tag")),
     })
 }
@@ -1249,9 +1245,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
         Response::Created => w.u8(0),
         Response::Restored => w.u8(1),
-        Response::Submitted { seqs } => {
+        Response::Submitted { seqs, ready } => {
             w.u8(2);
             enc_seqs(&mut w, seqs);
+            enc_responses(&mut w, ready);
         }
         Response::Responses { responses } => {
             w.u8(3);
@@ -1298,6 +1295,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
         1 => Response::Restored,
         2 => Response::Submitted {
             seqs: dec_seqs(&mut r)?,
+            ready: dec_responses(&mut r)?,
         },
         3 => Response::Responses {
             responses: dec_responses(&mut r)?,
@@ -1366,7 +1364,10 @@ fn apply<C: ScratchThreeWayComparator + Send + Sync>(
             session,
             ops,
         } => match handle.submit_all(tenant, session, ops) {
-            Ok(seqs) => Response::Submitted { seqs },
+            Ok(seqs) => {
+                let ready = handle.take_ready(tenant, &seqs);
+                Response::Submitted { seqs, ready }
+            }
             Err(error) => Response::Error { error },
         },
         Request::Await {

@@ -16,9 +16,9 @@ use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
 use relperf_service::snapshot;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn comparator() -> BootstrapComparator {
     BootstrapComparator::with_config(
@@ -345,10 +345,57 @@ fn busy_comparator() -> BootstrapComparator {
     )
 }
 
-/// [`busy_comparator`], recording which threads ran its comparisons.
+/// Holds every comparison until the test opens it (or a deadline
+/// passes, so a broken run fails instead of hanging), and tells the test
+/// when the first comparison has arrived.
+struct Gate {
+    /// `(open, comparisons that reached the gate)`.
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+    deadline: Instant,
+}
+
+impl Gate {
+    fn new() -> Arc<Self> {
+        Arc::new(Gate {
+            state: Mutex::new((false, 0)),
+            changed: Condvar::new(),
+            deadline: Instant::now() + Duration::from_secs(20),
+        })
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().0 = true;
+        self.changed.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        self.changed.notify_all();
+        let wait = self.deadline.saturating_duration_since(Instant::now());
+        drop(self.changed.wait_timeout_while(state, wait, |(open, _)| !*open).unwrap());
+    }
+
+    /// Blocks until a comparison is held at the gate; `false` if none
+    /// arrived before the deadline.
+    fn wait_arrival(&self) -> bool {
+        let wait = self.deadline.saturating_duration_since(Instant::now());
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, wait, |(_, arrived)| *arrived == 0)
+            .unwrap();
+        state.1 > 0
+    }
+}
+
+/// [`busy_comparator`], recording which threads ran its comparisons and,
+/// when gated, holding each one at the gate.
 struct ThreadLog {
     inner: BootstrapComparator,
     threads: Threads,
+    gate: Option<Arc<Gate>>,
 }
 
 impl ThreadLog {
@@ -356,6 +403,7 @@ impl ThreadLog {
         ThreadLog {
             inner: busy_comparator(),
             threads: Arc::clone(threads),
+            gate: None,
         }
     }
 }
@@ -387,6 +435,9 @@ impl ScratchThreeWayComparator for ThreadLog {
         stream: u64,
     ) -> Outcome {
         self.threads.lock().unwrap().insert(std::thread::current().id());
+        if let Some(gate) = &self.gate {
+            gate.pass();
+        }
         self.inner.compare_seeded_scratch(scratch, a, b, stream)
     }
 }
@@ -549,4 +600,175 @@ fn idle_core_grant_is_invisible() {
             "a lone tenant's Scores ran on one thread"
         );
     }
+}
+
+/// Run to completion: on a threaded runtime whose scheduler threads
+/// sleep for an hour, an ingest-only group's responses are already in
+/// the mailbox when `submit_all` returns — the submitting thread ran its
+/// batch.
+#[test]
+fn ingest_group_runs_to_completion_on_the_submitting_thread() {
+    let service = SessionService::new(comparator(), 4, Parallelism::serial(), ServiceLimits::default());
+    let rt = ServiceRuntime::start(
+        service,
+        RuntimeConfig {
+            scheduler_threads: 2,
+            cadence: Duration::from_secs(3600),
+            ..Default::default()
+        },
+    );
+    rt.create_session(9, 1, SessionSpec::new(3, 21)).unwrap();
+    // Let both scheduler threads find their queues empty and park.
+    std::thread::sleep(Duration::from_millis(50));
+    let groups = [
+        (0..3)
+            .map(|alg| SessionOp::ExtendAll {
+                alg,
+                values: noisy(1.0 + alg as f64, 16, alg as u64),
+            })
+            .collect::<Vec<_>>(),
+        vec![
+            SessionOp::Push { alg: 0, value: 1.5 },
+            SessionOp::Extend { alg: 1, values: vec![2.0, f64::NAN] },
+            SessionOp::Snapshot,
+        ],
+    ];
+    for ops in groups {
+        let seqs = rt.submit_all(9, 1, ops).unwrap();
+        let ready = rt.collect_ready(9);
+        assert_eq!(ready.iter().map(|r| r.seq).collect::<Vec<_>>(), seqs);
+    }
+    let status = rt.session_status(9, 1).unwrap();
+    assert_eq!((status.total_measurements, status.pending), (3 * 16 + 2, 0));
+    rt.shutdown();
+}
+
+/// A group queued behind a `Score` still goes to the scheduler: while
+/// the only scheduler thread is held inside a `Score`, a second tenant's
+/// `Score` group waits in the queue, and a third tenant's ingest group
+/// submitted behind it is not run by the submitting thread. No `Score`
+/// ever runs on the submitting thread.
+#[test]
+fn group_queued_behind_a_score_goes_to_the_scheduler() {
+    let threads = Threads::default();
+    let gate = Gate::new();
+    let comparator = ThreadLog {
+        gate: Some(Arc::clone(&gate)),
+        ..ThreadLog::new(&threads)
+    };
+    let service = SessionService::new(comparator, 1, Parallelism::serial(), ServiceLimits::default());
+    let rt = ServiceRuntime::start(
+        service,
+        RuntimeConfig {
+            scheduler_threads: 1,
+            cadence: Duration::from_secs(3600),
+            ..Default::default()
+        },
+    );
+    let wave = |base: f64| -> Vec<SessionOp> {
+        vec![
+            SessionOp::Extend { alg: 0, values: vec![base, base + 0.1, base - 0.1] },
+            SessionOp::Extend { alg: 1, values: vec![base + 0.05, base + 0.15, base - 0.05] },
+            SessionOp::Score,
+        ]
+    };
+    for tenant in 1..=3 {
+        rt.create_session(tenant, 1, SessionSpec::new(2, tenant)).unwrap();
+    }
+    // Tenant 1's `Score` goes to the scheduler thread and stops at the
+    // gate; only then does tenant 2's `Score` group queue behind it, so
+    // the scheduler thread cannot have drained it by the time tenant 3
+    // submits.
+    let held = rt.submit_all(1, 1, wave(1.0)).unwrap();
+    assert!(gate.wait_arrival(), "tenant 1's Score never reached the gate");
+    let queued = rt.submit_all(2, 1, wave(2.0)).unwrap();
+    let ingest = rt
+        .submit_all(3, 1, vec![SessionOp::ExtendAll { alg: 0, values: vec![1.0, 2.0] }])
+        .unwrap();
+    let ready = rt.collect_ready(3);
+    assert!(ready.is_empty(), "a group queued behind a Score ran on the submitting thread");
+    gate.open();
+
+    for (tenant, seqs) in [(1, &held), (2, &queued)] {
+        let got = rt.await_responses(tenant, seqs, Duration::from_secs(300)).unwrap();
+        assert!(matches!(got[2].result, Ok(OpOutcome::Scored(_))));
+    }
+    let got = rt.await_responses(3, &ingest, Duration::from_secs(300)).unwrap();
+    assert!(matches!(got[0].result, Ok(OpOutcome::Ingested)));
+    assert!(
+        !threads.lock().unwrap().contains(&std::thread::current().id()),
+        "a Score ran on the submitting thread"
+    );
+    rt.shutdown();
+}
+
+/// Pipelined ingest groups on one session — submitted without awaiting
+/// while the scheduler thread polls the same shard every few
+/// microseconds — run in submission order, and the journal, compacted
+/// every few ops while they run, recovers the same values in the same
+/// order.
+#[test]
+fn pipelined_ingest_groups_keep_submission_order() {
+    const GROUPS: usize = 3000;
+    let stores: Vec<MemJournalStore> = vec![MemJournalStore::new()];
+    let boxed = || {
+        stores
+            .iter()
+            .map(|s| Box::new(s.clone()) as Box<dyn JournalStore>)
+            .collect::<Vec<_>>()
+    };
+    let config = JournalConfig {
+        group_commit: 1,
+        compact_every: 8,
+    };
+    let service = SessionService::with_journal(
+        comparator(),
+        Parallelism::serial(),
+        ServiceLimits::default(),
+        config,
+        boxed(),
+    )
+    .unwrap();
+    let rt = ServiceRuntime::start(
+        service,
+        RuntimeConfig {
+            scheduler_threads: 1,
+            cadence: Duration::from_micros(5),
+            ..Default::default()
+        },
+    );
+    rt.create_session(1, 1, SessionSpec::new(2, 3)).unwrap();
+    let submitted: Vec<f64> = (0..GROUPS).map(|i| 1.0 + i as f64).collect();
+    let mut seqs = Vec::new();
+    for &value in &submitted {
+        seqs.extend(rt.submit_all(1, 1, vec![SessionOp::Push { alg: 0, value }]).unwrap());
+    }
+    let got = rt.await_responses(1, &seqs, Duration::from_secs(60)).unwrap();
+    assert!(got.iter().all(|r| matches!(r.result, Ok(OpOutcome::Ingested))));
+    let seq = rt.submit(1, 1, SessionOp::Snapshot).unwrap();
+    let got = rt.await_responses(1, &[seq], Duration::from_secs(60)).unwrap();
+    let Ok(OpOutcome::Snapshot(live)) = &got[0].result else {
+        panic!("snapshot failed: {:?}", got[0].result);
+    };
+    rt.shutdown();
+    let values = |bytes: &[u8]| -> Vec<f64> {
+        let snapshot = snapshot::decode(bytes).unwrap();
+        snapshot.state.samples[0].as_ref().unwrap().values().to_vec()
+    };
+    assert!(values(live) == submitted, "the session ran its ops out of submission order");
+
+    let (recovered, _) = SessionService::recover(
+        comparator(),
+        Parallelism::serial(),
+        ServiceLimits::default(),
+        config,
+        boxed(),
+    )
+    .unwrap();
+    recovered.submit(1, 1, SessionOp::Snapshot).unwrap();
+    let got = recovered.run_batch();
+    let Ok(OpOutcome::Snapshot(replayed)) = &got[0].result else {
+        panic!("snapshot failed after recovery: {:?}", got[0].result);
+    };
+    assert!(values(replayed) == submitted, "recovery lost or reordered admitted ops");
 }

@@ -226,6 +226,24 @@ fn rich_responses() -> Vec<Response> {
         Response::Restored,
         Response::Submitted {
             seqs: vec![3, 4, 5],
+            ready: Vec::new(),
+        },
+        // A group run to completion while admitted: its responses ride
+        // along with the tickets.
+        Response::Submitted {
+            seqs: vec![8, 9],
+            ready: vec![
+                OpResponse {
+                    key: SessionKey { tenant: 7, session: 11 },
+                    seq: 8,
+                    result: Ok(OpOutcome::Ingested),
+                },
+                OpResponse {
+                    key: SessionKey { tenant: 7, session: 11 },
+                    seq: 9,
+                    result: Err(ServiceError::BadSample(SampleError::NonFinite(3))),
+                },
+            ],
         },
         Response::Responses {
             responses: vec![
@@ -455,32 +473,37 @@ fn every_single_bit_flip_is_a_typed_decode_error() {
     assert!(cases > 10_000, "swept {cases} single-bit corruptions");
 }
 
-/// A version-1 frame is refused as `UnsupportedVersion`, never as a
-/// checksum mismatch: `decode_frame` checks the version right after the
-/// checksum passes, and `read_frame` refuses the header before it reads
-/// the payload, whatever trailer follows.
+/// A version-1 frame (byte-serial checksum) and a version-2 frame
+/// (`Submitted` without its ready responses) are refused as
+/// `UnsupportedVersion`, never as a checksum mismatch: `decode_frame`
+/// checks the version right after the checksum passes, and `read_frame`
+/// refuses the header before it reads the payload, whatever trailer
+/// follows.
 #[test]
 fn version_one_frame_is_refused_typed() {
-    let mut frame = encode_frame(&encode_request(&rich_requests()[2]));
-    assert_eq!(frame[4..6], wire::VERSION.to_le_bytes());
-    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let body_len = frame.len() - 8;
-    let sum = checksum(&frame[..body_len]);
-    frame[body_len..].copy_from_slice(&sum.to_le_bytes());
-    let refused = WireError::UnsupportedVersion {
-        found: 1,
-        supported: 2,
-    };
-    assert_eq!(decode_frame(&frame), Err(refused.clone()));
-    assert_eq!(
-        wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
-        Err(refused.clone())
-    );
-    frame[body_len..].fill(0);
-    assert_eq!(
-        wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
-        Err(refused)
-    );
+    assert_eq!(wire::VERSION, 3);
+    for old in [1u16, 2] {
+        let mut frame = encode_frame(&encode_request(&rich_requests()[2]));
+        assert_eq!(frame[4..6], wire::VERSION.to_le_bytes());
+        frame[4..6].copy_from_slice(&old.to_le_bytes());
+        let body_len = frame.len() - 8;
+        let sum = checksum(&frame[..body_len]);
+        frame[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let refused = WireError::UnsupportedVersion {
+            found: old,
+            supported: 3,
+        };
+        assert_eq!(decode_frame(&frame), Err(refused.clone()));
+        assert_eq!(
+            wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
+            Err(refused.clone())
+        );
+        frame[body_len..].fill(0);
+        assert_eq!(
+            wire::read_frame(&mut &frame[..], wire::MAX_FRAME_PAYLOAD),
+            Err(refused)
+        );
+    }
 }
 
 /// Every strict prefix of a valid frame is a typed error (truncation
@@ -684,6 +707,160 @@ fn in_proc_wire_client_works_with_background_scheduler() {
     assert_eq!(responses.len(), 2);
     assert!(matches!(responses[0].result, Ok(OpOutcome::Ingested)));
     assert!(matches!(responses[1].result, Ok(OpOutcome::Scored(_))));
+    client.goodbye().unwrap();
+    server.join().unwrap().unwrap();
+    rt.shutdown();
+}
+
+/// A client stream that records the request tag of every frame it
+/// writes (the wire client writes each frame with one `write_all`).
+struct TagLog {
+    inner: relperf_service::client::DuplexPipe,
+    tags: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+}
+
+impl std::io::Read for TagLog {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(out)
+    }
+}
+
+impl std::io::Write for TagLog {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        assert_eq!(bytes[..4], wire::MAGIC, "one frame per write");
+        self.tags.lock().unwrap().push(bytes[10]);
+        self.inner.write(bytes)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Run to completion over the wire: on a threaded runtime an ingest
+/// group's responses come back with `Submitted`, so awaiting them sends
+/// no `Await`; a group with a `Score` is still awaited over the wire; and
+/// the stash plus `Collect` deliver every response exactly once.
+#[test]
+fn ingest_submit_answers_await_without_a_round_trip() {
+    const SUBMIT: u8 = 2;
+    const AWAIT: u8 = 3;
+    let rt = ServiceRuntime::start(
+        SessionService::new(
+            MedianComparator::new(0.05),
+            4,
+            Parallelism::serial(),
+            ServiceLimits::default(),
+        ),
+        RuntimeConfig {
+            scheduler_threads: 2,
+            cadence: Duration::from_secs(3600),
+            ..Default::default()
+        },
+    );
+    // Let both scheduler threads find their queues empty and park: a
+    // scheduler thread that polls while a group is queued may drain it
+    // first, and then its responses wait in the mailbox instead.
+    std::thread::sleep(Duration::from_millis(50));
+    let (client_end, mut server_end) = relperf_service::client::duplex();
+    let handle = rt.handle();
+    let server = std::thread::spawn(move || wire::serve_connection(&handle, &mut server_end));
+    let tags = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut client = WireClient::new(TagLog {
+        inner: client_end,
+        tags: std::sync::Arc::clone(&tags),
+    });
+    let ingest = |base: f64| -> Vec<SessionOp> {
+        (0..2)
+            .map(|alg| SessionOp::ExtendAll {
+                alg,
+                values: vec![base + alg as f64, base + 0.1, base + 0.2],
+            })
+            .collect()
+    };
+    client.create_session(5, 1, SessionSpec::new(2, 8)).unwrap();
+    let mut submitted: Vec<u64> = Vec::new();
+    let mut delivered: Vec<u64> = Vec::new();
+
+    // An ingest group: awaited from the stash alone.
+    let seqs = client.submit(5, 1, ingest(1.0)).unwrap();
+    submitted.extend(&seqs);
+    tags.lock().unwrap().clear();
+    let got = client.await_responses(5, &seqs, Duration::from_secs(30)).unwrap();
+    assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), seqs);
+    assert!(got.iter().all(|r| matches!(r.result, Ok(OpOutcome::Ingested))));
+    assert!(tags.lock().unwrap().is_empty(), "no frame sent for a stashed await");
+    delivered.extend(got.iter().map(|r| r.seq));
+
+    // A second ingest group is never awaited: `collect_ready` drains the
+    // stash first, and `Collect` finds nothing left in the mailbox.
+    let collected = client.submit(5, 1, ingest(2.0)).unwrap();
+    submitted.extend(&collected);
+    let got = client.collect_ready(5).unwrap();
+    assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), collected);
+    delivered.extend(got.iter().map(|r| r.seq));
+    assert!(tags.lock().unwrap().contains(&SUBMIT));
+
+    // A third ingest group stays stashed, then a group with a `Score`
+    // goes to the scheduler: one await spans both, and only the rest is
+    // awaited over the wire. (Last, because the scheduler thread it
+    // wakes polls again before it parks.)
+    let stashed = client.submit(5, 1, ingest(3.0)).unwrap();
+    submitted.extend(&stashed);
+    let scored = client.submit(5, 1, vec![SessionOp::Score]).unwrap();
+    submitted.extend(&scored);
+    tags.lock().unwrap().clear();
+    let both: Vec<u64> = stashed.iter().chain(&scored).copied().collect();
+    let got = client.await_responses(5, &both, Duration::from_secs(30)).unwrap();
+    assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), both, "merged, sorted by seq");
+    assert!(matches!(got[2].result, Ok(OpOutcome::Scored(_))));
+    assert_eq!(*tags.lock().unwrap(), vec![AWAIT], "one Await, for the Score alone");
+    delivered.extend(got.iter().map(|r| r.seq));
+    assert!(client.collect_ready(5).unwrap().is_empty(), "nothing delivered twice");
+
+    delivered.sort_unstable();
+    assert_eq!(delivered, submitted, "every response exactly once");
+    client.goodbye().unwrap();
+    server.join().unwrap().unwrap();
+    rt.shutdown();
+}
+
+/// The stash is bounded like a mailbox: a client that never awaits keeps
+/// only each tenant's newest responses, as many as a default runtime's
+/// mailbox holds.
+#[test]
+fn stash_drops_its_oldest_beyond_its_cap() {
+    const GROUP: usize = 4000;
+    let cap = RuntimeConfig::default().mailbox_cap;
+    let rt = ServiceRuntime::start(
+        SessionService::new(
+            MedianComparator::new(0.05),
+            4,
+            Parallelism::serial(),
+            ServiceLimits::default(),
+        ),
+        RuntimeConfig {
+            scheduler_threads: 2,
+            cadence: Duration::from_secs(3600),
+            ..Default::default()
+        },
+    );
+    // Let both scheduler threads park, so each group runs inline.
+    std::thread::sleep(Duration::from_millis(50));
+    let (client_end, mut server_end) = relperf_service::client::duplex();
+    let handle = rt.handle();
+    let server = std::thread::spawn(move || wire::serve_connection(&handle, &mut server_end));
+    let mut client = WireClient::new(client_end);
+    client.create_session(5, 1, SessionSpec::new(2, 8)).unwrap();
+    let mut seqs = Vec::new();
+    while seqs.len() <= cap {
+        let pushes = (0..GROUP)
+            .map(|i| SessionOp::Push { alg: i % 2, value: 1.0 + i as f64 })
+            .collect();
+        seqs.extend(client.submit(5, 1, pushes).unwrap());
+    }
+    let got = client.collect_ready(5).unwrap();
+    assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), seqs[seqs.len() - cap..]);
     client.goodbye().unwrap();
     server.join().unwrap().unwrap();
     rt.shutdown();

@@ -11,7 +11,11 @@
 //!    1 / 8 / 64. Every admission appends one record; a sync (real
 //!    `fdatasync`) lands every `group_commit` ops, so the sweep shows how
 //!    group commit amortises the sync cost. The timed section is admission
-//!    only — execution runs untimed afterwards.
+//!    only — execution runs untimed afterwards. The `runtime` rows admit
+//!    the same groups through a 2-thread `ServiceRuntime::submit_all` at
+//!    `group_commit` 8 / 64: each admission also runs its batch inline
+//!    (timed), and the group-commit fsync runs on the shard's scheduler
+//!    thread while admissions go on.
 //!
 //! 2. **Recovery time vs journal length** — a scripted session (pushes
 //!    with a `Score` every 50 ops, no compaction) journaled to in-memory
@@ -90,8 +94,14 @@ fn recover(
     .expect("recovery")
 }
 
-fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
-    let dir = root.join(format!("gc-{group_commit}"));
+/// Times [`APPEND_OPS`] single-op groups into a fresh file-backed
+/// journal at `group_commit`, admitted on a bare service or, with
+/// `runtime`, through a 2-thread runtime: then the timed section includes
+/// each group's inline batch, and the group-commit fsyncs run on the
+/// shard's scheduler thread.
+fn bench_append(root: &Path, group_commit: usize, runtime: bool) -> Row {
+    let mode = if runtime { "runtime" } else { "service" };
+    let dir = root.join(format!("{mode}-gc-{group_commit}"));
     let _ = std::fs::remove_dir_all(&dir);
     let store = FileJournalStore::open(&dir).expect("open store");
     let service = SessionService::with_journal(
@@ -104,21 +114,46 @@ fn bench_append(root: &std::path::Path, group_commit: usize) -> Row {
     .expect("journaled service");
     service.create_session(1, 1, SessionSpec::new(2, 7)).expect("create");
 
-    let started = Instant::now();
-    for i in 0..APPEND_OPS {
-        service.submit_all(1, 1, vec![script_op(i, 1)]).expect("admission");
-    }
-    service.flush_journals().expect("flush");
-    let total_s = started.elapsed().as_secs_f64();
-
-    service.run_batch(); // untimed: execution is not the journal's cost
+    let (total_s, syncs) = if runtime {
+        let rt = ServiceRuntime::start(
+            service,
+            RuntimeConfig {
+                scheduler_threads: 2,
+                ..RuntimeConfig::default()
+            },
+        );
+        let total_s = time_appends(|op| rt.submit_all(1, 1, vec![op]), || rt.flush_journals());
+        let syncs = rt.stats().journal_syncs;
+        rt.shutdown();
+        (total_s, syncs)
+    } else {
+        let total_s =
+            time_appends(|op| service.submit_all(1, 1, vec![op]), || service.flush_journals());
+        service.run_batch(); // untimed: execution is not the journal's cost
+        (total_s, service.stats().journal_syncs)
+    };
     row![
+        "mode" => mode,
         "group_commit" => group_commit,
         "ops" => APPEND_OPS,
         "total_s" => total_s,
         "ops_per_s" => APPEND_OPS as f64 / total_s,
-        "syncs" => service.stats().journal_syncs,
+        "syncs" => syncs,
     ]
+}
+
+/// Seconds to admit [`APPEND_OPS`] scripted single-op groups through
+/// `submit`, then `flush` them durable.
+fn time_appends(
+    submit: impl Fn(SessionOp) -> Result<Vec<u64>, ServiceError>,
+    flush: impl FnOnce() -> Result<(), ServiceError>,
+) -> f64 {
+    let started = Instant::now();
+    for i in 0..APPEND_OPS {
+        submit(script_op(i, 1)).expect("admission");
+    }
+    flush().expect("flush");
+    started.elapsed().as_secs_f64()
 }
 
 fn bench_recovery(n: usize) -> Row {
@@ -296,7 +331,8 @@ fn main() {
 
     let appends: Vec<Row> = [1usize, 8, 64]
         .iter()
-        .map(|&gc| bench_append(&root, gc))
+        .map(|&gc| bench_append(&root, gc, false))
+        .chain([8, 64].iter().map(|&gc| bench_append(&root, gc, true)))
         .collect();
     let _ = std::fs::remove_dir_all(&root);
 
@@ -305,7 +341,7 @@ fn main() {
     let (setup, setup_ratio) = bench_setup(&root);
 
     let units = row![
-        "append_throughput" => "admissions/s (file-backed, fdatasync every group_commit ops)",
+        "append_throughput" => "admissions/s (file-backed, fdatasync every group_commit ops); `runtime` rows admit through a 2-thread ServiceRuntime, so they include the inline batch, and their fsyncs run on the scheduler thread",
         "recovery" => "ms to rebuild all sessions from checkpoint + replay (in-memory stores)",
         "setup" => "ms per call over 16 file-backed shards (quartiles of the runs)",
         "setup_ratio" => "per-run time ratio of two interleaved set-up calls (quartiles of the runs)",

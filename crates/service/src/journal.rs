@@ -80,8 +80,12 @@ pub struct JournalConfig {
     /// commit). `1` syncs every admission (maximum durability); larger
     /// values amortize the sync over a batch at the cost of losing the
     /// unsynced tail in a crash — acknowledged-but-unsynced admissions
-    /// are the window the client retry layer must tolerate. Treated as
-    /// at least 1.
+    /// are the window the client retry layer must tolerate. The window
+    /// is < g ops per shard in synchronous mode and on a bare service,
+    /// and < 2g with a threaded runtime, whose scheduler threads run the
+    /// syncs (see the runtime's
+    /// [Journal flushes](crate::runtime#journal-flushes)). Treated as at
+    /// least 1.
     pub group_commit: usize,
     /// Journaled ops a shard tolerates before the scheduler compacts it
     /// into a fresh checkpoint after a batch. `0` disables automatic
@@ -267,7 +271,10 @@ pub struct StoredShard {
 /// next successful `sync`, and must install checkpoints atomically (a
 /// crash mid-install leaves either the old or the new base, never a
 /// mix). All methods take `&mut self`; the service serializes calls
-/// under the shard lock.
+/// under the shard's store lock, not the shard lock, so a scheduler
+/// thread's `sync` may run while admissions to the shard go on (see the
+/// runtime's [Journal flushes](crate::runtime#journal-flushes)). Records
+/// still reach `append` one by one, in admission order.
 pub trait JournalStore: Send {
     /// Appends raw record bytes to the journal stream.
     fn append(&mut self, bytes: &[u8]) -> Result<(), JournalIoError>;

@@ -37,6 +37,40 @@
 //! then hands back the group's responses with its tickets (see
 //! [`crate::wire::Response::Submitted`]).
 //!
+//! # Journal flushes
+//!
+//! On a journaled service with `group_commit` g > 1, the fsync at the
+//! group-commit boundary is the shard's scheduler thread's job, not the
+//! submitting thread's. The admission that brings its shard's unsynced
+//! ops to g marks the shard's flush due, and
+//! [`submit_all`](RuntimeHandle::submit_all) kicks the owning scheduler
+//! thread once its inline batch is delivered. A flush kick alone runs no
+//! batch, so the woken thread cannot drain a group whose submitting
+//! thread is about to run it. After delivering any batch it ran, the
+//! thread takes each owned shard's store under the shard lock, releases
+//! the shard lock, and fsyncs holding only the store (lock order: shard
+//! → store). Admissions to the shard go on meanwhile: their records wait
+//! in an in-memory tail, which the flush writes to the store in
+//! admission order when it ends. So the journal stream is byte-identical
+//! for a given admission order.
+//!
+//! The loss window stays bounded. An admission that would leave 2g or
+//! more of its shard's ops unsynced makes them durable itself before it
+//! returns, so an acknowledged op is durable once 2g more ops reach its
+//! shard, where synchronous mode and a bare [`SessionService`] make it
+//! durable once g do. A failed flush seals the shard, as a failed inline
+//! sync does. A clean [`shutdown`](ServiceRuntime::shutdown) joins the
+//! scheduler threads, runs every due flush, and only then lets a
+//! shipper thread (see
+//! [`attach_shipper`](ServiceRuntime::attach_shipper)) make its final
+//! pump. Once shutdown has begun, an admission through a surviving
+//! handle that makes a flush due runs it itself. Everything outside
+//! [`submit_all`](RuntimeHandle::submit_all) (creates, restores,
+//! digests, compactions, [`flush_journals`](RuntimeHandle::flush_journals))
+//! syncs in place, after writing the tail. At `group_commit` 1 and in
+//! synchronous mode nothing is deferred, and the store sees the same
+//! calls as on a bare service.
+//!
 //! # Mailboxes
 //!
 //! Batch responses are routed into a per-tenant **mailbox** instead of
@@ -90,7 +124,7 @@ use relperf_core::cluster::Parallelism;
 use relperf_measure::ScratchThreeWayComparator;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -164,11 +198,26 @@ struct Shared<C: ScratchThreeWayComparator + Send + Sync> {
     /// every non-empty delivery.
     mailboxes: Mutex<HashMap<u64, VecDeque<OpResponse>>>,
     delivered: Condvar,
+    /// Set first at shutdown: the scheduler threads stop, and submits
+    /// stop deferring journal syncs to them.
     stop: AtomicBool,
+    /// Set once the scheduler threads are joined and the due journal
+    /// flushes ran: the shipper threads make their final pump.
+    stop_shipping: AtomicBool,
     /// Scheduler thread handles for submit-side unparking (empty in
     /// synchronous mode).
     workers: Mutex<Vec<Thread>>,
+    /// One word of [`WAKE_BATCH`] / [`WAKE_FLUSH`] bits per scheduler
+    /// thread: what the kicks since its last look asked for. A kick's
+    /// unpark token can be taken by a park inside a store call, so the
+    /// thread reads these before it parks.
+    wakes: Box<[AtomicU8]>,
 }
+
+/// A kick asked for a batch.
+const WAKE_BATCH: u8 = 1;
+/// A kick asked for the due journal flushes only.
+const WAKE_FLUSH: u8 = 2;
 
 impl<C: ScratchThreeWayComparator + Send + Sync> Shared<C> {
     fn sync_mode(&self) -> bool {
@@ -192,11 +241,15 @@ impl<C: ScratchThreeWayComparator + Send + Sync> Shared<C> {
         self.delivered.notify_all();
     }
 
-    /// Wakes the scheduler thread owning `shard` (no-op in sync mode).
-    fn kick(&self, shard: usize) {
+    /// Wakes the scheduler thread owning `shard` (no-op in sync mode) to
+    /// run its due journal flushes and, with `batch`, a batch.
+    fn kick(&self, shard: usize, batch: bool) {
         let workers = self.workers.lock().expect("workers poisoned");
         if !workers.is_empty() {
-            workers[shard % workers.len()].unpark();
+            let t = shard % workers.len();
+            let wake = if batch { WAKE_BATCH } else { WAKE_FLUSH };
+            self.wakes[t].fetch_or(wake, Ordering::Release);
+            workers[t].unpark();
         }
     }
 
@@ -251,7 +304,10 @@ fn extract(
 /// [`Deref`](std::ops::Deref)s to — wire servers clone handles freely.
 pub struct ServiceRuntime<C: ScratchThreeWayComparator + Send + Sync + 'static> {
     handle: RuntimeHandle<C>,
+    /// Scheduler threads.
     joins: Vec<JoinHandle<()>>,
+    /// Shipper threads, stopped after the scheduler threads.
+    shippers: Vec<JoinHandle<()>>,
 }
 
 /// A cheap cloneable reference to a running [`ServiceRuntime`] — the
@@ -274,7 +330,9 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
             mailboxes: Mutex::new(HashMap::new()),
             delivered: Condvar::new(),
             stop: AtomicBool::new(false),
+            stop_shipping: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
+            wakes: (0..config.scheduler_threads).map(|_| AtomicU8::new(0)).collect(),
         });
         let mut joins = Vec::new();
         let n = config.scheduler_threads;
@@ -291,13 +349,36 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
                     // drained and its sessions checked out under one
                     // shard lock, so racing drainers keep each session's
                     // ops in order.
+                    //
+                    // It polls when kicked for a batch, once a cadence
+                    // has passed since its last poll (the first one
+                    // included, so a group submitted right after start
+                    // runs inline; `start` kicks it when its shards
+                    // already hold ops), and again at once after a
+                    // non-empty batch. Every wake ends with the owned
+                    // shards' due journal flushes (see "Journal
+                    // flushes"); a flush kick alone runs no batch.
                     let owned: Vec<usize> = (t..shard_count).step_by(n).collect();
-                    while !worker.stop.load(Ordering::Acquire) {
-                        let responses = worker.service.run_shard_batch(owned.iter().copied());
-                        if responses.is_empty() {
-                            thread::park_timeout(worker.config.cadence);
-                        } else {
+                    let cadence = worker.config.cadence;
+                    let mut polled = Instant::now();
+                    let mut idle = true;
+                    loop {
+                        let mut wake = worker.wakes[t].swap(0, Ordering::AcqRel);
+                        if idle && wake == 0 && !worker.stop.load(Ordering::Acquire) {
+                            thread::park_timeout(cadence.saturating_sub(polled.elapsed()));
+                            wake = worker.wakes[t].swap(0, Ordering::AcqRel);
+                        }
+                        if worker.stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        if !idle || wake & WAKE_BATCH != 0 || polled.elapsed() >= cadence {
+                            polled = Instant::now();
+                            let responses = worker.service.run_shard_batch(owned.iter().copied());
+                            idle = responses.is_empty();
                             worker.deliver(responses);
+                        }
+                        for &idx in &owned {
+                            worker.service.run_due_flush(idx);
                         }
                     }
                 })
@@ -308,9 +389,15 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
             let mut workers = shared.workers.lock().expect("workers poisoned");
             *workers = joins.iter().map(|j| j.thread().clone()).collect();
         }
+        for idx in 0..shared.service.num_shards() {
+            if shared.service.shard_queue_len(idx) > 0 {
+                shared.kick(idx, true);
+            }
+        }
         ServiceRuntime {
             handle: RuntimeHandle(shared),
             joins,
+            shippers: Vec::new(),
         }
     }
 
@@ -337,7 +424,8 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
 
     /// Starts a background **shipper thread** that pumps `shipper`
     /// through `transport` every `interval` until shutdown (with one
-    /// final pump after stop, so a cleanly stopped leader leaves nothing
+    /// final pump after the scheduler threads are joined and every due
+    /// journal flush ran, so a cleanly stopped leader leaves nothing
     /// durable unshipped). Build the pair with
     /// [`JournalShipper::wrap_stores`] and hand the wrapped stores to the
     /// service before starting the runtime. Ship/ack progress lands in
@@ -356,7 +444,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
             .name("relperf-shipper".to_string())
             .spawn(move || {
                 loop {
-                    let stopping = shared.stop.load(Ordering::Acquire);
+                    let stopping = shared.stop_shipping.load(Ordering::Acquire);
                     let report = shipper.pump(&mut transport);
                     let counters = shared.service.stat_counters();
                     counters
@@ -372,26 +460,37 @@ impl<C: ScratchThreeWayComparator + Send + Sync + 'static> ServiceRuntime<C> {
                 }
             })
             .expect("spawn shipper thread");
-        self.joins.push(join);
+        self.shippers.push(join);
     }
 
-    /// Stops the scheduler threads and joins them. Queued-but-undrained
-    /// ops stay queued in the underlying service; undelivered mailbox
-    /// contents are dropped with the runtime.
+    /// Stops the scheduler threads and joins them, runs every due journal
+    /// flush (see "Journal flushes"), and only then stops the shipper
+    /// threads, whose final pump ships what those flushes made durable.
+    /// Queued-but-undrained ops stay queued in the underlying service;
+    /// undelivered mailbox contents are dropped with the runtime.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.handle.0.stop.store(true, Ordering::Release);
+        let shared = &self.handle.0;
+        shared.stop.store(true, Ordering::Release);
         {
-            let workers = self.handle.0.workers.lock().expect("workers poisoned");
+            let workers = shared.workers.lock().expect("workers poisoned");
             for w in workers.iter() {
                 w.unpark();
             }
         }
-        self.handle.0.delivered.notify_all();
+        shared.delivered.notify_all();
         for join in self.joins.drain(..) {
+            let _ = join.join();
+        }
+        for idx in 0..shared.service.num_shards() {
+            shared.service.run_due_flush(idx);
+        }
+        shared.stop_shipping.store(true, Ordering::Release);
+        for join in self.shippers.drain(..) {
+            join.thread().unpark();
             let _ = join.join();
         }
     }
@@ -449,23 +548,35 @@ impl<C: ScratchThreeWayComparator + Send + Sync> RuntimeHandle<C> {
     /// threaded mode, the shard's batch: run here and delivered before
     /// this returns when the shard queue holds no `Score` (see [Run to
     /// completion](self#run-to-completion)), otherwise left to the owning
-    /// scheduler thread, which is woken. Synchronous mode only enqueues.
+    /// scheduler thread, which is woken. In threaded mode the journal
+    /// sync at the group-commit boundary is that thread's too (see
+    /// [Journal flushes](self#journal-flushes)), and it is woken after
+    /// the batch. Synchronous mode only enqueues, and syncs in place.
     pub fn submit_all(
         &self,
         tenant: u64,
         session: u64,
         ops: Vec<SessionOp>,
     ) -> Result<Vec<u64>, ServiceError> {
-        let seqs = self.0.service.submit_all(tenant, session, ops)?;
-        if !seqs.is_empty() && !self.0.sync_mode() {
+        let threaded = !self.0.sync_mode();
+        let (seqs, flush_due) = self.0.service.submit_group(tenant, session, ops, threaded)?;
+        if !seqs.is_empty() && threaded {
             let shard = self.0.service.shard_index(tenant, session);
-            if let Some((responses, queued)) = self.0.service.run_score_free_batch(shard) {
-                self.0.deliver(responses);
-                if !queued {
-                    return Ok(seqs);
+            let queued = match self.0.service.run_score_free_batch(shard) {
+                Some((responses, queued)) => {
+                    self.0.deliver(responses);
+                    queued
                 }
+                None => true,
+            };
+            if queued || flush_due {
+                self.0.kick(shard, queued);
             }
-            self.0.kick(shard);
+            if flush_due && self.0.stop.load(Ordering::Acquire) {
+                // Shutdown has begun, so the scheduler thread may be gone
+                // before it flushes: flush here.
+                self.0.service.run_due_flush(shard);
+            }
         }
         Ok(seqs)
     }

@@ -62,7 +62,11 @@
 //! A service built with [`SessionService::with_journal`] writes every
 //! admitted op group, create, and restore to a per-shard append-only
 //! journal (see [`crate::journal`]) *before* enqueuing, under the same
-//! shard lock — so the durable order equals the admission order.
+//! shard lock — so the durable order equals the admission order. The
+//! store itself sits behind its own lock, taken after the shard lock, so
+//! on a threaded runtime the group-commit fsync can run on a scheduler
+//! thread with the shard lock released (see the runtime's
+//! [Journal flushes](crate::runtime#journal-flushes)).
 //! Executed batches advance a per-session applied-seq low-water mark,
 //! periodic checkpoints truncate the journal (compaction), and
 //! [`SessionService::recover`] rebuilds the whole service from the
@@ -399,10 +403,13 @@ struct Shard<C: ScratchThreeWayComparator + Send + Sync> {
     journal: Option<ShardJournal>,
 }
 
-/// One shard's journal: the store plus group-commit bookkeeping, living
-/// inside the shard mutex so the durable order equals admission order.
+/// One shard's journal. The group-commit bookkeeping lives inside the
+/// shard mutex, so the durable order equals admission order; the store
+/// sits behind its own mutex (lock order: shard → store), so a scheduler
+/// flush can fsync it with the shard lock released (see
+/// [`run_due_flush`](SessionService::run_due_flush)).
 struct ShardJournal {
-    store: Box<dyn JournalStore>,
+    store: Arc<Mutex<StoreSlot>>,
     config: JournalConfig,
     /// Journaled ops appended since the last sync (group commit counter).
     unsynced: usize,
@@ -412,50 +419,129 @@ struct ShardJournal {
     /// vouch for durability, so journaled admissions are rejected with
     /// [`JournalIoError::Sealed`] until the service is recovered.
     sealed: bool,
+    /// Records admitted while a flush holds the store, in admission
+    /// order. Whoever takes the store next writes them first, so the
+    /// store always holds a prefix of the admission order and the tail
+    /// the rest.
+    tail: Vec<Vec<u8>>,
+    /// `Some(n)` while a scheduler flush runs: the unsynced ops its fsync
+    /// covers (0 once a later sync has covered them too).
+    flushing: Option<usize>,
+    /// A deferred admission brought `unsynced` to the group-commit
+    /// interval: the owning scheduler thread flushes next.
+    flush_due: bool,
+}
+
+/// A shard's store, plus whether a flush that ran with the shard lock
+/// released failed (the shard seals when its lock is next taken).
+struct StoreSlot {
+    store: Box<dyn JournalStore>,
+    failed: bool,
 }
 
 impl ShardJournal {
     fn new(store: Box<dyn JournalStore>, config: JournalConfig) -> Self {
         ShardJournal {
-            store,
+            store: Arc::new(Mutex::new(StoreSlot { store, failed: false })),
             config,
             unsynced: 0,
             since_checkpoint: 0,
             sealed: false,
+            tail: Vec::new(),
+            flushing: None,
+            flush_due: false,
         }
     }
 
-    /// Appends one framed record covering `ops` journaled ops, syncing at
-    /// the group-commit boundary. Any store failure seals the journal.
-    fn append(&mut self, bytes: &[u8], ops: usize, stats: &StatCounters) -> Result<(), ServiceError> {
+    fn group_commit(&self) -> usize {
+        self.config.group_commit.max(1)
+    }
+
+    /// Runs `f` on the store once the tail is written into it; the
+    /// caller holds the shard lock, so nothing is admitted meanwhile.
+    /// Waits out a running flush's fsync. Any failure, that flush's
+    /// included, seals the journal.
+    fn with_store<T>(
+        &mut self,
+        f: impl FnOnce(&mut dyn JournalStore) -> Result<T, JournalIoError>,
+    ) -> Result<T, ServiceError> {
         if self.sealed {
             return Err(ServiceError::Journal(JournalIoError::Sealed));
         }
-        if let Err(e) = self.store.append(bytes) {
+        let mut slot = self.store.lock().expect("journal store poisoned");
+        let result = if slot.failed {
+            Err(JournalIoError::Sealed)
+        } else {
+            let store = slot.store.as_mut();
+            let mut tail = self.tail.drain(..);
+            tail.try_for_each(|record| store.append(&record)).and_then(|()| f(store))
+        };
+        drop(slot);
+        result.map_err(|e| {
             self.sealed = true;
-            return Err(ServiceError::Journal(e));
+            ServiceError::Journal(e)
+        })
+    }
+
+    /// Appends one framed record covering `ops` journaled ops (to the
+    /// tail while a flush holds the store). At the group-commit boundary
+    /// it syncs in place, unless `defer`: then, below twice the interval,
+    /// it marks a flush due for the scheduler thread and returns whether
+    /// that mark is new. Any store failure seals the journal.
+    fn append(
+        &mut self,
+        bytes: Vec<u8>,
+        ops: usize,
+        defer: bool,
+        stats: &StatCounters,
+    ) -> Result<bool, ServiceError> {
+        if self.sealed {
+            return Err(ServiceError::Journal(JournalIoError::Sealed));
+        }
+        if self.flushing.is_some() {
+            self.tail.push(bytes);
+        } else {
+            self.with_store(|store| store.append(&bytes))?;
         }
         StatCounters::bump(&stats.journal_appends);
         self.unsynced += ops;
         self.since_checkpoint += ops;
-        if self.unsynced >= self.config.group_commit.max(1) {
-            self.sync(stats)?;
+        let g = self.group_commit();
+        if self.unsynced < g {
+            return Ok(false);
         }
+        if defer && g > 1 && self.unsynced < 2 * g {
+            return Ok(!std::mem::replace(&mut self.flush_due, true));
+        }
+        self.sync(stats)?;
+        Ok(false)
+    }
+
+    /// Forces every appended record durable (end of a group-commit
+    /// window), the tail included.
+    fn sync(&mut self, stats: &StatCounters) -> Result<(), ServiceError> {
+        self.with_store(|store| store.sync())?;
+        StatCounters::bump(&stats.journal_syncs);
+        self.synced_all();
         Ok(())
     }
 
-    /// Forces the unsynced tail durable (end of a group-commit window).
-    fn sync(&mut self, stats: &StatCounters) -> Result<(), ServiceError> {
-        if self.sealed {
-            return Err(ServiceError::Journal(JournalIoError::Sealed));
-        }
-        if let Err(e) = self.store.sync() {
-            self.sealed = true;
-            return Err(ServiceError::Journal(e));
-        }
-        StatCounters::bump(&stats.journal_syncs);
-        self.unsynced = 0;
+    /// Installs a checkpoint whose fresh journal re-frames `queued` ops.
+    fn install(&mut self, base: &[u8], fresh: &[u8], queued: usize) -> Result<(), ServiceError> {
+        self.with_store(|store| store.install_checkpoint(base, fresh))?;
+        self.synced_all();
+        self.since_checkpoint = queued;
         Ok(())
+    }
+
+    /// Every journaled op is durable: nothing is due, and a running
+    /// flush covers nothing more.
+    fn synced_all(&mut self) {
+        self.unsynced = 0;
+        self.flush_due = false;
+        if let Some(covered) = self.flushing.as_mut() {
+            *covered = 0;
+        }
     }
 }
 
@@ -678,7 +764,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         let shard = &mut *guard;
         if let (Some(record), Some(j)) = (record, shard.journal.as_mut()) {
             let bytes = journal::encode_record(&record);
-            if let Err(e) = j.append(&bytes, 1, &self.stats) {
+            if let Err(e) = j.append(bytes, 1, false, &self.stats) {
                 shard.sessions.remove(&key);
                 return Err(e);
             }
@@ -817,13 +903,31 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         session: u64,
         ops: Vec<SessionOp>,
     ) -> Result<Vec<u64>, ServiceError> {
+        self.submit_group(tenant, session, ops, false).map(|(seqs, _)| seqs)
+    }
+
+    /// [`submit_all`](Self::submit_all), with the journal sync at the
+    /// group-commit boundary optionally deferred to a scheduler thread:
+    /// with `defer_sync` and `group_commit` g > 1, an admission that
+    /// brings its shard's unsynced ops to g marks the shard's flush due
+    /// instead of syncing, and the returned flag says the mark is new, so
+    /// the caller must wake the shard's scheduler thread (see the
+    /// runtime's "Journal flushes"). One that would leave 2g or more
+    /// unsynced still syncs before it returns.
+    pub(crate) fn submit_group(
+        &self,
+        tenant: u64,
+        session: u64,
+        ops: Vec<SessionOp>,
+        defer_sync: bool,
+    ) -> Result<(Vec<u64>, bool), ServiceError> {
         if ops.is_empty() {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), false));
         }
         let n = ops.len() as u64;
         self.stats.requests.fetch_add(n, Ordering::Relaxed);
         self.stats.ops_submitted.fetch_add(n, Ordering::Relaxed);
-        self.enqueue_all(tenant, session, ops)
+        self.enqueue_all(tenant, session, ops, defer_sync)
             .inspect(|_| {
                 self.stats.ops_admitted.fetch_add(n, Ordering::Relaxed);
             })
@@ -838,7 +942,8 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         tenant: u64,
         session: u64,
         ops: Vec<SessionOp>,
-    ) -> Result<Vec<u64>, ServiceError> {
+        defer_sync: bool,
+    ) -> Result<(Vec<u64>, bool), ServiceError> {
         let key = SessionKey { tenant, session };
         let n = ops.len();
         // Load shedding first — one relaxed read, no lock. The backlog is
@@ -918,12 +1023,14 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                                 // nothing (the seq tickets are burned,
                                 // which is harmless: they are monotone,
                                 // never dense).
+                                let mut flush_due = false;
                                 if let Some(j) = journal.as_mut() {
                                     let bytes = journal::encode_ops_record(
                                         tenant, session, first, &ops,
                                     );
-                                    if let Err(e) = j.append(&bytes, n, &self.stats) {
-                                        break 'admit Err(e);
+                                    match j.append(bytes, n, defer_sync, &self.stats) {
+                                        Ok(due) => flush_due = due,
+                                        Err(e) => break 'admit Err(e),
                                     }
                                 }
                                 hosted.pending += n;
@@ -932,7 +1039,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
                                 for (seq, op) in seqs.iter().zip(ops) {
                                     queue.push(QueuedOp { key, seq: *seq, op });
                                 }
-                                Ok(seqs)
+                                Ok((seqs, flush_due))
                             }
                         }
                     }
@@ -1252,9 +1359,12 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
     /// Ops currently sitting in shard queues — admitted but not yet
     /// drained by a batch.
     pub fn queued_ops(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard(i).queue.len())
-            .sum()
+        (0..self.shards.len()).map(|i| self.shard_queue_len(i)).sum()
+    }
+
+    /// Ops sitting in shard `idx`'s queue.
+    pub(crate) fn shard_queue_len(&self, idx: usize) -> usize {
+        self.shard(idx).queue.len()
     }
 
     /// Number of registry shards.
@@ -1353,7 +1463,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
             sessions.sort_by_key(|s| (s.tenant, s.session));
             let bytes = journal::encode_record(&JournalRecord::Digest { sessions });
             let j = shard.journal.as_mut().expect("journaled (checked above)");
-            j.append(&bytes, 0, &self.stats)?;
+            j.append(bytes, 0, false, &self.stats)?;
             // A digest is only useful once shipped; force it durable now
             // rather than waiting out the group-commit window.
             j.sync(&self.stats)?;
@@ -1424,6 +1534,55 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         Ok(())
     }
 
+    /// Runs shard `idx`'s due journal flush, if any — the step a
+    /// scheduler thread takes after delivering a batch (see the
+    /// runtime's "Journal flushes"). The flush takes the
+    /// store under the shard lock, releases the shard lock, and fsyncs
+    /// holding only the store, so admissions to the shard go on meanwhile
+    /// and add their records to the tail. When the fsync ends it takes
+    /// the shard lock again and writes the tail to the store; a failed
+    /// fsync seals the shard. A flush that leaves a full interval
+    /// unsynced runs again.
+    pub(crate) fn run_due_flush(&self, idx: usize) {
+        while self.flush_once(idx) {}
+    }
+
+    /// One flush of shard `idx` if it is due and none runs; returns
+    /// whether one ran. A running flush leaves a due one to its own
+    /// caller, which checks again when it ends.
+    fn flush_once(&self, idx: usize) -> bool {
+        let mut guard = self.shard(idx);
+        let Some(j) = guard
+            .journal
+            .as_mut()
+            .filter(|j| j.flush_due && j.flushing.is_none() && !j.sealed)
+        else {
+            return false;
+        };
+        j.flush_due = false;
+        j.flushing = Some(j.unsynced);
+        let store = Arc::clone(&j.store);
+        let mut slot = store.lock().expect("journal store poisoned");
+        drop(guard); // the fsync runs with the shard lock released
+        let synced = slot.store.sync();
+        slot.failed = synced.is_err();
+        drop(slot);
+        let mut guard = self.shard(idx);
+        let j = guard.journal.as_mut().expect("journaled (checked above)");
+        let covered = j.flushing.take().unwrap_or(0);
+        if synced.is_err() {
+            j.sealed = true;
+            return true;
+        }
+        StatCounters::bump(&self.stats.journal_syncs);
+        j.unsynced -= covered;
+        // Write the tail; a failure seals the shard, and the next
+        // journaled admission reports it.
+        let _ = j.with_store(|_| Ok(()));
+        j.flush_due = j.unsynced >= j.group_commit();
+        true
+    }
+
     fn compact_locked(&self, shard: &mut Shard<C>) -> Result<bool, ServiceError> {
         if shard.journal.is_none() {
             return Ok(false);
@@ -1478,12 +1637,7 @@ impl<C: ScratchThreeWayComparator + Send + Sync> SessionService<C> {
         }
         let queued = shard.queue.len();
         let j = shard.journal.as_mut().expect("journaled (checked above)");
-        if let Err(e) = j.store.install_checkpoint(&base, &fresh) {
-            j.sealed = true;
-            return Err(ServiceError::Journal(e));
-        }
-        j.unsynced = 0;
-        j.since_checkpoint = queued;
+        j.install(&base, &fresh, queued)?;
         StatCounters::bump(&self.stats.journal_compactions);
         Ok(true)
     }

@@ -618,8 +618,6 @@ fn ingest_group_runs_to_completion_on_the_submitting_thread() {
         },
     );
     rt.create_session(9, 1, SessionSpec::new(3, 21)).unwrap();
-    // Let both scheduler threads find their queues empty and park.
-    std::thread::sleep(Duration::from_millis(50));
     let groups = [
         (0..3)
             .map(|alg| SessionOp::ExtendAll {

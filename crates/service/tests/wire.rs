@@ -758,10 +758,6 @@ fn ingest_submit_answers_await_without_a_round_trip() {
             ..Default::default()
         },
     );
-    // Let both scheduler threads find their queues empty and park: a
-    // scheduler thread that polls while a group is queued may drain it
-    // first, and then its responses wait in the mailbox instead.
-    std::thread::sleep(Duration::from_millis(50));
     let (client_end, mut server_end) = relperf_service::client::duplex();
     let handle = rt.handle();
     let server = std::thread::spawn(move || wire::serve_connection(&handle, &mut server_end));
@@ -845,8 +841,6 @@ fn stash_drops_its_oldest_beyond_its_cap() {
             ..Default::default()
         },
     );
-    // Let both scheduler threads park, so each group runs inline.
-    std::thread::sleep(Duration::from_millis(50));
     let (client_end, mut server_end) = relperf_service::client::duplex();
     let handle = rt.handle();
     let server = std::thread::spawn(move || wire::serve_connection(&handle, &mut server_end));

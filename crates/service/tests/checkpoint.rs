@@ -1,24 +1,16 @@
 //! Checkpoint/restore goldens: a restored session (or campaign) continues
 //! wave-for-wave bit-identically to one that never stopped.
 
-use rand::prelude::*;
+mod support;
+
 use relperf_core::cluster::{ClusterConfig, Parallelism};
 use relperf_core::session::ConvergenceCriterion;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::compare::BootstrapComparator;
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
 use relperf_workloads::adaptive::{AdaptiveExperiment, WaveSchedule};
 use relperf_workloads::experiment::Experiment;
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        5,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
+use support::{comparator, noisy, scored};
 
 fn service(shards: usize) -> SessionService<BootstrapComparator> {
     SessionService::new(
@@ -27,11 +19,6 @@ fn service(shards: usize) -> SessionService<BootstrapComparator> {
         Parallelism::auto(),
         ServiceLimits::default(),
     )
-}
-
-fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| center + rng.random_range(-0.2..0.2)).collect()
 }
 
 fn submit_wave(service: &SessionService<BootstrapComparator>, tenant: u64, session: u64, wave: u64) -> u64 {
@@ -48,14 +35,6 @@ fn submit_wave(service: &SessionService<BootstrapComparator>, tenant: u64, sessi
             .unwrap();
     }
     service.submit(tenant, session, SessionOp::Score).unwrap()
-}
-
-fn scored(responses: &[OpResponse], seq: u64) -> WaveOutcome {
-    let r = responses.iter().find(|r| r.seq == seq).unwrap();
-    match r.result.clone().unwrap() {
-        OpOutcome::Scored(w) => w,
-        other => panic!("expected Scored, got {other:?}"),
-    }
 }
 
 /// The satellite's golden: snapshot → restore → continue equals an

@@ -3,92 +3,20 @@
 //! points, every session's served results are bit-identical to driving a
 //! private `ClusterSession` with the same op sequence.
 
+mod support;
+
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
-use relperf_core::session::{ClusterSession, ConvergenceCriterion};
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        5,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
+use support::{comparator, direct_tables, scripts, Script};
 
 fn config(threads: usize) -> ClusterConfig {
     ClusterConfig {
         repetitions: 15,
         parallelism: Parallelism::with_threads(threads),
     }
-}
-
-fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| center + rng.random_range(-0.2..0.2)).collect()
-}
-
-/// One tenant's scripted session: per-wave measurement vectors for `p`
-/// algorithms, scored after each wave.
-struct Script {
-    tenant: u64,
-    session: u64,
-    p: usize,
-    seed: u64,
-    waves: Vec<Vec<Vec<f64>>>,
-}
-
-fn scripts(num_tenants: usize, waves: usize, value_seed: u64) -> Vec<Script> {
-    (0..num_tenants as u64)
-        .map(|tenant| {
-            let p = 2 + (tenant as usize % 3);
-            Script {
-                tenant,
-                session: 100 + tenant,
-                p,
-                seed: 7 + tenant,
-                waves: (0..waves)
-                    .map(|w| {
-                        (0..p)
-                            .map(|alg| {
-                                noisy(
-                                    1.0 + alg as f64,
-                                    4,
-                                    value_seed ^ (tenant << 20) ^ ((w as u64) << 10) ^ alg as u64,
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Drives each script through a private `ClusterSession` — the reference
-/// the service must match bit for bit.
-fn direct_tables(scripts: &[Script], cfg: ClusterConfig) -> Vec<Vec<ScoreTable>> {
-    let cmp = comparator();
-    scripts
-        .iter()
-        .map(|s| {
-            let mut session = ClusterSession::new(s.p, &cmp, cfg, s.seed);
-            s.waves
-                .iter()
-                .map(|wave| {
-                    for (alg, values) in wave.iter().enumerate() {
-                        session.extend(alg, values).unwrap();
-                    }
-                    session.score().clone()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Drives all scripts through one service, interleaving the tenants'
@@ -109,18 +37,7 @@ fn service_tables(
         ServiceLimits::default(),
     );
     for s in scripts {
-        service
-            .create_session(
-                s.tenant,
-                s.session,
-                SessionSpec {
-                    algorithms: s.p,
-                    config: cfg,
-                    seed: s.seed,
-                    criterion: ConvergenceCriterion::default(),
-                },
-            )
-            .unwrap();
+        service.create_session(s.tenant, s.session, s.spec(cfg)).unwrap();
     }
     let mut tables: Vec<Vec<ScoreTable>> = scripts.iter().map(|_| Vec::new()).collect();
     let mut score_seqs: Vec<Vec<u64>> = scripts.iter().map(|_| Vec::new()).collect();

@@ -3,6 +3,8 @@
 //! interleaving and thread count, and a slow tenant does not convoy fast
 //! tenants that live on other scheduler threads' shards.
 
+mod support;
+
 use proptest::prelude::*;
 use rand::prelude::*;
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
@@ -19,77 +21,9 @@ use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        5,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
-
-fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| center + rng.random_range(-0.2..0.2)).collect()
-}
-
-/// One tenant's scripted campaign (same shape as the synchronous
-/// determinism suite, driven through the pipelined runtime here).
-struct Script {
-    tenant: u64,
-    session: u64,
-    p: usize,
-    seed: u64,
-    waves: Vec<Vec<Vec<f64>>>,
-}
-
-fn scripts(num_tenants: usize, waves: usize, value_seed: u64) -> Vec<Script> {
-    (0..num_tenants as u64)
-        .map(|tenant| {
-            let p = 2 + (tenant as usize % 3);
-            Script {
-                tenant,
-                session: 100 + tenant,
-                p,
-                seed: 7 + tenant,
-                waves: (0..waves)
-                    .map(|w| {
-                        (0..p)
-                            .map(|alg| {
-                                noisy(
-                                    1.0 + alg as f64,
-                                    4,
-                                    value_seed ^ (tenant << 20) ^ ((w as u64) << 10) ^ alg as u64,
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-fn direct_tables(scripts: &[Script], cfg: ClusterConfig) -> Vec<Vec<ScoreTable>> {
-    let cmp = comparator();
-    scripts
-        .iter()
-        .map(|s| {
-            let mut session = ClusterSession::new(s.p, &cmp, cfg, s.seed);
-            s.waves
-                .iter()
-                .map(|wave| {
-                    for (alg, values) in wave.iter().enumerate() {
-                        session.extend(alg, values).unwrap();
-                    }
-                    session.score().clone()
-                })
-                .collect()
-        })
-        .collect()
-}
+use support::{
+    boxed, comparator, direct_tables, fnv1a64_words, handles, noisy, scripts, Script, FNV_OFFSET,
+};
 
 /// Drives all scripts through a pipelined runtime: submissions follow
 /// `order` while background threads drain shards on their own cadence —
@@ -116,17 +50,7 @@ fn pipelined_tables(
         },
     );
     for s in scripts {
-        rt.create_session(
-            s.tenant,
-            s.session,
-            SessionSpec {
-                algorithms: s.p,
-                config: cfg,
-                seed: s.seed,
-                criterion: ConvergenceCriterion::default(),
-            },
-        )
-        .unwrap();
+        rt.create_session(s.tenant, s.session, s.spec(cfg)).unwrap();
     }
     let mut score_seqs: Vec<Vec<u64>> = scripts.iter().map(|_| Vec::new()).collect();
     let mut next_wave: Vec<usize> = vec![0; scripts.len()];
@@ -442,21 +366,6 @@ impl ScratchThreeWayComparator for ThreadLog {
     }
 }
 
-/// Word-wise FNV-1a 64 (little-endian `u64` words, then the 0–7 tail
-/// bytes), the hash behind a leader digest's session checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = step(h, u64::from_le_bytes(word.try_into().unwrap()));
-    }
-    for &b in words.remainder() {
-        h = step(h, u64::from(b));
-    }
-    h
-}
-
 /// What one hosted campaign shows a tenant: every scored table, the
 /// `Snapshot` op bytes, and the session checksum of the digest the
 /// service journals for it.
@@ -475,13 +384,13 @@ fn hosted_campaign(
     comparator: ThreadLog,
     scheduler_threads: usize,
 ) -> Observed {
-    let stores: Vec<MemJournalStore> = (0..4).map(|_| MemJournalStore::new()).collect();
+    let stores = handles(4);
     let service = SessionService::with_journal(
         comparator,
         Parallelism::serial(),
         ServiceLimits::default(),
         JournalConfig::default(),
-        stores.iter().map(|s| Box::new(s.clone()) as Box<dyn JournalStore>).collect(),
+        boxed(&stores),
     )
     .unwrap();
     let rt = ServiceRuntime::start(
@@ -491,13 +400,7 @@ fn hosted_campaign(
             ..Default::default()
         },
     );
-    let spec = SessionSpec {
-        algorithms: script.p,
-        config: cfg,
-        seed: script.seed,
-        criterion: ConvergenceCriterion::default(),
-    };
-    rt.create_session(script.tenant, script.session, spec).unwrap();
+    rt.create_session(script.tenant, script.session, script.spec(cfg)).unwrap();
     let ask = |ops: Vec<SessionOp>| {
         let seqs = rt.submit_all(script.tenant, script.session, ops).unwrap();
         let responses = rt
@@ -579,7 +482,7 @@ fn idle_core_grant_is_invisible() {
         rng_states: Vec::new(),
     });
     let reference = Observed {
-        checksum: fnv1a64(&bare_snapshot),
+        checksum: fnv1a64_words(FNV_OFFSET, &bare_snapshot),
         tables,
         snapshot: bare_snapshot,
     };
@@ -708,13 +611,7 @@ fn group_queued_behind_a_score_goes_to_the_scheduler() {
 #[test]
 fn pipelined_ingest_groups_keep_submission_order() {
     const GROUPS: usize = 3000;
-    let stores: Vec<MemJournalStore> = vec![MemJournalStore::new()];
-    let boxed = || {
-        stores
-            .iter()
-            .map(|s| Box::new(s.clone()) as Box<dyn JournalStore>)
-            .collect::<Vec<_>>()
-    };
+    let stores = handles(1);
     let config = JournalConfig {
         group_commit: 1,
         compact_every: 8,
@@ -724,7 +621,7 @@ fn pipelined_ingest_groups_keep_submission_order() {
         Parallelism::serial(),
         ServiceLimits::default(),
         config,
-        boxed(),
+        boxed(&stores),
     )
     .unwrap();
     let rt = ServiceRuntime::start(
@@ -760,7 +657,7 @@ fn pipelined_ingest_groups_keep_submission_order() {
         Parallelism::serial(),
         ServiceLimits::default(),
         config,
-        boxed(),
+        boxed(&stores),
     )
     .unwrap();
     recovered.submit(1, 1, SessionOp::Snapshot).unwrap();

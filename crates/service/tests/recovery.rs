@@ -4,59 +4,14 @@
 //! sweep; corruption and future-version streams surface as typed
 //! [`RecoveryError`]s, never panics.
 
-use rand::prelude::*;
+mod support;
+
 use relperf_core::cluster::Parallelism;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::compare::BootstrapComparator;
 use relperf_service::journal::{self, JournalError};
 use relperf_service::prelude::*;
 use relperf_service::service::SessionService;
-
-const SHARDS: usize = 4;
-/// Tenant/session pairs of the scripted multi-tenant campaign.
-const TENANTS: [(u64, u64); 3] = [(1, 9), (2, 5), (3, 7)];
-/// Waves driven per tenant by the script (plus one probe wave after).
-const WAVES: u64 = 3;
-/// Measurements a wave adds to a session (two 5-value extends).
-const WAVE_MEASUREMENTS: usize = 10;
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        5,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
-
-fn config() -> JournalConfig {
-    JournalConfig {
-        group_commit: 1,
-        compact_every: 1024,
-    }
-}
-
-fn handles(n: usize) -> Vec<MemJournalStore> {
-    (0..n).map(|_| MemJournalStore::new()).collect()
-}
-
-fn boxed(handles: &[MemJournalStore]) -> Vec<Box<dyn JournalStore>> {
-    handles
-        .iter()
-        .map(|h| Box::new(h.clone()) as Box<dyn JournalStore>)
-        .collect()
-}
-
-fn journaled(handles: &[MemJournalStore]) -> SessionService<BootstrapComparator> {
-    SessionService::with_journal(
-        comparator(),
-        Parallelism::auto(),
-        ServiceLimits::default(),
-        config(),
-        boxed(handles),
-    )
-    .unwrap()
-}
+use support::*;
 
 fn recover(
     handles: &[MemJournalStore],
@@ -68,93 +23,6 @@ fn recover(
         config(),
         boxed(handles),
     )
-}
-
-fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| center + rng.random_range(-0.2..0.2)).collect()
-}
-
-/// One wave as a single atomic admission group: two extends plus a score.
-/// One group ⇒ one journal record ⇒ all-or-nothing durability, which is
-/// what lets the harness resolve "did the crashed step land?" from the
-/// session's wave count alone.
-fn wave_ops(wave: u64) -> Vec<SessionOp> {
-    vec![
-        SessionOp::Extend {
-            alg: 0,
-            values: noisy(1.0, 5, wave * 2),
-        },
-        SessionOp::Extend {
-            alg: 1,
-            values: noisy(2.0, 5, wave * 2 + 1),
-        },
-        SessionOp::Score,
-    ]
-}
-
-fn scored(responses: &[OpResponse], seq: u64) -> WaveOutcome {
-    let r = responses.iter().find(|r| r.seq == seq).unwrap();
-    match r.result.clone().unwrap() {
-        OpOutcome::Scored(w) => w,
-        other => panic!("expected Scored, got {other:?}"),
-    }
-}
-
-fn run_wave(
-    service: &SessionService<BootstrapComparator>,
-    tenant: u64,
-    session: u64,
-    wave: u64,
-) -> WaveOutcome {
-    let seqs = service.submit_all(tenant, session, wave_ops(wave)).unwrap();
-    let score = *seqs.last().unwrap();
-    scored(&service.run_batch(), score)
-}
-
-/// One step of the scripted campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Create(u64, u64),
-    Wave(u64, u64, u64),
-    Compact,
-}
-
-fn script() -> Vec<Step> {
-    let mut steps: Vec<Step> = TENANTS.iter().map(|&(t, s)| Step::Create(t, s)).collect();
-    for wave in 0..WAVES {
-        steps.extend(TENANTS.iter().map(|&(t, s)| Step::Wave(t, s, wave)));
-        steps.push(Step::Compact);
-    }
-    steps
-}
-
-fn apply(service: &SessionService<BootstrapComparator>, step: Step) -> Option<WaveOutcome> {
-    match step {
-        Step::Create(t, s) => {
-            service.create_session(t, s, SessionSpec::new(2, 33 + t)).unwrap();
-            None
-        }
-        Step::Wave(t, s, w) => Some(run_wave(service, t, s, w)),
-        Step::Compact => {
-            service.compact_all().unwrap();
-            None
-        }
-    }
-}
-
-/// The crash-free golden: every wave outcome of the script plus one probe
-/// wave per tenant at the end.
-fn golden() -> (Vec<Option<WaveOutcome>>, Vec<WaveOutcome>) {
-    let handles = handles(SHARDS);
-    let service = journaled(&handles);
-    let outcomes: Vec<Option<WaveOutcome>> =
-        script().into_iter().map(|step| apply(&service, step)).collect();
-    let probes = TENANTS
-        .iter()
-        .map(|&(t, s)| run_wave(&service, t, s, WAVES))
-        .collect();
-    (outcomes, probes)
 }
 
 /// Journaling itself must not perturb results: the journaled script run

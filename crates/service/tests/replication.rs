@@ -7,74 +7,21 @@
 //! surfaces real divergence as typed [`ReplicationError`]s, never a
 //! panic, never silently.
 
-use rand::prelude::*;
+mod support;
+
 use relperf_core::cluster::Parallelism;
-use relperf_measure::compare::{BootstrapComparator, BootstrapConfig};
+use relperf_measure::compare::BootstrapComparator;
 use relperf_service::journal::{self, DigestSession, JournalRecord};
 use relperf_service::prelude::*;
 use relperf_service::replication::{decode_segment, encode_segment};
 use relperf_service::service::SessionService;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use support::*;
 
-const SHARDS: usize = 4;
-/// Tenant/session pairs of the scripted multi-tenant campaign.
-const TENANTS: [(u64, u64); 3] = [(1, 9), (2, 5), (3, 7)];
-/// Waves driven per tenant by the script (plus one probe wave after).
-const WAVES: u64 = 3;
-/// Measurements a wave adds to a session (two 5-value extends).
-const WAVE_MEASUREMENTS: usize = 10;
 /// Payload cap for sweep runs: small enough that waves regularly span
 /// several segments, so cut points and reordering really bite.
 const SWEEP_SEGMENT: usize = 48;
-
-/// FNV-1a 64 offset basis (the initial lane digest) — recomputed here so
-/// the tests can forge and verify envelopes independently of the crate.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// The envelope checksum continued from `hash` (FNV-1a 64 over the
-/// little-endian `u64` words, then the 0–7 tail bytes); the lane digest
-/// chains it once per segment.
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        hash ^= u64::from_le_bytes(word.try_into().unwrap());
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    for &b in words.remainder() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-fn comparator() -> BootstrapComparator {
-    BootstrapComparator::with_config(
-        5,
-        BootstrapConfig {
-            reps: 10,
-            ..Default::default()
-        },
-    )
-}
-
-fn config() -> JournalConfig {
-    JournalConfig {
-        group_commit: 1,
-        compact_every: 1024,
-    }
-}
-
-fn handles(n: usize) -> Vec<MemJournalStore> {
-    (0..n).map(|_| MemJournalStore::new()).collect()
-}
-
-fn boxed(handles: &[MemJournalStore]) -> Vec<Box<dyn JournalStore>> {
-    handles
-        .iter()
-        .map(|h| Box::new(h.clone()) as Box<dyn JournalStore>)
-        .collect()
-}
 
 /// A journaled leader whose stores are tapped by a [`JournalShipper`].
 fn shipping_leader(
@@ -88,96 +35,6 @@ fn shipping_leader(
         SessionService::with_journal(comparator(), Parallelism::auto(), limits, config(), stores)
             .unwrap();
     (service, shipper)
-}
-
-fn noisy(center: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| center + rng.random_range(-0.2..0.2)).collect()
-}
-
-fn wave_ops(wave: u64) -> Vec<SessionOp> {
-    vec![
-        SessionOp::Extend {
-            alg: 0,
-            values: noisy(1.0, 5, wave * 2),
-        },
-        SessionOp::Extend {
-            alg: 1,
-            values: noisy(2.0, 5, wave * 2 + 1),
-        },
-        SessionOp::Score,
-    ]
-}
-
-fn scored(responses: &[OpResponse], seq: u64) -> WaveOutcome {
-    let r = responses.iter().find(|r| r.seq == seq).unwrap();
-    match r.result.clone().unwrap() {
-        OpOutcome::Scored(w) => w,
-        other => panic!("expected Scored, got {other:?}"),
-    }
-}
-
-fn run_wave(
-    service: &SessionService<BootstrapComparator>,
-    tenant: u64,
-    session: u64,
-    wave: u64,
-) -> WaveOutcome {
-    let seqs = service.submit_all(tenant, session, wave_ops(wave)).unwrap();
-    let score = *seqs.last().unwrap();
-    scored(&service.run_batch(), score)
-}
-
-/// One step of the scripted campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Create(u64, u64),
-    Wave(u64, u64, u64),
-    Compact,
-}
-
-fn script() -> Vec<Step> {
-    let mut steps: Vec<Step> = TENANTS.iter().map(|&(t, s)| Step::Create(t, s)).collect();
-    for wave in 0..WAVES {
-        steps.extend(TENANTS.iter().map(|&(t, s)| Step::Wave(t, s, wave)));
-        steps.push(Step::Compact);
-    }
-    steps
-}
-
-fn apply(service: &SessionService<BootstrapComparator>, step: Step) -> Option<WaveOutcome> {
-    match step {
-        Step::Create(t, s) => {
-            service.create_session(t, s, SessionSpec::new(2, 33 + t)).unwrap();
-            None
-        }
-        Step::Wave(t, s, w) => Some(run_wave(service, t, s, w)),
-        Step::Compact => {
-            service.compact_all().unwrap();
-            None
-        }
-    }
-}
-
-/// The fault-free golden: every wave outcome of the script plus one probe
-/// wave per tenant at the end, from a journaled (unreplicated) run.
-fn golden() -> (Vec<Option<WaveOutcome>>, Vec<WaveOutcome>) {
-    let handles = handles(SHARDS);
-    let service = SessionService::with_journal(
-        comparator(),
-        Parallelism::auto(),
-        ServiceLimits::default(),
-        config(),
-        boxed(&handles),
-    )
-    .unwrap();
-    let outcomes: Vec<Option<WaveOutcome>> =
-        script().into_iter().map(|step| apply(&service, step)).collect();
-    let probes = TENANTS
-        .iter()
-        .map(|&(t, s)| run_wave(&service, t, s, WAVES))
-        .collect();
-    (outcomes, probes)
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +387,7 @@ fn promotion_discards_torn_record_tail() {
     let cut = &full.payload[..full.payload.len() - 3];
     let mut follower = Follower::new(comparator(), 1);
     let watermark = follower
-        .apply_segment(&encode_segment(0, 1, fnv(FNV_OFFSET, cut), cut))
+        .apply_segment(&encode_segment(0, 1, fnv1a64_words(FNV_OFFSET, cut), cut))
         .unwrap();
     assert_eq!(watermark, 1);
     assert_eq!(follower.num_sessions(), 1);
@@ -600,7 +457,7 @@ fn duplicate_create_fails_typed_and_refuses_promotion() {
     let stream = [create.as_slice(), create.as_slice()].concat();
     let mut follower = Follower::new(comparator(), 1);
     let err = follower
-        .apply_segment(&encode_segment(0, 1, fnv(FNV_OFFSET, &stream), &stream))
+        .apply_segment(&encode_segment(0, 1, fnv1a64_words(FNV_OFFSET, &stream), &stream))
         .unwrap_err();
     assert!(
         matches!(err, ReplicationError::Apply { tenant: 1, session: 1, .. }),
@@ -630,7 +487,7 @@ fn forged_digest_is_typed_divergence_and_refuses_promotion() {
             session: 1,
             spec: SessionSpec::new(2, 7),
         });
-        let digest = fnv(FNV_OFFSET, &create);
+        let digest = fnv1a64_words(FNV_OFFSET, &create);
         follower.apply_segment(&encode_segment(0, 1, digest, &create)).unwrap();
         (follower, digest)
     };
@@ -638,7 +495,7 @@ fn forged_digest_is_typed_divergence_and_refuses_promotion() {
                        lane_digest: u64,
                        sessions: Vec<DigestSession>| {
         let record = journal::encode_record(&JournalRecord::Digest { sessions });
-        follower.apply_segment(&encode_segment(0, 2, fnv(lane_digest, &record), &record))
+        follower.apply_segment(&encode_segment(0, 2, fnv1a64_words(lane_digest, &record), &record))
     };
 
     // A truthful digest passes and the replica keeps following.
@@ -664,7 +521,7 @@ fn forged_digest_is_typed_divergence_and_refuses_promotion() {
         session: 2,
         spec: SessionSpec::new(2, 8),
     });
-    let refused = follower.apply_segment(&encode_segment(0, 2, fnv(lane, &more), &more));
+    let refused = follower.apply_segment(&encode_segment(0, 2, fnv1a64_words(lane, &more), &more));
     assert!(matches!(refused, Err(ReplicationError::Diverged { .. })));
     // …and refuse promotion: corrupt state must not serve.
     match follower.promote(Parallelism::auto(), ServiceLimits::default()) {
@@ -753,19 +610,19 @@ fn transport_lesions_are_typed_and_recoverable() {
     // Unknown lane: typed, nothing applied.
     let p1 = rec(1);
     let err = follower
-        .apply_segment(&encode_segment(7, 1, fnv(FNV_OFFSET, &p1), &p1))
+        .apply_segment(&encode_segment(7, 1, fnv1a64_words(FNV_OFFSET, &p1), &p1))
         .unwrap_err();
     assert_eq!(err, ReplicationError::UnknownShard { shard: 7, shards: 2 });
 
     // A gap beyond the reorder window: typed, not latched.
     let err = follower
-        .apply_segment(&encode_segment(0, 66, fnv(FNV_OFFSET, &p1), &p1))
+        .apply_segment(&encode_segment(0, 66, fnv1a64_words(FNV_OFFSET, &p1), &p1))
         .unwrap_err();
     assert_eq!(err, ReplicationError::SequenceGap { shard: 0, expected: 1, found: 66 });
     assert_eq!(*follower.state(), ReplicaState::Following);
 
     // The in-order segment still applies afterwards…
-    let d1 = fnv(FNV_OFFSET, &p1);
+    let d1 = fnv1a64_words(FNV_OFFSET, &p1);
     assert_eq!(follower.apply_segment(&encode_segment(0, 1, d1, &p1)), Ok(1));
     // …a duplicate of it just re-acks…
     assert_eq!(follower.apply_segment(&encode_segment(0, 1, d1, &p1)), Ok(1));
@@ -774,8 +631,8 @@ fn transport_lesions_are_typed_and_recoverable() {
     // …and an in-window future segment parks until the gap fills.
     let p2 = rec(2);
     let p3 = rec(3);
-    let d2 = fnv(d1, &p2);
-    let d3 = fnv(d2, &p3);
+    let d2 = fnv1a64_words(d1, &p2);
+    let d3 = fnv1a64_words(d2, &p3);
     assert_eq!(
         follower.apply_segment(&encode_segment(0, 3, d3, &p3)),
         Ok(1),
@@ -794,7 +651,7 @@ fn transport_lesions_are_typed_and_recoverable() {
     follower.seal();
     let p4 = rec(4);
     let err = follower
-        .apply_segment(&encode_segment(0, 4, fnv(d3, &p4), &p4))
+        .apply_segment(&encode_segment(0, 4, fnv1a64_words(d3, &p4), &p4))
         .unwrap_err();
     assert_eq!(err, ReplicationError::Sealed);
     assert_eq!(*follower.state(), ReplicaState::Sealed);
@@ -835,14 +692,14 @@ fn ship_codec_rejects_every_bit_flip_and_truncation() {
 #[test]
 fn version_one_envelope_is_refused_typed() {
     let payload: Vec<u8> = (0..21u8).collect();
-    let mut envelope = encode_segment(0, 1, fnv(FNV_OFFSET, &payload), &payload);
+    let mut envelope = encode_segment(0, 1, fnv1a64_words(FNV_OFFSET, &payload), &payload);
     assert_eq!(
         envelope[4..6],
         relperf_service::replication::SHIP_VERSION.to_le_bytes()
     );
     envelope[4..6].copy_from_slice(&1u16.to_le_bytes());
     let body_len = envelope.len() - 8;
-    let sum = fnv(FNV_OFFSET, &envelope[..body_len]);
+    let sum = fnv1a64_words(FNV_OFFSET, &envelope[..body_len]);
     envelope[body_len..].copy_from_slice(&sum.to_le_bytes());
     assert_eq!(
         decode_segment(&envelope),

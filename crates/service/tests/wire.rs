@@ -4,6 +4,8 @@
 //! message — plus end-to-end drives of the in-proc and unix-socket
 //! transports.
 
+mod support;
+
 use proptest::prelude::*;
 use relperf_core::cluster::{ClusterConfig, Parallelism, ScoreTable};
 use relperf_core::session::ConvergenceCriterion;
@@ -17,22 +19,7 @@ use relperf_service::wire::{
     encode_response, Request, Response,
 };
 use std::time::Duration;
-
-/// The frame checksum, re-implemented here so the tests can seal frames
-/// independently of the crate: FNV-1a 64 over the little-endian `u64`
-/// words, then over the 0–7 tail bytes.
-fn checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
-    }
-    for &b in words.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    h
-}
+use support::{fnv1a64_words, FNV_OFFSET};
 
 fn table() -> ScoreTable {
     ScoreTable::from_rows(vec![vec![0.7, 0.2, 0.1], vec![0.1, 0.6, 0.3]], 2)
@@ -487,7 +474,7 @@ fn version_one_frame_is_refused_typed() {
         assert_eq!(frame[4..6], wire::VERSION.to_le_bytes());
         frame[4..6].copy_from_slice(&old.to_le_bytes());
         let body_len = frame.len() - 8;
-        let sum = checksum(&frame[..body_len]);
+        let sum = fnv1a64_words(FNV_OFFSET, &frame[..body_len]);
         frame[body_len..].copy_from_slice(&sum.to_le_bytes());
         let refused = WireError::UnsupportedVersion {
             found: old,
@@ -546,7 +533,7 @@ fn every_length_prefix_lie_is_a_typed_decode_error() {
         // Recompute the trailer so the checksum is consistent with the
         // lie — isolating the length check itself.
         let body_len = lied.len() - 8;
-        let sum = checksum(&lied[..body_len]);
+        let sum = fnv1a64_words(FNV_OFFSET, &lied[..body_len]);
         lied[body_len..].copy_from_slice(&sum.to_le_bytes());
         match decode_frame(&lied) {
             Err(WireError::LengthMismatch { stated, actual: got }) => {
